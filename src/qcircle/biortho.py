@@ -15,7 +15,7 @@ from .circle import CircleGrid, contour_mean
 from .errors import DegenerateParameters, UnbalancedParameters
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, PhiSpec, phi, qpochhammer,
                     qpochhammer_inf, qval)
-from .report import IdentityReport
+from .report import IdentityReport, nan_max
 
 
 @dataclass(frozen=True)
@@ -201,11 +201,11 @@ def biortho_gram(max_n: int, p: BiorthoParams, grid: CircleGrid,
         for n in range(max_n + 1):
             if m == n:
                 expected = biortho_norm(n, p)
-                diag = max(diag, abs(G[n, n] - expected) / abs(expected))
+                diag = nan_max(diag, abs(G[n, n] - expected) / abs(expected))
             else:
-                off = max(off, abs(G[m, n]))
+                off = nan_max(off, abs(G[m, n]))
     report = IdentityReport(
-        "biorthogonality", max(off, diag), tol, grid.n_nodes, p.as_dict(),
+        "biorthogonality", nan_max(off, diag), tol, grid.n_nodes, p.as_dict(),
         notes={"max_offdiag": off, "max_diag_rel_err": diag, "max_n": max_n})
     return G, report
 

@@ -23,6 +23,10 @@ QUADRATURE_TOL = 1e-10
 # (parameters arrive through arithmetic and are never exact).
 TERMINATION_REL_TOL = 1e-9
 
+# Complex elements per block of qpochhammer_inf factors: 64 KiB, below
+# glibc's 128 KiB mmap threshold, so blocks come from the heap.
+_BLOCK_ELEMS = 4096
+
 
 @dataclass(frozen=True)
 class QParam:
@@ -72,25 +76,51 @@ def qpochhammer_inf(a, q, tol: float = 1e-15):
     Tail bound: once |a| q^K < 1/2, the log of the dropped factors is at most
     2 |a| q^K / (1 - q) in absolute value, so the relative error of the
     truncated product stays below ~2*tol.
+
+    Blocked evaluation: the factors 1 - a q^k are built a block of k at a
+    time as rows of a 2-D array of at most 4096 complex elements (64 KiB),
+    with the running product carried in row 0 and each block reduced with
+    np.multiply.reduce along axis 0.  The powers q^k come from np.cumprod
+    and the reduction multiplies rows in order, so the result is bitwise
+    the sequential product prod_k (1 - a q^k) taken one factor at a time.
     """
     qv = qval(q)
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = np.asarray(a, dtype=complex)
     amax = float(np.max(np.abs(a))) if a.size else 0.0
-    out = np.ones(a.shape, dtype=complex)
-    if amax == 0.0 or not np.isfinite(amax):
-        if not np.isfinite(amax):
-            raise ValueError("qpochhammer_inf requires finite arguments")
-        return _maybe_scalar(out)
+    if not np.isfinite(amax):
+        raise ValueError("qpochhammer_inf requires finite arguments")
+    if amax == 0.0:
+        return _maybe_scalar(np.ones(a.shape, dtype=complex))
     cutoff = tol * (1.0 - qv)
     nsteps = int(math.ceil(math.log(cutoff / amax) / math.log(qv))) if amax > cutoff else 1
     nsteps = min(max(nsteps, 1), 1_000_000)
+    flat = a.reshape(-1)
+    if flat.size == 1 and a.ndim:
+        # numpy reduces a lone column with its scalar loop, which may round
+        # differently from the elementwise loop that multiplies 1-element
+        # arrays; two equal columns keep the elementwise loop.
+        flat = np.repeat(flat, 2)
+    rows = min(nsteps, max(1, _BLOCK_ELEMS // flat.size))
+    block = np.empty((rows + 1, flat.size), dtype=complex)
+    block[0] = 1.0
+    # q^k as complex numbers with zero imaginary part, the form that
+    # a * q^k converts them to anyway; one column, broadcast over a.
+    powers = np.full((rows, 1), qv, dtype=complex)
     qk = 1.0
-    for _ in range(nsteps):
-        out = out * (1.0 - a * qk)
-        qk *= qv
-    return _maybe_scalar(out)
+    for start in range(0, nsteps, rows):
+        r = min(rows, nsteps - start)
+        powers[0] = qk
+        qk_block = np.multiply.accumulate(powers[:r])  # np.cumprod
+        qk = qk_block[-1, 0].real * qv
+        factors = block[1:r + 1]
+        np.multiply(flat, qk_block, out=factors)
+        np.subtract(1.0, factors, out=factors)
+        # initial=None starts from row 0 rather than from 1 + 0j, whose
+        # product with a zero can flip the zero's sign.
+        block[0] = np.multiply.reduce(block[:r + 1], axis=0, initial=None)
+    return _maybe_scalar(block[0, :a.size].reshape(a.shape).copy())
 
 
 def qmultipochhammer(params: Sequence[complex], q, n, tol: float = 1e-15):

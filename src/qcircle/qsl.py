@@ -12,7 +12,7 @@ import numpy as np
 from .circle import CircleGrid, dq_apply, tq_apply
 from .errors import EigenpairInvalid, WeightUnderflow
 from .qcore import QUADRATURE_TOL, qval
-from .report import IdentityReport
+from .report import IdentityReport, nan_max
 
 UNDERFLOW_FLOOR = 1e-300
 EIGEN_CERT_TOL = 1e-8
@@ -92,7 +92,7 @@ def symmetry_check(prob: QSLProblem, f, g, grid: CircleGrid,
         df = np.asarray(dq_apply(f, prob.q)(z))
         pv = np.asarray(prob.p(z), dtype=complex)
         direct = complex(np.mean(pv * np.abs(df)**2))
-        residual = max(sym, abs(form - direct), -form.real)
+        residual = nan_max(sym, abs(form - direct), -form.real)
         notes.update({"quadratic_form": form, "direct_form": direct})
     return IdentityReport("qsl_symmetry", residual, tol, grid.n_nodes,
                           notes=notes)

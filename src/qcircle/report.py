@@ -2,7 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+
+def nan_max(*values) -> float:
+    """The largest of `values`, or NaN if any of them is NaN.
+
+    The builtin max keeps its running value when a comparison with NaN is
+    False, so max(0.0, nan) is 0.0 and a NaN residual would read as a PASS.
+    """
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return float(max(values))
 
 
 def _jsonable(value):

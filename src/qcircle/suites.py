@@ -15,7 +15,7 @@ import numpy as np
 from . import biortho, qsl, szego
 from .circle import CircleGrid, LaurentPoly, adjoint_residual
 from .qcore import ALGEBRAIC_TOL, QUADRATURE_TOL, qval
-from .report import IdentityReport
+from .report import IdentityReport, nan_max
 
 
 @dataclass
@@ -80,7 +80,7 @@ def adjointness_report(q, grid: CircleGrid, seed: int, n_pairs: int = 100,
     for _ in range(n_pairs):
         f = random_laurent(rng, -deg_range, deg_range)
         g = random_laurent(rng, -deg_range, deg_range)
-        worst = max(worst, adjoint_residual(f, g, q, grid))
+        worst = nan_max(worst, adjoint_residual(f, g, q, grid))
     return IdentityReport("adjointness", worst, tol, grid.n_nodes,
                           {"q": qval(q), "pairs": n_pairs, "seed": seed})
 
@@ -104,7 +104,7 @@ def szego_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     reports.append(adjointness_report(q, grid, cfg.seed, n_pairs=50))
 
     w = np.asarray(szego.szego_weight(grid.nodes, q))
-    pos = max(np.max(np.abs(w.imag)), -float(np.min(w.real)))
+    pos = nan_max(np.max(np.abs(w.imag)), -float(np.min(w.real)))
     reports.append(IdentityReport(
         "szego_weight_positivity", pos, cfg.algebraic_tolerance,
         grid.n_nodes, {"q": q},
@@ -124,12 +124,12 @@ def pastro_degeneration_report(p: biortho.BiorthoParams, grid: CircleGrid,
     for n in range(max_n + 1):
         vals = np.asarray(biortho.r_fn(n, z, pastro))
         for k in range(1, n + 2):
-            worst = max(worst, abs(np.mean(vals * z**k)))
+            worst = nan_max(worst, abs(np.mean(vals * z**k)))
     G, _ = biortho.biortho_gram(max_n, pastro, grid)
-    diag = max(abs(G[n, n] - biortho.biortho_norm(n, pastro))
-               / abs(biortho.biortho_norm(n, pastro))
-               for n in range(max_n + 1))
-    return IdentityReport("pastro_degeneration", max(worst, diag), tol,
+    diag = nan_max(*(abs(G[n, n] - biortho.biortho_norm(n, pastro))
+                     / abs(biortho.biortho_norm(n, pastro))
+                     for n in range(max_n + 1)))
+    return IdentityReport("pastro_degeneration", nan_max(worst, diag), tol,
                           grid.n_nodes, pastro.as_dict(),
                           notes={"max_negative_mode": worst,
                                  "max_diag_rel_err": diag})
@@ -141,7 +141,7 @@ def kappa_random_report(q, grid: CircleGrid, seed: int, n_sets: int = 10,
     worst = 0.0
     for _ in range(n_sets):
         p = biortho.random_params(rng, q)
-        worst = max(worst, biortho.kappa_check(p, grid, tol).residual)
+        worst = nan_max(worst, biortho.kappa_check(p, grid, tol).residual)
     return IdentityReport("biortho_total_mass_random", worst, tol,
                           grid.n_nodes, {"q": qval(q), "sets": n_sets,
                                          "seed": seed})
@@ -198,7 +198,7 @@ def sears_suite(cfg: SuiteConfig, n_draws: int = 50) -> list[IdentityReport]:
         n = int(rng.integers(0, nmax + 1))
         A, B, C, D, E, F = random_balanced_sears(rng, cfg.q, n)
         rep = biortho.sears_check(n, A, B, C, D, E, F, cfg.q, cfg.tolerance)
-        worst = max(worst, rep.residual)
+        worst = nan_max(worst, rep.residual)
     reports.append(IdentityReport(
         "sears_random_draws", worst, cfg.tolerance, 0,
         {"q": cfg.q, "draws": n_draws, "seed": cfg.seed, "max_n": nmax}))
@@ -242,7 +242,8 @@ def qsl_suite(cfg: SuiteConfig) -> list[IdentityReport]:
         hn = szego.szego_poly(n, q)
         lam = szego.sturm_liouville_eigenvalue(n, q)
         mv = np.asarray(qsl.m_apply(prob, hn)(grid.nodes))
-        worst = max(worst, float(np.max(np.abs(mv - lam * hn(grid.nodes)))))
+        worst = nan_max(worst,
+                        float(np.max(np.abs(mv - lam * hn(grid.nodes)))))
     reports.append(IdentityReport(
         "qsl_szego_anchor", worst, cfg.tolerance, grid.n_nodes,
         {"q": q, "max_n": cfg.max_n}))
@@ -253,10 +254,10 @@ def qsl_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     for _ in range(20):
         f = random_laurent(rng, -3, 3)
         g = random_laurent(rng, -3, 3)
-        worst_sym = max(worst_sym,
-                        qsl.symmetry_check(prob, f, g, grid).residual)
-        worst_pos = max(worst_pos,
-                        qsl.symmetry_check(prob, f, f, grid).residual)
+        worst_sym = nan_max(worst_sym,
+                            qsl.symmetry_check(prob, f, g, grid).residual)
+        worst_pos = nan_max(worst_pos,
+                            qsl.symmetry_check(prob, f, f, grid).residual)
     reports.append(IdentityReport(
         "qsl_symmetry_random", worst_sym, cfg.tolerance, grid.n_nodes,
         {"q": q, "seed": cfg.seed}))

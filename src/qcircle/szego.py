@@ -12,7 +12,7 @@ import numpy as np
 from .circle import CircleGrid, LaurentPoly, contour_mean, tq_apply, tq_iterate
 from .errors import WeightUnderflow
 from .qcore import QUADRATURE_TOL, qpochhammer, qpochhammer_inf, qval, theta_sum, jacobi_triple_product
-from .report import IdentityReport
+from .report import IdentityReport, nan_max
 
 UNDERFLOW_FLOOR = 1e-300
 
@@ -50,10 +50,21 @@ def szego_weight(z, q, tol: float = 1e-15):
     return complex(out) if out.ndim == 0 else out
 
 
+def _qq_inf(qv: float) -> complex:
+    """(q;q)_inf, the reciprocal of the total mass; raises WeightUnderflow
+    when it underflows to 0, where the closed forms would divide by zero."""
+    qq = qpochhammer_inf(qv, qv)
+    if qq == 0:
+        raise WeightUnderflow(
+            f"(q;q)_inf underflowed to 0 at q={qv}: the total mass "
+            f"1/(q;q)_inf and the closed-form norms are not representable")
+    return qq
+
+
 def szego_norm(n: int, q) -> float:
     """Closed-form diagonal <H_n, w H_n>_c = q^{-n} (q;q)_n / (q;q)_inf."""
     qv = qval(q)
-    return (qv**(-n) * qpochhammer(qv, qv, n) / qpochhammer_inf(qv, qv)).real
+    return (qv**(-n) * qpochhammer(qv, qv, n) / _qq_inf(qv)).real
 
 
 def _check_weight(w: np.ndarray):
@@ -161,11 +172,11 @@ def szego_gram(max_n: int, q, grid: CircleGrid, tol: float = QUADRATURE_TOL):
         for n in range(max_n + 1):
             if m == n:
                 expected = szego_norm(n, qv)
-                diag = max(diag, abs(G[n, n] - expected) / abs(expected))
+                diag = nan_max(diag, abs(G[n, n] - expected) / abs(expected))
             else:
-                off = max(off, abs(G[m, n]))
+                off = nan_max(off, abs(G[m, n]))
     report = IdentityReport(
-        "szego_orthogonality", max(off, diag), tol, grid.n_nodes,
+        "szego_orthogonality", nan_max(off, diag), tol, grid.n_nodes,
         {"max_n": max_n, "q": qv},
         notes={"max_offdiag": off, "max_diag_rel_err": diag})
     return G, report
@@ -187,8 +198,8 @@ def total_mass_check(q, grid: CircleGrid,
                      tol: float = QUADRATURE_TOL) -> IdentityReport:
     """contour mean of the weight against 1/(q;q)_inf."""
     qv = qval(q)
+    closed = 1.0 / _qq_inf(qv)
     quad = contour_mean(lambda z: szego_weight(z, qv), grid)
-    closed = 1.0 / qpochhammer_inf(qv, qv)
     residual = abs(quad - closed) / abs(closed)
     return IdentityReport("szego_total_mass", residual, tol, grid.n_nodes,
                           {"q": qv})

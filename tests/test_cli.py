@@ -110,3 +110,21 @@ class TestGram:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["rows"]) == 9
         assert doc["report"]["passed"] is True
+
+
+class TestNoFalsePass:
+    def test_nan_gram_fails(self, capsys):
+        # At q=0.998 the weight overflows on the grid and the Gram matrix is
+        # NaN; a NaN residual must read as FAIL, not PASS.
+        assert main(["gram", "szego", "--q", "0.998", "--max-n", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] residual=nan" in out
+        assert "PASS" not in out
+
+    def test_underflowed_qq_inf_exits_2(self, capsys):
+        # (q;q)_inf underflows to 0 at q=0.999; the total-mass closed form
+        # would divide by it.
+        assert main(["verify", "szego", "--q", "0.999", "--grid", "16"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: (q;q)_inf underflowed to 0")
+        assert "Traceback" not in err

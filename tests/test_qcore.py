@@ -1,11 +1,13 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from qcircle.errors import NonConvergent, PoleInDenominator
-from qcircle.qcore import (PhiSpec, QParam, jacobi_triple_product, phi,
-                           qpochhammer, qpochhammer_inf, qmultipochhammer,
+from qcircle.qcore import (_BLOCK_ELEMS, PhiSpec, QParam,
+                           jacobi_triple_product, phi, qpochhammer,
+                           qpochhammer_inf, qmultipochhammer,
                            terminating_index, theta_sum)
 
 
@@ -77,6 +79,130 @@ class TestQPochhammerInf:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             qpochhammer_inf(0.5, 0.5, tol=0.0)
+
+
+def sequential_pochhammer_inf(a, q, tol=1e-15):
+    """(a; q)_inf one factor per step: the product qpochhammer_inf must
+    reproduce bit for bit, with the same truncation rule."""
+    a = np.asarray(a, dtype=complex)
+    amax = float(np.max(np.abs(a))) if a.size else 0.0
+    out = np.ones(a.shape, dtype=complex)
+    if amax == 0.0 or not np.isfinite(amax):
+        if not np.isfinite(amax):
+            raise ValueError("qpochhammer_inf requires finite arguments")
+        return complex(out) if out.ndim == 0 else out
+    cutoff = tol * (1.0 - q)
+    nsteps = (int(math.ceil(math.log(cutoff / amax) / math.log(q)))
+              if amax > cutoff else 1)
+    nsteps = min(max(nsteps, 1), 1_000_000)
+    qk = 1.0
+    for _ in range(nsteps):
+        out = out * (1.0 - a * qk)
+        qk *= q
+    return complex(out) if out.ndim == 0 else out
+
+
+def steps_for(a, q, tol):
+    amax = float(np.max(np.abs(a)))
+    cutoff = tol * (1.0 - q)
+    if amax <= cutoff:
+        return 1
+    return int(math.ceil(math.log(cutoff / amax) / math.log(q)))
+
+
+def tol_for_steps(a, q, steps):
+    """A tolerance at which the truncation rule takes exactly `steps`."""
+    return float(np.max(np.abs(a))) * q**(steps - 0.5) / (1.0 - q)
+
+
+def assert_bitwise_equal(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    # array_equal treats -0.0 and 0.0 as equal; the bytes do not.
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def draw_arguments(rng, shape, kind):
+    phase = np.exp(2j * np.pi * rng.uniform(size=shape))
+    if kind == "real":
+        return rng.uniform(-0.95, 0.95, shape)
+    if kind == "complex":
+        return rng.uniform(0.0, 0.95, shape) * phase
+    return rng.uniform(1.0, 2.5, shape) * phase  # |a| > 1
+
+
+class TestQPochhammerInfBlocked:
+    """The blocked kernel against the sequential product, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (256,), (3, 5)])
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("kind", ["real", "complex", "big"])
+    def test_matches_sequential_product(self, shape, q, kind):
+        seed = zlib.crc32(repr((shape, q, kind)).encode())
+        a = draw_arguments(np.random.default_rng(seed), shape, kind)
+        assert_bitwise_equal(qpochhammer_inf(a, q),
+                             sequential_pochhammer_inf(a, q))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (256,), (3, 5)])
+    def test_step_counts_across_block_edges(self, shape):
+        q = 0.999
+        a = draw_arguments(np.random.default_rng(5), shape, "complex") / 20
+        block = _BLOCK_ELEMS // max(1, int(np.prod(shape)))
+        for steps in sorted({1, 7, block - 1, block, block + 1,
+                             3 * block + 5}):
+            tol = tol_for_steps(a, q, steps)
+            assert steps_for(a, q, tol) == steps
+            assert_bitwise_equal(qpochhammer_inf(a, q, tol),
+                                 sequential_pochhammer_inf(a, q, tol))
+
+    def test_python_scalars(self):
+        for a in (0.3, -0.7 + 0.2j, 2, np.complex128(1.5 - 0.5j)):
+            assert_bitwise_equal(qpochhammer_inf(a, 0.9),
+                                 sequential_pochhammer_inf(a, 0.9))
+
+    def test_signed_zeros_and_exact_zero_factors(self):
+        # a = 1 makes the first factor exactly 0, and later factors of either
+        # sign set the signs of the zeros in the running product; those must
+        # follow the sequential product across many block boundaries.
+        a = np.tile([1.0, -1.0, complex(0.0, -0.0), complex(-0.0, 0.5),
+                     complex(1.0, -0.0), 3.0 + 0.0j, complex(3.0, -0.0),
+                     -0.5], 32)
+        assert_bitwise_equal(qpochhammer_inf(a, 0.7),
+                             sequential_pochhammer_inf(a, 0.7))
+
+    def test_underflowed_product_keeps_zero_signs(self):
+        # At q=0.998 these products underflow to zeros whose signs depend on
+        # the exact order of the multiplications (a reduction that starts
+        # from the identity 1 + 0j turns 0 - 0j into 0 + 0j).
+        a = 1.5 * np.exp(np.array([0.02j, -0.02j]))
+        got = qpochhammer_inf(a, 0.998)
+        assert np.all(got == 0)
+        assert_bitwise_equal(got, sequential_pochhammer_inf(a, 0.998))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_array(self, shape):
+        a = np.zeros(shape, dtype=complex)
+        assert_bitwise_equal(qpochhammer_inf(a, 0.5),
+                             sequential_pochhammer_inf(a, 0.5))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.2, np.inf)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            qpochhammer_inf(np.array([0.3, bad]), 0.5)
+
+    @pytest.mark.parametrize("q,points", [(0.5, 12), (0.99, 4)])
+    def test_mpmath_oracle(self, q, points):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(17)
+        args = np.concatenate([
+            math.sqrt(q) * np.exp(2j * np.pi * np.arange(points) / points),
+            draw_arguments(rng, (points,), "big")])
+        got = qpochhammer_inf(args, q)
+        for a, value in zip(args, got):
+            want = complex(mpmath.qp(mpmath.mpc(a), mpmath.mpf(q),
+                                     maxterms=10**5))
+            assert abs(value - want) <= 1e-13 * abs(want)
 
 
 class TestQMultiPochhammer:

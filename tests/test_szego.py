@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcircle.circle import CircleGrid, contour_mean
+from qcircle.errors import WeightUnderflow
 from qcircle.qcore import qpochhammer_inf
 from qcircle.szego import (gaussian_binomial, jacobi_triple_check,
                            lowering_check, raising_check, rodrigues,
@@ -178,6 +179,15 @@ class TestGram:
         _, r2 = szego_gram(5, q, CircleGrid(512))
         assert r2.residual < 10 * max(r1.residual, 1e-14)
 
+    def test_nan_matrix_fails(self):
+        # The weight overflows on the grid at q=0.998; max(0.0, nan) would
+        # report residual 0 here.
+        G, rep = szego_gram(2, 0.998, CircleGrid(64))
+        assert np.isnan(G).any()
+        assert math.isnan(rep.residual)
+        assert math.isnan(rep.notes["max_offdiag"])
+        assert not rep.passed
+
 
 class TestTripleProductAndMass:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
@@ -187,3 +197,10 @@ class TestTripleProductAndMass:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
     def test_total_mass(self, q):
         assert total_mass_check(q, GRID, tol=1e-12).passed
+
+    def test_underflowed_qq_inf_raises(self):
+        assert qpochhammer_inf(0.999, 0.999) == 0
+        with pytest.raises(WeightUnderflow, match=r"\(q;q\)_inf"):
+            szego_norm(0, 0.999)
+        with pytest.raises(WeightUnderflow, match=r"\(q;q\)_inf"):
+            total_mass_check(0.999, CircleGrid(16))
