@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .circle import CircleGrid, contour_mean
+from .circle import CircleGrid, dq_rows, gram_check, shifted, tq_rows
 from .errors import DegenerateParameters, UnbalancedParameters
-from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, PhiSpec, phi, qpochhammer,
-                    qpochhammer_inf, qval)
-from .report import IdentityReport, nan_max
+from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, PhiSpec, _maybe_scalar, phi,
+                    qpochhammer, qpochhammer_inf, qval)
+from .report import IdentityReport
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def r_fn(n: int, z, p: BiorthoParams):
                * (1.0 - p.b * p.beta * qk) * (1.0 - p.a * p.b * rq * z * qk))
         t = t * (num / den) * qv
         total += t
-    return complex(total) if total.ndim == 0 else total
+    return _maybe_scalar(total)
 
 
 def s_fn(n: int, z, p: BiorthoParams):
@@ -116,8 +117,7 @@ def biortho_weight(z, p: BiorthoParams, tol: float = 1e-15):
     den = np.ones(z.shape, dtype=complex)
     for arg in (p.a * z, p.alpha / z, p.b * z, p.beta / z):
         den = den * np.asarray(qpochhammer_inf(arg, qv, tol))
-    out = num / den
-    return complex(out) if out.ndim == 0 else out
+    return _maybe_scalar(num / den)
 
 
 def kappa_closed(p: BiorthoParams, tol: float = 1e-15) -> complex:
@@ -156,7 +156,7 @@ def kappa_check(p: BiorthoParams, grid: CircleGrid,
                 tol: float = QUADRATURE_TOL) -> IdentityReport:
     """Closed-form total mass against the quadrature of the weight."""
     closed = kappa_closed(p)
-    quad = contour_mean(lambda z: biortho_weight(z, p), grid)
+    quad = complex(np.mean(grid.rows(biortho_weight, p.q, 0, p)[0]))
     residual = abs(quad - closed) / abs(closed)
     return IdentityReport("biortho_total_mass", residual, tol, grid.n_nodes,
                           p.as_dict())
@@ -182,32 +182,14 @@ def weight_symmetry_check(p: BiorthoParams, grid: CircleGrid,
 
 def biortho_gram(max_n: int, p: BiorthoParams, grid: CircleGrid,
                  tol: float = QUADRATURE_TOL):
-    """G[m][n] = (1/2 pi i) \\oint w r_n conj(s_m) dz/z by quadrature.
-
-    Returns (G, report); report residual is the worse of the max off-diagonal
-    magnitude and the max relative diagonal error against the closed form.
-    """
-    z = grid.nodes
-    w = np.asarray(biortho_weight(z, p))
-    rvals = [r_fn(n, z, p) for n in range(max_n + 1)]
-    svals = [s_fn(m, z, p) for m in range(max_n + 1)]
-    G = np.empty((max_n + 1, max_n + 1), dtype=complex)
-    for m in range(max_n + 1):
-        for n in range(max_n + 1):
-            G[m, n] = np.mean(w * rvals[n] * np.conj(svals[m]))
-    off = 0.0
-    diag = 0.0
-    for m in range(max_n + 1):
-        for n in range(max_n + 1):
-            if m == n:
-                expected = biortho_norm(n, p)
-                diag = nan_max(diag, abs(G[n, n] - expected) / abs(expected))
-            else:
-                off = nan_max(off, abs(G[m, n]))
-    report = IdentityReport(
-        "biorthogonality", nan_max(off, diag), tol, grid.n_nodes, p.as_dict(),
-        notes={"max_offdiag": off, "max_diag_rel_err": diag, "max_n": max_n})
-    return G, report
+    """G[m][n] = (1/2 pi i) \\oint w r_n conj(s_m) dz/z by quadrature, as
+    gram_check's (G, report) against the closed-form diagonal biortho_norm."""
+    z, degrees = grid.nodes, range(max_n + 1)
+    return gram_check("biorthogonality", [s_fn(m, z, p) for m in degrees],
+                      [r_fn(n, z, p) for n in degrees],
+                      grid.rows(biortho_weight, p.q, 0, p)[0],
+                      [biortho_norm(n, p) for n in degrees], tol, p.as_dict(),
+                      max_n=max_n)
 
 
 def lowering_coefficient(n: int, p: BiorthoParams) -> complex:
@@ -221,20 +203,24 @@ def lowering_coefficient(n: int, p: BiorthoParams) -> complex:
             / ((1.0 - qv) * (1.0 - p.b * p.alpha) * (1.0 - p.b * p.beta)))
 
 
+def _lowering_residual(u: complex, n: int, p: BiorthoParams,
+                       grid: CircleGrid) -> float:
+    """max |(u q^{1/2} z; q)_2 D_q r_n - coeff r_{n-1}(z; qa, alpha, qb, beta)|."""
+    qv, z = p.q, grid.nodes
+    rq = math.sqrt(qv)
+    lowered = p.with_params(a=qv * p.a, b=qv * p.b)
+    dq = dq_rows(shifted(partial(r_fn, n, p=p), z, qv, 1), z, qv)[0]
+    rhs = lowering_coefficient(n, p) * r_fn(n - 1, z, lowered)
+    pref = (1.0 - u * rq * z) * (1.0 - u * rq * qv * z)
+    return float(np.max(np.abs(pref * dq - rhs)))
+
+
 def lowering_biortho_check(n: int, p: BiorthoParams, grid: CircleGrid,
                            tol: float = QUADRATURE_TOL) -> IdentityReport:
     """(ab q^{1/2} z; q)_2 D_q r_n = coeff * r_{n-1}(z; qa, alpha, qb, beta)."""
     if n < 1:
         raise ValueError("lowering needs n >= 1")
-    qv = p.q
-    rq = math.sqrt(qv)
-    z = grid.nodes
-    dq = (r_fn(n, z, p) - r_fn(n, qv * z, p)) / ((1.0 - qv) * z)
-    pref = (1.0 - p.a * p.b * rq * z) * (1.0 - p.a * p.b * rq * qv * z)
-    lhs = pref * dq
-    shifted = p.with_params(a=qv * p.a, b=qv * p.b)
-    rhs = lowering_coefficient(n, p) * r_fn(n - 1, z, shifted)
-    residual = float(np.max(np.abs(lhs - rhs)))
+    residual = _lowering_residual(p.a * p.b, n, p, grid)
     return IdentityReport("biortho_lowering", residual, tol, grid.n_nodes,
                           {**p.as_dict(), "n": n})
 
@@ -249,22 +235,22 @@ def raising_coefficient(p: BiorthoParams) -> complex:
     return ((1.0 - p.b * p.alpha) * (1.0 - p.b * p.beta) / ((1.0 - qv) * p.b))
 
 
-def _raising_sides(n: int, p: BiorthoParams, z: np.ndarray):
+def _raised(c: complex, m: int, p: BiorthoParams, grid: CircleGrid):
+    """T_q[(c/z; q)_2 w(z; p) r_m(z; p)] at the grid nodes."""
+    z = grid.nodes
+    pref = np.stack([(1.0 - c / t) * (1.0 - c * p.q / t) for t in (z, p.q * z)])
+    W = grid.rows(biortho_weight, p.q, 1, p)
+    R = shifted(partial(r_fn, m, p=p), z, p.q, 1)
+    return tq_rows(pref * W * R, z, p.q)[0]
+
+
+def _raising_sides(n: int, p: BiorthoParams, grid: CircleGrid):
     """LHS T_q[(alpha beta q^{1/2}/z; q)_2 w_shift r_{n-1, shift}] and the
     un-scaled RHS w r_n, with shift = (a, q alpha, b, q beta)."""
     qv = p.q
-    rq = math.sqrt(qv)
-    shifted = p.with_params(alpha=qv * p.alpha, beta=qv * p.beta)
-
-    def g(t):
-        t = np.asarray(t, dtype=complex)
-        pref = ((1.0 - p.alpha * p.beta * rq / t)
-                * (1.0 - p.alpha * p.beta * rq * qv / t))
-        return pref * np.asarray(biortho_weight(t, shifted)) * r_fn(n - 1, t, shifted)
-
-    lhs = z * (g(z) - qv * g(qv * z)) / (1.0 - qv)
-    rhs_core = np.asarray(biortho_weight(z, p)) * r_fn(n, z, p)
-    return lhs, rhs_core
+    raised = p.with_params(alpha=qv * p.alpha, beta=qv * p.beta)
+    lhs = _raised(p.alpha * p.beta * math.sqrt(qv), n - 1, raised, grid)
+    return lhs, grid.rows(biortho_weight, qv, 0, p)[0] * r_fn(n, grid.nodes, p)
 
 
 def raising_biortho_check(n: int, p: BiorthoParams, grid: CircleGrid,
@@ -273,8 +259,7 @@ def raising_biortho_check(n: int, p: BiorthoParams, grid: CircleGrid,
     = coeff * w(.; a,alpha,b,beta) r_n(.; a,alpha,b,beta)."""
     if n < 1:
         raise ValueError("raising needs n >= 1")
-    z = grid.nodes
-    lhs, rhs_core = _raising_sides(n, p, z)
+    lhs, rhs_core = _raising_sides(n, p, grid)
     rhs = raising_coefficient(p) * rhs_core
     scale = max(1.0, float(np.max(np.abs(rhs))))
     residual = float(np.max(np.abs(lhs - rhs))) / scale
@@ -297,11 +282,9 @@ def variant_reconciliation(n: int, p: BiorthoParams, grid: CircleGrid,
     if n < 1:
         raise ValueError("needs n >= 1")
     qv = p.q
-    rq = math.sqrt(qv)
-    z = grid.nodes
     table = {}
 
-    lhs, rhs_core = _raising_sides(n, p, z)
+    lhs, rhs_core = _raising_sides(n, p, grid)
     scale = max(1.0, float(np.max(np.abs(rhs_core))))
     candidates = {
         "raising_coeff_(1-ba)(1-bb)": (1.0 - p.b * p.alpha) * (1.0 - p.b * p.beta),
@@ -313,30 +296,18 @@ def variant_reconciliation(n: int, p: BiorthoParams, grid: CircleGrid,
         table[label] = float(np.max(np.abs(lhs - coeff * rhs_core))) / scale
 
     # Lowering prefactor variants applied to D_q r_n.
-    dq = (r_fn(n, z, p) - r_fn(n, qv * z, p)) / ((1.0 - qv) * z)
-    shifted = p.with_params(a=qv * p.a, b=qv * p.b)
-    rhs = lowering_coefficient(n, p) * r_fn(n - 1, z, shifted)
     for label, u in (("lowering_prefactor_ab", p.a * p.b),
                      ("lowering_prefactor_alphabeta", p.alpha * p.beta)):
-        pref = (1.0 - u * rq * z) * (1.0 - u * rq * qv * z)
-        table[label] = float(np.max(np.abs(pref * dq - rhs)))
+        table[label] = _lowering_residual(u, n, p, grid)
 
     # Raising prefactor (alpha beta q^{-3/2}/z; q)_2 with unshifted weight,
     # target r_n at (a, alpha/q, b, beta/q); only testable when the divided
     # parameters stay inside the unit disk.
     if abs(p.alpha / qv) < 1.0 and abs(p.beta / qv) < 1.0:
         divided = p.with_params(alpha=p.alpha / qv, beta=p.beta / qv)
-
-        def g(t):
-            t = np.asarray(t, dtype=complex)
-            pref = ((1.0 - p.alpha * p.beta * qv**-1.5 / t)
-                    * (1.0 - p.alpha * p.beta * qv**-0.5 / t))
-            return pref * np.asarray(biortho_weight(t, p)) * r_fn(n - 1, t, p)
-
-        lhs2 = z * (g(z) - qv * g(qv * z)) / (1.0 - qv)
-        coeff2 = ((1.0 - p.b * p.alpha / qv) * (1.0 - p.b * p.beta / qv)
-                  / ((1.0 - qv) * p.b))
-        rhs2 = coeff2 * np.asarray(biortho_weight(z, p)) * r_fn(n, z, divided)
+        lhs2 = _raised(p.alpha * p.beta * qv**-1.5, n - 1, p, grid)
+        w = grid.rows(biortho_weight, qv, 0, p)[0]
+        rhs2 = raising_coefficient(divided) * w * r_fn(n, grid.nodes, divided)
         scale2 = max(1.0, float(np.max(np.abs(rhs2))))
         table["raising_unshifted_prefactor"] = \
             float(np.max(np.abs(lhs2 - rhs2))) / scale2
@@ -345,6 +316,15 @@ def variant_reconciliation(n: int, p: BiorthoParams, grid: CircleGrid,
     return IdentityReport("ladder_variant_reconciliation", best, tol,
                           grid.n_nodes, {**p.as_dict(), "n": n},
                           notes=table, informational=True)
+
+
+def sears_transform(n: int, A, B, C, D, E, F, q):
+    """Prefactor and transformed parameters of sears_check's transformation."""
+    qv = qval(q)
+    pref = (qpochhammer(E / A, qv, n) * qpochhammer(F / A, qv, n)
+            / (qpochhammer(E, qv, n) * qpochhammer(F, qv, n)) * A**n)
+    return pref, (A, D / B, D / C, D, A * qv**(1 - n) / E,
+                  A * qv**(1 - n) / F)
 
 
 def sears_check(n: int, A, B, C, D, E, F, q,
@@ -367,11 +347,8 @@ def sears_check(n: int, A, B, C, D, E, F, q,
             f"A*B*C*q^(1-n) = {bal} but D*E*F = {D * E * F}")
     qn = qv**-n
     lhs = phi(PhiSpec((qn, A, B, C), (D, E, F), qv, qv))
-    pref = (qpochhammer(E / A, qv, n) * qpochhammer(F / A, qv, n)
-            / (qpochhammer(E, qv, n) * qpochhammer(F, qv, n)) * A**n)
-    rhs = pref * phi(PhiSpec(
-        (qn, A, D / B, D / C),
-        (D, A * qv**(1 - n) / E, A * qv**(1 - n) / F), qv, qv))
+    pref, args = sears_transform(n, A, B, C, D, E, F, qv)
+    rhs = pref * phi(PhiSpec((qn,) + args[:3], args[3:], qv, qv))
     residual = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
     return IdentityReport("sears_transformation", residual, tol, 0,
                           {"n": n, "A": A, "B": B, "C": C,
@@ -382,7 +359,7 @@ def imn_quadrature(m: int, n: int, p: BiorthoParams,
                    grid: CircleGrid) -> complex:
     """I_{m,n} = (1/2 pi i) \\oint w r_n conj(s_m) dz/z by quadrature."""
     z = grid.nodes
-    w = np.asarray(biortho_weight(z, p))
+    w = grid.rows(biortho_weight, p.q, 0, p)[0]
     return complex(np.mean(w * r_fn(n, z, p) * np.conj(s_fn(m, z, p))))
 
 
@@ -456,7 +433,7 @@ def i00_closed_check(n: int, p: BiorthoParams, grid: CircleGrid,
     qv = p.q
     rq = math.sqrt(qv)
     shifted = p.with_params(alpha=qv**n * p.alpha, beta=qv**n * p.beta)
-    quad = contour_mean(lambda z: biortho_weight(z, shifted), grid)
+    quad = complex(np.mean(grid.rows(biortho_weight, qv, 0, shifted)[0]))
     num = (qpochhammer(p.a * p.alpha, qv, n) * qpochhammer(p.b * p.alpha, qv, n)
            * qpochhammer(p.a * p.beta, qv, n) * qpochhammer(p.b * p.beta, qv, n))
     den = (qpochhammer(rq * p.alpha, qv, n) * qpochhammer(rq * p.beta, qv, n)

@@ -16,13 +16,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-
-import numpy as np
 
 from . import biortho, suites, szego
 from .errors import QCircleError
 from .qcore import theta_sum
+from .report import re_im
 from .suites import SuiteConfig
 
 
@@ -36,11 +36,28 @@ def parse_complex(text: str) -> complex:
             f"cannot parse complex number {text!r}; use re+imi syntax")
 
 
+def tolerance(text: str) -> float:
+    """--tol: finite and > 0 (0 or NaN fails every check, inf passes all)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and > 0, got {text}")
+    return value
+
+
+def max_degree(text: str) -> int:
+    """--max-n: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"max-n must be >= 0, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--q", type=float, default=0.5, help="base q in (0,1)")
     p.add_argument("--grid", type=int, default=256, dest="grid_size",
                    help="number of quadrature nodes on |z|=1")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=tolerance, default=None,
                    help="override the quadrature tolerance")
     p.add_argument("--format", choices=("json", "csv", "text"),
                    default="text", dest="output_format")
@@ -76,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run an identity suite")
     pv.add_argument("suite", choices=("szego", "biortho", "sears", "qsl", "all"))
-    pv.add_argument("--max-n", type=int, default=5, dest="max_n")
-    pv.add_argument("--n", type=int, default=None,
+    pv.add_argument("--max-n", type=max_degree, default=5, dest="max_n")
+    pv.add_argument("--n", type=max_degree, default=None,
                     help="alias for --max-n")
     pv.add_argument("--seed", type=int, default=0)
     _add_biortho_flags(pv)
@@ -85,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("gram", help="emit a Gram matrix table")
     pg.add_argument("subject", choices=("szego", "biortho"))
-    pg.add_argument("--max-n", type=int, default=4, dest="max_n")
+    pg.add_argument("--max-n", type=max_degree, default=4, dest="max_n")
     pg.add_argument("--seed", type=int, default=0)
     _add_biortho_flags(pg)
     _add_common(pg)
@@ -151,9 +168,7 @@ def cmd_eval(args) -> int:
             doc = {"kappa_closed": closed, "kappa_quadrature": quad,
                    "abs_difference": abs(closed - quad)}
             if args.output_format == "json":
-                _emit(json.dumps({k: [v.real, v.imag] if isinstance(v, complex)
-                                  else v for k, v in doc.items()}, indent=2),
-                      args.out)
+                _emit(json.dumps(doc, indent=2, default=re_im), args.out)
             else:
                 _emit("\n".join(
                     f"{k} = {_fmt_complex(v) if isinstance(v, complex) else v}"
@@ -161,9 +176,8 @@ def cmd_eval(args) -> int:
             return 0
     value = complex(value)
     if args.output_format == "json":
-        _emit(json.dumps({"label": label,
-                          "value": [value.real, value.imag]}, indent=2),
-              args.out)
+        _emit(json.dumps({"label": label, "value": value}, indent=2,
+                         default=re_im), args.out)
     else:
         _emit(f"{label} = {_fmt_complex(value)}", args.out)
     return 0
@@ -173,7 +187,7 @@ def cmd_verify(args) -> int:
     max_n = args.max_n if args.n is None else args.n
     cfg = SuiteConfig(
         q=args.q, max_n=max_n, grid_size=args.grid_size,
-        tolerance=args.tol if args.tol else 1e-10,
+        tolerance=1e-10 if args.tol is None else args.tol,
         params=(biortho_params_from_args(args)
                 if args.suite in ("biortho", "all") else None),
         seed=args.seed, output_format=args.output_format)
@@ -182,7 +196,7 @@ def cmd_verify(args) -> int:
     return 0 if suites.summarize(reports)["failed"] == 0 else 1
 
 
-def _gram_rows(G, expected, tol):
+def _gram_rows(G, expected):
     rows = []
     for m in range(G.shape[0]):
         for n in range(G.shape[1]):
@@ -199,7 +213,7 @@ def _gram_rows(G, expected, tol):
 def cmd_gram(args) -> int:
     from .circle import CircleGrid
     grid = CircleGrid(args.grid_size)
-    tol = args.tol if args.tol else 1e-9
+    tol = 1e-9 if args.tol is None else args.tol
     if args.subject == "szego":
         G, report = szego.szego_gram(args.max_n, args.q, grid, tol)
         expected = [szego.szego_norm(n, args.q) for n in range(args.max_n + 1)]
@@ -207,15 +221,12 @@ def cmd_gram(args) -> int:
         p = biortho_params_from_args(args)
         G, report = biortho.biortho_gram(args.max_n, p, grid, tol)
         expected = [biortho.biortho_norm(n, p) for n in range(args.max_n + 1)]
-    rows = _gram_rows(G, expected, tol)
+    rows = _gram_rows(G, expected)
     if args.output_format == "json":
         doc = {"subject": args.subject, "grid_size": grid.n_nodes,
-               "rows": [{**r,
-                         "computed": [r["computed"].real, r["computed"].imag],
-                         "expected": [r["expected"].real, r["expected"].imag]}
-                        for r in rows],
-               "report": report.as_dict()}
-        _emit(json.dumps(doc, indent=2, sort_keys=True), args.out)
+               "rows": rows, "report": report.as_dict()}
+        _emit(json.dumps(doc, indent=2, sort_keys=True, default=re_im),
+              args.out)
     elif args.output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

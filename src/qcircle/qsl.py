@@ -9,12 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleGrid, dq_apply, tq_apply
-from .errors import EigenpairInvalid, WeightUnderflow
-from .qcore import QUADRATURE_TOL, qval
+# tq_apply stays bound here for benchmarks/tests/test_bench_tracer.py::
+# test_uninstall_restores_every_original_binding, which checks its rebinding.
+from .circle import (CircleGrid, dq_rows, over_weight, shifted, tq_apply,
+                     tq_rows)
+from .errors import EigenpairInvalid
+from .qcore import QUADRATURE_TOL, _maybe_scalar, qval
 from .report import IdentityReport, nan_max
 
-UNDERFLOW_FLOOR = 1e-300
 EIGEN_CERT_TOL = 1e-8
 
 
@@ -34,40 +36,32 @@ class QSLProblem:
 
     def validate_on(self, grid: CircleGrid):
         for name, fn in (("p", self.p), ("omega", self.omega)):
-            vals = np.asarray(fn(grid.nodes), dtype=complex)
+            vals = grid.rows(fn, self.q, 0)[0]
             if np.max(np.abs(vals.imag)) > 1e-12:
                 raise ValueError(f"{name} is not real on the grid")
             if np.min(vals.real) <= 0.0:
                 raise ValueError(f"{name} is not positive on the grid")
 
 
+def _m_row(q, F, P, omega, z):
+    """M f at z from rows 0..2 of f, rows 0..1 of p and row 0 of omega."""
+    return over_weight(tq_rows(P * dq_rows(F, z, q), z, q)[0], omega, "omega")
+
+
 def m_apply(prob: QSLProblem, f):
     """M f: z -> (1/omega(z)) T_q(p * D_q f)(z)."""
-    qv = prob.q
-    df = dq_apply(f, qv)
-
-    def pdf(t):
-        return np.asarray(prob.p(t)) * np.asarray(df(t))
-
-    tq = tq_apply(pdf, qv)
-
-    def mf(z):
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(prob.omega(z), dtype=complex)
-        if np.min(np.abs(w)) < UNDERFLOW_FLOOR:
-            raise WeightUnderflow("omega underflowed at an evaluation point")
-        out = np.asarray(tq(z)) / w
-        return complex(out) if out.ndim == 0 else out
-
-    return mf
+    q = prob.q
+    return lambda z: _maybe_scalar(_m_row(
+        q, shifted(f, z, q, 2), shifted(prob.p, z, q, 1),
+        shifted(prob.omega, z, q, 0)[0], z))
 
 
-def _weighted_ip(f, g, omega, grid: CircleGrid) -> complex:
-    z = grid.nodes
-    fv = np.asarray(f(z), dtype=complex)
-    gv = np.asarray(g(z), dtype=complex)
-    wv = np.asarray(omega(z), dtype=complex)
-    return complex(np.mean(fv * np.conj(gv) * wv))
+def _m_on_grid(prob: QSLProblem, f, grid: CircleGrid):
+    """f's rows 0..2 and M f at the grid nodes, with p and omega sampled
+    once per grid."""
+    F = shifted(f, grid.nodes, prob.q, 2)
+    return F, _m_row(prob.q, F, grid.rows(prob.p, prob.q, 1),
+                     grid.rows(prob.omega, prob.q, 0)[0], grid.nodes)
 
 
 def symmetry_check(prob: QSLProblem, f, g, grid: CircleGrid,
@@ -79,18 +73,18 @@ def symmetry_check(prob: QSLProblem, f, g, grid: CircleGrid,
     >= -tol.
     """
     prob.validate_on(grid)
-    mf = m_apply(prob, f)
-    mg = m_apply(prob, g)
-    lhs = _weighted_ip(f, mg, prob.omega, grid)
-    rhs = _weighted_ip(g, mf, prob.omega, grid)
+    F, mf = _m_on_grid(prob, f, grid)
+    G, mg = _m_on_grid(prob, g, grid)
+    w = grid.rows(prob.omega, prob.q, 0)[0]
+    lhs = complex(np.mean(F[0] * np.conj(mg) * w))
+    rhs = complex(np.mean(G[0] * np.conj(mf) * w))
     sym = abs(lhs - np.conj(rhs))
     notes = {"form_lhs": lhs, "form_rhs_conj": complex(np.conj(rhs))}
     residual = sym
     if f is g:
         form = lhs
-        z = grid.nodes
-        df = np.asarray(dq_apply(f, prob.q)(z))
-        pv = np.asarray(prob.p(z), dtype=complex)
+        df = dq_rows(F, grid.nodes, prob.q)[0]
+        pv = grid.rows(prob.p, prob.q, 0)[0]
         direct = complex(np.mean(pv * np.abs(df)**2))
         residual = nan_max(sym, abs(form - direct), -form.real)
         notes.update({"quadratic_form": form, "direct_form": direct})
@@ -98,13 +92,17 @@ def symmetry_check(prob: QSLProblem, f, g, grid: CircleGrid,
                           notes=notes)
 
 
+def eigen_residual(prob: QSLProblem, y, lam, grid: CircleGrid) -> float:
+    """max |M y - lam y| over the grid nodes."""
+    Y, my = _m_on_grid(prob, y, grid)
+    return float(np.max(np.abs(my - complex(lam) * Y[0])))
+
+
 def certify_eigenpair(prob: QSLProblem, y, lam, grid: CircleGrid,
                       tol: float = EIGEN_CERT_TOL) -> float:
     """Max residual of M y = lam * y on the grid; raises EigenpairInvalid
     beyond tol, or when the claimed eigenvalue is not (numerically) real."""
-    z = grid.nodes
-    res = float(np.max(np.abs(np.asarray(m_apply(prob, y)(z))
-                              - complex(lam) * np.asarray(y(z)))))
+    res = eigen_residual(prob, y, lam, grid)
     if res > tol:
         raise EigenpairInvalid(f"eigenpair residual {res} exceeds {tol}")
     if abs(complex(lam).imag) > 1e-10:
@@ -127,9 +125,10 @@ def eigen_orthogonality_check(prob: QSLProblem, y1, lam1, y2, lam2,
     prob.validate_on(grid)
     certify_eigenpair(prob, y1, lam1, grid)
     certify_eigenpair(prob, y2, lam2, grid)
-    z = grid.nodes
-    bare = complex(np.mean(np.asarray(y1(z)) * np.asarray(y2(z))))
-    weighted = _weighted_ip(y1, y2, prob.omega, grid)
+    v1, v2 = y1(grid.nodes), y2(grid.nodes)
+    bare = complex(np.mean(v1 * v2))
+    w = grid.rows(prob.omega, prob.q, 0)[0]
+    weighted = complex(np.mean(v1 * np.conj(v2) * w))
     return IdentityReport(
         "qsl_eigen_orthogonality", abs(weighted), tol, grid.n_nodes,
         {"lambda1": complex(lam1), "lambda2": complex(lam2)},

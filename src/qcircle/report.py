@@ -27,6 +27,14 @@ def _jsonable(value):
     return value
 
 
+def re_im(value) -> list:
+    """json.dumps `default` of the CLI and the suite config: a complex
+    number (numpy's included) as [re, im]."""
+    if not isinstance(value, complex):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return [value.real, value.imag]
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     """Residual, tolerance and pass/fail for one verified identity.

@@ -7,15 +7,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import biortho, qsl, szego
 from .circle import CircleGrid, LaurentPoly, adjoint_residual
-from .qcore import ALGEBRAIC_TOL, QUADRATURE_TOL, qval
-from .report import IdentityReport, nan_max
+from .qcore import ALGEBRAIC_TOL, QUADRATURE_TOL, PhiSpec, phi, qval
+from .report import IdentityReport, nan_max, re_im
 
 
 @dataclass
@@ -49,18 +49,9 @@ class SuiteConfig:
         return biortho.BiorthoParams(0.3, 0.2, 0.4, 0.1, self.q)
 
     def as_dict(self) -> dict:
-        d = {
-            "q": self.q,
-            "max_n": self.max_n,
-            "grid_size": self.grid_size,
-            "tolerance": self.tolerance,
-            "algebraic_tolerance": self.algebraic_tolerance,
-            "seed": self.seed,
-            "output_format": self.output_format,
-        }
-        if self.params is not None:
-            d["params"] = {k: [v.real, v.imag] if isinstance(v, complex) else v
-                           for k, v in self.params.as_dict().items()}
+        d = asdict(self)
+        if self.params is None:
+            del d["params"]
         return d
 
 
@@ -103,7 +94,7 @@ def szego_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     reports.append(gram_rep)
     reports.append(adjointness_report(q, grid, cfg.seed, n_pairs=50))
 
-    w = np.asarray(szego.szego_weight(grid.nodes, q))
+    w = grid.rows(szego.szego_weight, q, 0, q)[0]
     pos = nan_max(np.max(np.abs(w.imag)), -float(np.min(w.real)))
     reports.append(IdentityReport(
         "szego_weight_positivity", pos, cfg.algebraic_tolerance,
@@ -125,10 +116,8 @@ def pastro_degeneration_report(p: biortho.BiorthoParams, grid: CircleGrid,
         vals = np.asarray(biortho.r_fn(n, z, pastro))
         for k in range(1, n + 2):
             worst = nan_max(worst, abs(np.mean(vals * z**k)))
-    G, _ = biortho.biortho_gram(max_n, pastro, grid)
-    diag = nan_max(*(abs(G[n, n] - biortho.biortho_norm(n, pastro))
-                     / abs(biortho.biortho_norm(n, pastro))
-                     for n in range(max_n + 1)))
+    _, gram = biortho.biortho_gram(max_n, pastro, grid)
+    diag = gram.notes["max_diag_rel_err"]
     return IdentityReport("pastro_degeneration", nan_max(worst, diag), tol,
                           grid.n_nodes, pastro.as_dict(),
                           notes={"max_negative_mode": worst,
@@ -211,20 +200,12 @@ def sears_suite(cfg: SuiteConfig, n_draws: int = 50) -> list[IdentityReport]:
 def sears_involution_report(q, n: int = 4,
                             tol: float = 1e-11) -> IdentityReport:
     """Applying the transformation twice returns the original series value."""
-    from .qcore import PhiSpec, phi, qpochhammer
     qv = qval(q)
     A, B, C, D, E = 0.3 + 0.1j, 0.4, 0.25 - 0.2j, 0.5, 0.35 + 0.05j
     F = A * B * C * qv**(1 - n) / (D * E)
     original = phi(PhiSpec((qv**-n, A, B, C), (D, E, F), qv, qv))
-
-    def transform(A, B, C, D, E, F):
-        pref = (qpochhammer(E / A, qv, n) * qpochhammer(F / A, qv, n)
-                / (qpochhammer(E, qv, n) * qpochhammer(F, qv, n)) * A**n)
-        return pref, (A, D / B, D / C, D, A * qv**(1 - n) / E,
-                      A * qv**(1 - n) / F)
-
-    p1, args1 = transform(A, B, C, D, E, F)
-    p2, args2 = transform(*args1)
+    p1, args1 = biortho.sears_transform(n, A, B, C, D, E, F, qv)
+    p2, args2 = biortho.sears_transform(n, *args1, qv)
     twice = p1 * p2 * phi(PhiSpec((qv**-n,) + args2[:3], args2[3:], qv, qv))
     residual = abs(twice - original) / max(1.0, abs(original))
     return IdentityReport("sears_involution", residual, tol, 0,
@@ -234,16 +215,15 @@ def sears_involution_report(q, n: int = 4,
 def qsl_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     grid = cfg.grid()
     q = cfg.q
-    prob = qsl.QSLProblem(lambda z: szego.szego_weight(z, q),
-                          lambda z: szego.szego_weight(z, q), q)
+    # p and omega are one callable, so the grid samples the weight once.
+    weight = lambda z: szego.szego_weight(z, q)
+    prob = qsl.QSLProblem(weight, weight, q)
     reports = []
     worst = 0.0
     for n in range(cfg.max_n + 1):
-        hn = szego.szego_poly(n, q)
-        lam = szego.sturm_liouville_eigenvalue(n, q)
-        mv = np.asarray(qsl.m_apply(prob, hn)(grid.nodes))
-        worst = nan_max(worst,
-                        float(np.max(np.abs(mv - lam * hn(grid.nodes)))))
+        worst = nan_max(worst, qsl.eigen_residual(
+            prob, szego.szego_poly(n, q),
+            szego.sturm_liouville_eigenvalue(n, q), grid))
     reports.append(IdentityReport(
         "qsl_szego_anchor", worst, cfg.tolerance, grid.n_nodes,
         {"q": q, "max_n": cfg.max_n}))
@@ -305,7 +285,7 @@ def to_json(suite: str, cfg: SuiteConfig,
         "reports": [r.as_dict() for r in reports],
         "summary": summarize(reports),
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, default=re_im)
 
 
 def to_csv(reports: list[IdentityReport]) -> str:

@@ -9,12 +9,14 @@ import math
 
 import numpy as np
 
-from .circle import CircleGrid, LaurentPoly, contour_mean, tq_apply, tq_iterate
+# tq_apply stays bound here for benchmarks/tests/test_bench_tracer.py::
+# test_uninstall_restores_every_original_binding, which checks its rebinding.
+from .circle import (CircleGrid, LaurentPoly, dq_rows, gram_check, over_weight,
+                     shifted, tq_apply, tq_power, tq_rows)
 from .errors import WeightUnderflow
-from .qcore import QUADRATURE_TOL, qpochhammer, qpochhammer_inf, qval, theta_sum, jacobi_triple_product
-from .report import IdentityReport, nan_max
-
-UNDERFLOW_FLOOR = 1e-300
+from .qcore import (QUADRATURE_TOL, _maybe_scalar, jacobi_triple_product,
+                    qpochhammer, qpochhammer_inf, qval, theta_sum)
+from .report import IdentityReport
 
 
 def gaussian_binomial(n: int, k: int, q) -> float:
@@ -45,9 +47,8 @@ def szego_weight(z, q, tol: float = 1e-15):
     if np.any(z == 0):
         raise ValueError("weight undefined at z = 0")
     rq = math.sqrt(qv)
-    out = np.asarray(qpochhammer_inf(rq * z, qv, tol)) \
-        * np.asarray(qpochhammer_inf(rq / z, qv, tol))
-    return complex(out) if out.ndim == 0 else out
+    return _maybe_scalar(np.asarray(qpochhammer_inf(rq * z, qv, tol))
+                         * np.asarray(qpochhammer_inf(rq / z, qv, tol)))
 
 
 def _qq_inf(qv: float) -> complex:
@@ -67,11 +68,6 @@ def szego_norm(n: int, q) -> float:
     return (qv**(-n) * qpochhammer(qv, qv, n) / _qq_inf(qv)).real
 
 
-def _check_weight(w: np.ndarray):
-    if np.min(np.abs(w)) < UNDERFLOW_FLOOR:
-        raise WeightUnderflow("Szego weight underflowed at a grid node")
-
-
 def lowering_check(n: int, q, grid: CircleGrid,
                    tol: float = QUADRATURE_TOL) -> IdentityReport:
     """D_q H_n = q^{-1/2} (1 - q^n)/(1 - q) H_{n-1}, max residual over the grid."""
@@ -79,8 +75,7 @@ def lowering_check(n: int, q, grid: CircleGrid,
         raise ValueError("lowering needs n >= 1")
     qv = qval(q)
     z = grid.nodes
-    hn = szego_poly(n, qv)
-    lhs = (hn(z) - hn(qv * z)) / ((1.0 - qv) * z)
+    lhs = dq_rows(shifted(szego_poly(n, qv), z, qv, 1), z, qv)[0]
     rhs = qv**-0.5 * (1.0 - qv**n) / (1.0 - qv) * szego_poly(n - 1, qv)(z)
     residual = float(np.max(np.abs(lhs - rhs)))
     return IdentityReport("szego_lowering", residual, tol, grid.n_nodes,
@@ -94,11 +89,9 @@ def raising_check(n: int, q, grid: CircleGrid,
         raise ValueError("n must be nonnegative")
     qv = qval(q)
     z = grid.nodes
-    w = np.asarray(szego_weight(z, qv))
-    _check_weight(w)
-    hn = szego_poly(n, qv)
-    wf = tq_apply(lambda t: np.asarray(szego_weight(t, qv)) * hn(t), qv)
-    lhs = np.asarray(wf(z)) / w
+    W = grid.rows(szego_weight, qv, 1, qv)
+    H = shifted(szego_poly(n, qv), z, qv, 1)
+    lhs = over_weight(tq_rows(W * H, z, qv)[0], W[0], "Szego weight")
     rhs = math.sqrt(qv) / (1.0 - qv) * szego_poly(n + 1, qv)(z)
     residual = float(np.max(np.abs(lhs - rhs)))
     return IdentityReport("szego_raising", residual, tol, grid.n_nodes,
@@ -111,12 +104,10 @@ def rodrigues(n: int, q, grid: CircleGrid,
     if n < 0:
         raise ValueError("n must be nonnegative")
     qv = qval(q)
-    z = grid.nodes
-    w = np.asarray(szego_weight(z, qv))
-    _check_weight(w)
-    tn = tq_iterate(lambda t: np.asarray(szego_weight(t, qv)), qv, n)
-    lhs = (qv**-0.5 - qv**0.5)**n * np.asarray(tn(z)) / w
-    rhs = szego_poly(n, qv)(z)
+    W = grid.rows(szego_weight, qv, n, qv)
+    lhs = over_weight((qv**-0.5 - qv**0.5)**n * tq_power(W, grid.nodes, qv, n),
+                      W[0], "Szego weight")
+    rhs = szego_poly(n, qv)(grid.nodes)
     residual = float(np.max(np.abs(lhs - rhs)))
     return IdentityReport("szego_rodrigues", residual, tol, grid.n_nodes,
                           {"n": n, "q": qv})
@@ -135,51 +126,26 @@ def sturm_liouville_check(n: int, q, grid: CircleGrid,
         raise ValueError("n must be nonnegative")
     qv = qval(q)
     z = grid.nodes
-    w = np.asarray(szego_weight(z, qv))
-    _check_weight(w)
-    hn = szego_poly(n, qv)
-
-    def weighted_dq(t):
-        t = np.asarray(t, dtype=complex)
-        dq = (hn(t) - hn(qv * t)) / ((1.0 - qv) * t)
-        return np.asarray(szego_weight(t, qv)) * dq
-
-    lhs = np.asarray(tq_apply(weighted_dq, qv)(z)) / w
-    rhs = sturm_liouville_eigenvalue(n, qv) * hn(z)
+    W = grid.rows(szego_weight, qv, 1, qv)
+    H = shifted(szego_poly(n, qv), z, qv, 2)
+    lhs = over_weight(tq_rows(W * dq_rows(H, z, qv), z, qv)[0], W[0],
+                      "Szego weight")
+    rhs = sturm_liouville_eigenvalue(n, qv) * H[0]
     residual = float(np.max(np.abs(lhs - rhs)))
     return IdentityReport("szego_sturm_liouville", residual, tol, grid.n_nodes,
                           {"n": n, "q": qv})
 
 
 def szego_gram(max_n: int, q, grid: CircleGrid, tol: float = QUADRATURE_TOL):
-    """Gram matrix G[m][n] = (1/2 pi i) \\oint conj(H_m) H_n w dz/z by quadrature.
-
-    Returns (G, report); the report residual is the worse of the maximum
-    off-diagonal magnitude and the maximum relative diagonal error against
-    the closed form q^{-n} (q;q)_n / (q;q)_inf.
-    """
+    """Gram matrix G[m][n] = (1/2 pi i) \\oint conj(H_m) H_n w dz/z by quadrature,
+    as gram_check's (G, report) against the closed-form diagonal
+    q^{-n} (q;q)_n / (q;q)_inf."""
     qv = qval(q)
-    z = grid.nodes
-    w = np.asarray(szego_weight(z, qv))
-    vals = [szego_poly(n, qv)(z) for n in range(max_n + 1)]
-    G = np.empty((max_n + 1, max_n + 1), dtype=complex)
-    for m in range(max_n + 1):
-        for n in range(max_n + 1):
-            G[m, n] = np.mean(np.conj(vals[m]) * vals[n] * w)
-    off = 0.0
-    diag = 0.0
-    for m in range(max_n + 1):
-        for n in range(max_n + 1):
-            if m == n:
-                expected = szego_norm(n, qv)
-                diag = nan_max(diag, abs(G[n, n] - expected) / abs(expected))
-            else:
-                off = nan_max(off, abs(G[m, n]))
-    report = IdentityReport(
-        "szego_orthogonality", nan_max(off, diag), tol, grid.n_nodes,
-        {"max_n": max_n, "q": qv},
-        notes={"max_offdiag": off, "max_diag_rel_err": diag})
-    return G, report
+    w = grid.rows(szego_weight, qv, 0, qv)[0]
+    vals = [szego_poly(n, qv)(grid.nodes) for n in range(max_n + 1)]
+    return gram_check("szego_orthogonality", vals, vals, w,
+                      [szego_norm(n, qv) for n in range(max_n + 1)], tol,
+                      {"max_n": max_n, "q": qv})
 
 
 def jacobi_triple_check(q, grid: CircleGrid,
@@ -199,7 +165,7 @@ def total_mass_check(q, grid: CircleGrid,
     """contour mean of the weight against 1/(q;q)_inf."""
     qv = qval(q)
     closed = 1.0 / _qq_inf(qv)
-    quad = contour_mean(lambda z: szego_weight(z, qv), grid)
+    quad = complex(np.mean(grid.rows(szego_weight, qv, 0, qv)[0]))
     residual = abs(quad - closed) / abs(closed)
     return IdentityReport("szego_total_mass", residual, tol, grid.n_nodes,
                           {"q": qv})

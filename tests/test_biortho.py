@@ -167,7 +167,7 @@ class TestLadder:
         # integrating both sides of the raising identity over the circle
         # gives equal values
         from qcircle.biortho import _raising_sides
-        lhs, core = _raising_sides(2, P, GRID.nodes)
+        lhs, core = _raising_sides(2, P, GRID)
         left = np.mean(lhs)
         right = raising_coefficient(P) * np.mean(core)
         assert left == pytest.approx(right, abs=1e-12)

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from qcircle.circle import (CircleGrid, LaurentPoly, adjoint_residual,
-                            contour_mean, dq_apply, inner_product_c,
-                            laurent_dq, tq_apply, tq_iterate)
+                            contour_mean, dq_apply, dq_rows, inner_product_c,
+                            laurent_dq, shifted, tq_apply, tq_iterate,
+                            tq_power, tq_rows)
+from qcircle.cli import main
+from qcircle.szego import szego_weight
 
 
 def random_laurent(rng, min_deg, max_deg):
@@ -150,9 +153,94 @@ class TestTqIterate:
         for _ in range(n):
             nested = tq_apply(nested, q)
         g = CircleGrid(16)
-        got = np.asarray(tq_iterate(f, q, n)(g.nodes))
         want = np.asarray(nested(g.nodes))
-        assert np.max(np.abs(got - want)) < 1e-11 * max(1, np.max(np.abs(want)))
+        for got in (np.asarray(tq_iterate(f, q, n)(g.nodes)),
+                    tq_power(shifted(f, g.nodes, q, n), g.nodes, q, n)):
+            assert np.max(np.abs(got - want)) \
+                < 1e-11 * max(1, np.max(np.abs(want)))
+
+
+class TestRows:
+    @staticmethod
+    def points(z, q, depth):
+        # q^k z as q times q^{k-1} z, the points the rows are sampled at.
+        out = [z]
+        for _ in range(depth):
+            out.append(q * out[-1])
+        return out
+
+    @pytest.mark.parametrize("q", [0.3, 0.8])
+    def test_dq_rows_match_laurent_dq(self, q):
+        rng = np.random.default_rng(5)
+        z = CircleGrid(32).nodes
+        for _ in range(10):
+            p = random_laurent(rng, -4, 4)
+            D = dq_rows(shifted(p, z, q, 3), z, q)
+            assert D.shape == (3, 32)
+            for k, t in enumerate(self.points(z, q, 2)):
+                want = laurent_dq(p, q)(t)
+                assert np.max(np.abs(D[k] - want)) \
+                    < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("n", [-3, 0, 1, 4])
+    def test_rows_match_monomial_closed_forms(self, n):
+        q = 0.6
+        z = CircleGrid(16).nodes
+        F = shifted(lambda t: t**n, z, q, 3)
+        D, T = dq_rows(F, z, q), tq_rows(F, z, q)
+        for k, t in enumerate(self.points(z, q, 2)):
+            dq = (1 - q**n) / (1 - q) * t**(n - 1)
+            tq = (1 - q**(n + 1)) / (1 - q) * t**(n + 1)
+            assert np.max(np.abs(D[k] - dq)) < 1e-12 * max(1.0, np.max(np.abs(dq)))
+            assert np.max(np.abs(T[k] - tq)) < 1e-12 * max(1.0, np.max(np.abs(tq)))
+
+    def test_shifted_rows_are_per_row_calls(self):
+        q = 0.7
+        z = CircleGrid(64).nodes
+        rows = shifted(lambda t: szego_weight(t, q), z, q, 4)
+        for k, t in enumerate(self.points(z, q, 4)):
+            assert np.array_equal(rows[k], szego_weight(t, q))
+
+    def test_grid_samples_only_missing_rows(self):
+        grid = CircleGrid(16)
+        calls = []
+
+        def f(t, c):
+            calls.append(c)
+            return c * t
+
+        first = grid.rows(f, 0.5, 1, 2.0)
+        assert len(calls) == 2
+        deeper = grid.rows(f, 0.5, 3, 2.0)
+        assert len(calls) == 4
+        assert np.array_equal(deeper[:2], first)
+        assert np.array_equal(deeper, shifted(lambda t: 2.0 * t, grid.nodes,
+                                              0.5, 3))
+        assert np.array_equal(grid.rows(f, 0.5, 2, 2.0), deeper[:3])
+        assert len(calls) == 4
+        deeper[0] = 0.0  # a copy: the grid's samples are not settable
+        assert np.array_equal(grid.rows(f, 0.5, 0, 2.0)[0], first[0])
+        grid.rows(f, 0.25, 0, 2.0)  # another q
+        grid.rows(f, 0.5, 0, 3.0)  # other arguments
+        assert len(calls) == 6
+        assert len(CircleGrid(16).rows(f, 0.5, 0, 2.0)) == 1  # another grid
+        assert len(calls) == 7
+
+    def test_verify_all_samples_the_szego_weight_once_per_row(
+            self, monkeypatch, capsys):
+        import qcircle.szego
+        calls = []
+        weight = qcircle.szego.szego_weight
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return weight(*args, **kwargs)
+
+        monkeypatch.setattr(qcircle.szego, "szego_weight", counted)
+        main(["verify", "all", "--max-n", "5", "--grid", "256", "--q", "0.5"])
+        capsys.readouterr()
+        # 513 at one evaluation per operator application.
+        assert 0 < len(calls) <= 12
 
 
 class TestAdjointness:

@@ -116,10 +116,32 @@ class TestNoFalsePass:
     def test_nan_gram_fails(self, capsys):
         # At q=0.998 the weight overflows on the grid and the Gram matrix is
         # NaN; a NaN residual must read as FAIL, not PASS.
-        assert main(["gram", "szego", "--q", "0.998", "--max-n", "2"]) == 1
+        with pytest.warns(RuntimeWarning):
+            assert main(["gram", "szego", "--q", "0.998", "--max-n", "2"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] residual=nan" in out
         assert "PASS" not in out
+
+    @pytest.mark.parametrize("argv, invariant", [
+        (["verify", "szego", "--tol", "0"], "tolerance must be finite and > 0"),
+        (["verify", "szego", "--tol", "nan"], "tolerance must be finite and > 0"),
+        (["verify", "szego", "--tol", "inf"], "tolerance must be finite and > 0"),
+        (["gram", "szego", "--tol", "-1"], "tolerance must be finite and > 0"),
+        (["eval", "szego", "--tol", "0"], "tolerance must be finite and > 0"),
+        (["gram", "szego", "--max-n", "-1"], "max-n must be >= 0"),
+        (["verify", "sears", "--max-n", "-1"], "max-n must be >= 0"),
+        (["verify", "sears", "--n", "-2"], "max-n must be >= 0"),
+    ])
+    def test_invalid_tolerance_or_degree_exits_2(self, argv, invariant, capsys):
+        # Each of these used to run: --tol 0 silently at the default, NaN or
+        # a negative tolerance failing every check, --max-n -1 printing PASS
+        # on an empty Gram matrix.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert invariant in captured.err
+        assert captured.out == ""
 
     def test_underflowed_qq_inf_exits_2(self, capsys):
         # (q;q)_inf underflows to 0 at q=0.999; the total-mass closed form

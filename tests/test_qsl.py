@@ -77,6 +77,16 @@ class TestSymmetry:
             g = random_laurent(rng, -3, 3)
             assert symmetry_check(prob, f, g, GRID, tol=1e-9).passed
 
+    def test_laurent_poly_coefficient(self):
+        # p = 1/z + 3 + z is real and positive on the circle; a LaurentPoly is
+        # unhashable, so the grid must key its samples by identity.
+        prob = QSLProblem(p=LaurentPoly(-1, [1.0, 3.0, 1.0]),
+                          omega=lambda z: np.ones_like(z), q=0.5)
+        rng = np.random.default_rng(3)
+        f, g = random_laurent(rng, -2, 2), random_laurent(rng, -2, 2)
+        assert symmetry_check(prob, f, g, GRID, tol=1e-12).passed
+        assert symmetry_check(prob, f, f, GRID, tol=1e-12).passed
+
     def test_form_positivity(self):
         rng = np.random.default_rng(29)
         prob = szego_problem(0.5)
