@@ -17,6 +17,7 @@ from .errors import DegenerateParameters, UnbalancedParameters
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, PhiSpec, _maybe_scalar, phi,
                     qpochhammer, qpochhammer_inf, qval)
 from .report import IdentityReport
+from .szego import szego_weight
 
 
 @dataclass(frozen=True)
@@ -102,22 +103,47 @@ def s_fn(n: int, z, p: BiorthoParams):
     return r_fn(n, z, p.swapped())
 
 
-def biortho_weight(z, p: BiorthoParams, tol: float = 1e-15):
-    """Weight: (q^{1/2}z, q^{1/2}/z, ab q^{1/2}z, alpha beta q^{1/2}/z; q)_inf
-    over (az, alpha/z, bz, beta/z; q)_inf.
-    """
+def _parameter_factors(z, p: BiorthoParams, tol: float = 1e-15):
+    """The weight's factors beyond the Szego pair: (ab q^{1/2} z; q)_inf,
+    (alpha beta q^{1/2}/z; q)_inf and the denominator
+    (az, alpha/z, bz, beta/z; q)_inf."""
     qv = p.q
     rq = math.sqrt(qv)
     z = np.asarray(z, dtype=complex)
-    if np.any(z == 0):
-        raise ValueError("weight undefined at z = 0")
-    num = np.ones(z.shape, dtype=complex)
-    for arg in (rq * z, rq / z, p.a * p.b * rq * z, p.alpha * p.beta * rq / z):
-        num = num * np.asarray(qpochhammer_inf(arg, qv, tol))
     den = np.ones(z.shape, dtype=complex)
     for arg in (p.a * z, p.alpha / z, p.b * z, p.beta / z):
         den = den * np.asarray(qpochhammer_inf(arg, qv, tol))
-    return _maybe_scalar(num / den)
+    return (np.asarray(qpochhammer_inf(p.a * p.b * rq * z, qv, tol)),
+            np.asarray(qpochhammer_inf(p.alpha * p.beta * rq / z, qv, tol)),
+            den)
+
+
+def _times_factors(szego, factors):
+    """Szego pair times the parameter factors, in the order of the product
+    over eight q-shifted factorials: ((S C) D) / den."""
+    C, D, den = factors
+    return szego * C * D / den
+
+
+def biortho_weight(z, p: BiorthoParams, tol: float = 1e-15):
+    """Weight: (q^{1/2}z, q^{1/2}/z, ab q^{1/2}z, alpha beta q^{1/2}/z; q)_inf
+    over (az, alpha/z, bz, beta/z; q)_inf, i.e. the Szego weight times the
+    parameter factors.
+    """
+    szego = szego_weight(z, p.q, tol)
+    return _maybe_scalar(_times_factors(szego, _parameter_factors(z, p, tol)))
+
+
+def weight_rows(grid: CircleGrid, p: BiorthoParams, depth: int) -> np.ndarray:
+    """Rows biortho_weight(q^k z_j, p), k = 0..depth, on the grid.
+
+    The Szego pair comes from the grid's szego_weight rows, which every
+    parameter set at the same q shares; only the parameter factors are
+    sampled per parameter set.
+    """
+    factors = grid.rows(_parameter_factors, p.q, depth, p)
+    return _times_factors(grid.rows(szego_weight, p.q, depth, p.q),
+                          factors.swapaxes(0, 1))
 
 
 def kappa_closed(p: BiorthoParams, tol: float = 1e-15) -> complex:
@@ -139,24 +165,35 @@ def kappa_closed(p: BiorthoParams, tol: float = 1e-15) -> complex:
     return num / den
 
 
-def biortho_norm(n: int, p: BiorthoParams) -> complex:
-    """Closed-form diagonal of the biorthogonality relation:
+def biortho_norms(max_n: int, p: BiorthoParams) -> list:
+    """Closed-form diagonal of the biorthogonality relation, n = 0..max_n:
     kappa * (q, a alpha, ab alpha beta q^{n-1}; q)_n (b beta)^n
-    / [(b beta; q)_n (ab alpha beta; q)_{2n}].
+    / [(b beta; q)_n (ab alpha beta; q)_{2n}], with one kappa_closed.
     """
+    if max_n < 0:
+        raise ValueError("index must be nonnegative")
     qv = p.q
     abab = p.a * p.b * p.alpha * p.beta
-    num = (qpochhammer(qv, qv, n) * qpochhammer(p.a * p.alpha, qv, n)
-           * qpochhammer(abab * qv**(n - 1), qv, n) * (p.b * p.beta)**n)
-    den = qpochhammer(p.b * p.beta, qv, n) * qpochhammer(abab, qv, 2 * n)
-    return kappa_closed(p) * num / den
+    kappa = kappa_closed(p)
+    norms = []
+    for n in range(max_n + 1):
+        num = (qpochhammer(qv, qv, n) * qpochhammer(p.a * p.alpha, qv, n)
+               * qpochhammer(abab * qv**(n - 1), qv, n) * (p.b * p.beta)**n)
+        den = qpochhammer(p.b * p.beta, qv, n) * qpochhammer(abab, qv, 2 * n)
+        norms.append(kappa * num / den)
+    return norms
+
+
+def biortho_norm(n: int, p: BiorthoParams) -> complex:
+    """Diagonal entry n of biortho_norms."""
+    return biortho_norms(n, p)[n]
 
 
 def kappa_check(p: BiorthoParams, grid: CircleGrid,
                 tol: float = QUADRATURE_TOL) -> IdentityReport:
     """Closed-form total mass against the quadrature of the weight."""
     closed = kappa_closed(p)
-    quad = complex(np.mean(grid.rows(biortho_weight, p.q, 0, p)[0]))
+    quad = complex(np.mean(weight_rows(grid, p, 0)[0]))
     residual = abs(quad - closed) / abs(closed)
     return IdentityReport("biortho_total_mass", residual, tol, grid.n_nodes,
                           p.as_dict())
@@ -169,12 +206,11 @@ def weight_symmetry_check(p: BiorthoParams, grid: CircleGrid,
     The literal unswapped reading w(1/z) = w(z) only holds when alpha = a and
     beta = b; its residual is reported in the notes for reference.
     """
-    z = grid.nodes
-    lhs = np.asarray(biortho_weight(1.0 / z, p))
+    lhs = np.asarray(biortho_weight(1.0 / grid.nodes, p))
     swapped = BiorthoParams(p.alpha, p.a, p.beta, p.b, p.q)
-    rhs = np.asarray(biortho_weight(z, swapped))
+    rhs = weight_rows(grid, swapped, 0)[0]
     residual = float(np.max(np.abs(lhs - rhs)))
-    literal = float(np.max(np.abs(lhs - np.asarray(biortho_weight(z, p)))))
+    literal = float(np.max(np.abs(lhs - weight_rows(grid, p, 0)[0])))
     return IdentityReport("biortho_weight_symmetry", residual, tol,
                           grid.n_nodes, p.as_dict(),
                           notes={"literal_unswapped_residual": literal})
@@ -183,12 +219,13 @@ def weight_symmetry_check(p: BiorthoParams, grid: CircleGrid,
 def biortho_gram(max_n: int, p: BiorthoParams, grid: CircleGrid,
                  tol: float = QUADRATURE_TOL):
     """G[m][n] = (1/2 pi i) \\oint w r_n conj(s_m) dz/z by quadrature, as
-    gram_check's (G, report) against the closed-form diagonal biortho_norm."""
+    gram_check's (G, norms, report) against the closed-form diagonal
+    biortho_norms."""
     z, degrees = grid.nodes, range(max_n + 1)
     return gram_check("biorthogonality", [s_fn(m, z, p) for m in degrees],
                       [r_fn(n, z, p) for n in degrees],
-                      grid.rows(biortho_weight, p.q, 0, p)[0],
-                      [biortho_norm(n, p) for n in degrees], tol, p.as_dict(),
+                      weight_rows(grid, p, 0)[0],
+                      biortho_norms(max_n, p), tol, p.as_dict(),
                       max_n=max_n)
 
 
@@ -239,7 +276,7 @@ def _raised(c: complex, m: int, p: BiorthoParams, grid: CircleGrid):
     """T_q[(c/z; q)_2 w(z; p) r_m(z; p)] at the grid nodes."""
     z = grid.nodes
     pref = np.stack([(1.0 - c / t) * (1.0 - c * p.q / t) for t in (z, p.q * z)])
-    W = grid.rows(biortho_weight, p.q, 1, p)
+    W = weight_rows(grid, p, 1)
     R = shifted(partial(r_fn, m, p=p), z, p.q, 1)
     return tq_rows(pref * W * R, z, p.q)[0]
 
@@ -250,7 +287,7 @@ def _raising_sides(n: int, p: BiorthoParams, grid: CircleGrid):
     qv = p.q
     raised = p.with_params(alpha=qv * p.alpha, beta=qv * p.beta)
     lhs = _raised(p.alpha * p.beta * math.sqrt(qv), n - 1, raised, grid)
-    return lhs, grid.rows(biortho_weight, qv, 0, p)[0] * r_fn(n, grid.nodes, p)
+    return lhs, weight_rows(grid, p, 0)[0] * r_fn(n, grid.nodes, p)
 
 
 def raising_biortho_check(n: int, p: BiorthoParams, grid: CircleGrid,
@@ -306,7 +343,7 @@ def variant_reconciliation(n: int, p: BiorthoParams, grid: CircleGrid,
     if abs(p.alpha / qv) < 1.0 and abs(p.beta / qv) < 1.0:
         divided = p.with_params(alpha=p.alpha / qv, beta=p.beta / qv)
         lhs2 = _raised(p.alpha * p.beta * qv**-1.5, n - 1, p, grid)
-        w = grid.rows(biortho_weight, qv, 0, p)[0]
+        w = weight_rows(grid, p, 0)[0]
         rhs2 = raising_coefficient(divided) * w * r_fn(n, grid.nodes, divided)
         scale2 = max(1.0, float(np.max(np.abs(rhs2))))
         table["raising_unshifted_prefactor"] = \
@@ -359,7 +396,7 @@ def imn_quadrature(m: int, n: int, p: BiorthoParams,
                    grid: CircleGrid) -> complex:
     """I_{m,n} = (1/2 pi i) \\oint w r_n conj(s_m) dz/z by quadrature."""
     z = grid.nodes
-    w = grid.rows(biortho_weight, p.q, 0, p)[0]
+    w = weight_rows(grid, p, 0)[0]
     return complex(np.mean(w * r_fn(n, z, p) * np.conj(s_fn(m, z, p))))
 
 
@@ -433,7 +470,7 @@ def i00_closed_check(n: int, p: BiorthoParams, grid: CircleGrid,
     qv = p.q
     rq = math.sqrt(qv)
     shifted = p.with_params(alpha=qv**n * p.alpha, beta=qv**n * p.beta)
-    quad = complex(np.mean(grid.rows(biortho_weight, qv, 0, shifted)[0]))
+    quad = complex(np.mean(weight_rows(grid, shifted, 0)[0]))
     num = (qpochhammer(p.a * p.alpha, qv, n) * qpochhammer(p.b * p.alpha, qv, n)
            * qpochhammer(p.a * p.beta, qv, n) * qpochhammer(p.b * p.beta, qv, n))
     den = (qpochhammer(rq * p.alpha, qv, n) * qpochhammer(rq * p.beta, qv, n)

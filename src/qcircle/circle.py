@@ -127,8 +127,8 @@ def inner_product_c(f, g, grid: CircleGrid) -> complex:
 
 
 def gram_check(name, left, right, w, norms, tol, params, **notes):
-    """(G, report) for G[m, n] = (1/N) sum_j conj(L_m) R_n w against the
-    diagonal `norms`: the worse of the largest |off-diagonal| and relative
+    """(G, norms, report): G[m, n] = (1/N) sum_j conj(L_m) R_n w against the
+    diagonal `norms`, the worse of the largest |off-diagonal| and relative
     diagonal error, NaN if any is.  One pairwise 1-D mean per entry."""
     G = np.array([[np.mean(np.conj(lm) * rn * w) for rn in right]
                   for lm in left])
@@ -139,7 +139,7 @@ def gram_check(name, left, right, w, norms, tol, params, **notes):
     report = IdentityReport(
         name, nan_max(off, diag), tol, len(w), params,
         notes={"max_offdiag": off, "max_diag_rel_err": diag, **notes})
-    return G, report
+    return G, norms, report
 
 
 def over_weight(values, w, name: str):

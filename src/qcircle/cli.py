@@ -205,7 +205,7 @@ def _gram_rows(G, expected):
                 "m": m, "n": n,
                 "computed": complex(G[m, n]),
                 "expected": complex(exp),
-                "residual": abs(G[m, n] - exp),
+                "residual": float(abs(G[m, n] - exp)),
             })
     return rows
 
@@ -215,12 +215,10 @@ def cmd_gram(args) -> int:
     grid = CircleGrid(args.grid_size)
     tol = 1e-9 if args.tol is None else args.tol
     if args.subject == "szego":
-        G, report = szego.szego_gram(args.max_n, args.q, grid, tol)
-        expected = [szego.szego_norm(n, args.q) for n in range(args.max_n + 1)]
+        G, expected, report = szego.szego_gram(args.max_n, args.q, grid, tol)
     else:
         p = biortho_params_from_args(args)
-        G, report = biortho.biortho_gram(args.max_n, p, grid, tol)
-        expected = [biortho.biortho_norm(n, p) for n in range(args.max_n + 1)]
+        G, expected, report = biortho.biortho_gram(args.max_n, p, grid, tol)
     rows = _gram_rows(G, expected)
     if args.output_format == "json":
         doc = {"subject": args.subject, "grid_size": grid.n_nodes,

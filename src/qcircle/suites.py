@@ -90,7 +90,7 @@ def szego_suite(cfg: SuiteConfig) -> list[IdentityReport]:
         reports.append(szego.raising_check(n, q, grid, tol))
         reports.append(szego.rodrigues(n, q, grid, tol))
         reports.append(szego.sturm_liouville_check(n, q, grid, tol))
-    _, gram_rep = szego.szego_gram(cfg.max_n, q, grid, tol)
+    *_, gram_rep = szego.szego_gram(cfg.max_n, q, grid, tol)
     reports.append(gram_rep)
     reports.append(adjointness_report(q, grid, cfg.seed, n_pairs=50))
 
@@ -116,7 +116,7 @@ def pastro_degeneration_report(p: biortho.BiorthoParams, grid: CircleGrid,
         vals = np.asarray(biortho.r_fn(n, z, pastro))
         for k in range(1, n + 2):
             worst = nan_max(worst, abs(np.mean(vals * z**k)))
-    _, gram = biortho.biortho_gram(max_n, pastro, grid)
+    *_, gram = biortho.biortho_gram(max_n, pastro, grid)
     diag = gram.notes["max_diag_rel_err"]
     return IdentityReport("pastro_degeneration", nan_max(worst, diag), tol,
                           grid.n_nodes, pastro.as_dict(),
@@ -145,7 +145,7 @@ def biortho_suite(cfg: SuiteConfig) -> list[IdentityReport]:
         kappa_random_report(cfg.q, grid, cfg.seed, tol=tol),
         biortho.weight_symmetry_check(p, grid, cfg.algebraic_tolerance),
     ]
-    _, gram_rep = biortho.biortho_gram(cfg.max_n, p, grid, tol)
+    *_, gram_rep = biortho.biortho_gram(cfg.max_n, p, grid, tol)
     reports.append(gram_rep)
     for n in range(1, cfg.max_n + 1):
         reports.append(biortho.lowering_biortho_check(n, p, grid, tol))

@@ -62,10 +62,20 @@ def _qq_inf(qv: float) -> complex:
     return qq
 
 
+def szego_norms(max_n: int, q) -> list:
+    """Closed-form diagonal <H_n, w H_n>_c = q^{-n} (q;q)_n / (q;q)_inf,
+    n = 0..max_n, with one (q;q)_inf."""
+    if max_n < 0:
+        raise ValueError("degree must be nonnegative")
+    qv = qval(q)
+    qq = _qq_inf(qv)
+    return [(qv**(-n) * qpochhammer(qv, qv, n) / qq).real
+            for n in range(max_n + 1)]
+
+
 def szego_norm(n: int, q) -> float:
     """Closed-form diagonal <H_n, w H_n>_c = q^{-n} (q;q)_n / (q;q)_inf."""
-    qv = qval(q)
-    return (qv**(-n) * qpochhammer(qv, qv, n) / _qq_inf(qv)).real
+    return szego_norms(n, q)[n]
 
 
 def lowering_check(n: int, q, grid: CircleGrid,
@@ -138,13 +148,13 @@ def sturm_liouville_check(n: int, q, grid: CircleGrid,
 
 def szego_gram(max_n: int, q, grid: CircleGrid, tol: float = QUADRATURE_TOL):
     """Gram matrix G[m][n] = (1/2 pi i) \\oint conj(H_m) H_n w dz/z by quadrature,
-    as gram_check's (G, report) against the closed-form diagonal
-    q^{-n} (q;q)_n / (q;q)_inf."""
+    as gram_check's (G, norms, report) against the closed-form diagonal
+    szego_norms."""
     qv = qval(q)
     w = grid.rows(szego_weight, qv, 0, qv)[0]
     vals = [szego_poly(n, qv)(grid.nodes) for n in range(max_n + 1)]
     return gram_check("szego_orthogonality", vals, vals, w,
-                      [szego_norm(n, qv) for n in range(max_n + 1)], tol,
+                      szego_norms(max_n, qv), tol,
                       {"max_n": max_n, "q": qv})
 
 

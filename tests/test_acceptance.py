@@ -42,7 +42,7 @@ def test_criterion_01_szego_orthogonality():
     grid = CircleGrid(512)
     worst_off, worst_diag = 0.0, 0.0
     for q in (0.3, 0.5, 0.7):
-        G, _ = szego_gram(8, q, grid)
+        G, _, _ = szego_gram(8, q, grid)
         for m in range(9):
             for n in range(9):
                 if m == n:
@@ -104,7 +104,7 @@ def test_criterion_06_biorthogonality():
     grid = CircleGrid(512)
     worst_off, worst_diag = 0.0, 0.0
     for p in (BASE_PARAMS, CONJ_PARAMS):
-        G, _ = biortho_gram(5, p, grid)
+        G, _, _ = biortho_gram(5, p, grid)
         for m in range(6):
             for n in range(6):
                 if m == n:
@@ -169,7 +169,7 @@ def test_criterion_10_degenerations():
         vals = np.asarray(r_fn(n, z, pastro))
         for k in range(1, n + 2):
             worst_mode = max(worst_mode, abs(np.mean(vals * z**k)))
-    G, _ = biortho_gram(3, pastro, grid)
+    G, _, _ = biortho_gram(3, pastro, grid)
     worst_diag = max(abs(G[n, n] - biortho_norm(n, pastro))
                      / abs(biortho_norm(n, pastro)) for n in range(4))
     # all-parameter-zero limit: weight, total mass, and leading Gram entry
@@ -179,7 +179,7 @@ def test_criterion_10_degenerations():
                                 - np.asarray(szego_weight(z, Q)))))
     mass = contour_mean(lambda t: szego_weight(t, Q), grid)
     k_dev = abs(kappa_closed(pz) - mass) / abs(mass)
-    G0, _ = biortho_gram(0, pz, grid)
+    G0, _, _ = biortho_gram(0, pz, grid)
     g_dev = abs(G0[0, 0] - szego_norm(0, Q)) / abs(szego_norm(0, Q))
     ok = (worst_mode < 1e-10 and worst_diag < 1e-8
           and w_dev < 1e-10 and k_dev < 1e-10 and g_dev < 1e-10)

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norm,
-                             biortho_weight, i00_closed_check, imn_iterated_check,
+                             biortho_norms, biortho_weight, i00_closed_check,
+                             imn_iterated_check,
                              imn_quadrature, imn_recursion_check, kappa_check,
                              kappa_closed, lowering_biortho_check,
                              lowering_coefficient, r_fn, raising_biortho_check,
                              raising_coefficient, random_params, s_fn,
                              sears_check, variant_reconciliation,
-                             weight_symmetry_check)
+                             weight_rows, weight_symmetry_check)
 from qcircle.circle import CircleGrid, contour_mean
+from qcircle.cli import main
 from qcircle.errors import DegenerateParameters, UnbalancedParameters
 from qcircle.qcore import qpochhammer_inf
 from qcircle.szego import szego_weight
@@ -105,6 +107,74 @@ class TestWeight:
                              - np.asarray(biortho_weight(z, sym)))) < 1e-13
 
 
+def eight_factor_weight(z, p):
+    """The weight as one product of eight q-shifted factorials, in the
+    multiplication order weight_rows and biortho_weight must reproduce."""
+    rq = math.sqrt(p.q)
+    z = np.asarray(z, dtype=complex)
+    num = np.ones(z.shape, dtype=complex)
+    for arg in (rq * z, rq / z, p.a * p.b * rq * z, p.alpha * p.beta * rq / z):
+        num = num * np.asarray(qpochhammer_inf(arg, p.q))
+    den = np.ones(z.shape, dtype=complex)
+    for arg in (p.a * z, p.alpha / z, p.b * z, p.beta / z):
+        den = den * np.asarray(qpochhammer_inf(arg, p.q))
+    w = num / den
+    return complex(w) if w.ndim == 0 else w
+
+
+def _points(z, q, k):
+    """q^k z as iterated products q * (q * ... z), the grid's row points."""
+    for _ in range(k):
+        z = q * z
+    return z
+
+
+class TestWeightRows:
+    """Grid rows share the Szego pair and keep the eight-factor bits."""
+
+    @pytest.mark.parametrize("n_nodes", [128, 2048])
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.89])
+    def test_rows_match_eight_factor_product(self, n_nodes, q):
+        rng = np.random.default_rng(int(q * 100) + n_nodes)
+        grid = CircleGrid(n_nodes)
+        for p in (BiorthoParams(0.3, 0.2, 0.4, 0.1, q),
+                  random_params(rng, q), random_params(rng, q, True)):
+            got = weight_rows(grid, p, 2)
+            for k, row in enumerate(got):
+                want = eight_factor_weight(_points(grid.nodes, q, k), p)
+                assert row.tobytes() == want.tobytes()
+
+    def test_direct_calls_match_eight_factor_product(self):
+        rng = np.random.default_rng(41)
+        for q in (0.1, 0.5, 0.9, 0.99):
+            p = random_params(rng, q)
+            for z in (1.0, -1.0, 1j, 0.4 - 0.3j, GRID.nodes,
+                      np.array([[0.5, 2.0j], [-1.5, 0.7 + 0.7j]])):
+                got, want = biortho_weight(z, p), eight_factor_weight(z, p)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_near_one_verdict_array_product_count(self, monkeypatch, capsys):
+        import qcircle.biortho
+        import qcircle.qcore
+        import qcircle.szego
+        kernel = qcircle.qcore.qpochhammer_inf
+        arrays = []
+
+        def counted(a, *args, **kwargs):
+            if np.ndim(a):
+                arrays.append(np.shape(a))
+            return kernel(a, *args, **kwargs)
+
+        for module in (qcircle.qcore, qcircle.szego, qcircle.biortho):
+            monkeypatch.setattr(module, "qpochhammer_inf", counted)
+        main(["verify", "biortho", "--max-n", "5", "--grid", "256",
+              "--q", "0.89"])
+        capsys.readouterr()
+        # 160 when every parameter set recomputed the Szego pair.
+        assert 0 < len(arrays) <= 122
+
+
 class TestKappa:
     def test_zero_params(self):
         pz = BiorthoParams(0.0, 0.0, 0.0, 0.0, Q)
@@ -128,20 +198,35 @@ class TestKappa:
 
 class TestGram:
     def test_g00_is_kappa(self):
-        G, _ = biortho_gram(0, P, GRID)
+        G, _, _ = biortho_gram(0, P, GRID)
         assert G[0, 0] == pytest.approx(kappa_closed(P), rel=1e-12)
 
     def test_two_sided_orthogonality(self):
-        G, _ = biortho_gram(2, P, GRID)
+        G, _, _ = biortho_gram(2, P, GRID)
         assert abs(G[1, 2]) < 1e-10
         assert abs(G[2, 1]) < 1e-10
 
     def test_diagonal_closed_form(self):
-        G, _ = biortho_gram(2, P, GRID)
+        G, _, _ = biortho_gram(2, P, GRID)
         assert G[2, 2] == pytest.approx(biortho_norm(2, P), rel=1e-10)
 
+    def test_norms_use_one_kappa(self, monkeypatch):
+        import qcircle.biortho
+        calls = []
+        kappa = qcircle.biortho.kappa_closed
+
+        def counted(p, *args):
+            calls.append(p)
+            return kappa(p, *args)
+
+        monkeypatch.setattr(qcircle.biortho, "kappa_closed", counted)
+        _, norms, _ = biortho_gram(4, P, GRID)
+        assert len(calls) == 1
+        assert norms == biortho_norms(4, P)
+        assert norms == [biortho_norm(n, P) for n in range(5)]
+
     def test_report(self):
-        _, rep = biortho_gram(3, P, GRID, tol=1e-9)
+        *_, rep = biortho_gram(3, P, GRID, tol=1e-9)
         assert rep.passed
         assert rep.notes["max_offdiag"] < 1e-9
 
@@ -288,7 +373,7 @@ class TestRecursionChain:
 class TestDegenerations:
     def test_pastro_gram_diagonal(self):
         pastro = P.with_params(a=0.0, alpha=0.0)
-        G, _ = biortho_gram(3, pastro, GRID)
+        G, _, _ = biortho_gram(3, pastro, GRID)
         for n in range(4):
             want = biortho_norm(n, pastro)
             assert G[n, n] == pytest.approx(want, rel=1e-9)
@@ -297,5 +382,5 @@ class TestDegenerations:
         pz = BiorthoParams(0.0, 0.0, 0.0, 0.0, Q)
         szego_mass = contour_mean(lambda z: szego_weight(z, Q), GRID)
         assert kappa_closed(pz) == pytest.approx(szego_mass, rel=1e-12)
-        G, _ = biortho_gram(0, pz, GRID)
+        G, _, _ = biortho_gram(0, pz, GRID)
         assert G[0, 0] == pytest.approx(szego_mass, rel=1e-12)

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 
 import pytest
 
@@ -103,6 +106,17 @@ class TestGram:
         assert header.startswith("m,n,computed_re")
         # (max_n+1)^2 data rows
         assert len([ln for ln in out.splitlines() if ln.strip()]) == 10
+
+    def test_csv_cells_are_plain_numbers(self, capsys):
+        assert main(["gram", "biortho", "--max-n", "3", "--grid", "128",
+                     "--format", "csv"]) == 0
+        rows = [r for r in csv.reader(io.StringIO(capsys.readouterr().out))
+                if r]
+        assert len(rows) == 1 + 16
+        for m, n, *cells in rows[1:]:
+            assert m.isdigit() and n.isdigit()
+            # float() rejects a numpy repr such as np.float64(1e-15).
+            assert all(math.isfinite(float(c)) for c in cells)
 
     def test_json_rows(self, capsys):
         assert main(["gram", "szego", "--max-n", "2", "--grid", "128",

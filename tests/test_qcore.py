@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qcircle.errors import NonConvergent, PoleInDenominator
-from qcircle.qcore import (_BLOCK_ELEMS, PhiSpec, QParam,
-                           jacobi_triple_product, phi, qpochhammer,
+from qcircle.qcore import (_BLOCK_ELEMS, TERMINATION_REL_TOL, PhiSpec,
+                           QParam, jacobi_triple_product, phi, qpochhammer,
                            qpochhammer_inf, qmultipochhammer,
                            terminating_index, theta_sum)
 
@@ -144,7 +144,8 @@ class TestQPochhammerInfBlocked:
         assert_bitwise_equal(qpochhammer_inf(a, q),
                              sequential_pochhammer_inf(a, q))
 
-    @pytest.mark.parametrize("shape", [(), (1,), (256,), (3, 5)])
+    @pytest.mark.parametrize("shape", [(), (1,), (256,), (3, 5), (2048,),
+                                       (4097,)])
     def test_step_counts_across_block_edges(self, shape):
         q = 0.999
         a = draw_arguments(np.random.default_rng(5), shape, "complex") / 20
@@ -222,6 +223,20 @@ class TestQMultiPochhammer:
         assert got == pytest.approx(want)
 
 
+def full_scan_terminating_index(params, q, max_terms):
+    """terminating_index without the early stop: every n up to max_terms."""
+    best = None
+    for x in params:
+        qn = 1.0
+        for n in range(max_terms + 1):
+            if abs(x - qn) < TERMINATION_REL_TOL * qn:
+                if best is None or n < best:
+                    best = n
+                break
+            qn /= q
+    return best
+
+
 def term_from_scratch(spec, n):
     """n-th series term computed directly from q-shifted factorial ratios."""
     q = spec.q
@@ -246,6 +261,33 @@ class TestPhi:
         q = 0.5
         assert terminating_index((q**-3, 0.2), q) == 3
         assert terminating_index((0.2, 0.4), q) is None
+
+    def test_early_stop_matches_full_scan(self):
+        # Parameters equal to q^{-n}, just inside and just outside the
+        # matching window, beyond max_terms, and generic complex values.
+        rng = np.random.default_rng(29)
+        for _ in range(20_000):
+            q = float(rng.uniform(0.05, 0.99))
+            max_terms = int(rng.integers(0, 250))
+            params = []
+            for _ in range(int(rng.integers(1, 5))):
+                kind = rng.integers(5)
+                # q^{-n} stays below 1e300
+                n = int(rng.integers(0, min(260, 690 / -math.log(q))))
+                if kind == 0:
+                    params.append(q**-n)
+                elif kind == 1:
+                    params.append(q**-n * (1.0 + TERMINATION_REL_TOL
+                                           * rng.uniform(-2.0, 2.0)))
+                elif kind == 2:
+                    params.append(q**-n * np.exp(1j * rng.uniform(-1e-9, 1e-9)))
+                elif kind == 3:
+                    params.append(rng.uniform(0.0, 3.0)
+                                  * np.exp(2j * np.pi * rng.uniform()))
+                else:
+                    params.append(-q**-n)
+            assert terminating_index(params, q, max_terms) == \
+                full_scan_terminating_index(params, q, max_terms)
 
     def test_terminating_matches_scratch_sum(self):
         q = 0.45

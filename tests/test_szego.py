@@ -152,7 +152,7 @@ class TestGram:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
     def test_matrix_matches_closed_form(self, q):
         grid = CircleGrid(512)
-        G, rep = szego_gram(8, q, grid)
+        G, _, rep = szego_gram(8, q, grid)
         for m in range(9):
             for n in range(9):
                 if m == n:
@@ -172,18 +172,32 @@ class TestGram:
             assert szego_norm(n, q) / szego_norm(n - 1, q) == \
                 pytest.approx((1 - q**n) / q)
 
+    def test_norms_use_one_qq_inf(self, monkeypatch):
+        import qcircle.szego
+        calls = []
+        qq_inf = qcircle.szego._qq_inf
+
+        def counted(qv):
+            calls.append(qv)
+            return qq_inf(qv)
+
+        monkeypatch.setattr(qcircle.szego, "_qq_inf", counted)
+        _, norms, _ = szego_gram(6, 0.5, GRID)
+        assert calls == [0.5]
+        assert norms == [szego_norm(n, 0.5) for n in range(7)]
+
     def test_grid_refinement_stability(self):
         # doubling the grid should not move the residual by more than 10x
         q = 0.5
-        _, r1 = szego_gram(5, q, CircleGrid(256))
-        _, r2 = szego_gram(5, q, CircleGrid(512))
+        *_, r1 = szego_gram(5, q, CircleGrid(256))
+        *_, r2 = szego_gram(5, q, CircleGrid(512))
         assert r2.residual < 10 * max(r1.residual, 1e-14)
 
     def test_nan_matrix_fails(self):
         # The weight overflows on the grid at q=0.998; max(0.0, nan) would
         # report residual 0 here.
         with pytest.warns(RuntimeWarning):
-            G, rep = szego_gram(2, 0.998, CircleGrid(64))
+            G, _, rep = szego_gram(2, 0.998, CircleGrid(64))
         assert np.isnan(G).any()
         assert math.isnan(rep.residual)
         assert math.isnan(rep.notes["max_offdiag"])
