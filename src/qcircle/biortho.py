@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from .circle import CircleGrid, dq_rows, gram_check, shifted, tq_rows
-from .errors import DegenerateParameters, UnbalancedParameters
+from .errors import DegenerateParameters, UnbalancedParameters, WeightUnderflow
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, PhiSpec, _maybe_scalar, phi,
                     qpochhammer, qpochhammer_inf, qval)
 from .report import IdentityReport
@@ -103,7 +103,7 @@ def s_fn(n: int, z, p: BiorthoParams):
     return r_fn(n, z, p.swapped())
 
 
-def _parameter_factors(z, p: BiorthoParams, tol: float = 1e-15):
+def _parameter_factors(z, p: BiorthoParams):
     """The weight's factors beyond the Szego pair: (ab q^{1/2} z; q)_inf,
     (alpha beta q^{1/2}/z; q)_inf and the denominator
     (az, alpha/z, bz, beta/z; q)_inf."""
@@ -112,9 +112,9 @@ def _parameter_factors(z, p: BiorthoParams, tol: float = 1e-15):
     z = np.asarray(z, dtype=complex)
     den = np.ones(z.shape, dtype=complex)
     for arg in (p.a * z, p.alpha / z, p.b * z, p.beta / z):
-        den = den * np.asarray(qpochhammer_inf(arg, qv, tol))
-    return (np.asarray(qpochhammer_inf(p.a * p.b * rq * z, qv, tol)),
-            np.asarray(qpochhammer_inf(p.alpha * p.beta * rq / z, qv, tol)),
+        den = den * np.asarray(qpochhammer_inf(arg, qv))
+    return (np.asarray(qpochhammer_inf(p.a * p.b * rq * z, qv)),
+            np.asarray(qpochhammer_inf(p.alpha * p.beta * rq / z, qv)),
             den)
 
 
@@ -125,13 +125,13 @@ def _times_factors(szego, factors):
     return szego * C * D / den
 
 
-def biortho_weight(z, p: BiorthoParams, tol: float = 1e-15):
+def biortho_weight(z, p: BiorthoParams):
     """Weight: (q^{1/2}z, q^{1/2}/z, ab q^{1/2}z, alpha beta q^{1/2}/z; q)_inf
     over (az, alpha/z, bz, beta/z; q)_inf, i.e. the Szego weight times the
     parameter factors.
     """
-    szego = szego_weight(z, p.q, tol)
-    return _maybe_scalar(_times_factors(szego, _parameter_factors(z, p, tol)))
+    szego = szego_weight(z, p.q)
+    return _maybe_scalar(_times_factors(szego, _parameter_factors(z, p)))
 
 
 def weight_rows(grid: CircleGrid, p: BiorthoParams, depth: int) -> np.ndarray:
@@ -146,22 +146,25 @@ def weight_rows(grid: CircleGrid, p: BiorthoParams, depth: int) -> np.ndarray:
                           factors.swapaxes(0, 1))
 
 
-def kappa_closed(p: BiorthoParams, tol: float = 1e-15) -> complex:
+def kappa_closed(p: BiorthoParams) -> complex:
     """Total mass of the weight in closed form:
     (aq^{1/2}, alpha q^{1/2}, bq^{1/2}, beta q^{1/2}, ab alpha beta; q)_inf
-    over (q, a alpha, b alpha, a beta, b beta; q)_inf.
+    over (q, a alpha, b alpha, a beta, b beta; q)_inf.  Raises
+    WeightUnderflow when the denominator underflows, as it does near q = 1.
     """
     qv = p.q
     rq = math.sqrt(qv)
     num = 1.0 + 0.0j
     for arg in (p.a * rq, p.alpha * rq, p.b * rq, p.beta * rq,
                 p.a * p.b * p.alpha * p.beta):
-        num *= qpochhammer_inf(arg, qv, tol)
+        num *= qpochhammer_inf(arg, qv)
     den = 1.0 + 0.0j
     for arg in (qv, p.a * p.alpha, p.b * p.alpha, p.a * p.beta, p.b * p.beta):
-        den *= qpochhammer_inf(arg, qv, tol)
+        den *= qpochhammer_inf(arg, qv)
     if abs(den) < 1e-280:
-        raise DegenerateParameters("total-mass denominator product vanished")
+        raise WeightUnderflow(
+            f"(q, a alpha, b alpha, a beta, b beta; q)_inf underflowed below "
+            f"1e-280 at q={qv}: the total mass kappa is not representable")
     return num / den
 
 

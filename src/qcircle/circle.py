@@ -84,10 +84,6 @@ class LaurentPoly:
     def max_degree(self) -> int:
         return self.min_degree + len(self.coefficients) - 1
 
-    @property
-    def degree_span(self) -> int:
-        return len(self.coefficients) - 1
-
     def is_zero(self) -> bool:
         return len(self.coefficients) == 1 and self.coefficients[0] == 0
 

@@ -13,16 +13,13 @@ configuration (the violated invariant is named on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import sys
 
 from . import biortho, suites, szego
 from .errors import QCircleError
 from .qcore import theta_sum
-from .report import re_im
+from .report import to_csv, to_json
 from .suites import SuiteConfig
 
 
@@ -53,14 +50,15 @@ def max_degree(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser,
+                formats=("json", "csv", "text")):
     p.add_argument("--q", type=float, default=0.5, help="base q in (0,1)")
     p.add_argument("--grid", type=int, default=256, dest="grid_size",
                    help="number of quadrature nodes on |z|=1")
     p.add_argument("--tol", type=tolerance, default=None,
                    help="override the quadrature tolerance")
-    p.add_argument("--format", choices=("json", "csv", "text"),
-                   default="text", dest="output_format")
+    p.add_argument("--format", choices=formats, default="text",
+                   dest="output_format")
     p.add_argument("--out", type=str, default=None, metavar="FILE",
                    help="write the report to FILE instead of stdout")
 
@@ -89,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--n", type=int, default=0)
     pe.add_argument("--z", type=parse_complex, default=complex(1.0))
     _add_biortho_flags(pe)
-    _add_common(pe)
+    _add_common(pe, formats=("json", "text"))
 
     pv = sub.add_parser("verify", help="run an identity suite")
     pv.add_argument("suite", choices=("szego", "biortho", "sears", "qsl", "all"))
@@ -133,7 +131,7 @@ def _fmt_complex(v: complex) -> str:
 def _emit(text: str, out):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            print(text, file=fh)
     else:
         print(text)
 
@@ -168,7 +166,7 @@ def cmd_eval(args) -> int:
             doc = {"kappa_closed": closed, "kappa_quadrature": quad,
                    "abs_difference": abs(closed - quad)}
             if args.output_format == "json":
-                _emit(json.dumps(doc, indent=2, default=re_im), args.out)
+                _emit(to_json(doc), args.out)
             else:
                 _emit("\n".join(
                     f"{k} = {_fmt_complex(v) if isinstance(v, complex) else v}"
@@ -176,8 +174,7 @@ def cmd_eval(args) -> int:
             return 0
     value = complex(value)
     if args.output_format == "json":
-        _emit(json.dumps({"label": label, "value": value}, indent=2,
-                         default=re_im), args.out)
+        _emit(to_json({"label": label, "value": value}), args.out)
     else:
         _emit(f"{label} = {_fmt_complex(value)}", args.out)
     return 0
@@ -223,19 +220,13 @@ def cmd_gram(args) -> int:
     if args.output_format == "json":
         doc = {"subject": args.subject, "grid_size": grid.n_nodes,
                "rows": rows, "report": report.as_dict()}
-        _emit(json.dumps(doc, indent=2, sort_keys=True, default=re_im),
-              args.out)
+        _emit(to_json(doc), args.out)
     elif args.output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["m", "n", "computed_re", "computed_im",
-                         "expected_re", "expected_im", "residual"])
-        for r in rows:
-            writer.writerow([r["m"], r["n"],
-                             repr(r["computed"].real), repr(r["computed"].imag),
-                             repr(r["expected"].real), repr(r["expected"].imag),
-                             repr(r["residual"])])
-        _emit(buf.getvalue(), args.out)
+        _emit(to_csv(["m", "n", "computed_re", "computed_im", "expected_re",
+                      "expected_im", "residual"],
+                     [[r["m"], r["n"], r["computed"].real, r["computed"].imag,
+                       r["expected"].real, r["expected"].imag, r["residual"]]
+                      for r in rows]), args.out)
     else:
         lines = [f"{args.subject} Gram matrix, N={grid.n_nodes}",
                  f"{'m':>3} {'n':>3} {'computed':>28} {'expected':>28} "

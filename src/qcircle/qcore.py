@@ -124,7 +124,7 @@ def qpochhammer_inf(a, q, tol: float = 1e-15):
     return _maybe_scalar(block[0, :a.size].reshape(a.shape).copy())
 
 
-def qmultipochhammer(params: Sequence[complex], q, n, tol: float = 1e-15):
+def qmultipochhammer(params: Sequence[complex], q, n):
     """(a_1, ..., a_k; q)_n, the product of individual q-shifted factorials.
 
     `n` may be a nonnegative integer or math.inf / None for the infinite
@@ -134,7 +134,7 @@ def qmultipochhammer(params: Sequence[complex], q, n, tol: float = 1e-15):
     out = 1.0 + 0.0j
     for a in params:
         if infinite:
-            out *= qpochhammer_inf(a, q, tol)
+            out *= qpochhammer_inf(a, q)
         else:
             out *= qpochhammer(a, q, n)
     return out
@@ -222,7 +222,7 @@ def phi(spec: PhiSpec, max_terms: int = 200, tol: float = 1e-14) -> complex:
             return total
 
 
-def theta_sum(z, q, tol: float = 1e-15):
+def theta_sum(z, q):
     """sum_{n=-inf}^{inf} q^{n^2} z^n by symmetric truncation.
 
     The terms with |n| >= K are bounded by a geometric tail once
@@ -234,7 +234,7 @@ def theta_sum(z, q, tol: float = 1e-15):
         raise ValueError("theta_sum undefined at z = 0")
     m = float(np.max(np.maximum(np.abs(z), 1.0 / np.abs(z))))
     K = 1
-    while qv**(K * K) * m**K > tol and K < 2000:
+    while qv**(K * K) * m**K > 1e-15 and K < 2000:
         K += 1
     K += 2
     out = np.ones(z.shape, dtype=complex)
@@ -247,7 +247,7 @@ def theta_sum(z, q, tol: float = 1e-15):
     return _maybe_scalar(out)
 
 
-def jacobi_triple_product(z, q, tol: float = 1e-15):
+def jacobi_triple_product(z, q):
     """Product side of the triple product identity, in base q^2:
 
         (q^2; q^2)_inf * (-q z; q^2)_inf * (-q / z; q^2)_inf
@@ -259,7 +259,7 @@ def jacobi_triple_product(z, q, tol: float = 1e-15):
     if np.any(z == 0):
         raise ValueError("jacobi_triple_product undefined at z = 0")
     q2 = qv * qv
-    out = (qpochhammer_inf(q2, q2, tol)
-           * np.asarray(qpochhammer_inf(-qv * z, q2, tol))
-           * np.asarray(qpochhammer_inf(-qv / z, q2, tol)))
+    out = (qpochhammer_inf(q2, q2)
+           * np.asarray(qpochhammer_inf(-qv * z, q2))
+           * np.asarray(qpochhammer_inf(-qv / z, q2)))
     return _maybe_scalar(np.asarray(out))

@@ -4,9 +4,6 @@ reports, shared by the CLI and the acceptance tests.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -15,7 +12,7 @@ import numpy as np
 from . import biortho, qsl, szego
 from .circle import CircleGrid, LaurentPoly, adjoint_residual
 from .qcore import ALGEBRAIC_TOL, QUADRATURE_TOL, PhiSpec, phi, qval
-from .report import IdentityReport, nan_max, re_im
+from .report import IdentityReport, nan_max, to_csv, to_json
 
 
 @dataclass
@@ -277,28 +274,6 @@ def summarize(reports: list[IdentityReport]) -> dict:
     return {"passed": passed, "failed": failed}
 
 
-def to_json(suite: str, cfg: SuiteConfig,
-            reports: list[IdentityReport]) -> str:
-    doc = {
-        "suite": suite,
-        "config": cfg.as_dict(),
-        "reports": [r.as_dict() for r in reports],
-        "summary": summarize(reports),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True, default=re_im)
-
-
-def to_csv(reports: list[IdentityReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["name", "residual", "tolerance", "passed",
-                     "grid_size", "informational"])
-    for r in reports:
-        writer.writerow([r.name, repr(r.residual), repr(r.tolerance),
-                         r.passed, r.grid_size, r.informational])
-    return buf.getvalue()
-
-
 def to_text(suite: str, reports: list[IdentityReport]) -> str:
     lines = [f"suite: {suite}"]
     for r in reports:
@@ -316,7 +291,12 @@ def to_text(suite: str, reports: list[IdentityReport]) -> str:
 def render(suite: str, cfg: SuiteConfig,
            reports: list[IdentityReport]) -> str:
     if cfg.output_format == "json":
-        return to_json(suite, cfg, reports)
+        return to_json({"suite": suite, "config": cfg.as_dict(),
+                        "reports": [r.as_dict() for r in reports],
+                        "summary": summarize(reports)})
     if cfg.output_format == "csv":
-        return to_csv(reports)
+        return to_csv(["name", "residual", "tolerance", "passed",
+                       "grid_size", "informational"],
+                      [[r.name, r.residual, r.tolerance, r.passed,
+                        r.grid_size, r.informational] for r in reports])
     return to_text(suite, reports)

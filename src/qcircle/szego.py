@@ -40,15 +40,15 @@ def szego_poly(n: int, q) -> LaurentPoly:
     return LaurentPoly(0, coeffs)
 
 
-def szego_weight(z, q, tol: float = 1e-15):
+def szego_weight(z, q):
     """w_c(z|q) = (q^{1/2} z, q^{1/2}/z; q)_inf; real and >= 0 on |z| = 1."""
     qv = qval(q)
     z = np.asarray(z, dtype=complex)
     if np.any(z == 0):
         raise ValueError("weight undefined at z = 0")
     rq = math.sqrt(qv)
-    return _maybe_scalar(np.asarray(qpochhammer_inf(rq * z, qv, tol))
-                         * np.asarray(qpochhammer_inf(rq / z, qv, tol)))
+    return _maybe_scalar(np.asarray(qpochhammer_inf(rq * z, qv))
+                         * np.asarray(qpochhammer_inf(rq / z, qv)))
 
 
 def _qq_inf(qv: float) -> complex:

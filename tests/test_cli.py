@@ -7,6 +7,20 @@ import pytest
 
 from qcircle.cli import main, parse_complex
 
+# Keys whose values are complex numbers in the JSON of verify, gram and eval.
+COMPLEX_KEYS = {"a", "alpha", "b", "beta", "lambda1", "lambda2",
+                "weighted_inner_product", "bare_contour_mean", "computed",
+                "expected", "kappa_closed", "kappa_quadrature"}
+
+
+def json_objects(text):
+    """Every object of a JSON document, as its (key, value) pairs in the
+    order written."""
+    objects = []
+    json.loads(text, object_pairs_hook=lambda pairs: objects.append(pairs)
+               or dict(pairs))
+    return objects
+
 
 class TestParseComplex:
     def test_real(self):
@@ -145,6 +159,7 @@ class TestNoFalsePass:
         (["gram", "szego", "--max-n", "-1"], "max-n must be >= 0"),
         (["verify", "sears", "--max-n", "-1"], "max-n must be >= 0"),
         (["verify", "sears", "--n", "-2"], "max-n must be >= 0"),
+        (["eval", "szego", "--format", "csv"], "invalid choice: 'csv'"),
     ])
     def test_invalid_tolerance_or_degree_exits_2(self, argv, invariant, capsys):
         # Each of these used to run: --tol 0 silently at the default, NaN or
@@ -164,3 +179,49 @@ class TestNoFalsePass:
         err = capsys.readouterr().err
         assert err.startswith("error: (q;q)_inf underflowed to 0")
         assert "Traceback" not in err
+
+    def test_underflowed_kappa_denominator_exits_2(self, capsys):
+        # At q=0.999 (q; q)_inf drags the total-mass denominator below the
+        # floor: an underflow, not a fault of the parameters.
+        assert main(["verify", "biortho", "--q", "0.999", "--grid", "16"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: (q, a alpha, b alpha, a beta, b beta; "
+                              "q)_inf underflowed below 1e-280 at q=0.999")
+        assert "Traceback" not in err
+
+
+class TestOneOutputPath:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "all", "--max-n", "2", "--grid", "128"],
+        ["verify", "qsl", "--max-n", "2", "--grid", "128"],
+        ["gram", "biortho", "--max-n", "2", "--grid", "128"],
+        ["eval", "kappa"],
+    ])
+    def test_json_writes_complex_as_re_im(self, argv, capsys):
+        assert main(argv + ["--format", "json"]) in (0, 1)
+        seen = set()
+        for pairs in json_objects(capsys.readouterr().out):
+            keys = [k for k, _ in pairs]
+            assert keys == sorted(keys)
+            assert set(keys) != {"re", "im"}
+            for key, value in pairs:
+                if key in COMPLEX_KEYS:
+                    seen.add(key)
+                    assert isinstance(value, list) and len(value) == 2
+                    assert all(isinstance(x, float) for x in value)
+        assert seen
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "sears", "--max-n", "2"],
+        ["verify", "all", "--max-n", "2", "--grid", "128"],
+        ["gram", "biortho", "--max-n", "2", "--grid", "128"],
+    ])
+    def test_csv_rows_are_one_width(self, argv, tmp_path, capsys):
+        target = tmp_path / "report.csv"
+        assert main(argv + ["--format", "csv"]) in (0, 1)
+        out = capsys.readouterr().out
+        assert main(argv + ["--format", "csv", "--out", str(target)]) in (0, 1)
+        assert target.read_text(encoding="utf-8") == out
+        assert "\r" not in out and not out.endswith("\n\n")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) > 1 and len({len(row) for row in rows}) == 1
