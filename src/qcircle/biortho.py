@@ -17,7 +17,7 @@ from .errors import DegenerateParameters, UnbalancedParameters, WeightUnderflow
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, PhiSpec, _maybe_scalar, phi,
                     qpochhammer, qpochhammer_inf, qval)
 from .report import IdentityReport
-from .szego import szego_weight
+from .szego import szego_weight, weight_rows as szego_weight_rows
 
 
 @dataclass(frozen=True)
@@ -137,12 +137,13 @@ def biortho_weight(z, p: BiorthoParams):
 def weight_rows(grid: CircleGrid, p: BiorthoParams, depth: int) -> np.ndarray:
     """Rows biortho_weight(q^k z_j, p), k = 0..depth, on the grid.
 
-    The Szego pair comes from the grid's szego_weight rows, which every
-    parameter set at the same q shares; only the parameter factors are
-    sampled per parameter set.
+    The Szego pair comes from szego.weight_rows, which every parameter set
+    at the same q shares.  The parameter factors are sampled per parameter
+    set, every row a direct product: their own Pearson step
+    1 - beta/(qz) is 0 at z = 1 when beta = q, where row 1 has a pole.
     """
     factors = grid.rows(_parameter_factors, p.q, depth, p)
-    return _times_factors(grid.rows(szego_weight, p.q, depth, p.q),
+    return _times_factors(szego_weight_rows(grid, p.q, depth),
                           factors.swapaxes(0, 1))
 
 

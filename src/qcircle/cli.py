@@ -51,12 +51,15 @@ def max_degree(text: str) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser,
-                formats=("json", "csv", "text")):
+                formats=("json", "csv", "text"), checks=True):
+    """Flags of every command; `checks` adds --tol for the ones that judge
+    residuals (eval prints values and has nothing to judge)."""
     p.add_argument("--q", type=float, default=0.5, help="base q in (0,1)")
     p.add_argument("--grid", type=int, default=256, dest="grid_size",
                    help="number of quadrature nodes on |z|=1")
-    p.add_argument("--tol", type=tolerance, default=None,
-                   help="override the quadrature tolerance")
+    if checks:
+        p.add_argument("--tol", type=tolerance, default=None,
+                       help="override the quadrature tolerance")
     p.add_argument("--format", choices=formats, default="text",
                    dest="output_format")
     p.add_argument("--out", type=str, default=None, metavar="FILE",
@@ -87,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--n", type=int, default=0)
     pe.add_argument("--z", type=parse_complex, default=complex(1.0))
     _add_biortho_flags(pe)
-    _add_common(pe, formats=("json", "text"))
+    _add_common(pe, formats=("json", "text"), checks=False)
 
     pv = sub.add_parser("verify", help="run an identity suite")
     pv.add_argument("suite", choices=("szego", "biortho", "sears", "qsl", "all"))

@@ -87,6 +87,10 @@ def szego_suite(cfg: SuiteConfig) -> list[IdentityReport]:
         reports.append(szego.raising_check(n, q, grid, tol))
         reports.append(szego.rodrigues(n, q, grid, tol))
         reports.append(szego.sturm_liouville_check(n, q, grid, tol))
+    # The deepest weight row the checks above use: Rodrigues' at n = max_n,
+    # raising and Sturm-Liouville's at 1.
+    reports.append(szego.weight_pearson_check(
+        q, grid, max(1, cfg.max_n), cfg.algebraic_tolerance))
     *_, gram_rep = szego.szego_gram(cfg.max_n, q, grid, tol)
     reports.append(gram_rep)
     reports.append(adjointness_report(q, grid, cfg.seed, n_pairs=50))
@@ -141,6 +145,8 @@ def biortho_suite(cfg: SuiteConfig) -> list[IdentityReport]:
         biortho.kappa_check(p, grid, tol),
         kappa_random_report(cfg.q, grid, cfg.seed, tol=tol),
         biortho.weight_symmetry_check(p, grid, cfg.algebraic_tolerance),
+        # The raising checks use weight rows 0 and 1.
+        szego.weight_pearson_check(cfg.q, grid, 1, cfg.algebraic_tolerance),
     ]
     *_, gram_rep = biortho.biortho_gram(cfg.max_n, p, grid, tol)
     reports.append(gram_rep)

@@ -11,12 +11,14 @@ import numpy as np
 
 # tq_apply stays bound here for benchmarks/tests/test_bench_tracer.py::
 # test_uninstall_restores_every_original_binding, which checks its rebinding.
-from .circle import (CircleGrid, LaurentPoly, dq_rows, gram_check, over_weight,
-                     shifted, tq_apply, tq_power, tq_rows)
+from .circle import (CircleGrid, LaurentPoly, _shifted_points, dq_rows,
+                     gram_check, over_weight, shifted, tq_apply, tq_power,
+                     tq_rows)
 from .errors import WeightUnderflow
-from .qcore import (QUADRATURE_TOL, _maybe_scalar, jacobi_triple_product,
-                    qpochhammer, qpochhammer_inf, qval, theta_sum)
-from .report import IdentityReport
+from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, _maybe_scalar,
+                    jacobi_triple_product, qpochhammer, qpochhammer_inf, qval,
+                    theta_sum)
+from .report import IdentityReport, nan_max
 
 
 def gaussian_binomial(n: int, k: int, q) -> float:
@@ -49,6 +51,37 @@ def szego_weight(z, q):
     rq = math.sqrt(qv)
     return _maybe_scalar(np.asarray(qpochhammer_inf(rq * z, qv))
                          * np.asarray(qpochhammer_inf(rq / z, qv)))
+
+
+def weight_rows(grid: CircleGrid, q, depth: int) -> np.ndarray:
+    """Rows szego_weight(q^k z_j, q), k = 0..depth, on the grid.
+
+    Row 0 is the grid's one sampled szego_weight row.  Each further row
+    follows from the Pearson relation
+    w(qt) = w(t) (1 - q^{-1/2}/t) / (1 - q^{1/2} t) = -w(t) / (q^{1/2} t)
+    at the grid's iterated points t = q^k z, so no row beyond 0 costs a
+    q-product.  weight_pearson_check holds the deepest row to a direct one.
+    """
+    qv = qval(q)
+    rq = math.sqrt(qv)
+    W = [grid.rows(szego_weight, qv, 0, qv)[0]]
+    for t in _shifted_points(grid.nodes, qv, depth)[:-1]:
+        W.append(W[-1] / (-rq * t))
+    return np.stack(W)
+
+
+def weight_pearson_check(q, grid: CircleGrid, depth: int,
+                         tol: float = ALGEBRAIC_TOL) -> IdentityReport:
+    """weight_rows' row `depth` against a direct szego_weight at q^depth z:
+    the largest relative difference over the grid, NaN if any is."""
+    qv = qval(q)
+    row = weight_rows(grid, qv, depth)[depth]
+    direct = np.asarray(szego_weight(
+        _shifted_points(grid.nodes, qv, depth)[depth], qv))
+    relative = np.abs(row - direct) / np.abs(direct)
+    return IdentityReport("szego_weight_pearson",
+                          nan_max(0.0, *relative.tolist()), tol, grid.n_nodes,
+                          {"q": qv, "depth": depth})
 
 
 def _qq_inf(qv: float) -> complex:
@@ -99,7 +132,7 @@ def raising_check(n: int, q, grid: CircleGrid,
         raise ValueError("n must be nonnegative")
     qv = qval(q)
     z = grid.nodes
-    W = grid.rows(szego_weight, qv, 1, qv)
+    W = weight_rows(grid, qv, 1)
     H = shifted(szego_poly(n, qv), z, qv, 1)
     lhs = over_weight(tq_rows(W * H, z, qv)[0], W[0], "Szego weight")
     rhs = math.sqrt(qv) / (1.0 - qv) * szego_poly(n + 1, qv)(z)
@@ -114,7 +147,7 @@ def rodrigues(n: int, q, grid: CircleGrid,
     if n < 0:
         raise ValueError("n must be nonnegative")
     qv = qval(q)
-    W = grid.rows(szego_weight, qv, n, qv)
+    W = weight_rows(grid, qv, n)
     lhs = over_weight((qv**-0.5 - qv**0.5)**n * tq_power(W, grid.nodes, qv, n),
                       W[0], "Szego weight")
     rhs = szego_poly(n, qv)(grid.nodes)
@@ -136,7 +169,7 @@ def sturm_liouville_check(n: int, q, grid: CircleGrid,
         raise ValueError("n must be nonnegative")
     qv = qval(q)
     z = grid.nodes
-    W = grid.rows(szego_weight, qv, 1, qv)
+    W = weight_rows(grid, qv, 1)
     H = shifted(szego_poly(n, qv), z, qv, 2)
     lhs = over_weight(tq_rows(W * dq_rows(H, z, qv), z, qv)[0], W[0],
                       "Szego weight")

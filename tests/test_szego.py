@@ -1,16 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from qcircle.circle import CircleGrid, contour_mean
+import qcircle.szego
+from qcircle.circle import CircleGrid, _shifted_points, contour_mean
+from qcircle.cli import main
 from qcircle.errors import WeightUnderflow
 from qcircle.qcore import qpochhammer_inf
 from qcircle.szego import (gaussian_binomial, jacobi_triple_check,
                            lowering_check, raising_check, rodrigues,
                            sturm_liouville_check, sturm_liouville_eigenvalue,
                            szego_gram, szego_norm, szego_poly, szego_weight,
-                           total_mass_check)
+                           total_mass_check, weight_pearson_check, weight_rows)
 
 GRID = CircleGrid(256)
 
@@ -219,3 +222,83 @@ class TestTripleProductAndMass:
             szego_norm(0, 0.999)
         with pytest.raises(WeightUnderflow, match=r"\(q;q\)_inf"):
             total_mass_check(0.999, CircleGrid(16))
+
+
+def mp_szego_weight(t, q, mpmath):
+    """(q^{1/2} t, q^{1/2}/t; q)_inf at mpmath's precision.
+
+    mpmath.qp raises NoConvergence near q = 1, so the product is an explicit
+    loop over its factors 1 - x q^k down to |x q^K| < 0.1; the rest is
+    exp(-sum_m y^m / (m (1 - q^m))) with y = x q^K, whose 50 terms reach
+    1e-49.
+    """
+    qm = mpmath.mpf(q)
+    rq, t = mpmath.sqrt(qm), mpmath.mpc(t)
+    total = mpmath.mpc(1)
+    for y in (rq * t, rq / t):
+        for _ in range(max(0, math.ceil(math.log(0.1 / abs(complex(y)))
+                                        / math.log(q)))):
+            total *= 1 - y
+            y *= qm
+        log_tail, ym, qmm = 0, 1, 1
+        for m in range(1, 51):
+            ym, qmm = ym * y, qmm * qm
+            log_tail -= ym / (m * (1 - qmm))
+        total *= mpmath.exp(log_tail)
+    return complex(total)
+
+
+class TestPearsonRows:
+    """szego.weight_rows: row 0 sampled, rows k >= 1 from the Pearson step."""
+
+    @pytest.mark.parametrize("q,n_nodes", [(0.5, 16), (0.9, 16), (0.988, 8),
+                                           (0.995, 8)])
+    def test_mpmath_oracle(self, q, n_nodes):
+        mpmath = pytest.importorskip("mpmath")
+        grid = CircleGrid(n_nodes)
+        rows = weight_rows(grid, q, 8)
+        points = _shifted_points(grid.nodes, q, 8)
+        assert rows[0].tobytes() == np.asarray(
+            szego_weight(grid.nodes, q)).tobytes()
+        worst_rows = worst_direct = 0.0
+        with mpmath.workdps(40):
+            for k in range(1, 9):
+                want = np.array([mp_szego_weight(t, q, mpmath)
+                                 for t in points[k]])
+                direct = np.asarray(szego_weight(points[k], q))
+                worst_rows = max(worst_rows, np.max(np.abs(rows[k] - want)
+                                                    / np.abs(want)))
+                worst_direct = max(worst_direct, np.max(np.abs(direct - want)
+                                                        / np.abs(want)))
+        assert worst_rows <= 3e-13
+        assert worst_rows <= worst_direct
+
+    def test_near_one_verdicts(self, capsys):
+        # The direct rows missed the Pearson relation by 1.5e-10 (raising,
+        # n=5) and 1.6e-10, 3.6e-10 (Sturm-Liouville, n=4, 5).
+        main(["verify", "szego", "--max-n", "5", "--grid", "256",
+              "--q", "0.988", "--format", "json"])
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        passed = {(r["name"], r["params"].get("n")): r["passed"]
+                  for r in reports}
+        assert passed[("szego_raising", 5)]
+        assert passed[("szego_sturm_liouville", 4)]
+        assert passed[("szego_sturm_liouville", 5)]
+        (pearson,) = [r for r in reports if r["name"] == "szego_weight_pearson"]
+        assert pearson["params"]["depth"] == 5
+        assert pearson["passed"]
+
+    @pytest.mark.parametrize("poisoned", ["row 0", "direct"])
+    def test_nan_fails(self, poisoned, monkeypatch):
+        # Row 0 lies on |z| = 1, the direct comparison row inside it.
+        def weight(z, q):
+            w = np.array(szego_weight(z, q))
+            on_circle = np.isclose(np.abs(np.ravel(z)[0]), 1.0)
+            if on_circle == (poisoned == "row 0"):
+                w[3] = np.nan
+            return w
+
+        monkeypatch.setattr(qcircle.szego, "szego_weight", weight)
+        rep = weight_pearson_check(0.5, CircleGrid(16), 3)
+        assert math.isnan(rep.residual)
+        assert not rep.passed

@@ -1,0 +1,160 @@
+"""Compare the verdicts of two qcircle source trees over a fixed seeded sweep.
+
+Usage: python tools/verdict_diff.py PARENT_SRC CHANGE_SRC
+
+Each argument is a checkout of the repository (or its `src` directory).
+Every command of SWEEP runs once per tree, as `qcircle ... --format json
+--seed 0` in a fresh interpreter that imports qcircle from that tree.  The
+tool prints one Markdown table row for every report whose residual moved
+(name, n, parent and change residual, |change - parent| / tolerance, and
+both verdicts), a summary row per command, then the reports that appear
+and the exit codes that change.
+
+Exit status 1 if any report turns from PASS to FAIL, a report disappears,
+or an exit code rises (a command that exits 0 or 1 without a JSON report
+counts as exit code 3); 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import pathlib
+import subprocess
+import sys
+
+SWEEP = (
+    [["verify", "all", "--max-n", "5", "--grid", "256", "--q", q]
+     for q in ("0.05", "0.1", "0.3", "0.5", "0.8")]
+    + [["verify", "szego", "--max-n", n, "--grid", "256", "--q", q]
+       for n in ("5", "8")
+       for q in ("0.9", "0.95", "0.97", "0.98", "0.985", "0.988", "0.99",
+                 "0.995")]
+    + [["verify", "biortho", "--max-n", n, "--grid", "256", "--q", q]
+       for n in ("5", "8")
+       for q in ("0.5", "0.7", "0.85", "0.88", "0.89", "0.9", "0.95")]
+)
+
+# Above qcircle's own exit codes (0 pass, 1 fail, 2 bad configuration).
+CRASHED = 3
+
+# Imports qcircle from the directory given as the first argument only.
+RUNNER = """\
+import sys
+src = sys.argv.pop(1)
+sys.path.insert(0, src)
+import qcircle.cli
+if not qcircle.cli.__file__.startswith(src):
+    sys.exit(f"qcircle imported from {qcircle.cli.__file__}, not {src}")
+sys.exit(qcircle.cli.main(sys.argv[1:]))
+"""
+
+
+def source_dir(tree: str) -> str:
+    """The directory that holds the qcircle package of a checkout."""
+    root = pathlib.Path(tree).resolve()
+    src = root / "src" if (root / "src" / "qcircle").is_dir() else root
+    if not (src / "qcircle").is_dir():
+        sys.exit(f"no qcircle package under {tree}")
+    return str(src)
+
+
+def run(src: str, argv: list) -> tuple:
+    """(exit code, {key: report}) of one command on one tree; exit code
+    CRASHED when it exits 0 or 1 without a JSON report (a traceback)."""
+    done = subprocess.run(
+        [sys.executable, "-c", RUNNER, src, *argv, "--format", "json",
+         "--seed", "0"], capture_output=True, text=True)
+    reports = {}
+    if done.returncode in (0, 1):
+        try:
+            doc = json.loads(done.stdout)
+        except ValueError:
+            return CRASHED, reports
+        seen = {}
+        for report in doc["reports"]:
+            label = index_label(report["params"])
+            occurrence = seen.get((report["name"], label), 0)
+            seen[(report["name"], label)] = occurrence + 1
+            reports[(report["name"], label, occurrence)] = report
+    return done.returncode, reports
+
+
+def index_label(params: dict) -> str:
+    """The degree indices of a report (n, or m,n, or the weight row depth)."""
+    return ",".join(str(params[k]) for k in ("m", "n", "depth") if k in params)
+
+
+def verdict(report: dict) -> str:
+    if report["informational"]:
+        return "INFO"
+    return "PASS" if report["passed"] else "FAIL"
+
+
+def same(x: float, y: float) -> bool:
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    parent_src, change_src = (source_dir(tree) for tree in argv)
+    print("| command | report | n | parent | change | abs(delta)/tol "
+          "| verdict |")
+    print("| --- | --- | --- | --- | --- | --- | --- |")
+    summary, notes, bad = [], [], []
+    for argv_ in SWEEP:
+        command = " ".join(argv_)
+        code_a, parent = run(parent_src, argv_)
+        code_b, change = run(change_src, argv_)
+        if code_b > code_a:
+            bad.append(f"{command}: exit code {code_a} -> {code_b}")
+        if code_b != code_a:
+            notes.append(f"{command}: exit code {code_a} -> {code_b}")
+        lower = higher = fixed = 0
+        largest = (0.0, "")
+        for key, old in parent.items():
+            name, label, _ = key
+            new = change.get(key)
+            if new is None:
+                bad.append(f"{command}: {name} {label} disappeared")
+                continue
+            before, after = verdict(old), verdict(new)
+            if before == "PASS" and after == "FAIL":
+                bad.append(f"{command}: {name} {label} PASS -> FAIL")
+            fixed += before == "FAIL" and after == "PASS"
+            r_old, r_new = old["residual"], new["residual"]
+            if same(r_old, r_new) and before == after:
+                continue
+            lower += r_new < r_old
+            higher += r_new > r_old
+            moved = abs(r_new - r_old) / new["tolerance"]
+            if before == after == "PASS" and moved > largest[0]:
+                signed = "down" if r_new < r_old else "up"
+                largest = (moved, f"{moved:.3g} {signed} ({name} {label})")
+            status = before if before == after else f"{before} -> {after}"
+            print(f"| {command} | {name} | {label} | {r_old:.3e} | "
+                  f"{r_new:.3e} | {moved:.3g} | {status} |")
+        for key in sorted(change.keys() - parent.keys()):
+            name, label, _ = key
+            notes.append(f"{command}: new {name} {label}: residual "
+                         f"{change[key]['residual']:.3e}, "
+                         f"{verdict(change[key])}")
+        summary.append(f"| {command} | {code_a} -> {code_b} | {lower} | "
+                       f"{higher} | {fixed} | {largest[1] or '-'} |")
+    print()
+    print("| command | exit | lower | higher | FAIL -> PASS "
+          "| largest move of a passing residual, /tol |")
+    print("| --- | --- | --- | --- | --- | --- |")
+    print("\n".join(summary))
+    print()
+    for line in notes:
+        print(line)
+    for line in bad:
+        print(f"REGRESSION: {line}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
