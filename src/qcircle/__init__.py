@@ -3,9 +3,8 @@ the unit circle, with ladder operators and a quadrature engine that
 certifies their identities to numerical tolerance.
 """
 
-from .circle import (CircleGrid, LaurentPoly, adjoint_residual, contour_mean,
-                     dq_apply, inner_product_c, laurent_dq, tq_apply,
-                     tq_iterate)
+from .circle import (CircleGrid, LaurentPoly, contour_mean, dq_apply,
+                     inner_product_c, laurent_dq, tq_apply, tq_iterate)
 from .errors import (DegenerateParameters, EigenpairInvalid, NonConvergent,
                      PoleInDenominator, QCircleError, UnbalancedParameters,
                      WeightUnderflow)
@@ -24,7 +23,7 @@ __all__ = [
     "QParam", "PhiSpec", "qpochhammer", "qpochhammer_inf", "qmultipochhammer",
     "phi", "theta_sum", "jacobi_triple_product",
     "CircleGrid", "LaurentPoly", "contour_mean", "inner_product_c",
-    "dq_apply", "tq_apply", "tq_iterate", "adjoint_residual", "laurent_dq",
+    "dq_apply", "tq_apply", "tq_iterate", "laurent_dq",
     "szego_poly", "szego_weight", "szego_norm", "szego_gram",
     "sturm_liouville_eigenvalue",
     "BiorthoParams", "r_fn", "s_fn", "biortho_weight", "kappa_closed",

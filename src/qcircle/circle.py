@@ -2,9 +2,11 @@
 operator D_q with its adjoint T_q.
 
 A function f on the circle is an array of rows F[k] = f(q^k z): D_q f and
-T_q f at q^k z need rows k and k+1, T_q^n f at z rows 0..n.  Callables
-appear only at the API edge: `shifted` and `CircleGrid.rows` (once per grid)
-sample one, `dq_apply`/`tq_apply`/`tq_iterate` wrap the row operators.
+T_q f at q^k z need rows k and k+1, T_q^n f at z rows 0..n.  Verdicts use
+rows only: `shifted` and `CircleGrid.rows` (once per grid) sample a callable,
+a batch of Laurent polynomials from `laurent_values` included.  The adapters
+`dq_apply`/`tq_apply`/`tq_iterate`, `contour_mean` and `inner_product_c` are
+the callable API and the tests' oracle.
 Trapezoid quadrature on equispaced nodes is exact for Laurent polynomials
 with degree span < N and spectrally accurate for analytic integrands.
 """
@@ -54,6 +56,16 @@ class CircleGrid:
         return np.stack(held[:depth + 1])
 
 
+def laurent_values(coefficients, min_degree: int, z) -> np.ndarray:
+    """sum_k c_k z^{min_degree + k} by Horner's rule.  Each c_k broadcasts
+    against z, so (K, P, 1) coefficients at (1, N) points give P rows."""
+    z = np.asarray(z, dtype=complex)
+    acc = np.zeros(z.shape, dtype=complex)
+    for c in coefficients[::-1]:
+        acc = acc * z + c
+    return acc * z**min_degree
+
+
 def _trim(min_degree: int, coeffs: np.ndarray):
     """Drop zero leading/trailing coefficients; identically zero -> ([0], deg 0)."""
     nz = np.flatnonzero(coeffs)
@@ -88,11 +100,8 @@ class LaurentPoly:
         return len(self.coefficients) == 1 and self.coefficients[0] == 0
 
     def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        acc = np.zeros(z.shape, dtype=complex)
-        for c in self.coefficients[::-1]:
-            acc = acc * z + c
-        return _maybe_scalar(acc * z**self.min_degree)
+        return _maybe_scalar(laurent_values(self.coefficients,
+                                            self.min_degree, z))
 
     def bar(self) -> "LaurentPoly":
         """Coefficientwise complex conjugate (the bar operation)."""
@@ -216,13 +225,6 @@ def tq_iterate(f, q, n: int):
         return f
     qv = qval(q)
     return lambda z: _maybe_scalar(tq_power(shifted(f, z, qv, n), z, qv, n))
-
-
-def adjoint_residual(f, g, q, grid: CircleGrid) -> float:
-    """|<D_q f, g>_c - <f, T_q g>_c| on the given grid."""
-    lhs = inner_product_c(dq_apply(f, q), g, grid)
-    rhs = inner_product_c(f, tq_apply(g, q), grid)
-    return abs(lhs - rhs)
 
 
 def laurent_dq(p: LaurentPoly, q) -> LaurentPoly:

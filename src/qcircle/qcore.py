@@ -36,17 +36,15 @@ class QParam:
     q: float
 
     def __post_init__(self):
-        q = float(self.q)
-        if not (0.0 < q < 1.0):
-            raise ValueError(f"q must satisfy 0 < q < 1 strictly, got {self.q!r}")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", qval(self.q))
 
 
 def qval(q) -> float:
     """Return the validated float base from a QParam or a bare number."""
-    if isinstance(q, QParam):
-        return q.q
-    return QParam(float(q)).q
+    qv = q.q if isinstance(q, QParam) else float(q)
+    if not 0.0 < qv < 1.0:
+        raise ValueError(f"q must satisfy 0 < q < 1 strictly, got {qv!r}")
+    return qv
 
 
 def _maybe_scalar(x: np.ndarray):

@@ -1,6 +1,9 @@
 """Generic q-Sturm-Liouville operator M f = (1/omega) T_q(p D_q f) with
 pluggable coefficient p and weight omega, plus numeric verification of
 symmetry, positivity, and eigenfunction orthogonality.
+
+Verdicts act on rows F[k] = f(q^k z) at the grid nodes, P functions at once
+as shape (3, P, N); `m_apply` is the callable API and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -56,46 +59,39 @@ def m_apply(prob: QSLProblem, f):
         shifted(prob.omega, z, q, 0)[0], z))
 
 
-def _m_on_grid(prob: QSLProblem, f, grid: CircleGrid):
-    """f's rows 0..2 and M f at the grid nodes, with p and omega sampled
-    once per grid."""
-    F = shifted(f, grid.nodes, prob.q, 2)
-    return F, _m_row(prob.q, F, grid.rows(prob.p, prob.q, 1),
-                     grid.rows(prob.omega, prob.q, 0)[0], grid.nodes)
+def _m_rows(prob: QSLProblem, F, grid: CircleGrid) -> np.ndarray:
+    """M f at the grid nodes, shape (P, N), from rows 0..2 of P functions,
+    shape (3, P, N), with p and omega sampled once per grid."""
+    return _m_row(prob.q, F, grid.rows(prob.p, prob.q, 1)[:, None],
+                  grid.rows(prob.omega, prob.q, 0)[0], grid.nodes[None])
 
 
-def symmetry_check(prob: QSLProblem, f, g, grid: CircleGrid,
-                   tol: float = QUADRATURE_TOL) -> IdentityReport:
-    """Symmetry residual |(f, Mg)_omega - conj((g, Mf)_omega)|.
-
-    With f = g, also checks that the quadratic form (f, Mf)_omega equals the
-    manifestly nonnegative route (1/2 pi i) \\oint p |D_q f|^2 dz/z and is
-    >= -tol.
-    """
+def symmetry_residuals(prob: QSLProblem, F, G, grid: CircleGrid):
+    """Per pair (f_i, g_i), given as rows 0..2 of shape (3, P, N), lists of:
+    the symmetry residual |(f, Mg)_omega - conj((g, Mf)_omega)|, the form
+    (f, Mf)_omega, and the worst of the form's own symmetry residual, its
+    distance from the nonnegative (1/2 pi i) \\oint p |D_q f|^2 dz/z, and -Re.
+    Magnitudes are Python's abs (hypot), which numpy's can miss by an ulp."""
     prob.validate_on(grid)
-    F, mf = _m_on_grid(prob, f, grid)
-    G, mg = _m_on_grid(prob, g, grid)
     w = grid.rows(prob.omega, prob.q, 0)[0]
-    lhs = complex(np.mean(F[0] * np.conj(mg) * w))
-    rhs = complex(np.mean(G[0] * np.conj(mf) * w))
-    sym = abs(lhs - np.conj(rhs))
-    notes = {"form_lhs": lhs, "form_rhs_conj": complex(np.conj(rhs))}
-    residual = sym
-    if f is g:
-        form = lhs
-        df = dq_rows(F, grid.nodes, prob.q)[0]
-        pv = grid.rows(prob.p, prob.q, 0)[0]
-        direct = complex(np.mean(pv * np.abs(df)**2))
-        residual = nan_max(sym, abs(form - direct), -form.real)
-        notes.update({"quadratic_form": form, "direct_form": direct})
-    return IdentityReport("qsl_symmetry", residual, tol, grid.n_nodes,
-                          notes=notes)
+    mf = _m_rows(prob, F, grid)
+    mg = mf if G is F else _m_rows(prob, G, grid)
+    lhs = np.mean(F[0] * np.conj(mg) * w, axis=-1).tolist()
+    rhs = np.mean(G[0] * np.conj(mf) * w, axis=-1).tolist()
+    form = np.mean(F[0] * np.conj(mf) * w, axis=-1).tolist()
+    df = dq_rows(F, grid.nodes[None], prob.q)[0]
+    direct = np.mean(grid.rows(prob.p, prob.q, 0)[0] * np.abs(df)**2,
+                     axis=-1).tolist()
+    sym = [abs(a - b.conjugate()) for a, b in zip(lhs, rhs)]
+    form_res = [nan_max(abs(f - f.conjugate()), abs(f - d), -f.real)
+                for f, d in zip(form, direct)]
+    return sym, form, form_res
 
 
 def eigen_residual(prob: QSLProblem, y, lam, grid: CircleGrid) -> float:
     """max |M y - lam y| over the grid nodes."""
-    Y, my = _m_on_grid(prob, y, grid)
-    return float(np.max(np.abs(my - complex(lam) * Y[0])))
+    Y = shifted(y, grid.nodes[None], prob.q, 2)
+    return float(np.max(np.abs(_m_rows(prob, Y, grid) - complex(lam) * Y[0])))
 
 
 def certify_eigenpair(prob: QSLProblem, y, lam, grid: CircleGrid,

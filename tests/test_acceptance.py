@@ -18,9 +18,9 @@ from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norm,
                              raising_biortho_check, random_params, sears_check,
                              variant_reconciliation)
 from qcircle.circle import CircleGrid, contour_mean
-from qcircle.qsl import QSLProblem, m_apply, symmetry_check
+from qcircle.qsl import QSLProblem, m_apply, symmetry_residuals
 from qcircle.suites import (adjointness_report, random_balanced_sears,
-                            random_laurent)
+                            random_laurent_rows)
 from qcircle.szego import (jacobi_triple_check, lowering_check, raising_check,
                            rodrigues, sturm_liouville_check,
                            sturm_liouville_eigenvalue, szego_gram, szego_norm,
@@ -200,14 +200,12 @@ def test_criterion_11_qsl_anchor():
         scale = max(1.0, float(np.max(np.abs(h(z)))))
         worst = max(worst, float(np.max(np.abs(
             np.asarray(m_apply(prob, h)(z)) - lam * h(z)))) / scale)
-    rng = np.random.default_rng(0)
-    min_form = math.inf
-    for _ in range(50):
-        f = random_laurent(rng, -4, 4)
-        rep = symmetry_check(prob, f, f, grid, tol=1e-8)
-        min_form = min(min_form, rep.notes["quadratic_form"].real)
-        if not rep.passed:
-            min_form = -math.inf
+    # 50 polynomials from default_rng(0), degrees -4..4, in one batch.
+    rows = random_laurent_rows(np.random.default_rng(0), 50, 4, grid, Q, 2)
+    _, form, form_res = symmetry_residuals(prob, rows, rows, grid)
+    min_form = min(f.real for f in form)
+    if not all(r < 1e-8 for r in form_res):
+        min_form = -math.inf
     _verdict("criterion 11: generic M reproduces the Szego eigen-problem + "
              "form positivity", worst < 1e-9 and min_form >= -1e-10,
              f"max_eigen_residual={worst:.2e} min_form={min_form:.2e}")

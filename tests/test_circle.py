@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from qcircle.circle import (CircleGrid, LaurentPoly, adjoint_residual,
-                            contour_mean, dq_apply, dq_rows, inner_product_c,
-                            laurent_dq, shifted, tq_apply, tq_iterate,
-                            tq_power, tq_rows)
+from qcircle.circle import (CircleGrid, LaurentPoly, contour_mean, dq_apply,
+                            dq_rows, inner_product_c, laurent_dq, shifted,
+                            tq_apply, tq_iterate, tq_power, tq_rows)
 from qcircle.cli import main
+from qcircle.suites import adjointness_report
 from qcircle.szego import szego_weight
 
 
@@ -244,25 +244,39 @@ class TestRows:
 
 
 class TestAdjointness:
+    @staticmethod
+    def residual(f, g, q, grid):
+        # |<D_q f, g>_c - <f, T_q g>_c| through the row operators.
+        z = grid.nodes
+        F, G = shifted(f, z, q, 1), shifted(g, z, q, 1)
+        return abs(np.mean(dq_rows(F, z, q)[0] * np.conj(G[0]))
+                   - np.mean(F[0] * np.conj(tq_rows(G, z, q)[0])))
+
     def test_trivial_pair(self):
         one = LaurentPoly(0, [1.0])
-        assert adjoint_residual(one, one, 0.5, CircleGrid(16)) < 1e-15
+        assert self.residual(one, one, 0.5, CircleGrid(16)) < 1e-15
 
     def test_simple_monomials(self):
         f = LaurentPoly(3, [1.2 - 0.7j])
         g = LaurentPoly(2, [0.4 + 2.1j])
-        assert adjoint_residual(f, g, 0.5, CircleGrid(32)) < 1e-13
+        assert self.residual(f, g, 0.5, CircleGrid(32)) < 1e-13
 
     @pytest.mark.parametrize("q", [0.2, 0.5, 0.9])
     def test_randomized(self, q):
-        rng = np.random.default_rng(42)
-        grid = CircleGrid(64)
+        # 100 pairs from default_rng(42), degrees -5..5.
+        assert adjointness_report(q, CircleGrid(64), 42).residual < 2e-11
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.8])
+    def test_batch_equals_the_adapters_bit_for_bit(self, q):
+        # The same seeded pairs, one at a time through the callables.
+        grid = CircleGrid(256)
+        rng = np.random.default_rng(0)
         worst = 0.0
-        for _ in range(100):
-            f = random_laurent(rng, -5, 5)
-            g = random_laurent(rng, -5, 5)
-            worst = max(worst, adjoint_residual(f, g, q, grid))
-        assert worst < 2e-11
+        for _ in range(50):
+            f, g = random_laurent(rng, -5, 5), random_laurent(rng, -5, 5)
+            worst = max(worst, abs(inner_product_c(dq_apply(f, q), g, grid)
+                                   - inner_product_c(f, tq_apply(g, q), grid)))
+        assert adjointness_report(q, grid, 0, n_pairs=50).residual == worst
 
 
 class TestLaurentDq:

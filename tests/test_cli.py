@@ -84,12 +84,16 @@ class TestVerify:
         assert set(doc) >= {"suite", "config", "reports", "summary"}
         assert doc["summary"]["failed"] == 0
 
-    def test_seeded_output_is_deterministic(self, capsys):
-        argv = ["verify", "sears", "--seed", "7", "--format", "json",
-                "--max-n", "3"]
-        assert main(argv) == 0
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "sears", "--seed", "7", "--format", "json", "--max-n",
+          "3"], 0),
+        # Exit 1: biorthogonality is 2.7e-9 against 1e-10 at the defaults.
+        (["verify", "all", "--seed", "7", "--format", "json"], 1),
+    ], ids=["sears", "all"])
+    def test_seeded_output_is_deterministic(self, argv, code, capsys):
+        assert main(argv) == code
         first = capsys.readouterr().out
-        assert main(argv) == 0
+        assert main(argv) == code
         second = capsys.readouterr().out
         assert first == second
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from qcircle.circle import CircleGrid, LaurentPoly
+from qcircle.circle import CircleGrid, LaurentPoly, dq_apply
 from qcircle.errors import EigenpairInvalid
 from qcircle.qsl import (QSLProblem, certify_eigenpair,
-                         eigen_orthogonality_check, m_apply, symmetry_check)
+                         eigen_orthogonality_check, m_apply,
+                         symmetry_residuals)
+from qcircle.report import nan_max
+from qcircle.suites import random_laurent_rows
 from qcircle.szego import (sturm_liouville_eigenvalue, szego_poly,
                            szego_weight)
 
@@ -70,31 +73,57 @@ class TestMApply:
 
 class TestSymmetry:
     def test_random_pairs(self):
-        rng = np.random.default_rng(13)
-        prob = szego_problem(0.5)
-        for _ in range(20):
-            f = random_laurent(rng, -3, 3)
-            g = random_laurent(rng, -3, 3)
-            assert symmetry_check(prob, f, g, GRID, tol=1e-9).passed
+        # 20 pairs (f, g) from default_rng(13), degrees -3..3.
+        rows = random_laurent_rows(np.random.default_rng(13), 40, 3, GRID,
+                                   0.5, 2)
+        sym, _, _ = symmetry_residuals(szego_problem(0.5), rows[:, 0::2],
+                                       rows[:, 1::2], GRID)
+        assert len(sym) == 20
+        assert all(r < 1e-9 for r in sym)
 
     def test_laurent_poly_coefficient(self):
         # p = 1/z + 3 + z is real and positive on the circle; a LaurentPoly is
         # unhashable, so the grid must key its samples by identity.
         prob = QSLProblem(p=LaurentPoly(-1, [1.0, 3.0, 1.0]),
                           omega=lambda z: np.ones_like(z), q=0.5)
-        rng = np.random.default_rng(3)
-        f, g = random_laurent(rng, -2, 2), random_laurent(rng, -2, 2)
-        assert symmetry_check(prob, f, g, GRID, tol=1e-12).passed
-        assert symmetry_check(prob, f, f, GRID, tol=1e-12).passed
+        rows = random_laurent_rows(np.random.default_rng(3), 2, 2, GRID, 0.5, 2)
+        (sym,), _, (form_res,) = symmetry_residuals(prob, rows[:, :1],
+                                                    rows[:, 1:], GRID)
+        assert sym < 1e-12
+        assert form_res < 1e-12
 
     def test_form_positivity(self):
-        rng = np.random.default_rng(29)
-        prob = szego_problem(0.5)
-        for _ in range(50):
-            f = random_laurent(rng, -4, 4)
-            rep = symmetry_check(prob, f, f, GRID, tol=1e-8)
-            assert rep.passed
-            assert rep.notes["quadratic_form"].real >= -1e-10
+        # 50 polynomials from default_rng(29), degrees -4..4.
+        rows = random_laurent_rows(np.random.default_rng(29), 50, 4, GRID,
+                                   0.5, 2)
+        _, form, form_res = symmetry_residuals(szego_problem(0.5), rows, rows,
+                                               GRID)
+        assert len(form) == 50
+        assert all(r < 1e-8 for r in form_res)
+        assert all(f.real >= -1e-10 for f in form)
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.8])
+    def test_batch_equals_m_apply_bit_for_bit(self, q):
+        # The same seeded pairs, one at a time through the callables.
+        prob = szego_problem(q)
+        z = GRID.nodes
+        rng = np.random.default_rng(0)
+        w, p = prob.omega(z), prob.p(z)
+        want = ([], [], [])
+        for _ in range(20):
+            f, g = random_laurent(rng, -3, 3), random_laurent(rng, -3, 3)
+            mf, mg = m_apply(prob, f)(z), m_apply(prob, g)(z)
+            lhs = complex(np.mean(f(z) * np.conj(mg) * w))
+            rhs = complex(np.mean(g(z) * np.conj(mf) * w))
+            form = complex(np.mean(f(z) * np.conj(mf) * w))
+            direct = complex(np.mean(p * np.abs(dq_apply(f, q)(z))**2))
+            want[0].append(abs(lhs - rhs.conjugate()))
+            want[1].append(form)
+            want[2].append(nan_max(abs(form - form.conjugate()),
+                                   abs(form - direct), -form.real))
+        rows = random_laurent_rows(np.random.default_rng(0), 40, 3, GRID, q, 2)
+        got = symmetry_residuals(prob, rows[:, 0::2], rows[:, 1::2], GRID)
+        assert got == want
 
 
 class TestEigenpairs:

@@ -3,12 +3,13 @@
 Usage: python tools/verdict_diff.py PARENT_SRC CHANGE_SRC
 
 Each argument is a checkout of the repository (or its `src` directory).
-Every command of SWEEP runs once per tree, as `qcircle ... --format json
---seed 0` in a fresh interpreter that imports qcircle from that tree.  The
-tool prints one Markdown table row for every report whose residual moved
-(name, n, parent and change residual, |change - parent| / tolerance, and
-both verdicts), a summary row per command, then the reports that appear
-and the exit codes that change.
+Every command of SWEEP runs once per tree, as `qcircle ... --format json`
+in a fresh interpreter that imports qcircle from that tree, with `--seed 0`
+appended unless the command sets its own seed.  The tool prints one
+Markdown table row for every report whose residual moved (name, n, parent
+and change residual, |change - parent| / tolerance, and both verdicts), a
+summary row per command, then the reports that appear and the exit codes
+that change.
 
 Exit status 1 if any report turns from PASS to FAIL, a report disappears,
 or an exit code rises (a command that exits 0 or 1 without a JSON report
@@ -26,6 +27,8 @@ import sys
 SWEEP = (
     [["verify", "all", "--max-n", "5", "--grid", "256", "--q", q]
      for q in ("0.05", "0.1", "0.3", "0.5", "0.8")]
+    + [["verify", "all", "--max-n", "5", "--grid", "256", "--q", q,
+        "--seed", seed] for q, seed in (("0.5", "7"), ("0.3", "11"))]
     + [["verify", "szego", "--max-n", n, "--grid", "256", "--q", q]
        for n in ("5", "8")
        for q in ("0.9", "0.95", "0.97", "0.98", "0.985", "0.988", "0.99",
@@ -62,9 +65,10 @@ def source_dir(tree: str) -> str:
 def run(src: str, argv: list) -> tuple:
     """(exit code, {key: report}) of one command on one tree; exit code
     CRASHED when it exits 0 or 1 without a JSON report (a traceback)."""
+    seed = [] if "--seed" in argv else ["--seed", "0"]
     done = subprocess.run(
-        [sys.executable, "-c", RUNNER, src, *argv, "--format", "json",
-         "--seed", "0"], capture_output=True, text=True)
+        [sys.executable, "-c", RUNNER, src, *argv, "--format", "json", *seed],
+        capture_output=True, text=True)
     reports = {}
     if done.returncode in (0, 1):
         try:
