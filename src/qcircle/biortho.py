@@ -20,6 +20,10 @@ from .report import IdentityReport
 from .szego import szego_weight, weight_rows as szego_weight_rows
 
 
+# (a, alpha, b, beta) of verify, gram and eval when none are given.
+DEFAULT_PARAMS = (0.3, 0.2, 0.4, 0.1)
+
+
 @dataclass(frozen=True)
 class BiorthoParams:
     """The four parameters (a, alpha, b, beta) of the rational family.
@@ -369,8 +373,7 @@ def sears_transform(n: int, A, B, C, D, E, F, q):
 
 
 def sears_check(n: int, A, B, C, D, E, F, q,
-                tol: float = QUADRATURE_TOL,
-                balance_tol: float = 1e-12) -> IdentityReport:
+                tol: float = QUADRATURE_TOL) -> IdentityReport:
     """Both sides of the Sears transformation of a terminating balanced
     4phi3, summed independently:
 
@@ -378,12 +381,13 @@ def sears_check(n: int, A, B, C, D, E, F, q,
           = (E/A, F/A; q)_n / (E, F; q)_n * A^n
             * 4phi3(q^{-n}, A, D/B, D/C; D, A q^{1-n}/E, A q^{1-n}/F; q, q)
 
-    requires the balance condition A B C q^{1-n} = D E F.
+    requires the balance condition A B C q^{1-n} = D E F, to a relative
+    1e-12.
     """
     qv = qval(q)
     A, B, C, D, E, F = (complex(x) for x in (A, B, C, D, E, F))
     bal = A * B * C * qv**(1 - n)
-    if abs(bal - D * E * F) > balance_tol * max(abs(D * E * F), 1e-30):
+    if abs(bal - D * E * F) > 1e-12 * max(abs(D * E * F), 1e-30):
         raise UnbalancedParameters(
             f"A*B*C*q^(1-n) = {bal} but D*E*F = {D * E * F}")
     qn = qv**-n
@@ -396,12 +400,15 @@ def sears_check(n: int, A, B, C, D, E, F, q,
                            "D": D, "E": E, "F": F, "q": qv})
 
 
-def imn_quadrature(m: int, n: int, p: BiorthoParams,
-                   grid: CircleGrid) -> complex:
-    """I_{m,n} = (1/2 pi i) \\oint w r_n conj(s_m) dz/z by quadrature."""
+def imn_table(size: int, p: BiorthoParams, grid: CircleGrid) -> np.ndarray:
+    """I[m, n] = (1/2 pi i) \\oint w r_n conj(s_m) dz/z by quadrature,
+    m, n < size, from one evaluation of each r_n and s_m."""
     z = grid.nodes
     w = weight_rows(grid, p, 0)[0]
-    return complex(np.mean(w * r_fn(n, z, p) * np.conj(s_fn(m, z, p))))
+    wr = [w * r_fn(n, z, p) for n in range(size)]
+    cs = [np.conj(s_fn(m, z, p)) for m in range(size)]
+    return np.array([[np.mean(wr_n * cs_m) for wr_n in wr] for cs_m in cs],
+                    dtype=complex)
 
 
 def imn_step_coefficient(m: int, p: BiorthoParams) -> complex:
@@ -416,75 +423,72 @@ def imn_step_coefficient(m: int, p: BiorthoParams) -> complex:
                * (1.0 - p.b * p.beta)**2))
 
 
-def imn_recursion_check(m: int, n: int, p: BiorthoParams, grid: CircleGrid,
-                        tol: float = QUADRATURE_TOL) -> IdentityReport:
-    """Single-step recursion: I_{m,n}(a, alpha, b, beta) =
-    coeff(m) * I_{m-1,n-1}(a, q alpha, b, q beta), both sides by quadrature."""
-    if m < 1 or n < 1:
-        raise ValueError("recursion needs m, n >= 1")
-    qv = p.q
-    lhs = imn_quadrature(m, n, p, grid)
-    shifted = p.with_params(alpha=qv * p.alpha, beta=qv * p.beta)
-    rhs = imn_step_coefficient(m, p) * imn_quadrature(m - 1, n - 1, shifted, grid)
-    residual = abs(lhs - rhs)
-    return IdentityReport("imn_recursion_step", residual, tol, grid.n_nodes,
-                          {**p.as_dict(), "m": m, "n": n})
-
-
-def imn_iterated_check(m: int, n: int, p: BiorthoParams, grid: CircleGrid,
-                       tol: float = QUADRATURE_TOL) -> IdentityReport:
-    """Iterated recursion for m >= n:
-
-        I_{m,n} = (-b beta)^n q^{n(n+1)/2}
-                  (q^{1/2} alpha, q^{1/2} beta, q^{-m}, ab alpha beta q^{m-1}; q)_n
-                  / (alpha b, a beta, b beta, b beta; q)_n
-                  * I_{m-n,0}(a, q^n alpha, b, q^n beta)
-
-    against the direct quadrature of I_{m,n}."""
-    if m < n:
-        raise ValueError("iterated form requires m >= n")
+def imn_iterated_coefficient(n: int, p: BiorthoParams) -> complex:
+    """Scalar relating I_{n,n} to I_{0,0}(a, q^n alpha, b, q^n beta), n steps
+    chained: (-b beta)^n q^{n(n+1)/2} (q^{1/2} alpha, q^{1/2} beta, q^{-n},
+    ab alpha beta q^{n-1}; q)_n / (alpha b, a beta, b beta, b beta; q)_n."""
     qv = p.q
     rq = math.sqrt(qv)
     abab = p.a * p.b * p.alpha * p.beta
-    direct = imn_quadrature(m, n, p, grid)
     num = (qpochhammer(rq * p.alpha, qv, n) * qpochhammer(rq * p.beta, qv, n)
-           * qpochhammer(qv**-m, qv, n) * qpochhammer(abab * qv**(m - 1), qv, n))
+           * qpochhammer(qv**-n, qv, n)
+           * qpochhammer(abab * qv**(n - 1), qv, n))
     den = (qpochhammer(p.alpha * p.b, qv, n) * qpochhammer(p.a * p.beta, qv, n)
            * qpochhammer(p.b * p.beta, qv, n)**2)
-    shifted = p.with_params(alpha=qv**n * p.alpha, beta=qv**n * p.beta)
-    tail = imn_quadrature(m - n, 0, shifted, grid)
-    chained = ((-p.b * p.beta)**n * qv**(n * (n + 1) // 2) * num / den * tail)
-    residual = abs(direct - chained)
-    return IdentityReport("imn_recursion_iterated", residual, tol,
-                          grid.n_nodes, {**p.as_dict(), "m": m, "n": n})
+    return (-p.b * p.beta)**n * qv**(n * (n + 1) // 2) * num / den
 
 
-def i00_closed_check(n: int, p: BiorthoParams, grid: CircleGrid,
-                     tol: float = QUADRATURE_TOL) -> IdentityReport:
-    """Total mass at the shifted parameters (a, q^n alpha, b, q^n beta):
+def recursion_chain_reports(p: BiorthoParams, grid: CircleGrid, upper: int,
+                            tol: float = QUADRATURE_TOL) -> list:
+    """The recursion chain behind biorthogonality, from one imn_table at p
+    and one at shift_1, where shift_n = (a, q^n alpha, b, q^n beta); in order:
 
-        I_{0,0}(a, q^n alpha, b, q^n beta)
-          = kappa(a, alpha, b, beta) (a alpha, b alpha, a beta, b beta; q)_n
-            / [(q^{1/2} alpha, q^{1/2} beta; q)_n (ab alpha beta; q)_{2n}]
+      imn_recursion_step       I_{m,n} = imn_step_coefficient(m)
+                               I_{m-1,n-1}(shift_1), 1 <= m, n <= upper;
+      i00_shifted_closed_form  I_{0,0}(shift_n) = kappa (a alpha, b alpha,
+                               a beta, b beta; q)_n / [(q^{1/2} alpha,
+                               q^{1/2} beta; q)_n (ab alpha beta; q)_{2n}],
+                               n <= upper, noting kappa(shift_n)'s distance;
+      imn_recursion_iterated   I_{n,n} = imn_iterated_coefficient(n)
+                               I_{0,0}(shift_n), n = upper >= 2.
 
-    with the prefactor read as kappa(a, alpha, b, beta); quadrature is the
-    arbiter.  Also records the closed-form route through the shifted total
-    mass itself.
+    I_{0,0} is the total mass, as r_0 = s_0 = 1; quadrature is the arbiter.
     """
-    qv = p.q
-    rq = math.sqrt(qv)
-    shifted = p.with_params(alpha=qv**n * p.alpha, beta=qv**n * p.beta)
-    quad = complex(np.mean(weight_rows(grid, shifted, 0)[0]))
-    num = (qpochhammer(p.a * p.alpha, qv, n) * qpochhammer(p.b * p.alpha, qv, n)
-           * qpochhammer(p.a * p.beta, qv, n) * qpochhammer(p.b * p.beta, qv, n))
-    den = (qpochhammer(rq * p.alpha, qv, n) * qpochhammer(rq * p.beta, qv, n)
-           * qpochhammer(p.a * p.b * p.alpha * p.beta, qv, 2 * n))
-    closed = kappa_closed(p) * num / den
-    residual = abs(quad - closed) / abs(closed)
-    cross = abs(kappa_closed(shifted) - closed) / abs(closed)
-    return IdentityReport("i00_shifted_closed_form", residual, tol,
-                          grid.n_nodes, {**p.as_dict(), "n": n},
-                          notes={"closed_vs_shifted_kappa": cross})
+    qv, rq = p.q, math.sqrt(p.q)
+    params = p.as_dict()
+    reports = []
+    if upper >= 1:
+        table = imn_table(upper + 1, p, grid).tolist()
+        shift = p.with_params(alpha=qv * p.alpha, beta=qv * p.beta)
+        lowered = imn_table(upper, shift, grid).tolist()
+        reports += [IdentityReport(
+            "imn_recursion_step", abs(table[m][n] - imn_step_coefficient(m, p)
+                                      * lowered[m - 1][n - 1]),
+            tol, grid.n_nodes, {**params, "m": m, "n": n})
+            for m in range(1, upper + 1) for n in range(1, upper + 1)]
+    kappa = kappa_closed(p)
+    for n in range(upper + 1):
+        shift = p.with_params(alpha=qv**n * p.alpha, beta=qv**n * p.beta)
+        mass = complex(np.mean(weight_rows(grid, shift, 0)[0]))
+        num = (qpochhammer(p.a * p.alpha, qv, n)
+               * qpochhammer(p.b * p.alpha, qv, n)
+               * qpochhammer(p.a * p.beta, qv, n)
+               * qpochhammer(p.b * p.beta, qv, n))
+        den = (qpochhammer(rq * p.alpha, qv, n)
+               * qpochhammer(rq * p.beta, qv, n)
+               * qpochhammer(p.a * p.b * p.alpha * p.beta, qv, 2 * n))
+        closed = kappa * num / den
+        reports.append(IdentityReport(
+            "i00_shifted_closed_form", abs(mass - closed) / abs(closed), tol,
+            grid.n_nodes, {**params, "n": n}, notes={
+                "closed_vs_shifted_kappa":
+                abs(kappa_closed(shift) - closed) / abs(closed)}))
+    if upper >= 2:  # mass is I_{0,0}(shift_upper)
+        chained = imn_iterated_coefficient(upper, p) * mass
+        reports.append(IdentityReport(
+            "imn_recursion_iterated", abs(table[upper][upper] - chained), tol,
+            grid.n_nodes, {**params, "m": upper, "n": upper}))
+    return reports
 
 
 def random_params(rng: np.random.Generator, q,

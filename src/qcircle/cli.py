@@ -18,7 +18,7 @@ import sys
 
 from . import biortho, suites, szego
 from .errors import QCircleError
-from .qcore import theta_sum
+from .qcore import QUADRATURE_TOL, theta_sum
 from .report import to_csv, to_json
 from .suites import SuiteConfig
 
@@ -121,7 +121,7 @@ def biortho_params_from_args(args) -> biortho.BiorthoParams:
         return biortho.BiorthoParams(a, alpha, b, beta, args.q)
     vals = [args.a, args.alpha, args.b, args.beta]
     if all(v is None for v in vals):
-        return biortho.BiorthoParams(0.3, 0.2, 0.4, 0.1, args.q)
+        return biortho.BiorthoParams(*biortho.DEFAULT_PARAMS, args.q)
     if any(v is None for v in vals):
         raise ValueError("give all of --a --alpha --b --beta, or --params")
     return biortho.BiorthoParams(args.a, args.alpha, args.b, args.beta, args.q)
@@ -187,7 +187,7 @@ def cmd_verify(args) -> int:
     max_n = args.max_n if args.n is None else args.n
     cfg = SuiteConfig(
         q=args.q, max_n=max_n, grid_size=args.grid_size,
-        tolerance=1e-10 if args.tol is None else args.tol,
+        tolerance=QUADRATURE_TOL if args.tol is None else args.tol,
         params=(biortho_params_from_args(args)
                 if args.suite in ("biortho", "all") else None),
         seed=args.seed, output_format=args.output_format)

@@ -88,17 +88,20 @@ def symmetry_residuals(prob: QSLProblem, F, G, grid: CircleGrid):
     return sym, form, form_res
 
 
-def eigen_residual(prob: QSLProblem, y, lam, grid: CircleGrid) -> float:
-    """max |M y - lam y| over the grid nodes."""
-    Y = shifted(y, grid.nodes[None], prob.q, 2)
-    return float(np.max(np.abs(_m_rows(prob, Y, grid) - complex(lam) * Y[0])))
+def eigen_residual(prob: QSLProblem, Y, lams, grid: CircleGrid) -> list:
+    """max |M y_i - lam_i y_i| over the grid nodes, per function y_i given
+    as rows 0..2 of shape (3, P, N), with P eigenvalues lams."""
+    lam = np.array([complex(v) for v in lams])[:, None]
+    return np.max(np.abs(_m_rows(prob, Y, grid) - lam * Y[0]),
+                  axis=-1).tolist()
 
 
 def certify_eigenpair(prob: QSLProblem, y, lam, grid: CircleGrid,
                       tol: float = EIGEN_CERT_TOL) -> float:
     """Max residual of M y = lam * y on the grid; raises EigenpairInvalid
     beyond tol, or when the claimed eigenvalue is not (numerically) real."""
-    res = eigen_residual(prob, y, lam, grid)
+    [res] = eigen_residual(prob, shifted(y, grid.nodes[None], prob.q, 2),
+                           [lam], grid)
     if res > tol:
         raise EigenpairInvalid(f"eigenpair residual {res} exceeds {tol}")
     if abs(complex(lam).imag) > 1e-10:

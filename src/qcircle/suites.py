@@ -43,7 +43,7 @@ class SuiteConfig:
     def biortho_params(self) -> biortho.BiorthoParams:
         if self.params is not None:
             return self.params
-        return biortho.BiorthoParams(0.3, 0.2, 0.4, 0.1, self.q)
+        return biortho.BiorthoParams(*biortho.DEFAULT_PARAMS, self.q)
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -88,12 +88,7 @@ def szego_suite(cfg: SuiteConfig) -> list[IdentityReport]:
         szego.total_mass_check(q, grid, tol),
         szego.jacobi_triple_check(q, grid, tol),
     ]
-    for n in range(1, cfg.max_n + 1):
-        reports.append(szego.lowering_check(n, q, grid, tol))
-    for n in range(cfg.max_n + 1):
-        reports.append(szego.raising_check(n, q, grid, tol))
-        reports.append(szego.rodrigues(n, q, grid, tol))
-        reports.append(szego.sturm_liouville_check(n, q, grid, tol))
+    reports += szego.ladder_reports(cfg.max_n, q, grid, tol)
     # The deepest weight row the checks above use: Rodrigues' at n = max_n,
     # raising and Sturm-Liouville's at 1.
     reports.append(szego.weight_pearson_check(
@@ -132,8 +127,11 @@ def pastro_degeneration_report(p: biortho.BiorthoParams, grid: CircleGrid,
                                  "max_diag_rel_err": diag})
 
 
-def kappa_random_report(q, grid: CircleGrid, seed: int, n_sets: int = 10,
+def kappa_random_report(q, grid: CircleGrid, seed: int,
                         tol: float = QUADRATURE_TOL) -> IdentityReport:
+    """biortho.kappa_check's worst residual over 10 seeded random
+    parameter sets."""
+    n_sets = 10
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_sets):
@@ -162,15 +160,8 @@ def biortho_suite(cfg: SuiteConfig) -> list[IdentityReport]:
         reports.append(biortho.raising_biortho_check(n, p, grid, tol))
     reports.append(biortho.variant_reconciliation(
         max(1, min(2, cfg.max_n)), p, grid, tol))
-    upper = min(cfg.max_n, 3)
-    for m in range(1, upper + 1):
-        for n in range(1, upper + 1):
-            reports.append(biortho.imn_recursion_check(m, n, p, grid, tol))
-    for n in range(min(cfg.max_n, 3) + 1):
-        reports.append(biortho.i00_closed_check(n, p, grid, tol))
-    if cfg.max_n >= 2:
-        reports.append(biortho.imn_iterated_check(
-            min(cfg.max_n, 3), min(cfg.max_n, 3), p, grid, tol))
+    reports += biortho.recursion_chain_reports(p, grid, min(cfg.max_n, 3),
+                                               tol)
     reports.append(pastro_degeneration_report(p, grid, min(cfg.max_n, 4), tol))
     return reports
 
@@ -188,7 +179,8 @@ def random_balanced_sears(rng: np.random.Generator, q, n: int):
     return A, B, C, D, E, F
 
 
-def sears_suite(cfg: SuiteConfig, n_draws: int = 50) -> list[IdentityReport]:
+def sears_suite(cfg: SuiteConfig) -> list[IdentityReport]:
+    n_draws = 50
     rng = np.random.default_rng(cfg.seed)
     reports = []
     worst = 0.0
@@ -203,13 +195,14 @@ def sears_suite(cfg: SuiteConfig, n_draws: int = 50) -> list[IdentityReport]:
         {"q": cfg.q, "draws": n_draws, "seed": cfg.seed, "max_n": nmax}))
     # One deterministic double application: the transformation is an
     # involution under the induced parameter relabeling.
-    reports.append(sears_involution_report(cfg.q, tol=1e-11))
+    reports.append(sears_involution_report(cfg.q))
     return reports
 
 
-def sears_involution_report(q, n: int = 4,
-                            tol: float = 1e-11) -> IdentityReport:
-    """Applying the transformation twice returns the original series value."""
+def sears_involution_report(q) -> IdentityReport:
+    """Applying the transformation twice returns the original series value,
+    at n = 4, to 1e-11."""
+    n, tol = 4, 1e-11
     qv = qval(q)
     A, B, C, D, E = 0.3 + 0.1j, 0.4, 0.25 - 0.2j, 0.5, 0.35 + 0.05j
     F = A * B * C * qv**(1 - n) / (D * E)
@@ -228,15 +221,13 @@ def qsl_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     # p and omega are one callable, so the grid samples the weight once.
     weight = lambda z: szego.szego_weight(z, q)
     prob = qsl.QSLProblem(weight, weight, q)
-    reports = []
-    worst = 0.0
-    for n in range(cfg.max_n + 1):
-        worst = nan_max(worst, qsl.eigen_residual(
-            prob, szego.szego_poly(n, q),
-            szego.sturm_liouville_eigenvalue(n, q), grid))
-    reports.append(IdentityReport(
-        "qsl_szego_anchor", worst, cfg.tolerance, grid.n_nodes,
-        {"q": q, "max_n": cfg.max_n}))
+    anchor = qsl.eigen_residual(
+        prob, szego.poly_rows(cfg.max_n, q, grid.nodes, 2),
+        [szego.sturm_liouville_eigenvalue(n, q) for n in range(cfg.max_n + 1)],
+        grid)
+    reports = [IdentityReport(
+        "qsl_szego_anchor", nan_max(0.0, *anchor), cfg.tolerance,
+        grid.n_nodes, {"q": q, "max_n": cfg.max_n})]
 
     # 20 seeded pairs (f, g): f's symmetry against g and its own form.
     rows = random_laurent_rows(np.random.default_rng(cfg.seed), 40, 3, grid,

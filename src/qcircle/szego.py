@@ -111,72 +111,72 @@ def szego_norm(n: int, q) -> float:
     return szego_norms(n, q)[n]
 
 
-def lowering_check(n: int, q, grid: CircleGrid,
-                   tol: float = QUADRATURE_TOL) -> IdentityReport:
-    """D_q H_n = q^{-1/2} (1 - q^n)/(1 - q) H_{n-1}, max residual over the grid."""
-    if n < 1:
-        raise ValueError("lowering needs n >= 1")
-    qv = qval(q)
-    z = grid.nodes
-    lhs = dq_rows(shifted(szego_poly(n, qv), z, qv, 1), z, qv)[0]
-    rhs = qv**-0.5 * (1.0 - qv**n) / (1.0 - qv) * szego_poly(n - 1, qv)(z)
-    residual = float(np.max(np.abs(lhs - rhs)))
-    return IdentityReport("szego_lowering", residual, tol, grid.n_nodes,
-                          {"n": n, "q": qv})
-
-
-def raising_check(n: int, q, grid: CircleGrid,
-                  tol: float = QUADRATURE_TOL) -> IdentityReport:
-    """(1/w) T_q(w H_n) = (sqrt(q)/(1-q)) H_{n+1}, max residual over the grid."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    qv = qval(q)
-    z = grid.nodes
-    W = weight_rows(grid, qv, 1)
-    H = shifted(szego_poly(n, qv), z, qv, 1)
-    lhs = over_weight(tq_rows(W * H, z, qv)[0], W[0], "Szego weight")
-    rhs = math.sqrt(qv) / (1.0 - qv) * szego_poly(n + 1, qv)(z)
-    residual = float(np.max(np.abs(lhs - rhs)))
-    return IdentityReport("szego_raising", residual, tol, grid.n_nodes,
-                          {"n": n, "q": qv})
-
-
-def rodrigues(n: int, q, grid: CircleGrid,
-              tol: float = QUADRATURE_TOL) -> IdentityReport:
-    """H_n = (q^{-1/2} - q^{1/2})^n (1/w) T_q^n(w), max residual over the grid."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    qv = qval(q)
-    W = weight_rows(grid, qv, n)
-    lhs = over_weight((qv**-0.5 - qv**0.5)**n * tq_power(W, grid.nodes, qv, n),
-                      W[0], "Szego weight")
-    rhs = szego_poly(n, qv)(grid.nodes)
-    residual = float(np.max(np.abs(lhs - rhs)))
-    return IdentityReport("szego_rodrigues", residual, tol, grid.n_nodes,
-                          {"n": n, "q": qv})
-
-
 def sturm_liouville_eigenvalue(n: int, q) -> float:
     """lambda_n = (1 - q^n) / (1 - q)^2."""
     qv = qval(q)
     return (1.0 - qv**n) / (1.0 - qv)**2
 
 
-def sturm_liouville_check(n: int, q, grid: CircleGrid,
-                          tol: float = QUADRATURE_TOL) -> IdentityReport:
-    """(1/w) T_q(w D_q H_n) = lambda_n H_n, max residual over the grid."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+def poly_rows(max_n: int, q, z, depth: int) -> np.ndarray:
+    """Rows H_n(q^k z), shape (depth+1, max_n+1, N): each H_n built once and
+    evaluated by its own Horner loop."""
     qv = qval(q)
-    z = grid.nodes
-    W = weight_rows(grid, qv, 1)
-    H = shifted(szego_poly(n, qv), z, qv, 2)
-    lhs = over_weight(tq_rows(W * dq_rows(H, z, qv), z, qv)[0], W[0],
-                      "Szego weight")
-    rhs = sturm_liouville_eigenvalue(n, qv) * H[0]
-    residual = float(np.max(np.abs(lhs - rhs)))
-    return IdentityReport("szego_sturm_liouville", residual, tol, grid.n_nodes,
-                          {"n": n, "q": qv})
+    return np.stack([shifted(szego_poly(n, qv), z, qv, depth)
+                     for n in range(max_n + 1)], axis=1)
+
+
+def ladder_reports(max_n: int, q, grid: CircleGrid,
+                   tol: float = QUADRATURE_TOL) -> list:
+    """Max residuals over the grid, from one table of H_0..H_{max_n+1}:
+
+      lowering         D_q H_n = q^{-1/2} (1 - q^n)/(1 - q) H_{n-1},  n >= 1;
+      raising          (1/w) T_q(w H_n) = (sqrt(q)/(1-q)) H_{n+1};
+      Rodrigues        H_n = (q^{-1/2} - q^{1/2})^n (1/w) T_q^n(w);
+      Sturm-Liouville  (1/w) T_q(w D_q H_n) = lambda_n H_n;
+
+    the lowering reports for n = 1..max_n, then raising, Rodrigues and
+    Sturm-Liouville for each n = 0..max_n.
+    """
+    qv = qval(q)
+    z, degrees = grid.nodes[None], range(max_n + 1)
+    H = poly_rows(max_n + 1, qv, grid.nodes, 2)
+    W = weight_rows(grid, qv, max(1, max_n))
+
+    def column(scalars):
+        return np.array(scalars, dtype=float)[:, None]
+
+    def residuals(lhs, rhs):
+        return np.max(np.abs(lhs - rhs), axis=-1).tolist()
+
+    def report(name, n, residual):
+        return IdentityReport(name, residual, tol, grid.n_nodes,
+                              {"n": n, "q": qv})
+
+    lowering = residuals(
+        dq_rows(H[:2, 1:-1], z, qv)[0],
+        column([qv**-0.5 * (1.0 - qv**n) / (1.0 - qv) for n in degrees[1:]])
+        * H[0, :-2])
+    raising = residuals(
+        over_weight(tq_rows(W[:2, None] * H[:2, :-1], z, qv)[0], W[0],
+                    "Szego weight"),
+        math.sqrt(qv) / (1.0 - qv) * H[0, 1:])
+    rodrigues = residuals(
+        over_weight(np.stack([(qv**-0.5 - qv**0.5)**n
+                              * tq_power(W, grid.nodes, qv, n)
+                              for n in degrees]), W[0], "Szego weight"),
+        H[0, :-1])
+    sturm = residuals(
+        over_weight(tq_rows(W[:2, None] * dq_rows(H[:, :-1], z, qv), z, qv)[0],
+                    W[0], "Szego weight"),
+        column([sturm_liouville_eigenvalue(n, qv) for n in degrees])
+        * H[0, :-1])
+    reports = [report("szego_lowering", n, r)
+               for n, r in zip(degrees[1:], lowering)]
+    for n in degrees:
+        reports += [report("szego_raising", n, raising[n]),
+                    report("szego_rodrigues", n, rodrigues[n]),
+                    report("szego_sturm_liouville", n, sturm[n])]
+    return reports
 
 
 def szego_gram(max_n: int, q, grid: CircleGrid, tol: float = QUADRATURE_TOL):

@@ -11,18 +11,16 @@ import numpy as np
 import pytest
 
 from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norm,
-                             biortho_weight, i00_closed_check,
-                             imn_iterated_check, imn_quadrature,
-                             imn_recursion_check, kappa_closed,
-                             lowering_biortho_check, r_fn,
-                             raising_biortho_check, random_params, sears_check,
-                             variant_reconciliation)
+                             biortho_weight, imn_iterated_coefficient,
+                             imn_table, kappa_closed, lowering_biortho_check,
+                             r_fn, raising_biortho_check, random_params,
+                             recursion_chain_reports, sears_check,
+                             variant_reconciliation, weight_rows)
 from qcircle.circle import CircleGrid, contour_mean
 from qcircle.qsl import QSLProblem, m_apply, symmetry_residuals
 from qcircle.suites import (adjointness_report, random_balanced_sears,
                             random_laurent_rows)
-from qcircle.szego import (jacobi_triple_check, lowering_check, raising_check,
-                           rodrigues, sturm_liouville_check,
+from qcircle.szego import (jacobi_triple_check, ladder_reports,
                            sturm_liouville_eigenvalue, szego_gram, szego_norm,
                            szego_poly, szego_weight)
 
@@ -64,14 +62,7 @@ def test_criterion_02_adjointness():
 
 
 def test_criterion_03_szego_ladder_rodrigues_sl():
-    grid = CircleGrid(256)
-    worst = 0.0
-    for n in range(9):
-        for rep in (lowering_check(max(n, 1), Q, grid),
-                    raising_check(n, Q, grid),
-                    rodrigues(n, Q, grid),
-                    sturm_liouville_check(n, Q, grid)):
-            worst = max(worst, rep.residual)
+    worst = max(rep.residual for rep in ladder_reports(8, Q, CircleGrid(256)))
     formula_ok = all(
         sturm_liouville_eigenvalue(n, Q) == (1 - Q**n) / (1 - Q)**2
         for n in range(9))
@@ -144,13 +135,21 @@ def test_criterion_08_sears():
 
 def test_criterion_09_recursion_chain():
     grid = CircleGrid(256)
-    worst_step = max(imn_recursion_check(m, n, BASE_PARAMS, grid).residual
-                     for m in range(1, 5) for n in range(1, 5))
-    worst_iter = max(imn_iterated_check(n, n, BASE_PARAMS, grid).residual
-                     for n in range(1, 5))
-    worst_closed = max(i00_closed_check(n, BASE_PARAMS, grid).residual
-                       for n in range(0, 4))
-    worst_off = max(abs(imn_quadrature(m, n, BASE_PARAMS, grid))
+    chain = recursion_chain_reports(BASE_PARAMS, grid, 4)
+    worst_step = max(r.residual for r in chain
+                     if r.name == "imn_recursion_step")
+    worst_closed = max(r.residual for r in chain
+                       if r.name == "i00_shifted_closed_form"
+                       and r.params["n"] <= 3)
+    table = imn_table(5, BASE_PARAMS, grid)
+    q = BASE_PARAMS.q
+    worst_iter = max(
+        abs(table[n, n] - imn_iterated_coefficient(n, BASE_PARAMS)
+            * np.mean(weight_rows(grid, BASE_PARAMS.with_params(
+                alpha=q**n * BASE_PARAMS.alpha, beta=q**n * BASE_PARAMS.beta),
+                0)[0]))
+        for n in range(1, 5))
+    worst_off = max(abs(table[m, n])
                     for m in range(5) for n in range(5) if m != n)
     ok = (worst_step < 1e-9 and worst_iter < 1e-8
           and worst_closed < 1e-9 and worst_off < 1e-9)

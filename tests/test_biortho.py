@@ -1,15 +1,16 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norm,
-                             biortho_norms, biortho_weight, i00_closed_check,
-                             imn_iterated_check,
-                             imn_quadrature, imn_recursion_check, kappa_check,
-                             kappa_closed, lowering_biortho_check,
-                             lowering_coefficient, r_fn, raising_biortho_check,
-                             raising_coefficient, random_params, s_fn,
+                             biortho_norms, biortho_weight,
+                             imn_iterated_coefficient, imn_step_coefficient,
+                             imn_table, kappa_check, kappa_closed,
+                             lowering_biortho_check, lowering_coefficient,
+                             r_fn, raising_biortho_check, raising_coefficient,
+                             random_params, recursion_chain_reports, s_fn,
                              sears_check, variant_reconciliation,
                              weight_rows, weight_symmetry_check)
 from qcircle.circle import CircleGrid, contour_mean
@@ -357,37 +358,86 @@ class TestSears:
             sears_check(2, 0.3, 0.4, 0.2, 0.5, 0.6, 0.7, Q)
 
 
+@functools.lru_cache(maxsize=None)
+def chain_reports(upper=3):
+    """{(name, m, n): report} of recursion_chain_reports(P, GRID, upper)."""
+    return {(r.name, r.params.get("m"), r.params["n"]): r
+            for r in recursion_chain_reports(P, GRID, upper)}
+
+
 class TestRecursionChain:
     def test_i00_is_kappa(self):
-        assert imn_quadrature(0, 0, P, GRID) == \
+        assert imn_table(1, P, GRID)[0, 0] == \
             pytest.approx(kappa_closed(P), rel=1e-12)
 
     def test_offdiagonal_vanishes(self):
-        assert abs(imn_quadrature(1, 2, P, GRID)) < 1e-10
-        assert abs(imn_quadrature(2, 1, P, GRID)) < 1e-10
+        table = imn_table(3, P, GRID)
+        assert abs(table[1, 2]) < 1e-10
+        assert abs(table[2, 1]) < 1e-10
 
     def test_diagonal_closed_form(self):
-        assert imn_quadrature(3, 3, P, GRID) == \
+        assert imn_table(4, P, GRID)[3, 3] == \
             pytest.approx(biortho_norm(3, P), rel=1e-10)
 
     def test_single_step(self):
-        assert imn_recursion_check(1, 1, P, GRID, tol=1e-10).passed
+        assert chain_reports()[("imn_recursion_step", 1, 1)].residual < 1e-10
 
     def test_step_balances_off_diagonal(self):
         # m > n: both sides vanish individually and the recursion holds
-        lhs = imn_quadrature(2, 1, P, GRID)
-        assert abs(lhs) < 1e-10
-        assert imn_recursion_check(2, 1, P, GRID, tol=1e-10).passed
+        assert abs(imn_table(3, P, GRID)[2, 1]) < 1e-10
+        assert chain_reports()[("imn_recursion_step", 2, 1)].residual < 1e-10
 
     def test_iterated_matches_direct(self):
-        assert imn_iterated_check(3, 3, P, GRID, tol=1e-9).passed
+        assert chain_reports()[("imn_recursion_iterated", 3, 3)].residual \
+            < 1e-9
 
     def test_i00_shifted_closed_form(self):
-        for n in (0, 1, 2):
-            rep = i00_closed_check(n, P, GRID, tol=1e-10)
-            assert rep.passed
+        for n in range(4):
+            rep = chain_reports()[("i00_shifted_closed_form", None, n)]
+            assert rep.residual < 1e-10
             # two closed-form routes agree: the verified prefactor reading
             assert rep.notes["closed_vs_shifted_kappa"] < 1e-12
+
+
+class TestRecursionChainTable:
+    def test_table_entry_is_the_quadrature(self):
+        z = GRID.nodes
+        w = weight_rows(GRID, P, 0)[0]
+        table = imn_table(3, P, GRID)
+        for m in range(3):
+            for n in range(3):
+                assert table[m, n] == np.mean(w * r_fn(n, z, P)
+                                              * np.conj(s_fn(m, z, P)))
+
+    def test_iterated_coefficient_at_one_is_the_step(self):
+        assert imn_iterated_coefficient(1, P) == \
+            pytest.approx(imn_step_coefficient(1, P), rel=1e-14)
+
+    @pytest.mark.parametrize("upper, want", [
+        (0, ["i00_shifted_closed_form"]),
+        (1, ["imn_recursion_step"] + 2 * ["i00_shifted_closed_form"]),
+        (2, 4 * ["imn_recursion_step"] + 3 * ["i00_shifted_closed_form"]
+         + ["imn_recursion_iterated"]),
+    ])
+    def test_reports_at_small_upper(self, upper, want):
+        reports = recursion_chain_reports(P, CircleGrid(64), upper)
+        assert [r.name for r in reports] == want
+
+    def test_each_function_evaluated_once_per_table(self, monkeypatch):
+        # imn_recursion_check, i00_closed_check and imn_iterated_check made
+        # 40 r_fn calls for these 14 reports.
+        import qcircle.biortho
+        calls = []
+        evaluate = qcircle.biortho.r_fn
+
+        def counted(n, z, p):
+            calls.append(n)
+            return evaluate(n, z, p)
+
+        monkeypatch.setattr(qcircle.biortho, "r_fn", counted)
+        reports = recursion_chain_reports(P, GRID, 3)
+        assert len(reports) == 14
+        assert len(calls) <= 14
 
 
 class TestDegenerations:

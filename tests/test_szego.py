@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -5,17 +6,30 @@ import numpy as np
 import pytest
 
 import qcircle.szego
-from qcircle.circle import CircleGrid, _shifted_points, contour_mean
+from qcircle.circle import (CircleGrid, _shifted_points, contour_mean,
+                            dq_apply, tq_power)
 from qcircle.cli import main
 from qcircle.errors import WeightUnderflow
 from qcircle.qcore import qpochhammer_inf
 from qcircle.szego import (gaussian_binomial, jacobi_triple_check,
-                           lowering_check, raising_check, rodrigues,
-                           sturm_liouville_check, sturm_liouville_eigenvalue,
-                           szego_gram, szego_norm, szego_poly, szego_weight,
-                           total_mass_check, weight_pearson_check, weight_rows)
+                           ladder_reports, poly_rows,
+                           sturm_liouville_eigenvalue, szego_gram, szego_norm,
+                           szego_poly, szego_weight, total_mass_check,
+                           weight_pearson_check, weight_rows)
 
 GRID = CircleGrid(256)
+
+
+@functools.lru_cache(maxsize=None)
+def ladder_residuals(max_n=8):
+    """{(report name, n): residual} of ladder_reports(max_n, 0.5, GRID)."""
+    return {(r.name, r.params["n"]): r.residual
+            for r in ladder_reports(max_n, 0.5, GRID)}
+
+
+def ladder(name, n):
+    """The degree-n `szego_<name>` residual of the batch over degrees 0..8."""
+    return ladder_residuals()[(f"szego_{name}", n)]
 
 
 class TestSzegoPoly:
@@ -72,8 +86,7 @@ class TestSzegoWeight:
 
 class TestLadder:
     def test_lowering_n1_constant_sides(self):
-        rep = lowering_check(1, 0.5, GRID, tol=1e-13)
-        assert rep.passed
+        assert ladder("lowering", 1) < 1e-13
 
     def test_lowering_coefficient_cancellation(self):
         # at n=1 the ratio collapses to q^{-1/2}: equals 2 for q = 0.25
@@ -82,14 +95,14 @@ class TestLadder:
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_lowering_grid(self, n):
-        assert lowering_check(n, 0.5, GRID, tol=1e-11).passed
+        assert ladder("lowering", n) < 1e-11
 
     def test_raising_base_case(self):
-        assert raising_check(0, 0.5, GRID, tol=1e-12).passed
+        assert ladder("raising", 0) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 4, 8])
     def test_raising_grid(self, n):
-        assert raising_check(n, 0.5, GRID, tol=1e-10).passed
+        assert ladder("raising", n) < 1e-10
 
     def test_lowering_after_raising_scales(self):
         # D_q applied to the raising output of H_n returns a known multiple
@@ -110,16 +123,15 @@ class TestLadder:
 
 class TestRodrigues:
     def test_n0_trivial(self):
-        assert rodrigues(0, 0.5, GRID, tol=1e-14).passed
+        assert ladder("rodrigues", 0) < 1e-14
 
     def test_n1_matches_raising_base(self):
-        rep_r = raising_check(0, 0.5, GRID)
-        rep_rod = rodrigues(1, 0.5, GRID)
-        assert rep_r.passed and rep_rod.passed
+        assert ladder("raising", 0) < 1e-10
+        assert ladder("rodrigues", 1) < 1e-10
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_grid(self, n):
-        assert rodrigues(n, 0.5, GRID, tol=1e-9).passed
+        assert ladder("rodrigues", n) < 1e-9
 
     def test_rodrigues_output_is_polynomial(self):
         # negative Laurent modes of the Rodrigues right-hand side vanish
@@ -136,7 +148,7 @@ class TestRodrigues:
 class TestSturmLiouville:
     def test_eigenvalue_zero_at_n0(self):
         assert sturm_liouville_eigenvalue(0, 0.5) == 0.0
-        assert sturm_liouville_check(0, 0.5, GRID, tol=1e-13).passed
+        assert ladder("sturm_liouville", 0) < 1e-13
 
     def test_eigenvalue_value(self):
         assert sturm_liouville_eigenvalue(1, 0.5) == pytest.approx(2.0)
@@ -148,7 +160,67 @@ class TestSturmLiouville:
 
     @pytest.mark.parametrize("n", [1, 4, 8])
     def test_grid(self, n):
-        assert sturm_liouville_check(n, 0.5, GRID, tol=1e-10).passed
+        assert ladder("sturm_liouville", n) < 1e-10
+
+
+class TestLadderTable:
+    def test_poly_rows_sample_each_polynomial(self):
+        q, z = 0.5, GRID.nodes
+        H = poly_rows(4, q, z, 2)
+        assert H.shape == (3, 5, GRID.n_nodes)
+        for k, t in enumerate(_shifted_points(z, q, 2)):
+            for n in range(5):
+                assert np.array_equal(H[k, n], szego_poly(n, q)(t))
+
+    def test_report_order(self):
+        names = [(r.name, r.params["n"])
+                 for r in ladder_reports(2, 0.5, CircleGrid(16))]
+        assert names == [("szego_lowering", 1), ("szego_lowering", 2)] + [
+            (name, n) for n in range(3)
+            for name in ("szego_raising", "szego_rodrigues",
+                         "szego_sturm_liouville")]
+
+    def test_degree_zero_batch(self):
+        names = [r.name for r in ladder_reports(0, 0.5, CircleGrid(16))]
+        assert names == ["szego_raising", "szego_rodrigues",
+                         "szego_sturm_liouville"]
+
+    @pytest.mark.parametrize("max_n", [1, 3, 7])
+    def test_report_does_not_depend_on_batch_size(self, max_n):
+        small = {(r.name, r.params["n"]): r.residual
+                 for r in ladder_reports(max_n, 0.5, GRID)}
+        assert small == {key: value for key, value in ladder_residuals().items()
+                         if key[1] <= max_n}
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_single_degree_reference(self, n):
+        # The arithmetic of one degree alone, through the callable D_q and
+        # a weight table of depth n.
+        q, z = 0.5, GRID.nodes
+        lowering = np.max(np.abs(
+            dq_apply(szego_poly(n, q), q)(z)
+            - q**-0.5 * (1.0 - q**n) / (1.0 - q) * szego_poly(n - 1, q)(z)))
+        W = weight_rows(GRID, q, n)
+        rodrigues = np.max(np.abs(
+            (q**-0.5 - q**0.5)**n * tq_power(W, z, q, n) / W[0]
+            - szego_poly(n, q)(z)))
+        assert ladder("lowering", n) == lowering
+        assert ladder("rodrigues", n) == rodrigues
+
+    def test_builds_each_polynomial_once(self, monkeypatch):
+        # lowering_check, raising_check, rodrigues and sturm_liouville_check
+        # built 34 polynomials for these 23 reports.
+        calls = []
+        build = qcircle.szego.szego_poly
+
+        def counted(n, q):
+            calls.append(n)
+            return build(n, q)
+
+        monkeypatch.setattr(qcircle.szego, "szego_poly", counted)
+        reports = ladder_reports(5, 0.5, CircleGrid(256))
+        assert len(reports) == 23
+        assert sorted(calls) == list(range(7))
 
 
 class TestGram:

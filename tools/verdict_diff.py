@@ -29,6 +29,9 @@ SWEEP = (
      for q in ("0.05", "0.1", "0.3", "0.5", "0.8")]
     + [["verify", "all", "--max-n", "5", "--grid", "256", "--q", q,
         "--seed", seed] for q, seed in (("0.5", "7"), ("0.3", "11"))]
+    # The suites branch at max_n 0..3 (min(max_n, 3), max_n >= 2, ...).
+    + [["verify", "all", "--max-n", n, "--grid", "64", "--q", "0.5"]
+       for n in ("0", "1", "2", "3")]
     + [["verify", "szego", "--max-n", n, "--grid", "256", "--q", q]
        for n in ("5", "8")
        for q in ("0.9", "0.95", "0.97", "0.98", "0.985", "0.988", "0.99",
