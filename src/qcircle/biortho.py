@@ -47,7 +47,7 @@ class BiorthoParams:
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "q", qval(self.q))
         for name in ("a", "alpha", "b", "beta"):
-            if abs(getattr(self, name)) >= 1.0:
+            if not abs(getattr(self, name)) < 1.0:  # NaN fails too
                 raise ValueError(f"|{name}| must be < 1, got {getattr(self, name)}")
         for label, prod in self.pair_products().items():
             if abs(1.0 - prod) < 1e-10:
@@ -248,119 +248,108 @@ def lowering_coefficient(n: int, p: BiorthoParams) -> complex:
             / ((1.0 - qv) * (1.0 - p.b * p.alpha) * (1.0 - p.b * p.beta)))
 
 
-def _lowering_residual(u: complex, n: int, p: BiorthoParams,
-                       grid: CircleGrid) -> float:
-    """max |(u q^{1/2} z; q)_2 D_q r_n - coeff r_{n-1}(z; qa, alpha, qb, beta)|."""
-    qv, z = p.q, grid.nodes
-    rq = math.sqrt(qv)
-    lowered = p.with_params(a=qv * p.a, b=qv * p.b)
-    dq = dq_rows(shifted(partial(r_fn, n, p=p), z, qv, 1), z, qv)[0]
-    rhs = lowering_coefficient(n, p) * r_fn(n - 1, z, lowered)
-    pref = (1.0 - u * rq * z) * (1.0 - u * rq * qv * z)
-    return float(np.max(np.abs(pref * dq - rhs)))
-
-
-def lowering_biortho_check(n: int, p: BiorthoParams, grid: CircleGrid,
-                           tol: float = QUADRATURE_TOL) -> IdentityReport:
-    """(ab q^{1/2} z; q)_2 D_q r_n = coeff * r_{n-1}(z; qa, alpha, qb, beta)."""
-    if n < 1:
-        raise ValueError("lowering needs n >= 1")
-    residual = _lowering_residual(p.a * p.b, n, p, grid)
-    return IdentityReport("biortho_lowering", residual, tol, grid.n_nodes,
-                          {**p.as_dict(), "n": n})
-
-
 def raising_coefficient(p: BiorthoParams) -> complex:
     """Scalar (1 - b alpha)(1 - b beta) / ((1 - q) b) of the raising identity.
 
     The recursion chain for the biorthogonality integrals fixes this value;
-    see variant_reconciliation for the other printed candidates.
+    ladder_reports' variant table measures the other printed candidates.
     """
     qv = p.q
     return ((1.0 - p.b * p.alpha) * (1.0 - p.b * p.beta) / ((1.0 - qv) * p.b))
 
 
-def _raised(c: complex, m: int, p: BiorthoParams, grid: CircleGrid):
-    """T_q[(c/z; q)_2 w(z; p) r_m(z; p)] at the grid nodes."""
-    z = grid.nodes
-    pref = np.stack([(1.0 - c / t) * (1.0 - c * p.q / t) for t in (z, p.q * z)])
-    W = weight_rows(grid, p, 1)
-    R = shifted(partial(r_fn, m, p=p), z, p.q, 1)
-    return tq_rows(pref * W * R, z, p.q)[0]
+def r_rows(size: int, p: BiorthoParams, z, depth: int) -> np.ndarray:
+    """Rows r_n(q^k z; p), shape (depth+1, size, N), n < size: each row of
+    each r_n from one r_fn call."""
+    return np.stack([shifted(partial(r_fn, n, p=p), z, p.q, depth)
+                     for n in range(size)], axis=1)
 
 
-def _raising_sides(n: int, p: BiorthoParams, grid: CircleGrid):
-    """LHS T_q[(alpha beta q^{1/2}/z; q)_2 w_shift r_{n-1, shift}] and the
-    un-scaled RHS w r_n, with shift = (a, q alpha, b, q beta)."""
-    qv = p.q
-    raised = p.with_params(alpha=qv * p.alpha, beta=qv * p.beta)
-    lhs = _raised(p.alpha * p.beta * math.sqrt(qv), n - 1, raised, grid)
-    return lhs, weight_rows(grid, p, 0)[0] * r_fn(n, grid.nodes, p)
+def ladder_reports(max_n: int, p: BiorthoParams, grid: CircleGrid,
+                   tol: float = QUADRATURE_TOL) -> list:
+    """Max residuals over the grid, from one table of r_n rows at p, one
+    at lowered = (qa, alpha, qb, beta) and one at raised = (a, q alpha, b,
+    q beta):
 
+      lowering  (ab q^{1/2} z; q)_2 D_q r_n
+                  = lowering_coefficient(n) r_{n-1}(z; lowered);
+      raising   T_q[(alpha beta q^{1/2}/z; q)_2 w(.; raised)
+                    r_{n-1}(.; raised)]
+                  = raising_coefficient w r_n, relative to max(1, |rhs|);
 
-def raising_biortho_check(n: int, p: BiorthoParams, grid: CircleGrid,
-                          tol: float = QUADRATURE_TOL) -> IdentityReport:
-    """T_q[(alpha beta q^{1/2}/z;q)_2 w(.; a,q alpha,b,q beta) r_{n-1}(.; a,q alpha,b,q beta)]
-    = coeff * w(.; a,alpha,b,beta) r_n(.; a,alpha,b,beta)."""
-    if n < 1:
-        raise ValueError("raising needs n >= 1")
-    lhs, rhs_core = _raising_sides(n, p, grid)
-    rhs = raising_coefficient(p) * rhs_core
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    residual = float(np.max(np.abs(lhs - rhs))) / scale
-    return IdentityReport("biortho_raising", residual, tol, grid.n_nodes,
-                          {**p.as_dict(), "n": n})
-
-
-def variant_reconciliation(n: int, p: BiorthoParams, grid: CircleGrid,
-                           tol: float = QUADRATURE_TOL) -> IdentityReport:
-    """Discrepancy table for the differently-printed ladder prefactors and
-    coefficients; informational, never fails a suite.
-
-    Measured variants:
+    both for each n = 1..max_n, then the informational
+    ladder_variant_reconciliation at n = max(1, min(2, max_n)), which
+    tabulates the residual of each differently printed reading:
       * raising coefficient (1-b alpha)(1-b beta) vs the (1-b beta/q) and
         (1-b alpha/q)(1-b beta/q) readings;
       * lowering prefactor (ab q^{1/2} z; q)_2 vs (alpha beta q^{1/2} z; q)_2;
       * raising prefactor (alpha beta q^{-3/2}/z; q)_2 applied without the
-        parameter shift, against the shifted canonical form.
+        parameter shift, target r_n at (a, alpha/q, b, beta/q); only
+        testable when those parameters stay inside the unit disk.
     """
-    if n < 1:
-        raise ValueError("needs n >= 1")
-    qv = p.q
-    table = {}
+    qv, z = p.q, grid.nodes
+    rq = math.sqrt(qv)
+    top, params = max(1, max_n), p.as_dict()
+    lowered = p.with_params(a=qv * p.a, b=qv * p.b)
+    raised = p.with_params(alpha=qv * p.alpha, beta=qv * p.beta)
+    R = r_rows(top + 1, p, z, 1)
+    W = weight_rows(grid, p, 1)
 
-    lhs, rhs_core = _raising_sides(n, p, grid)
-    scale = max(1.0, float(np.max(np.abs(rhs_core))))
-    candidates = {
-        "raising_coeff_(1-ba)(1-bb)": (1.0 - p.b * p.alpha) * (1.0 - p.b * p.beta),
-        "raising_coeff_(1-ba)(1-bb/q)": (1.0 - p.b * p.alpha) * (1.0 - p.b * p.beta / qv),
-        "raising_coeff_(1-ba/q)(1-bb/q)": (1.0 - p.b * p.alpha / qv) * (1.0 - p.b * p.beta / qv),
-    }
-    for label, c in candidates.items():
-        coeff = c / ((1.0 - qv) * p.b)
-        table[label] = float(np.max(np.abs(lhs - coeff * rhs_core))) / scale
+    def lowering_prefactor(u):  # (u q^{1/2} z; q)_2
+        return (1.0 - u * rq * z) * (1.0 - u * rq * qv * z)
 
-    # Lowering prefactor variants applied to D_q r_n.
-    for label, u in (("lowering_prefactor_ab", p.a * p.b),
-                     ("lowering_prefactor_alphabeta", p.alpha * p.beta)):
-        table[label] = _lowering_residual(u, n, p, grid)
+    def raised_rows(c, W, R):  # T_q[(c/z; q)_2 w r] for each r of R
+        pref = np.stack([(1.0 - c / t) * (1.0 - c * qv / t)
+                         for t in (z, qv * z)])
+        return tq_rows((pref * W)[:, None] * R, z[None], qv)[0]
 
-    # Raising prefactor (alpha beta q^{-3/2}/z; q)_2 with unshifted weight,
-    # target r_n at (a, alpha/q, b, beta/q); only testable when the divided
-    # parameters stay inside the unit disk.
+    def largest(x):
+        return float(np.max(np.abs(x)))
+
+    def relative(lhs, rhs):
+        return largest(lhs - rhs) / max(1.0, largest(rhs))
+
+    def report(name, n, residual, **kw):
+        return IdentityReport(name, residual, tol, grid.n_nodes,
+                              {**params, "n": n}, **kw)
+
+    dq = dq_rows(R[:, 1:], z[None], qv)[0]
+    target = (np.array([lowering_coefficient(n, p) for n in range(1, top + 1)])
+              [:, None] * r_rows(top, lowered, z, 0)[0])
+    lowering = [largest(row)
+                for row in lowering_prefactor(p.a * p.b) * dq - target]
+    lhs = raised_rows(p.alpha * p.beta * rq, weight_rows(grid, raised, 1),
+                      r_rows(top, raised, z, 1))
+    core = W[0] * R[0, 1:]  # w r_n, n = 1..top
+    raising = [relative(left, right) for left, right
+               in zip(lhs, raising_coefficient(p) * core)]
+
+    i = min(2, top) - 1  # row of the variant table's degree
+    scale = max(1.0, largest(core[i]))
+    table = {label: largest(lhs[i] - c / ((1.0 - qv) * p.b) * core[i]) / scale
+             for label, c in (
+        ("raising_coeff_(1-ba)(1-bb)",
+         (1.0 - p.b * p.alpha) * (1.0 - p.b * p.beta)),
+        ("raising_coeff_(1-ba)(1-bb/q)",
+         (1.0 - p.b * p.alpha) * (1.0 - p.b * p.beta / qv)),
+        ("raising_coeff_(1-ba/q)(1-bb/q)",
+         (1.0 - p.b * p.alpha / qv) * (1.0 - p.b * p.beta / qv)))}
+    table["lowering_prefactor_ab"] = lowering[i]
+    table["lowering_prefactor_alphabeta"] = largest(
+        lowering_prefactor(p.alpha * p.beta) * dq[i] - target[i])
     if abs(p.alpha / qv) < 1.0 and abs(p.beta / qv) < 1.0:
         divided = p.with_params(alpha=p.alpha / qv, beta=p.beta / qv)
-        lhs2 = _raised(p.alpha * p.beta * qv**-1.5, n - 1, p, grid)
-        w = weight_rows(grid, p, 0)[0]
-        rhs2 = raising_coefficient(divided) * w * r_fn(n, grid.nodes, divided)
-        scale2 = max(1.0, float(np.max(np.abs(rhs2))))
-        table["raising_unshifted_prefactor"] = \
-            float(np.max(np.abs(lhs2 - rhs2))) / scale2
+        table["raising_unshifted_prefactor"] = relative(
+            raised_rows(p.alpha * p.beta * qv**-1.5, W, R[:, i:i + 1])[0],
+            raising_coefficient(divided) * W[0] * r_fn(i + 1, z, divided))
 
-    best = min(table.values())
-    return IdentityReport("ladder_variant_reconciliation", best, tol,
-                          grid.n_nodes, {**p.as_dict(), "n": n},
-                          notes=table, informational=True)
+    reports = [report(f"biortho_{name}", n, residuals[n - 1])
+               for n in range(1, max_n + 1)
+               for name, residuals in (("lowering", lowering),
+                                       ("raising", raising))]
+    return reports + [report("ladder_variant_reconciliation", i + 1,
+                             min(table.values()), notes=table,
+                             informational=True)]
 
 
 def sears_transform(n: int, A, B, C, D, E, F, q):

@@ -13,6 +13,7 @@ configuration (the violated invariant is named on stderr).
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 
@@ -24,13 +25,27 @@ from .suites import SuiteConfig
 
 
 def parse_complex(text: str) -> complex:
-    """Parse `re+imi` syntax, e.g. 0.3, 0.3+0.1i, -0.2i, 2+1i."""
+    """Parse `re+imi` syntax, e.g. 0.3, 0.3+0.1i, -0.2i, 2+1i; finite only."""
     s = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(s)
+        value = complex(s)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"cannot parse complex number {text!r}; use re+imi syntax")
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"complex number must be finite, got {text!r}")
+    return value
+
+
+def four_params(text: str) -> tuple:
+    """--params: the four complex numbers a,alpha,b,beta."""
+    parts = [p for p in text.split(",") if p.strip()]
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError(
+            "expected four comma-separated values a,alpha,b,beta, "
+            f"got {text!r}")
+    return tuple(parse_complex(p) for p in parts)
 
 
 def tolerance(text: str) -> float:
@@ -71,7 +86,7 @@ def _add_biortho_flags(p: argparse.ArgumentParser):
     p.add_argument("--alpha", type=parse_complex, default=None)
     p.add_argument("--b", type=parse_complex, default=None)
     p.add_argument("--beta", type=parse_complex, default=None)
-    p.add_argument("--params", type=str, default=None,
+    p.add_argument("--params", type=four_params, default=None,
                    help="CSV shorthand a,alpha,b,beta")
 
 
@@ -113,12 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def biortho_params_from_args(args) -> biortho.BiorthoParams:
     if args.params is not None:
-        parts = [p for p in args.params.split(",") if p.strip()]
-        if len(parts) != 4:
-            raise ValueError("--params expects exactly four comma-separated "
-                             "values a,alpha,b,beta")
-        a, alpha, b, beta = (parse_complex(p) for p in parts)
-        return biortho.BiorthoParams(a, alpha, b, beta, args.q)
+        return biortho.BiorthoParams(*args.params, args.q)
     vals = [args.a, args.alpha, args.b, args.beta]
     if all(v is None for v in vals):
         return biortho.BiorthoParams(*biortho.DEFAULT_PARAMS, args.q)

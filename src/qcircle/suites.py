@@ -155,11 +155,7 @@ def biortho_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     ]
     *_, gram_rep = biortho.biortho_gram(cfg.max_n, p, grid, tol)
     reports.append(gram_rep)
-    for n in range(1, cfg.max_n + 1):
-        reports.append(biortho.lowering_biortho_check(n, p, grid, tol))
-        reports.append(biortho.raising_biortho_check(n, p, grid, tol))
-    reports.append(biortho.variant_reconciliation(
-        max(1, min(2, cfg.max_n)), p, grid, tol))
+    reports += biortho.ladder_reports(cfg.max_n, p, grid, tol)
     reports += biortho.recursion_chain_reports(p, grid, min(cfg.max_n, 3),
                                                tol)
     reports.append(pastro_degeneration_report(p, grid, min(cfg.max_n, 4), tol))

@@ -12,10 +12,10 @@ import pytest
 
 from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norm,
                              biortho_weight, imn_iterated_coefficient,
-                             imn_table, kappa_closed, lowering_biortho_check,
-                             r_fn, raising_biortho_check, random_params,
+                             imn_table, kappa_closed, r_fn, random_params,
                              recursion_chain_reports, sears_check,
-                             variant_reconciliation, weight_rows)
+                             weight_rows)
+from qcircle.biortho import ladder_reports as biortho_ladder_reports
 from qcircle.circle import CircleGrid, contour_mean
 from qcircle.qsl import QSLProblem, m_apply, symmetry_residuals
 from qcircle.suites import (adjointness_report, random_balanced_sears,
@@ -109,13 +109,8 @@ def test_criterion_06_biorthogonality():
 
 
 def test_criterion_07_biortho_ladder():
-    grid = CircleGrid(256)
-    worst = 0.0
-    for n in range(1, 6):
-        worst = max(worst,
-                    lowering_biortho_check(n, BASE_PARAMS, grid).residual,
-                    raising_biortho_check(n, BASE_PARAMS, grid).residual)
-    table = variant_reconciliation(2, BASE_PARAMS, grid)
+    *reports, table = biortho_ladder_reports(5, BASE_PARAMS, CircleGrid(256))
+    worst = max(r.residual for r in reports)
     _verdict("criterion 7: biortho ladder n<=5 + variant table (informational)",
              worst < 1e-9 and table.informational,
              f"max_residual={worst:.2e}, "

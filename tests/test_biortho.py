@@ -8,12 +8,11 @@ from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norm,
                              biortho_norms, biortho_weight,
                              imn_iterated_coefficient, imn_step_coefficient,
                              imn_table, kappa_check, kappa_closed,
-                             lowering_biortho_check, lowering_coefficient,
-                             r_fn, raising_biortho_check, raising_coefficient,
-                             random_params, recursion_chain_reports, s_fn,
-                             sears_check, variant_reconciliation,
+                             ladder_reports, lowering_coefficient, r_fn,
+                             r_rows, raising_coefficient, random_params,
+                             recursion_chain_reports, s_fn, sears_check,
                              weight_rows, weight_symmetry_check)
-from qcircle.circle import CircleGrid, contour_mean
+from qcircle.circle import CircleGrid, contour_mean, dq_apply, tq_apply
 from qcircle.cli import main
 from qcircle.errors import DegenerateParameters, UnbalancedParameters
 from qcircle.qcore import qpochhammer_inf
@@ -30,6 +29,12 @@ class TestBiorthoParams:
             BiorthoParams(1.0, 0.2, 0.3, 0.1, Q)
         with pytest.raises(ValueError):
             BiorthoParams(0.2, 0.2, 0.3, 1.2, Q)
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.1, math.nan),
+                                     complex(math.inf, 0.0)])
+    def test_non_finite_fails_modulus_guard(self, bad):
+        with pytest.raises(ValueError, match=r"\|alpha\| must be < 1"):
+            BiorthoParams(0.3, bad, 0.4, 0.1, Q)
 
     def test_swapped_is_involution(self):
         assert P.swapped().swapped() == P
@@ -252,30 +257,48 @@ class TestGram:
         assert rep.notes["max_offdiag"] < 1e-9
 
 
+GENERIC = BiorthoParams(0.3 + 0.1j, 0.2 - 0.15j, 0.4 + 0.05j, 0.1 + 0.2j, Q)
+PASTRO = P.with_params(a=0.0, alpha=0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def ladder_table(p=P):
+    """{(name, n): report} of ladder_reports(5, p, GRID)."""
+    return {(r.name, r.params["n"]): r for r in ladder_reports(5, p, GRID)}
+
+
+def ladder_residual(name, n, p=P):
+    return ladder_table(p)[(f"biortho_{name}", n)].residual
+
+
 class TestLadder:
     def test_lowering_n1(self):
-        assert lowering_biortho_check(1, P, GRID, tol=1e-12).passed
+        assert ladder_residual("lowering", 1) < 1e-12
 
     def test_lowering_n4_generic_complex(self):
-        p = BiorthoParams(0.3 + 0.1j, 0.2 - 0.15j, 0.4 + 0.05j,
-                          0.1 + 0.2j, Q)
-        assert lowering_biortho_check(4, p, GRID, tol=1e-10).passed
+        assert ladder_residual("lowering", 4, GENERIC) < 1e-10
 
     def test_lowering_pastro(self):
-        pastro = P.with_params(a=0.0, alpha=0.0)
-        assert lowering_biortho_check(3, pastro, GRID, tol=1e-11).passed
+        assert ladder_residual("lowering", 3, PASTRO) < 1e-11
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_raising(self, n):
-        assert raising_biortho_check(n, P, GRID, tol=1e-10).passed
+        assert ladder_residual("raising", n) < 1e-10
 
     def test_raising_integrated_consistency(self):
         # integrating both sides of the raising identity over the circle
         # gives equal values
-        from qcircle.biortho import _raising_sides
-        lhs, core = _raising_sides(2, P, GRID)
-        left = np.mean(lhs)
-        right = raising_coefficient(P) * np.mean(core)
+        z = GRID.nodes
+        raised = P.with_params(alpha=Q * P.alpha, beta=Q * P.beta)
+        c = P.alpha * P.beta * math.sqrt(Q)
+
+        def g(t):
+            return ((1 - c / t) * (1 - c * Q / t) * biortho_weight(t, raised)
+                    * r_fn(1, t, raised))
+
+        left = np.mean(tq_apply(g, Q)(z))
+        right = raising_coefficient(P) * np.mean(biortho_weight(z, P)
+                                                 * r_fn(2, z, P))
         assert left == pytest.approx(right, abs=1e-12)
 
     def test_ladder_closure(self):
@@ -313,13 +336,84 @@ class TestLadder:
         assert residual / max(1.0, np.max(np.abs(target))) < 1e-8
 
 
+class TestLadderTable:
+    def test_r_rows_sample_each_function(self):
+        z = GRID.nodes
+        R = r_rows(4, GENERIC, z, 1)
+        assert R.shape == (2, 4, GRID.n_nodes)
+        for k, t in enumerate((z, Q * z)):
+            for n in range(4):
+                assert np.array_equal(R[k, n], r_fn(n, t, GENERIC))
+
+    @pytest.mark.parametrize("max_n", [0, 1, 2, 3])
+    def test_report_order(self, max_n):
+        names = [(r.name, r.params["n"])
+                 for r in ladder_reports(max_n, P, CircleGrid(16))]
+        assert names == [(f"biortho_{name}", n)
+                         for n in range(1, max_n + 1)
+                         for name in ("lowering", "raising")] + [
+            ("ladder_variant_reconciliation", max(1, min(2, max_n)))]
+
+    @pytest.mark.parametrize("max_n", [1, 3, 5])
+    def test_report_does_not_depend_on_batch_size(self, max_n):
+        def residuals(k):
+            return {(r.name, r.params["n"]): r.residual
+                    for r in ladder_reports(k, GENERIC, GRID)
+                    if not r.informational}
+
+        assert residuals(max_n) == {key: value
+                                    for key, value in residuals(8).items()
+                                    if key[1] <= max_n}
+
+    @pytest.mark.parametrize("p", [P, GENERIC, PASTRO])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_single_degree_reference(self, p, n):
+        # The arithmetic of one degree alone, through the callable D_q and
+        # T_q, with weights evaluated directly instead of as grid rows.
+        z, rq = GRID.nodes, math.sqrt(Q)
+        lowered = p.with_params(a=Q * p.a, b=Q * p.b)
+        raised = p.with_params(alpha=Q * p.alpha, beta=Q * p.beta)
+        u, c = p.a * p.b, p.alpha * p.beta * rq
+        lowering = float(np.max(np.abs(
+            (1.0 - u * rq * z) * (1.0 - u * rq * Q * z)
+            * dq_apply(functools.partial(r_fn, n, p=p), Q)(z)
+            - lowering_coefficient(n, p) * r_fn(n - 1, z, lowered))))
+
+        def g(t):
+            return ((1 - c / t) * (1 - c * Q / t) * biortho_weight(t, raised)
+                    * r_fn(n - 1, t, raised))
+
+        rhs = raising_coefficient(p) * biortho_weight(z, p) * r_fn(n, z, p)
+        raising = (np.max(np.abs(tq_apply(g, Q)(z) - rhs))
+                   / max(1.0, np.max(np.abs(rhs))))
+        assert ladder_residual("lowering", n, p) == lowering
+        assert ladder_residual("raising", n, p) == \
+            pytest.approx(raising, abs=1e-13)
+
+    def test_each_function_evaluated_once_per_table(self, monkeypatch):
+        # lowering_biortho_check, raising_biortho_check and
+        # variant_reconciliation made 42 r_fn calls for these 11 reports.
+        import qcircle.biortho
+        calls = []
+        evaluate = qcircle.biortho.r_fn
+
+        def counted(n, z, p):
+            calls.append(n)
+            return evaluate(n, z, p)
+
+        monkeypatch.setattr(qcircle.biortho, "r_fn", counted)
+        reports = ladder_reports(5, P, CircleGrid(256))
+        assert len(reports) == 11
+        assert len(calls) <= 28
+
+
 class TestVariantReconciliation:
     def test_informational_never_fails_suite(self):
-        rep = variant_reconciliation(2, P, GRID)
+        rep = ladder_reports(2, P, GRID)[-1]
         assert rep.informational
 
     def test_table_contents(self):
-        rep = variant_reconciliation(2, P, GRID)
+        rep = ladder_reports(2, P, GRID)[-1]
         table = rep.notes
         # the verified readings sit at rounding level...
         assert table["raising_coeff_(1-ba)(1-bb)"] < 1e-12

@@ -164,11 +164,29 @@ class TestNoFalsePass:
         (["verify", "sears", "--max-n", "-1"], "max-n must be >= 0"),
         (["verify", "sears", "--n", "-2"], "max-n must be >= 0"),
         (["eval", "szego", "--format", "csv"], "invalid choice: 'csv'"),
+        (["eval", "rn", "--params", "0.3,abc,0.4,0.1"],
+         "argument --params: cannot parse complex number 'abc'"),
+        (["verify", "biortho", "--params", "0.3,abc,0.4,0.1"],
+         "argument --params: cannot parse complex number 'abc'"),
+        (["gram", "biortho", "--params", "0.3,abc,0.4,0.1"],
+         "argument --params: cannot parse complex number 'abc'"),
+        (["gram", "biortho", "--params", "0.3,0.2,0.4"],
+         "expected four comma-separated values a,alpha,b,beta"),
+        (["verify", "biortho", "--params", "0.3,nan,0.4,0.1"],
+         "argument --params: complex number must be finite, got 'nan'"),
+        (["eval", "rn", "--n", "2", "--z", "0.5", "--a", "nan", "--alpha",
+          "0.2", "--b", "0.4", "--beta", "0.1"],
+         "argument --a: complex number must be finite, got 'nan'"),
+        (["eval", "szego", "--n", "2", "--z", "nan"],
+         "argument --z: complex number must be finite, got 'nan'"),
+        (["eval", "szego", "--z", "1e400"],
+         "argument --z: complex number must be finite, got '1e400'"),
     ])
     def test_invalid_tolerance_or_degree_exits_2(self, argv, invariant, capsys):
         # Each of these used to run: --tol 0 silently at the default, NaN or
         # a negative tolerance failing every check, --max-n -1 printing PASS
-        # on an empty Gram matrix.
+        # on an empty Gram matrix, a NaN parameter or point printing nan.  A
+        # malformed --params entry ended in a traceback and exit 1.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

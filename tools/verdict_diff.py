@@ -39,6 +39,15 @@ SWEEP = (
     + [["verify", "biortho", "--max-n", n, "--grid", "256", "--q", q]
        for n in ("5", "8")
        for q in ("0.5", "0.7", "0.85", "0.88", "0.89", "0.9", "0.95")]
+    # Complex parameters, so that a conjugation or real-part slip shows:
+    # generic, conjugate-symmetric (alpha = conj a, beta = conj b), Pastro.
+    + [["verify", "biortho", "--max-n", "5", "--grid", "256", "--q", q,
+        "--params", params]
+       for params in ("0.3+0.1i,0.2-0.15i,0.4+0.05i,0.1+0.2i",
+                      "0.3+0.2i,0.3-0.2i,0.25-0.35i,0.25+0.35i")
+       for q in ("0.5", "0.89")]
+    + [["verify", "biortho", "--max-n", "5", "--grid", "256", "--q", "0.5",
+        "--params", "0,0,0.4,0.1"]]
 )
 
 # Above qcircle's own exit codes (0 pass, 1 fail, 2 bad configuration).
