@@ -12,10 +12,11 @@ from functools import partial
 
 import numpy as np
 
-from .circle import CircleGrid, dq_rows, gram_check, shifted, tq_rows
+from .circle import (CircleGrid, dq_rows, gram_check, gram_matrix, shifted,
+                     tq_rows)
 from .errors import DegenerateParameters, UnbalancedParameters, WeightUnderflow
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, PhiSpec, _maybe_scalar, phi,
-                    qpochhammer, qpochhammer_inf, qval)
+                    qmultipochhammer, qpochhammer, qpochhammer_inf, qval)
 from .report import IdentityReport
 from .szego import szego_weight, weight_rows as szego_weight_rows
 
@@ -159,13 +160,10 @@ def kappa_closed(p: BiorthoParams) -> complex:
     """
     qv = p.q
     rq = math.sqrt(qv)
-    num = 1.0 + 0.0j
-    for arg in (p.a * rq, p.alpha * rq, p.b * rq, p.beta * rq,
-                p.a * p.b * p.alpha * p.beta):
-        num *= qpochhammer_inf(arg, qv)
-    den = 1.0 + 0.0j
-    for arg in (qv, p.a * p.alpha, p.b * p.alpha, p.a * p.beta, p.b * p.beta):
-        den *= qpochhammer_inf(arg, qv)
+    num = qmultipochhammer((p.a * rq, p.alpha * rq, p.b * rq, p.beta * rq,
+                            p.a * p.b * p.alpha * p.beta), qv, math.inf)
+    den = qmultipochhammer((qv, p.a * p.alpha, p.b * p.alpha, p.a * p.beta,
+                            p.b * p.beta), qv, math.inf)
     if abs(den) < 1e-280:
         raise WeightUnderflow(
             f"(q, a alpha, b alpha, a beta, b beta; q)_inf underflowed below "
@@ -185,8 +183,8 @@ def biortho_norms(max_n: int, p: BiorthoParams) -> list:
     kappa = kappa_closed(p)
     norms = []
     for n in range(max_n + 1):
-        num = (qpochhammer(qv, qv, n) * qpochhammer(p.a * p.alpha, qv, n)
-               * qpochhammer(abab * qv**(n - 1), qv, n) * (p.b * p.beta)**n)
+        num = (qmultipochhammer((qv, p.a * p.alpha, abab * qv**(n - 1)), qv, n)
+               * (p.b * p.beta)**n)
         den = qpochhammer(p.b * p.beta, qv, n) * qpochhammer(abab, qv, 2 * n)
         norms.append(kappa * num / den)
     return norms
@@ -195,16 +193,6 @@ def biortho_norms(max_n: int, p: BiorthoParams) -> list:
 def biortho_norm(n: int, p: BiorthoParams) -> complex:
     """Diagonal entry n of biortho_norms."""
     return biortho_norms(n, p)[n]
-
-
-def kappa_check(p: BiorthoParams, grid: CircleGrid,
-                tol: float = QUADRATURE_TOL) -> IdentityReport:
-    """Closed-form total mass against the quadrature of the weight."""
-    closed = kappa_closed(p)
-    quad = complex(np.mean(weight_rows(grid, p, 0)[0]))
-    residual = abs(quad - closed) / abs(closed)
-    return IdentityReport("biortho_total_mass", residual, tol, grid.n_nodes,
-                          p.as_dict())
 
 
 def weight_symmetry_check(p: BiorthoParams, grid: CircleGrid,
@@ -224,17 +212,23 @@ def weight_symmetry_check(p: BiorthoParams, grid: CircleGrid,
                           notes={"literal_unswapped_residual": literal})
 
 
+def imn_table(size: int, p: BiorthoParams, grid: CircleGrid) -> np.ndarray:
+    """I[m, n] = (1/2 pi i) \\oint w r_n conj(s_m) dz/z by quadrature,
+    m, n < size, as circle.gram_matrix of the s_m, the r_n and the weight.
+    I[0, 0] is the total mass, as r_0 = s_0 = 1."""
+    z, degrees = grid.nodes, range(size)
+    return gram_matrix([s_fn(m, z, p) for m in degrees],
+                       [r_fn(n, z, p) for n in degrees],
+                       weight_rows(grid, p, 0)[0])
+
+
 def biortho_gram(max_n: int, p: BiorthoParams, grid: CircleGrid,
                  tol: float = QUADRATURE_TOL):
-    """G[m][n] = (1/2 pi i) \\oint w r_n conj(s_m) dz/z by quadrature, as
-    gram_check's (G, norms, report) against the closed-form diagonal
-    biortho_norms."""
-    z, degrees = grid.nodes, range(max_n + 1)
-    return gram_check("biorthogonality", [s_fn(m, z, p) for m in degrees],
-                      [r_fn(n, z, p) for n in degrees],
-                      weight_rows(grid, p, 0)[0],
-                      biortho_norms(max_n, p), tol, p.as_dict(),
-                      max_n=max_n)
+    """gram_check's (G, norms, report) of imn_table(max_n + 1) against the
+    closed-form diagonal biortho_norms; at max_n = 0, the total mass."""
+    norms = biortho_norms(max_n, p)  # an underflowed kappa raises first
+    return gram_check("biorthogonality", imn_table(max_n + 1, p, grid), norms,
+                      tol, grid.n_nodes, p.as_dict(), max_n=max_n)
 
 
 def lowering_coefficient(n: int, p: BiorthoParams) -> complex:
@@ -389,17 +383,6 @@ def sears_check(n: int, A, B, C, D, E, F, q,
                            "D": D, "E": E, "F": F, "q": qv})
 
 
-def imn_table(size: int, p: BiorthoParams, grid: CircleGrid) -> np.ndarray:
-    """I[m, n] = (1/2 pi i) \\oint w r_n conj(s_m) dz/z by quadrature,
-    m, n < size, from one evaluation of each r_n and s_m."""
-    z = grid.nodes
-    w = weight_rows(grid, p, 0)[0]
-    wr = [w * r_fn(n, z, p) for n in range(size)]
-    cs = [np.conj(s_fn(m, z, p)) for m in range(size)]
-    return np.array([[np.mean(wr_n * cs_m) for wr_n in wr] for cs_m in cs],
-                    dtype=complex)
-
-
 def imn_step_coefficient(m: int, p: BiorthoParams) -> complex:
     """Scalar relating I_{m,n} to I_{m-1,n-1} at (a, q alpha, b, q beta)."""
     qv = p.q
@@ -419,18 +402,18 @@ def imn_iterated_coefficient(n: int, p: BiorthoParams) -> complex:
     qv = p.q
     rq = math.sqrt(qv)
     abab = p.a * p.b * p.alpha * p.beta
-    num = (qpochhammer(rq * p.alpha, qv, n) * qpochhammer(rq * p.beta, qv, n)
-           * qpochhammer(qv**-n, qv, n)
-           * qpochhammer(abab * qv**(n - 1), qv, n))
-    den = (qpochhammer(p.alpha * p.b, qv, n) * qpochhammer(p.a * p.beta, qv, n)
-           * qpochhammer(p.b * p.beta, qv, n)**2)
+    num = qmultipochhammer((rq * p.alpha, rq * p.beta, qv**-n,
+                            abab * qv**(n - 1)), qv, n)
+    den = qmultipochhammer((p.alpha * p.b, p.a * p.beta, p.b * p.beta,
+                            p.b * p.beta), qv, n)
     return (-p.b * p.beta)**n * qv**(n * (n + 1) // 2) * num / den
 
 
-def recursion_chain_reports(p: BiorthoParams, grid: CircleGrid, upper: int,
+def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
                             tol: float = QUADRATURE_TOL) -> list:
-    """The recursion chain behind biorthogonality, from one imn_table at p
-    and one at shift_1, where shift_n = (a, q^n alpha, b, q^n beta); in order:
+    """The recursion chain behind biorthogonality, from `table`, imn_table at
+    p up to degree upper (a leading block of biortho_gram's G), and one at
+    shift_1, where shift_n = (a, q^n alpha, b, q^n beta); in order:
 
       imn_recursion_step       I_{m,n} = imn_step_coefficient(m)
                                I_{m-1,n-1}(shift_1), 1 <= m, n <= upper;
@@ -444,10 +427,9 @@ def recursion_chain_reports(p: BiorthoParams, grid: CircleGrid, upper: int,
     I_{0,0} is the total mass, as r_0 = s_0 = 1; quadrature is the arbiter.
     """
     qv, rq = p.q, math.sqrt(p.q)
-    params = p.as_dict()
+    params, upper, table = p.as_dict(), len(table) - 1, table.tolist()
     reports = []
     if upper >= 1:
-        table = imn_table(upper + 1, p, grid).tolist()
         shift = p.with_params(alpha=qv * p.alpha, beta=qv * p.beta)
         lowered = imn_table(upper, shift, grid).tolist()
         reports += [IdentityReport(
@@ -459,19 +441,17 @@ def recursion_chain_reports(p: BiorthoParams, grid: CircleGrid, upper: int,
     for n in range(upper + 1):
         shift = p.with_params(alpha=qv**n * p.alpha, beta=qv**n * p.beta)
         mass = complex(np.mean(weight_rows(grid, shift, 0)[0]))
-        num = (qpochhammer(p.a * p.alpha, qv, n)
-               * qpochhammer(p.b * p.alpha, qv, n)
-               * qpochhammer(p.a * p.beta, qv, n)
-               * qpochhammer(p.b * p.beta, qv, n))
-        den = (qpochhammer(rq * p.alpha, qv, n)
-               * qpochhammer(rq * p.beta, qv, n)
+        num = qmultipochhammer((p.a * p.alpha, p.b * p.alpha, p.a * p.beta,
+                                p.b * p.beta), qv, n)
+        den = (qmultipochhammer((rq * p.alpha, rq * p.beta), qv, n)
                * qpochhammer(p.a * p.b * p.alpha * p.beta, qv, 2 * n))
         closed = kappa * num / den
+        shifted_kappa = kappa_closed(shift) if n else kappa  # shift_0 is p
         reports.append(IdentityReport(
             "i00_shifted_closed_form", abs(mass - closed) / abs(closed), tol,
             grid.n_nodes, {**params, "n": n}, notes={
                 "closed_vs_shifted_kappa":
-                abs(kappa_closed(shift) - closed) / abs(closed)}))
+                abs(shifted_kappa - closed) / abs(closed)}))
     if upper >= 2:  # mass is I_{0,0}(shift_upper)
         chained = imn_iterated_coefficient(upper, p) * mass
         reports.append(IdentityReport(

@@ -131,18 +131,22 @@ def inner_product_c(f, g, grid: CircleGrid) -> complex:
     return complex(np.mean(fv * np.conj(gv)))
 
 
-def gram_check(name, left, right, w, norms, tol, params, **notes):
-    """(G, norms, report): G[m, n] = (1/N) sum_j conj(L_m) R_n w against the
-    diagonal `norms`, the worse of the largest |off-diagonal| and relative
-    diagonal error, NaN if any is.  One pairwise 1-D mean per entry."""
-    G = np.array([[np.mean(np.conj(lm) * rn * w) for rn in right]
-                  for lm in left])
+def gram_matrix(left, right, w) -> np.ndarray:
+    """G[m, n] = (1/N) sum_j conj(L_m) R_n w: the one Gram assembly, one
+    pairwise 1-D mean per entry."""
+    return np.array([[np.mean(np.conj(lm) * rn * w) for rn in right]
+                     for lm in left])
+
+
+def gram_check(name, G, norms, tol, grid_size, params, **notes):
+    """(G, norms, report): the worse of a gram_matrix G's largest
+    |off-diagonal| and relative error against `norms`, NaN if any is."""
     size = range(len(norms))
     off = nan_max(0.0, *(abs(G[m, n]) for m in size for n in size if m != n))
     diag = nan_max(0.0, *(abs(G[n, n] - norms[n]) / abs(norms[n])
                           for n in size))
     report = IdentityReport(
-        name, nan_max(off, diag), tol, len(w), params,
+        name, nan_max(off, diag), tol, grid_size, params,
         notes={"max_offdiag": off, "max_diag_rel_err": diag, **notes})
     return G, norms, report
 

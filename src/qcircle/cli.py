@@ -18,6 +18,7 @@ import math
 import sys
 
 from . import biortho, suites, szego
+from .circle import CircleGrid
 from .errors import QCircleError
 from .qcore import QUADRATURE_TOL, theta_sum
 from .report import to_csv, to_json
@@ -110,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run an identity suite")
     pv.add_argument("suite", choices=("szego", "biortho", "sears", "qsl", "all"))
     pv.add_argument("--max-n", type=max_degree, default=5, dest="max_n")
-    pv.add_argument("--n", type=max_degree, default=None,
-                    help="alias for --max-n")
     pv.add_argument("--seed", type=int, default=0)
     _add_biortho_flags(pv)
     _add_common(pv)
@@ -172,10 +171,9 @@ def cmd_eval(args) -> int:
             value = biortho.biortho_weight(z, p)
             label = f"w({_fmt_complex(z)})"
         else:  # kappa: closed form and quadrature side by side
-            closed = biortho.kappa_closed(p)
-            from .circle import CircleGrid, contour_mean
-            quad = contour_mean(lambda t: biortho.biortho_weight(t, p),
-                                CircleGrid(args.grid_size))
+            G, norms, _ = biortho.biortho_gram(0, p,
+                                               CircleGrid(args.grid_size))
+            closed, quad = norms[0], complex(G[0, 0])
             doc = {"kappa_closed": closed, "kappa_quadrature": quad,
                    "abs_difference": abs(closed - quad)}
             if args.output_format == "json":
@@ -194,9 +192,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    max_n = args.max_n if args.n is None else args.n
     cfg = SuiteConfig(
-        q=args.q, max_n=max_n, grid_size=args.grid_size,
+        q=args.q, max_n=args.max_n, grid_size=args.grid_size,
         tolerance=QUADRATURE_TOL if args.tol is None else args.tol,
         params=(biortho_params_from_args(args)
                 if args.suite in ("biortho", "all") else None),
@@ -221,7 +218,6 @@ def _gram_rows(G, expected):
 
 
 def cmd_gram(args) -> int:
-    from .circle import CircleGrid
     grid = CircleGrid(args.grid_size)
     tol = 1e-9 if args.tol is None else args.tol
     if args.subject == "szego":
@@ -258,6 +254,10 @@ def cmd_gram(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    given = [f"--{k}" for k in ("a", "alpha", "b", "beta")
+             if getattr(args, k) is not None]
+    if args.params is not None and given:
+        parser.error(f"argument --params: not allowed with {', '.join(given)}")
     try:
         if args.command == "eval":
             return cmd_eval(args)

@@ -129,14 +129,15 @@ def pastro_degeneration_report(p: biortho.BiorthoParams, grid: CircleGrid,
 
 def kappa_random_report(q, grid: CircleGrid, seed: int,
                         tol: float = QUADRATURE_TOL) -> IdentityReport:
-    """biortho.kappa_check's worst residual over 10 seeded random
-    parameter sets."""
+    """The total mass's worst residual, biortho_gram(0, ...), over 10
+    seeded random parameter sets."""
     n_sets = 10
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_sets):
         p = biortho.random_params(rng, q)
-        worst = nan_max(worst, biortho.kappa_check(p, grid, tol).residual)
+        *_, mass = biortho.biortho_gram(0, p, grid, tol)
+        worst = nan_max(worst, mass.residual)
     return IdentityReport("biortho_total_mass_random", worst, tol,
                           grid.n_nodes, {"q": qval(q), "sets": n_sets,
                                          "seed": seed})
@@ -146,18 +147,20 @@ def biortho_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     grid = cfg.grid()
     p = cfg.biortho_params()
     tol = cfg.tolerance
+    # One I[m, n] at p: the total mass, the Gram and the chain's block.
+    G, norms, gram_rep = biortho.biortho_gram(cfg.max_n, p, grid, tol)
     reports = [
-        biortho.kappa_check(p, grid, tol),
+        IdentityReport("biortho_total_mass",
+                       abs(complex(G[0, 0]) - norms[0]) / abs(norms[0]), tol,
+                       grid.n_nodes, p.as_dict()),
         kappa_random_report(cfg.q, grid, cfg.seed, tol=tol),
         biortho.weight_symmetry_check(p, grid, cfg.algebraic_tolerance),
         # The raising checks use weight rows 0 and 1.
         szego.weight_pearson_check(cfg.q, grid, 1, cfg.algebraic_tolerance),
+        gram_rep,
     ]
-    *_, gram_rep = biortho.biortho_gram(cfg.max_n, p, grid, tol)
-    reports.append(gram_rep)
     reports += biortho.ladder_reports(cfg.max_n, p, grid, tol)
-    reports += biortho.recursion_chain_reports(p, grid, min(cfg.max_n, 3),
-                                               tol)
+    reports += biortho.recursion_chain_reports(G[:4, :4], p, grid, tol)
     reports.append(pastro_degeneration_report(p, grid, min(cfg.max_n, 4), tol))
     return reports
 

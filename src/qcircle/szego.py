@@ -12,8 +12,8 @@ import numpy as np
 # tq_apply stays bound here for benchmarks/tests/test_bench_tracer.py::
 # test_uninstall_restores_every_original_binding, which checks its rebinding.
 from .circle import (CircleGrid, LaurentPoly, _shifted_points, dq_rows,
-                     gram_check, over_weight, shifted, tq_apply, tq_power,
-                     tq_rows)
+                     gram_check, gram_matrix, over_weight, shifted, tq_apply,
+                     tq_power, tq_rows)
 from .errors import WeightUnderflow
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, _maybe_scalar,
                     jacobi_triple_product, qpochhammer, qpochhammer_inf, qval,
@@ -186,8 +186,8 @@ def szego_gram(max_n: int, q, grid: CircleGrid, tol: float = QUADRATURE_TOL):
     qv = qval(q)
     w = grid.rows(szego_weight, qv, 0, qv)[0]
     vals = [szego_poly(n, qv)(grid.nodes) for n in range(max_n + 1)]
-    return gram_check("szego_orthogonality", vals, vals, w,
-                      szego_norms(max_n, qv), tol,
+    return gram_check("szego_orthogonality", gram_matrix(vals, vals, w),
+                      szego_norms(max_n, qv), tol, grid.n_nodes,
                       {"max_n": max_n, "q": qv})
 
 

@@ -130,13 +130,13 @@ def test_criterion_08_sears():
 
 def test_criterion_09_recursion_chain():
     grid = CircleGrid(256)
-    chain = recursion_chain_reports(BASE_PARAMS, grid, 4)
+    table = imn_table(5, BASE_PARAMS, grid)
+    chain = recursion_chain_reports(table, BASE_PARAMS, grid)
     worst_step = max(r.residual for r in chain
                      if r.name == "imn_recursion_step")
     worst_closed = max(r.residual for r in chain
                        if r.name == "i00_shifted_closed_form"
                        and r.params["n"] <= 3)
-    table = imn_table(5, BASE_PARAMS, grid)
     q = BASE_PARAMS.q
     worst_iter = max(
         abs(table[n, n] - imn_iterated_coefficient(n, BASE_PARAMS)

@@ -7,7 +7,7 @@ import pytest
 from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norm,
                              biortho_norms, biortho_weight,
                              imn_iterated_coefficient, imn_step_coefficient,
-                             imn_table, kappa_check, kappa_closed,
+                             imn_table, kappa_closed,
                              ladder_reports, lowering_coefficient, r_fn,
                              r_rows, raising_coefficient, random_params,
                              recursion_chain_reports, s_fn, sears_check,
@@ -207,7 +207,7 @@ class TestKappa:
         assert kappa_closed(pz) == pytest.approx(1 / qpochhammer_inf(Q, Q))
 
     def test_against_quadrature(self):
-        assert kappa_check(P, GRID, tol=1e-10).passed
+        assert biortho_gram(0, P, GRID, tol=1e-10)[2].passed
 
     def test_conjugate_pair_real(self):
         p = BiorthoParams(0.3 + 0.2j, 0.3 - 0.2j, 0.25 - 0.35j,
@@ -219,7 +219,19 @@ class TestKappa:
         rng = np.random.default_rng(21)
         for _ in range(10):
             p = random_params(rng, Q)
-            assert kappa_check(p, GRID, tol=1e-10).passed
+            assert biortho_gram(0, p, GRID, tol=1e-10)[2].passed
+
+    def test_total_mass_residual_bit_for_bit(self):
+        # The ten sets of suites.kappa_random_report: r_0 = s_0 = 1 leave the
+        # weight's samples as they are, so the 1x1 Gram's residual is
+        # |mean(w) - kappa| / |kappa| to the last bit.
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            p = random_params(rng, Q)
+            closed = kappa_closed(p)
+            quad = complex(np.mean(weight_rows(GRID, p, 0)[0]))
+            *_, rep = biortho_gram(0, p, GRID)
+            assert rep.residual == abs(quad - closed) / abs(closed)
 
 
 class TestGram:
@@ -454,9 +466,10 @@ class TestSears:
 
 @functools.lru_cache(maxsize=None)
 def chain_reports(upper=3):
-    """{(name, m, n): report} of recursion_chain_reports(P, GRID, upper)."""
+    """{(name, m, n): report} of the chain up to degree upper at P."""
     return {(r.name, r.params.get("m"), r.params["n"]): r
-            for r in recursion_chain_reports(P, GRID, upper)}
+            for r in recursion_chain_reports(imn_table(upper + 1, P, GRID),
+                                             P, GRID)}
 
 
 class TestRecursionChain:
@@ -500,8 +513,14 @@ class TestRecursionChainTable:
         table = imn_table(3, P, GRID)
         for m in range(3):
             for n in range(3):
-                assert table[m, n] == np.mean(w * r_fn(n, z, P)
-                                              * np.conj(s_fn(m, z, P)))
+                assert table[m, n] == np.mean(np.conj(s_fn(m, z, P))
+                                              * r_fn(n, z, P) * w)
+
+    @pytest.mark.parametrize("p", [P, GENERIC, PASTRO])
+    def test_table_is_the_gram_matrix(self, p):
+        for size in (1, 3, 5):
+            G, _, _ = biortho_gram(size - 1, p, GRID)
+            assert imn_table(size, p, GRID).tobytes() == G.tobytes()
 
     def test_iterated_coefficient_at_one_is_the_step(self):
         assert imn_iterated_coefficient(1, P) == \
@@ -514,7 +533,9 @@ class TestRecursionChainTable:
          + ["imn_recursion_iterated"]),
     ])
     def test_reports_at_small_upper(self, upper, want):
-        reports = recursion_chain_reports(P, CircleGrid(64), upper)
+        grid = CircleGrid(64)
+        reports = recursion_chain_reports(imn_table(upper + 1, P, grid), P,
+                                          grid)
         assert [r.name for r in reports] == want
 
     def test_each_function_evaluated_once_per_table(self, monkeypatch):
@@ -528,10 +549,46 @@ class TestRecursionChainTable:
             calls.append(n)
             return evaluate(n, z, p)
 
+        table = imn_table(4, P, GRID)
         monkeypatch.setattr(qcircle.biortho, "r_fn", counted)
-        reports = recursion_chain_reports(P, GRID, 3)
+        reports = recursion_chain_reports(table, P, GRID)
         assert len(reports) == 14
         assert len(calls) <= 14
+
+    def test_r_fn_only_at_the_shifted_parameters(self, monkeypatch):
+        # The table at P comes in; the chain evaluated r_n and s_n at P too.
+        import qcircle.biortho
+        seen = []
+        evaluate = qcircle.biortho.r_fn
+
+        def counted(n, z, p):
+            seen.append(p)
+            return evaluate(n, z, p)
+
+        table = imn_table(4, P, GRID)
+        monkeypatch.setattr(qcircle.biortho, "r_fn", counted)
+        recursion_chain_reports(table, P, GRID)
+        shift = P.with_params(alpha=Q * P.alpha, beta=Q * P.beta)
+        assert seen and set(seen) <= {shift, shift.swapped()}
+
+    def test_verdict_evaluates_kappa_at_p_at_most_twice(self, monkeypatch,
+                                                        capsys):
+        # kappa_check, biortho_gram and the chain at p and at shift_0 = p
+        # made four.
+        import qcircle.biortho
+        calls = []
+        kappa = qcircle.biortho.kappa_closed
+
+        def counted(p):
+            calls.append(p)
+            return kappa(p)
+
+        monkeypatch.setattr(qcircle.biortho, "kappa_closed", counted)
+        main(["verify", "biortho", "--max-n", "5", "--grid", "256",
+              "--q", "0.5", "--format", "json"])
+        capsys.readouterr()
+        assert calls.count(P) <= 2  # P is the default set
+        assert len(calls) <= 16
 
 
 class TestDegenerations:

@@ -162,7 +162,7 @@ class TestNoFalsePass:
         (["eval", "szego", "--tol", "0"], "unrecognized arguments: --tol"),
         (["gram", "szego", "--max-n", "-1"], "max-n must be >= 0"),
         (["verify", "sears", "--max-n", "-1"], "max-n must be >= 0"),
-        (["verify", "sears", "--n", "-2"], "max-n must be >= 0"),
+        (["verify", "sears", "--n", "-2"], "unrecognized arguments: --n"),
         (["eval", "szego", "--format", "csv"], "invalid choice: 'csv'"),
         (["eval", "rn", "--params", "0.3,abc,0.4,0.1"],
          "argument --params: cannot parse complex number 'abc'"),
@@ -181,12 +181,22 @@ class TestNoFalsePass:
          "argument --z: complex number must be finite, got 'nan'"),
         (["eval", "szego", "--z", "1e400"],
          "argument --z: complex number must be finite, got '1e400'"),
+        (["eval", "rn", "--n", "2", "--z", "0.5", "--params",
+          "0.3,0.2,0.4,0.1", "--a", "0.9"],
+         "argument --params: not allowed with --a"),
+        (["verify", "biortho", "--params", "0.3,0.2,0.4,0.1", "--beta", "0.2",
+          "--alpha", "0.1"],
+         "argument --params: not allowed with --alpha, --beta"),
+        (["gram", "biortho", "--b", "0.5", "--params", "0.3,0.2,0.4,0.1"],
+         "argument --params: not allowed with --b"),
     ])
     def test_invalid_tolerance_or_degree_exits_2(self, argv, invariant, capsys):
         # Each of these used to run: --tol 0 silently at the default, NaN or
         # a negative tolerance failing every check, --max-n -1 printing PASS
         # on an empty Gram matrix, a NaN parameter or point printing nan.  A
-        # malformed --params entry ended in a traceback and exit 1.
+        # malformed --params entry ended in a traceback and exit 1.  --params
+        # beside --a/--alpha/--b/--beta won silently, and so did verify's
+        # former --n alias over --max-n.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

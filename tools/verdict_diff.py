@@ -4,7 +4,8 @@ Usage: python tools/verdict_diff.py PARENT_SRC CHANGE_SRC
 
 Each argument is a checkout of the repository (or its `src` directory).
 Every command of SWEEP runs once per tree, as `qcircle ... --format json`
-in a fresh interpreter that imports qcircle from that tree, with `--seed 0`
+(`verify` prints a list of reports, `gram` a single one) in a fresh
+interpreter that imports qcircle from that tree, with `--seed 0`
 appended unless the command sets its own seed.  The tool prints one
 Markdown table row for every report whose residual moved (name, n, parent
 and change residual, |change - parent| / tolerance, and both verdicts), a
@@ -48,6 +49,11 @@ SWEEP = (
        for q in ("0.5", "0.89")]
     + [["verify", "biortho", "--max-n", "5", "--grid", "256", "--q", "0.5",
         "--params", "0,0,0.4,0.1"]]
+    # The Gram matrices of the gram_json benchmark workload, one report each.
+    + [["gram", "szego", "--max-n", "16", "--grid", "2048", "--q", "0.5"]]
+    + [["gram", "biortho", "--max-n", "8", "--grid", "2048", "--q", "0.5",
+        *params] for params in
+       ([], ["--params", "0.3+0.1i,0.2-0.15i,0.4+0.05i,0.1+0.2i"])]
 )
 
 # Above qcircle's own exit codes (0 pass, 1 fail, 2 bad configuration).
@@ -85,10 +91,11 @@ def run(src: str, argv: list) -> tuple:
     if done.returncode in (0, 1):
         try:
             doc = json.loads(done.stdout)
-        except ValueError:
+            found = doc["reports"] if "reports" in doc else [doc["report"]]
+        except (ValueError, KeyError):
             return CRASHED, reports
         seen = {}
-        for report in doc["reports"]:
+        for report in found:
             label = index_label(report["params"])
             occurrence = seen.get((report["name"], label), 0)
             seen[(report["name"], label)] = occurrence + 1
