@@ -18,7 +18,7 @@ from .errors import DegenerateParameters, UnbalancedParameters, WeightUnderflow
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, PhiSpec, _maybe_scalar, phi,
                     qmultipochhammer, qpochhammer, qpochhammer_inf, qval)
 from .report import IdentityReport
-from .szego import szego_weight, weight_rows as szego_weight_rows
+from .szego import szego_weight
 
 
 # (a, alpha, b, beta) of verify, gram and eval when none are given.
@@ -123,33 +123,21 @@ def _parameter_factors(z, p: BiorthoParams):
             den)
 
 
-def _times_factors(szego, factors):
-    """Szego pair times the parameter factors, in the order of the product
-    over eight q-shifted factorials: ((S C) D) / den."""
-    C, D, den = factors
-    return szego * C * D / den
-
-
 def biortho_weight(z, p: BiorthoParams):
     """Weight: (q^{1/2}z, q^{1/2}/z, ab q^{1/2}z, alpha beta q^{1/2}/z; q)_inf
     over (az, alpha/z, bz, beta/z; q)_inf, i.e. the Szego weight times the
-    parameter factors.
+    parameter factors, multiplied as ((S C) D) / den.
     """
     szego = szego_weight(z, p.q)
-    return _maybe_scalar(_times_factors(szego, _parameter_factors(z, p)))
+    C, D, den = _parameter_factors(z, p)
+    return _maybe_scalar(szego * C * D / den)
 
 
-def weight_rows(grid: CircleGrid, p: BiorthoParams, depth: int) -> np.ndarray:
-    """Rows biortho_weight(q^k z_j, p), k = 0..depth, on the grid.
-
-    The Szego pair comes from szego.weight_rows, which every parameter set
-    at the same q shares.  The parameter factors are sampled per parameter
-    set, every row a direct product: their own Pearson step
-    1 - beta/(qz) is 0 at z = 1 when beta = q, where row 1 has a pole.
-    """
-    factors = grid.rows(_parameter_factors, p.q, depth, p)
-    return _times_factors(szego_weight_rows(grid, p.q, depth),
-                          factors.swapaxes(0, 1))
+def weight_row(grid: CircleGrid, p: BiorthoParams) -> np.ndarray:
+    """biortho_weight(z_j, p) to the last bit, from the Szego pair row that
+    all parameter sets share and the parameter factors sampled once."""
+    C, D, den = grid.rows(_parameter_factors, p.q, 0, p)[0]
+    return grid.rows(szego_weight, p.q, 0, p.q)[0] * C * D / den
 
 
 def kappa_closed(p: BiorthoParams) -> complex:
@@ -203,10 +191,9 @@ def weight_symmetry_check(p: BiorthoParams, grid: CircleGrid,
     beta = b; its residual is reported in the notes for reference.
     """
     lhs = np.asarray(biortho_weight(1.0 / grid.nodes, p))
-    swapped = BiorthoParams(p.alpha, p.a, p.beta, p.b, p.q)
-    rhs = weight_rows(grid, swapped, 0)[0]
+    rhs = weight_row(grid, BiorthoParams(p.alpha, p.a, p.beta, p.b, p.q))
     residual = float(np.max(np.abs(lhs - rhs)))
-    literal = float(np.max(np.abs(lhs - weight_rows(grid, p, 0)[0])))
+    literal = float(np.max(np.abs(lhs - weight_row(grid, p))))
     return IdentityReport("biortho_weight_symmetry", residual, tol,
                           grid.n_nodes, p.as_dict(),
                           notes={"literal_unswapped_residual": literal})
@@ -219,7 +206,7 @@ def imn_table(size: int, p: BiorthoParams, grid: CircleGrid) -> np.ndarray:
     z, degrees = grid.nodes, range(size)
     return gram_matrix([s_fn(m, z, p) for m in degrees],
                        [r_fn(n, z, p) for n in degrees],
-                       weight_rows(grid, p, 0)[0])
+                       weight_row(grid, p))
 
 
 def biortho_gram(max_n: int, p: BiorthoParams, grid: CircleGrid,
@@ -259,43 +246,54 @@ def r_rows(size: int, p: BiorthoParams, z, depth: int) -> np.ndarray:
                      for n in range(size)], axis=1)
 
 
+def raising_ratio_rows(z, p: BiorthoParams) -> np.ndarray:
+    """Rows k = 0, 1 of (alpha beta q^{1/2}/(q^k z); q)_2 w(q^k z; raised)
+    / w(z; p), raised = (a, q alpha, b, q beta): (1 - alpha/z)(1 - beta/z)
+    and -(1 - alpha beta q^{-1/2}/z)(1 - az)(1 - bz) / (q^{1/2} z
+    (1 - ab q^{1/2} z)), whose denominators do not vanish on |z| = 1."""
+    rq, z = math.sqrt(p.q), np.asarray(z, dtype=complex)
+    return np.stack([(1.0 - p.alpha / z) * (1.0 - p.beta / z),
+                     -(1.0 - p.alpha * p.beta / (rq * z)) * (1.0 - p.a * z)
+                     * (1.0 - p.b * z) / (rq * z * (1.0 - p.a * p.b * rq * z))])
+
+
+def pearson_ratio(z, p: BiorthoParams) -> np.ndarray:
+    """w(qz; p) / w(z; p), which has a pole at z = 1 if alpha or beta is q."""
+    return (raising_ratio_rows(z, p)[1]
+            / ((1.0 - p.alpha / (p.q * z)) * (1.0 - p.beta / (p.q * z))))
+
+
 def ladder_reports(max_n: int, p: BiorthoParams, grid: CircleGrid,
                    tol: float = QUADRATURE_TOL) -> list:
     """Max residuals over the grid, from one table of r_n rows at p, one
     at lowered = (qa, alpha, qb, beta) and one at raised = (a, q alpha, b,
-    q beta):
+    q beta), for each n = 1..max_n:
 
       lowering  (ab q^{1/2} z; q)_2 D_q r_n
                   = lowering_coefficient(n) r_{n-1}(z; lowered);
       raising   T_q[(alpha beta q^{1/2}/z; q)_2 w(.; raised)
-                    r_{n-1}(.; raised)]
-                  = raising_coefficient w r_n, relative to max(1, |rhs|);
+                    r_{n-1}(.; raised)] = raising_coefficient w r_n,
+                divided by w = w(z; p): T_q of raising_ratio_rows times
+                r_{n-1}(.; raised), relative to max(1, |rhs|);
 
-    both for each n = 1..max_n, then the informational
-    ladder_variant_reconciliation at n = max(1, min(2, max_n)), which
-    tabulates the residual of each differently printed reading:
+    then the informational ladder_variant_reconciliation at n = max(1,
+    min(2, max_n)), the residual of each differently printed reading, the
+    raising ones relative to max(1, |r_n|):
       * raising coefficient (1-b alpha)(1-b beta) vs the (1-b beta/q) and
         (1-b alpha/q)(1-b beta/q) readings;
       * lowering prefactor (ab q^{1/2} z; q)_2 vs (alpha beta q^{1/2} z; q)_2;
-      * raising prefactor (alpha beta q^{-3/2}/z; q)_2 applied without the
-        parameter shift, target r_n at (a, alpha/q, b, beta/q); only
-        testable when those parameters stay inside the unit disk.
+      * raising prefactor (alpha beta q^{-3/2}/z; q)_2 without the parameter
+        shift, target r_n at (a, alpha/q, b, beta/q), through pearson_ratio,
+        while those parameters stay inside the unit disk.
     """
-    qv, z = p.q, grid.nodes
-    rq = math.sqrt(qv)
+    qv, z, rq = p.q, grid.nodes, math.sqrt(p.q)
     top, params = max(1, max_n), p.as_dict()
     lowered = p.with_params(a=qv * p.a, b=qv * p.b)
     raised = p.with_params(alpha=qv * p.alpha, beta=qv * p.beta)
     R = r_rows(top + 1, p, z, 1)
-    W = weight_rows(grid, p, 1)
 
     def lowering_prefactor(u):  # (u q^{1/2} z; q)_2
         return (1.0 - u * rq * z) * (1.0 - u * rq * qv * z)
-
-    def raised_rows(c, W, R):  # T_q[(c/z; q)_2 w r] for each r of R
-        pref = np.stack([(1.0 - c / t) * (1.0 - c * qv / t)
-                         for t in (z, qv * z)])
-        return tq_rows((pref * W)[:, None] * R, z[None], qv)[0]
 
     def largest(x):
         return float(np.max(np.abs(x)))
@@ -312,9 +310,9 @@ def ladder_reports(max_n: int, p: BiorthoParams, grid: CircleGrid,
               [:, None] * r_rows(top, lowered, z, 0)[0])
     lowering = [largest(row)
                 for row in lowering_prefactor(p.a * p.b) * dq - target]
-    lhs = raised_rows(p.alpha * p.beta * rq, weight_rows(grid, raised, 1),
-                      r_rows(top, raised, z, 1))
-    core = W[0] * R[0, 1:]  # w r_n, n = 1..top
+    lhs = tq_rows(raising_ratio_rows(z, p)[:, None]
+                  * r_rows(top, raised, z, 1), z[None], qv)[0]
+    core = R[0, 1:]  # r_n, n = 1..top
     raising = [relative(left, right) for left, right
                in zip(lhs, raising_coefficient(p) * core)]
 
@@ -333,9 +331,12 @@ def ladder_reports(max_n: int, p: BiorthoParams, grid: CircleGrid,
         lowering_prefactor(p.alpha * p.beta) * dq[i] - target[i])
     if abs(p.alpha / qv) < 1.0 and abs(p.beta / qv) < 1.0:
         divided = p.with_params(alpha=p.alpha / qv, beta=p.beta / qv)
+        c = p.alpha * p.beta * qv**-1.5
+        pref = [(1.0 - c / t) * (1.0 - c * qv / t) for t in (z, qv * z)]
         table["raising_unshifted_prefactor"] = relative(
-            raised_rows(p.alpha * p.beta * qv**-1.5, W, R[:, i:i + 1])[0],
-            raising_coefficient(divided) * W[0] * r_fn(i + 1, z, divided))
+            tq_rows(np.stack([pref[0], pref[1] * pearson_ratio(z, p)])
+                    * R[:, i], z, qv)[0],
+            raising_coefficient(divided) * r_fn(i + 1, z, divided))
 
     reports = [report(f"biortho_{name}", n, residuals[n - 1])
                for n in range(1, max_n + 1)
@@ -440,7 +441,7 @@ def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
     kappa = kappa_closed(p)
     for n in range(upper + 1):
         shift = p.with_params(alpha=qv**n * p.alpha, beta=qv**n * p.beta)
-        mass = complex(np.mean(weight_rows(grid, shift, 0)[0]))
+        mass = complex(np.mean(weight_row(grid, shift)))
         num = qmultipochhammer((p.a * p.alpha, p.b * p.alpha, p.a * p.beta,
                                 p.b * p.beta), qv, n)
         den = (qmultipochhammer((rq * p.alpha, rq * p.beta), qv, n)

@@ -4,7 +4,9 @@ operator D_q with its adjoint T_q.
 A function f on the circle is an array of rows F[k] = f(q^k z): D_q f and
 T_q f at q^k z need rows k and k+1, T_q^n f at z rows 0..n.  Verdicts use
 rows only: `shifted` and `CircleGrid.rows` (once per grid) sample a callable,
-a batch of Laurent polynomials from `laurent_values` included.  The adapters
+a batch of Laurent polynomials from `laurent_values` included.  Ladder
+verdicts take (1/w) T_q(w f) as T_q of the rows w(q^k z)/w(z) f(q^k z), so
+only the q-Sturm-Liouville omega goes through `over_weight`.  The adapters
 `dq_apply`/`tq_apply`/`tq_iterate`, `contour_mean` and `inner_product_c` are
 the callable API and the tests' oracle.
 Trapezoid quadrature on equispaced nodes is exact for Laurent polynomials

@@ -89,8 +89,8 @@ def szego_suite(cfg: SuiteConfig) -> list[IdentityReport]:
         szego.jacobi_triple_check(q, grid, tol),
     ]
     reports += szego.ladder_reports(cfg.max_n, q, grid, tol)
-    # The deepest weight row the checks above use: Rodrigues' at n = max_n,
-    # raising and Sturm-Liouville's at 1.
+    # The deepest Pearson ratio row the ladder above uses, times row 0:
+    # Rodrigues' at n = max_n, raising and Sturm-Liouville's at 1.
     reports.append(szego.weight_pearson_check(
         q, grid, max(1, cfg.max_n), cfg.algebraic_tolerance))
     *_, gram_rep = szego.szego_gram(cfg.max_n, q, grid, tol)
@@ -155,7 +155,7 @@ def biortho_suite(cfg: SuiteConfig) -> list[IdentityReport]:
                        grid.n_nodes, p.as_dict()),
         kappa_random_report(cfg.q, grid, cfg.seed, tol=tol),
         biortho.weight_symmetry_check(p, grid, cfg.algebraic_tolerance),
-        # The raising checks use weight rows 0 and 1.
+        # The Szego Pearson step -1/(q^{1/2} z) of the raising ratio rows.
         szego.weight_pearson_check(cfg.q, grid, 1, cfg.algebraic_tolerance),
         gram_rep,
     ]

@@ -12,8 +12,8 @@ import numpy as np
 # tq_apply stays bound here for benchmarks/tests/test_bench_tracer.py::
 # test_uninstall_restores_every_original_binding, which checks its rebinding.
 from .circle import (CircleGrid, LaurentPoly, _shifted_points, dq_rows,
-                     gram_check, gram_matrix, over_weight, shifted, tq_apply,
-                     tq_power, tq_rows)
+                     gram_check, gram_matrix, shifted, tq_apply, tq_power,
+                     tq_rows)
 from .errors import WeightUnderflow
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, _maybe_scalar,
                     jacobi_triple_product, qpochhammer, qpochhammer_inf, qval,
@@ -53,29 +53,26 @@ def szego_weight(z, q):
                          * np.asarray(qpochhammer_inf(rq / z, qv)))
 
 
-def weight_rows(grid: CircleGrid, q, depth: int) -> np.ndarray:
-    """Rows szego_weight(q^k z_j, q), k = 0..depth, on the grid.
-
-    Row 0 is the grid's one sampled szego_weight row.  Each further row
-    follows from the Pearson relation
-    w(qt) = w(t) (1 - q^{-1/2}/t) / (1 - q^{1/2} t) = -w(t) / (q^{1/2} t)
-    at the grid's iterated points t = q^k z, so no row beyond 0 costs a
-    q-product.  weight_pearson_check holds the deepest row to a direct one.
-    """
+def weight_ratio_rows(z, q, depth: int) -> np.ndarray:
+    """Rows szego_weight(q^k z, q) / szego_weight(z, q), k = 0..depth, from
+    ones by the Pearson step w(qt)/w(t) = (1 - q^{-1/2}/t) / (1 - q^{1/2} t)
+    = -1/(q^{1/2} t) at t = q^k z, without a q-product; weight_pearson_check
+    holds the deepest row, times the weight, to a direct weight."""
     qv = qval(q)
-    rq = math.sqrt(qv)
-    W = [grid.rows(szego_weight, qv, 0, qv)[0]]
-    for t in _shifted_points(grid.nodes, qv, depth)[:-1]:
-        W.append(W[-1] / (-rq * t))
-    return np.stack(W)
+    R = [np.ones(np.shape(z), dtype=complex)]
+    for t in _shifted_points(z, qv, depth)[:-1]:
+        R.append(R[-1] / (-math.sqrt(qv) * t))
+    return np.stack(R)
 
 
 def weight_pearson_check(q, grid: CircleGrid, depth: int,
                          tol: float = ALGEBRAIC_TOL) -> IdentityReport:
-    """weight_rows' row `depth` against a direct szego_weight at q^depth z:
-    the largest relative difference over the grid, NaN if any is."""
+    """The grid's szego_weight row times weight_ratio_rows' row `depth`
+    against a direct szego_weight at q^depth z: the largest relative
+    difference over the grid, NaN if any is."""
     qv = qval(q)
-    row = weight_rows(grid, qv, depth)[depth]
+    row = (grid.rows(szego_weight, qv, 0, qv)[0]
+           * weight_ratio_rows(grid.nodes, qv, depth)[depth])
     direct = np.asarray(szego_weight(
         _shifted_points(grid.nodes, qv, depth)[depth], qv))
     relative = np.abs(row - direct) / np.abs(direct)
@@ -117,6 +114,14 @@ def sturm_liouville_eigenvalue(n: int, q) -> float:
     return (1.0 - qv**n) / (1.0 - qv)**2
 
 
+def ladder_constants(n: int, q) -> tuple:
+    """ladder_reports' degree-n constants: q^{-1/2} (1 - q^n)/(1 - q),
+    sqrt(q)/(1 - q), (q^{-1/2} - q^{1/2})^n and lambda_n."""
+    qv = qval(q)
+    return (qv**-0.5 * (1.0 - qv**n) / (1.0 - qv), math.sqrt(qv) / (1.0 - qv),
+            (qv**-0.5 - qv**0.5)**n, sturm_liouville_eigenvalue(n, qv))
+
+
 def poly_rows(max_n: int, q, z, depth: int) -> np.ndarray:
     """Rows H_n(q^k z), shape (depth+1, max_n+1, N): each H_n built once and
     evaluated by its own Horner loop."""
@@ -135,15 +140,16 @@ def ladder_reports(max_n: int, q, grid: CircleGrid,
       Sturm-Liouville  (1/w) T_q(w D_q H_n) = lambda_n H_n;
 
     the lowering reports for n = 1..max_n, then raising, Rodrigues and
-    Sturm-Liouville for each n = 0..max_n.
+    Sturm-Liouville for each n = 0..max_n.  Both sides are divided by w(z):
+    T_q acts on weight_ratio_rows times f's rows, so no weight is sampled,
+    and each residual is max |lhs - rhs| on the scale of H_n.
     """
     qv = qval(q)
     z, degrees = grid.nodes[None], range(max_n + 1)
     H = poly_rows(max_n + 1, qv, grid.nodes, 2)
-    W = weight_rows(grid, qv, max(1, max_n))
-
-    def column(scalars):
-        return np.array(scalars, dtype=float)[:, None]
+    ratio = weight_ratio_rows(grid.nodes, qv, max(1, max_n))
+    low, up, rod, sl = np.array([ladder_constants(n, qv)
+                                 for n in degrees]).T[..., None]
 
     def residuals(lhs, rhs):
         return np.max(np.abs(lhs - rhs), axis=-1).tolist()
@@ -152,31 +158,19 @@ def ladder_reports(max_n: int, q, grid: CircleGrid,
         return IdentityReport(name, residual, tol, grid.n_nodes,
                               {"n": n, "q": qv})
 
-    lowering = residuals(
-        dq_rows(H[:2, 1:-1], z, qv)[0],
-        column([qv**-0.5 * (1.0 - qv**n) / (1.0 - qv) for n in degrees[1:]])
-        * H[0, :-2])
-    raising = residuals(
-        over_weight(tq_rows(W[:2, None] * H[:2, :-1], z, qv)[0], W[0],
-                    "Szego weight"),
-        math.sqrt(qv) / (1.0 - qv) * H[0, 1:])
-    rodrigues = residuals(
-        over_weight(np.stack([(qv**-0.5 - qv**0.5)**n
-                              * tq_power(W, grid.nodes, qv, n)
-                              for n in degrees]), W[0], "Szego weight"),
-        H[0, :-1])
+    lowering = residuals(dq_rows(H[:2, 1:-1], z, qv)[0], low[1:] * H[0, :-2])
+    raising = residuals(tq_rows(ratio[:2, None] * H[:2, :-1], z, qv)[0],
+                        up * H[0, 1:])
+    rodrigues = residuals(np.stack([rod[n] * tq_power(ratio, grid.nodes, qv, n)
+                                    for n in degrees]), H[0, :-1])
     sturm = residuals(
-        over_weight(tq_rows(W[:2, None] * dq_rows(H[:, :-1], z, qv), z, qv)[0],
-                    W[0], "Szego weight"),
-        column([sturm_liouville_eigenvalue(n, qv) for n in degrees])
-        * H[0, :-1])
-    reports = [report("szego_lowering", n, r)
-               for n, r in zip(degrees[1:], lowering)]
-    for n in degrees:
-        reports += [report("szego_raising", n, raising[n]),
-                    report("szego_rodrigues", n, rodrigues[n]),
-                    report("szego_sturm_liouville", n, sturm[n])]
-    return reports
+        tq_rows(ratio[:2, None] * dq_rows(H[:, :-1], z, qv), z, qv)[0],
+        sl * H[0, :-1])
+    return [report("szego_lowering", n, lowering[n - 1])
+            for n in degrees[1:]] + [
+        report(f"szego_{name}", n, values[n]) for n in degrees
+        for name, values in (("raising", raising), ("rodrigues", rodrigues),
+                             ("sturm_liouville", sturm))]
 
 
 def szego_gram(max_n: int, q, grid: CircleGrid, tol: float = QUADRATURE_TOL):

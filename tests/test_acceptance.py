@@ -14,7 +14,7 @@ from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norm,
                              biortho_weight, imn_iterated_coefficient,
                              imn_table, kappa_closed, r_fn, random_params,
                              recursion_chain_reports, sears_check,
-                             weight_rows)
+                             weight_row)
 from qcircle.biortho import ladder_reports as biortho_ladder_reports
 from qcircle.circle import CircleGrid, contour_mean
 from qcircle.qsl import QSLProblem, m_apply, symmetry_residuals
@@ -140,9 +140,9 @@ def test_criterion_09_recursion_chain():
     q = BASE_PARAMS.q
     worst_iter = max(
         abs(table[n, n] - imn_iterated_coefficient(n, BASE_PARAMS)
-            * np.mean(weight_rows(grid, BASE_PARAMS.with_params(
-                alpha=q**n * BASE_PARAMS.alpha, beta=q**n * BASE_PARAMS.beta),
-                0)[0]))
+            * np.mean(weight_row(grid, BASE_PARAMS.with_params(
+                alpha=q**n * BASE_PARAMS.alpha,
+                beta=q**n * BASE_PARAMS.beta))))
         for n in range(1, 5))
     worst_off = max(abs(table[m, n])
                     for m in range(5) for n in range(5) if m != n)

@@ -15,7 +15,7 @@ from qcircle.szego import (gaussian_binomial, jacobi_triple_check,
                            ladder_reports, poly_rows,
                            sturm_liouville_eigenvalue, szego_gram, szego_norm,
                            szego_poly, szego_weight, total_mass_check,
-                           weight_pearson_check, weight_rows)
+                           weight_pearson_check, weight_ratio_rows)
 
 GRID = CircleGrid(256)
 
@@ -195,14 +195,14 @@ class TestLadderTable:
     @pytest.mark.parametrize("n", [1, 4, 8])
     def test_single_degree_reference(self, n):
         # The arithmetic of one degree alone, through the callable D_q and
-        # a weight table of depth n.
+        # a Pearson ratio table w(q^k z)/w(z) of depth n.
         q, z = 0.5, GRID.nodes
         lowering = np.max(np.abs(
             dq_apply(szego_poly(n, q), q)(z)
             - q**-0.5 * (1.0 - q**n) / (1.0 - q) * szego_poly(n - 1, q)(z)))
-        W = weight_rows(GRID, q, n)
+        ratio = weight_ratio_rows(z, q, n)
         rodrigues = np.max(np.abs(
-            (q**-0.5 - q**0.5)**n * tq_power(W, z, q, n) / W[0]
+            (q**-0.5 - q**0.5)**n * tq_power(ratio, z, q, n)
             - szego_poly(n, q)(z)))
         assert ladder("lowering", n) == lowering
         assert ladder("rodrigues", n) == rodrigues
@@ -321,23 +321,24 @@ def mp_szego_weight(t, q, mpmath):
 
 
 class TestPearsonRows:
-    """szego.weight_rows: row 0 sampled, rows k >= 1 from the Pearson step."""
+    """szego.weight_ratio_rows: ones, then one Pearson step per row."""
 
     @pytest.mark.parametrize("q,n_nodes", [(0.5, 16), (0.9, 16), (0.988, 8),
                                            (0.995, 8)])
     def test_mpmath_oracle(self, q, n_nodes):
         mpmath = pytest.importorskip("mpmath")
         grid = CircleGrid(n_nodes)
-        rows = weight_rows(grid, q, 8)
+        rows = weight_ratio_rows(grid.nodes, q, 8)
         points = _shifted_points(grid.nodes, q, 8)
-        assert rows[0].tobytes() == np.asarray(
-            szego_weight(grid.nodes, q)).tobytes()
+        assert np.all(rows[0] == 1)
+        w0 = np.asarray(szego_weight(grid.nodes, q))
         worst_rows = worst_direct = 0.0
         with mpmath.workdps(40):
+            base = np.array([mp_szego_weight(t, q, mpmath) for t in points[0]])
             for k in range(1, 9):
                 want = np.array([mp_szego_weight(t, q, mpmath)
-                                 for t in points[k]])
-                direct = np.asarray(szego_weight(points[k], q))
+                                 for t in points[k]]) / base
+                direct = np.asarray(szego_weight(points[k], q)) / w0
                 worst_rows = max(worst_rows, np.max(np.abs(rows[k] - want)
                                                     / np.abs(want)))
                 worst_direct = max(worst_direct, np.max(np.abs(direct - want)
@@ -359,6 +360,13 @@ class TestPearsonRows:
         (pearson,) = [r for r in reports if r["name"] == "szego_weight_pearson"]
         assert pearson["params"]["depth"] == 5
         assert pearson["passed"]
+
+    def test_ladder_near_one_samples_no_weight(self):
+        # Dividing by weight rows raised WeightUnderflow here.
+        reports = ladder_reports(5, 0.996, GRID)
+        assert len(reports) == 23
+        assert all(r.passed for r in reports
+                   if r.name in ("szego_raising", "szego_rodrigues"))
 
     @pytest.mark.parametrize("poisoned", ["row 0", "direct"])
     def test_nan_fails(self, poisoned, monkeypatch):

@@ -49,6 +49,10 @@ SWEEP = (
        for q in ("0.5", "0.89")]
     + [["verify", "biortho", "--max-n", "5", "--grid", "256", "--q", "0.5",
         "--params", "0,0,0.4,0.1"]]
+    # beta = q: the weight has a pole at z = 1 one q-step inside the circle.
+    + [["verify", "biortho", "--q", "0.5", "--params", "0.3,0.2,0.4,0.5"]]
+    # The Szego ladder where the weight underflows.
+    + [["verify", "szego", "--max-n", "5", "--grid", "256", "--q", "0.996"]]
     # The Gram matrices of the gram_json benchmark workload, one report each.
     + [["gram", "szego", "--max-n", "16", "--grid", "2048", "--q", "0.5"]]
     + [["gram", "biortho", "--max-n", "8", "--grid", "2048", "--q", "0.5",
