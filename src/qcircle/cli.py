@@ -7,7 +7,7 @@ Grammar: qcircle <eval|verify|gram> [subject] [flags]
   gram    emit a Gram matrix with closed-form columns and residuals
 
 Exit codes: 0 all checks passed, 1 a verified identity failed, 2 bad
-configuration (the violated invariant is named on stderr).
+configuration or an unrepresentable value (the invariant named on stderr).
 """
 
 from __future__ import annotations
@@ -184,6 +184,8 @@ def cmd_eval(args) -> int:
                     for k, v in doc.items()), args.out)
             return 0
     value = complex(value)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{label} is not finite: {_fmt_complex(value)}")
     if args.output_format == "json":
         _emit(to_json({"label": label, "value": value}), args.out)
     else:
@@ -266,7 +268,10 @@ def main(argv=None) -> int:
         return cmd_gram(args)
     except (ValueError, QCircleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ArithmeticError, MemoryError) as exc:
+        print(f"error: a value is not representable "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -81,30 +81,27 @@ def adjointness_report(q, grid: CircleGrid, seed: int, n_pairs: int = 100,
 
 
 def szego_suite(cfg: SuiteConfig) -> list[IdentityReport]:
-    grid = cfg.grid()
-    q = cfg.q
-    tol = cfg.tolerance
-    reports = [
-        szego.total_mass_check(q, grid, tol),
-        szego.jacobi_triple_check(q, grid, tol),
-    ]
-    reports += szego.ladder_reports(cfg.max_n, q, grid, tol)
-    # The deepest Pearson ratio row the ladder above uses, times row 0:
-    # Rodrigues' at n = max_n, raising and Sturm-Liouville's at 1.
-    reports.append(szego.weight_pearson_check(
-        q, grid, max(1, cfg.max_n), cfg.algebraic_tolerance))
-    *_, gram_rep = szego.szego_gram(cfg.max_n, q, grid, tol)
-    reports.append(gram_rep)
-    reports.append(adjointness_report(q, grid, cfg.seed, n_pairs=50))
-
+    grid, q, tol = cfg.grid(), cfg.q, cfg.tolerance
+    # The Gram's (0, 0) entry is the total mass, since H_0 = 1.
+    G, norms, gram_rep = szego.szego_gram(cfg.max_n, q, grid, tol)
     w = grid.rows(szego.szego_weight, q, 0, q)[0]
-    pos = nan_max(np.max(np.abs(w.imag)), -float(np.min(w.real)))
-    reports.append(IdentityReport(
-        "szego_weight_positivity", pos, cfg.algebraic_tolerance,
-        grid.n_nodes, {"q": q},
-        notes={"min_real": float(np.min(w.real)),
-               "max_imag": float(np.max(np.abs(w.imag)))}))
-    return reports
+    min_real, max_imag = float(np.min(w.real)), float(np.max(np.abs(w.imag)))
+    return [
+        IdentityReport("szego_total_mass",
+                       abs(complex(G[0, 0]) - norms[0]) / abs(norms[0]), tol,
+                       grid.n_nodes, {"q": q}),
+        szego.jacobi_triple_check(q, grid, tol),
+        *szego.ladder_reports(cfg.max_n, q, grid, tol),
+        # The deepest Pearson ratio row the ladder above uses, times row 0:
+        # Rodrigues' at n = max_n, raising and Sturm-Liouville's at 1.
+        szego.weight_pearson_check(q, grid, max(1, cfg.max_n),
+                                   cfg.algebraic_tolerance),
+        gram_rep,
+        adjointness_report(q, grid, cfg.seed, n_pairs=50),
+        IdentityReport("szego_weight_positivity", nan_max(max_imag, -min_real),
+                       cfg.algebraic_tolerance, grid.n_nodes, {"q": q},
+                       notes={"min_real": min_real, "max_imag": max_imag}),
+    ]
 
 
 def pastro_degeneration_report(p: biortho.BiorthoParams, grid: CircleGrid,

@@ -12,8 +12,8 @@ import numpy as np
 # tq_apply stays bound here for benchmarks/tests/test_bench_tracer.py::
 # test_uninstall_restores_every_original_binding, which checks its rebinding.
 from .circle import (CircleGrid, LaurentPoly, _shifted_points, dq_rows,
-                     gram_check, gram_matrix, shifted, tq_apply, tq_power,
-                     tq_rows)
+                     gram_check, gram_matrix, laurent_values, shifted,
+                     tq_apply, tq_power, tq_rows)
 from .errors import WeightUnderflow
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, _maybe_scalar,
                     jacobi_triple_product, qpochhammer, qpochhammer_inf, qval,
@@ -21,25 +21,34 @@ from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, _maybe_scalar,
 from .report import IdentityReport, nan_max
 
 
-def gaussian_binomial(n: int, k: int, q) -> float:
-    """q-binomial coefficient (q;q)_n / ((q;q)_k (q;q)_{n-k})."""
-    if k < 0 or k > n:
-        return 0.0
-    qv = qval(q)
-    num = qpochhammer(qv, qv, n)
-    den = qpochhammer(qv, qv, k) * qpochhammer(qv, qv, n - k)
-    return (num / den).real
+def _coefficients(n, q) -> np.ndarray:
+    """[n k]_q q^{-k/2}, k = 0..max(n), zero for k > n, of a degree n or a
+    column of them, from one running (q;q)_k; ValueError if unrepresentable."""
+    top, qv = int(np.max(n, initial=-1)), qval(q)
+    if top < 0:
+        raise ValueError("degree must be nonnegative")
+    qk = np.cumprod(np.r_[1.0, [qv] * (top - 1)])  # 1, q, ..., q^{top-1}
+    qq, k = np.cumprod(np.r_[1.0, 1.0 - qv * qk]), np.arange(top + 1)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            powers = [qv**(-j / 2.0) for j in range(top + 1)]
+            return np.divide(qq[n], qq[k] * qq[n - k], where=k <= n,
+                             out=np.zeros(np.broadcast(n, k).shape)) * powers
+    except ArithmeticError:  # q^{-n/2} overflows or (q;q)_n underflows to 0
+        raise ValueError(f"the coefficients of H_n are not representable at "
+                         f"n={top}, q={qv}") from None
+
+
+def coefficient_table(max_n: int, q) -> np.ndarray:
+    """C[n, k] = [n k]_q q^{-k/2}, shape (max_n+1, max_n+1), zero for k > n:
+    H_n(z|q) = sum_k C[n, k] z^k, every degree from one table."""
+    return _coefficients(np.arange(max_n + 1)[:, None], q)
 
 
 def szego_poly(n: int, q) -> LaurentPoly:
-    """H_n(z|q) = sum_k [n choose k]_q (q^{-1/2} z)^k as an ordinary polynomial."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    qv = qval(q)
-    coeffs = np.array(
-        [gaussian_binomial(n, k, qv) * qv**(-k / 2.0) for k in range(n + 1)],
-        dtype=complex)
-    return LaurentPoly(0, coeffs)
+    """H_n(z|q) = sum_k [n choose k]_q (q^{-1/2} z)^k as an ordinary
+    polynomial: row n of coefficient_table, built alone in O(n) memory."""
+    return LaurentPoly(0, _coefficients(n, q))
 
 
 def szego_weight(z, q):
@@ -81,24 +90,18 @@ def weight_pearson_check(q, grid: CircleGrid, depth: int,
                           {"q": qv, "depth": depth})
 
 
-def _qq_inf(qv: float) -> complex:
-    """(q;q)_inf, the reciprocal of the total mass; raises WeightUnderflow
-    when it underflows to 0, where the closed forms would divide by zero."""
+def szego_norms(max_n: int, q) -> list:
+    """Closed-form diagonal <H_n, w H_n>_c = q^{-n} (q;q)_n / (q;q)_inf,
+    n = 0..max_n, with one (q;q)_inf, the reciprocal of the total mass;
+    raises WeightUnderflow when it underflows to 0."""
+    if max_n < 0:
+        raise ValueError("degree must be nonnegative")
+    qv = qval(q)
     qq = qpochhammer_inf(qv, qv)
     if qq == 0:
         raise WeightUnderflow(
             f"(q;q)_inf underflowed to 0 at q={qv}: the total mass "
             f"1/(q;q)_inf and the closed-form norms are not representable")
-    return qq
-
-
-def szego_norms(max_n: int, q) -> list:
-    """Closed-form diagonal <H_n, w H_n>_c = q^{-n} (q;q)_n / (q;q)_inf,
-    n = 0..max_n, with one (q;q)_inf."""
-    if max_n < 0:
-        raise ValueError("degree must be nonnegative")
-    qv = qval(q)
-    qq = _qq_inf(qv)
     return [(qv**(-n) * qpochhammer(qv, qv, n) / qq).real
             for n in range(max_n + 1)]
 
@@ -123,11 +126,10 @@ def ladder_constants(n: int, q) -> tuple:
 
 
 def poly_rows(max_n: int, q, z, depth: int) -> np.ndarray:
-    """Rows H_n(q^k z), shape (depth+1, max_n+1, N): each H_n built once and
-    evaluated by its own Horner loop."""
-    qv = qval(q)
-    return np.stack([shifted(szego_poly(n, qv), z, qv, depth)
-                     for n in range(max_n + 1)], axis=1)
+    """Rows H_n(q^k z), shape (depth+1, max_n+1, N): coefficient_table as
+    (K, P, 1) coefficients, all degrees in one Horner pass per row."""
+    coeffs = coefficient_table(max_n, q).T[:, :, None]
+    return shifted(lambda t: laurent_values(coeffs, 0, t), z, q, depth)
 
 
 def ladder_reports(max_n: int, q, grid: CircleGrid,
@@ -178,11 +180,11 @@ def szego_gram(max_n: int, q, grid: CircleGrid, tol: float = QUADRATURE_TOL):
     as gram_check's (G, norms, report) against the closed-form diagonal
     szego_norms."""
     qv = qval(q)
-    w = grid.rows(szego_weight, qv, 0, qv)[0]
-    vals = [szego_poly(n, qv)(grid.nodes) for n in range(max_n + 1)]
-    return gram_check("szego_orthogonality", gram_matrix(vals, vals, w),
-                      szego_norms(max_n, qv), tol, grid.n_nodes,
-                      {"max_n": max_n, "q": qv})
+    norms = szego_norms(max_n, qv)
+    H = poly_rows(max_n, qv, grid.nodes, 0)[0]
+    return gram_check("szego_orthogonality",
+                      gram_matrix(H, H, grid.rows(szego_weight, qv, 0, qv)[0]),
+                      norms, tol, grid.n_nodes, {"max_n": max_n, "q": qv})
 
 
 def jacobi_triple_check(q, grid: CircleGrid,
@@ -195,14 +197,3 @@ def jacobi_triple_check(q, grid: CircleGrid,
     residual = float(np.max(np.abs(lhs - rhs)))
     return IdentityReport("jacobi_triple_product", residual, tol,
                           grid.n_nodes, {"q": qv})
-
-
-def total_mass_check(q, grid: CircleGrid,
-                     tol: float = QUADRATURE_TOL) -> IdentityReport:
-    """contour mean of the weight against 1/(q;q)_inf."""
-    qv = qval(q)
-    closed = 1.0 / _qq_inf(qv)
-    quad = complex(np.mean(grid.rows(szego_weight, qv, 0, qv)[0]))
-    residual = abs(quad - closed) / abs(closed)
-    return IdentityReport("szego_total_mass", residual, tol, grid.n_nodes,
-                          {"q": qv})

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
+import qcircle.suites
 from qcircle.cli import main, parse_complex
 
 # Keys whose values are complex numbers in the JSON of verify, gram and eval.
@@ -211,6 +213,68 @@ class TestNoFalsePass:
         err = capsys.readouterr().err
         assert err.startswith("error: (q;q)_inf underflowed to 0")
         assert "Traceback" not in err
+
+    def test_underflowed_qq_inf_exits_2_before_sampling(self, capsys):
+        # The norms come before the weight, so the weight at q=0.999, which
+        # overflows on 256 nodes, is never sampled.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "szego", "--q", "0.999"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: (q;q)_inf underflowed to 0")
+
+    @pytest.mark.parametrize("argv, label", [
+        (["eval", "weight", "--z", "1e300"], "w_c(+1.000000000000e+300"),
+        (["eval", "bweight", "--z", "1e300"], "w(+1.000000000000e+300"),
+        (["eval", "szego", "--n", "5", "--z", "1e300"],
+         "H_5(+1.000000000000e+300"),
+    ], ids=["weight", "bweight", "szego"])
+    def test_non_finite_value_exits_2(self, argv, label, capsys):
+        # Each printed +nan+nani and exited 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {label}")
+        assert "is not finite: +nan+nani" in captured.err
+
+    def test_large_finite_value_exits_0(self, capsys):
+        assert main(["eval", "weight", "--z", "1e10"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "= -1.626297517063e+164+0.000000000000e+00i\n")
+
+    @pytest.mark.parametrize("argv, invariant", [
+        (["eval", "theta", "--z", "1e-300"],
+         "error: a value is not representable (OverflowError"),
+        (["eval", "szego", "--n", "3000", "--q", "0.5"],
+         "error: the coefficients of H_n are not representable at n=3000, "
+         "q=0.5"),
+        (["eval", "szego", "--n", "5000", "--q", "0.999"],
+         "error: the coefficients of H_n are not representable at n=5000, "
+         "q=0.999"),
+    ], ids=["theta", "szego-overflow", "szego-underflow"])
+    def test_unrepresentable_value_exits_2(self, argv, invariant, capsys):
+        # Each ended in a traceback: OverflowError from the theta sum's
+        # truncation bound and from q**(-k/2), ZeroDivisionError from an
+        # underflowed (q;q)_k.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(invariant)
+        assert captured.err.count("\n") == 1
+
+    def test_unallocatable_grid_exits_2(self, monkeypatch, capsys):
+        # --grid 100000000000 raised numpy's MemoryError; no test allocates
+        # such a grid, so the grid raises here as numpy does.
+        def grid(n_nodes):
+            raise MemoryError(f"Unable to allocate {16 * n_nodes} bytes")
+
+        monkeypatch.setattr(qcircle.suites, "CircleGrid", grid)
+        assert main(["verify", "szego", "--grid", "100000000000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: a value is not representable (MemoryError: Unable to "
+            "allocate 1600000000000 bytes)\n")
 
     def test_underflowed_kappa_denominator_exits_2(self, capsys):
         # At q=0.999 (q; q)_inf drags the total-mass denominator below the

@@ -16,16 +16,19 @@ each identity is one between polynomials in z:
 Both sides are compared coefficient by coefficient in fractions.Fraction,
 so no evaluation points and no degree bound enter: each identity holds
 exactly or fails.  The float constants of szego.ladder_constants are then
-held to the exact ones, so changing any one of their factors fails here.
+held to the exact ones, so changing any one of their factors fails here,
+and so are the float coefficients of szego.coefficient_table.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from qcircle.szego import ladder_constants, sturm_liouville_eigenvalue
+from qcircle.szego import (coefficient_table, ladder_constants,
+                           sturm_liouville_eigenvalue)
 
 MAX_N = 8
+TABLE_N = 16  # the degrees of the gram_json workload
 ROOTS = [Fraction(1, 2), Fraction(9, 10)]  # s, with q = s^2 = 1/4, 81/100
 
 
@@ -111,3 +114,21 @@ class TestSzegoLadderExact:
             for got, want in zip(used, exact):
                 assert abs(got - float(want)) <= 1e-14 * max(abs(float(want)),
                                                               1e-300)
+
+
+@pytest.mark.parametrize("s", ROOTS)
+def test_coefficient_table(s):
+    # C[n, k] = [n choose k]_q q^{-k/2} to 1e-15 relative, held at the
+    # double q that the table is given (81/100 is not one, and rounding it
+    # alone moves the coefficients by up to 7.6e-16): q^{-k/2} is irrational
+    # there, so C^2 q^k is held to [n choose k]_q^2 in exact arithmetic.
+    q = float(s * s)
+    exact_q, tol = Fraction(q), Fraction(1, 10**15)
+    C = coefficient_table(TABLE_N, q)
+    assert C.shape == (TABLE_N + 1, TABLE_N + 1)
+    for n in range(TABLE_N + 1):
+        assert not C[n, n + 1:].any()
+        for k in range(n + 1):
+            ratio = (Fraction(float(C[n, k]))**2 * exact_q**k
+                     / q_binomial(n, k, exact_q)**2)
+            assert (1 - tol)**2 <= ratio <= (1 + tol)**2

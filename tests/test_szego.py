@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 import qcircle.szego
-from qcircle.circle import (CircleGrid, _shifted_points, contour_mean,
-                            dq_apply, tq_power)
+from qcircle.circle import (CircleGrid, LaurentPoly, _shifted_points,
+                            contour_mean, dq_apply, shifted, tq_power)
 from qcircle.cli import main
 from qcircle.errors import WeightUnderflow
-from qcircle.qcore import qpochhammer_inf
-from qcircle.szego import (gaussian_binomial, jacobi_triple_check,
+from qcircle.qcore import qpochhammer, qpochhammer_inf
+from qcircle.suites import SuiteConfig, szego_suite
+from qcircle.szego import (coefficient_table, jacobi_triple_check,
                            ladder_reports, poly_rows,
                            sturm_liouville_eigenvalue, szego_gram, szego_norm,
-                           szego_poly, szego_weight, total_mass_check,
-                           weight_pearson_check, weight_ratio_rows)
+                           szego_poly, szego_weight, weight_pearson_check,
+                           weight_ratio_rows)
 
 GRID = CircleGrid(256)
 
@@ -59,10 +60,18 @@ class TestSzegoPoly:
         assert p.coefficients[-1] == pytest.approx(q**(-n / 2.0))
 
     def test_gaussian_binomial_symmetry(self):
+        # [n k]_q = [n n-k]_q, read off the table as C[n, k] q^{k/2}.
+        q = 0.4
+        C = coefficient_table(7, q)
         for n in range(8):
             for k in range(n + 1):
-                assert gaussian_binomial(n, k, 0.4) == \
-                    pytest.approx(gaussian_binomial(n, n - k, 0.4))
+                assert C[n, k] * q**(k / 2) == \
+                    pytest.approx(C[n, n - k] * q**((n - k) / 2))
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_poly_is_a_table_row(self, n):
+        assert np.array_equal(szego_poly(n, 0.3).coefficients,
+                              coefficient_table(7, 0.3)[n, :n + 1])
 
 
 class TestSzegoWeight:
@@ -209,18 +218,45 @@ class TestLadderTable:
 
     def test_builds_each_polynomial_once(self, monkeypatch):
         # lowering_check, raising_check, rodrigues and sturm_liouville_check
-        # built 34 polynomials for these 23 reports.
+        # built 34 polynomials for these 23 reports, the per-degree table 7;
+        # now one coefficient table holds H_0..H_6.
         calls = []
-        build = qcircle.szego.szego_poly
+        build = qcircle.szego.coefficient_table
 
-        def counted(n, q):
-            calls.append(n)
-            return build(n, q)
+        def counted(max_n, q):
+            calls.append(max_n)
+            return build(max_n, q)
 
-        monkeypatch.setattr(qcircle.szego, "szego_poly", counted)
+        monkeypatch.setattr(qcircle.szego, "coefficient_table", counted)
         reports = ladder_reports(5, 0.5, CircleGrid(256))
         assert len(reports) == 23
-        assert sorted(calls) == list(range(7))
+        assert calls == [6]
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.988])
+    @pytest.mark.parametrize("n_nodes", [64, 2048])
+    @pytest.mark.parametrize("max_n", [0, 1, 5, 16])
+    def test_poly_rows_match_per_degree_horner(self, max_n, n_nodes, q):
+        # The batch Horner pass over the table reproduces, bit for bit, each
+        # H_n built from scalar q-binomials and evaluated on its own.
+        def binomial(n, k):
+            return (qpochhammer(q, q, n) / (qpochhammer(q, q, k)
+                                            * qpochhammer(q, q, n - k))).real
+
+        z = CircleGrid(n_nodes).nodes
+        oracle = np.stack([shifted(LaurentPoly(0, [
+            binomial(n, k) * q**(-k / 2.0) for k in range(n + 1)]), z, q, 2)
+            for n in range(max_n + 1)], axis=1)
+        rows = poly_rows(max_n, q, z, 2)
+        assert rows.shape == oracle.shape
+        assert rows.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("n, q", [(3000, 0.5), (5000, 0.999)])
+    def test_unrepresentable_table_raises(self, n, q):
+        # q^{-n/2} overflows at q=0.5; (q;q)_n underflows to 0 at q=0.999.
+        with pytest.raises(ValueError, match=f"n={n}, q={q}"):
+            coefficient_table(n, q)
+        with pytest.raises(ValueError, match=f"n={n}, q={q}"):
+            szego_poly(n, q)
 
 
 class TestGram:
@@ -250,15 +286,16 @@ class TestGram:
     def test_norms_use_one_qq_inf(self, monkeypatch):
         import qcircle.szego
         calls = []
-        qq_inf = qcircle.szego._qq_inf
+        kernel = qcircle.szego.qpochhammer_inf
 
-        def counted(qv):
-            calls.append(qv)
-            return qq_inf(qv)
+        def counted(a, q):
+            calls.append((a, q))
+            return kernel(a, q)
 
-        monkeypatch.setattr(qcircle.szego, "_qq_inf", counted)
+        monkeypatch.setattr(qcircle.szego, "qpochhammer_inf", counted)
         _, norms, _ = szego_gram(6, 0.5, GRID)
-        assert calls == [0.5]
+        # The weight row's two array products aside, one scalar (q;q)_inf.
+        assert [c for c in calls if np.ndim(c[0]) == 0] == [(0.5, 0.5)]
         assert norms == [szego_norm(n, 0.5) for n in range(7)]
 
     def test_grid_refinement_stability(self):
@@ -286,14 +323,23 @@ class TestTripleProductAndMass:
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
     def test_total_mass(self, q):
-        assert total_mass_check(q, GRID, tol=1e-12).passed
+        # The 1x1 Gram of H_0 = 1 is the weight's mean against 1/(q;q)_inf,
+        # and the suite reads its szego_total_mass report off the Gram.
+        *_, gram = szego_gram(0, q, GRID, tol=1e-12)
+        assert gram.passed
+        (mass,) = [r for r in szego_suite(SuiteConfig(q=q, tolerance=1e-12))
+                   if r.name == "szego_total_mass"]
+        assert mass.passed
+        assert mass.residual == gram.residual
 
     def test_underflowed_qq_inf_raises(self):
         assert qpochhammer_inf(0.999, 0.999) == 0
         with pytest.raises(WeightUnderflow, match=r"\(q;q\)_inf"):
             szego_norm(0, 0.999)
         with pytest.raises(WeightUnderflow, match=r"\(q;q\)_inf"):
-            total_mass_check(0.999, CircleGrid(16))
+            szego_gram(0, 0.999, CircleGrid(16))
+        with pytest.raises(WeightUnderflow, match=r"\(q;q\)_inf"):
+            szego_suite(SuiteConfig(q=0.999, grid_size=16))
 
 
 def mp_szego_weight(t, q, mpmath):

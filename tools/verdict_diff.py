@@ -51,10 +51,14 @@ SWEEP = (
         "--params", "0,0,0.4,0.1"]]
     # beta = q: the weight has a pole at z = 1 one q-step inside the circle.
     + [["verify", "biortho", "--q", "0.5", "--params", "0.3,0.2,0.4,0.5"]]
-    # The Szego ladder where the weight underflows.
-    + [["verify", "szego", "--max-n", "5", "--grid", "256", "--q", "0.996"]]
-    # The Gram matrices of the gram_json benchmark workload, one report each.
-    + [["gram", "szego", "--max-n", "16", "--grid", "2048", "--q", "0.5"]]
+    # The Szego ladder where the weight underflows, and where (q;q)_inf does
+    # (exit 2).
+    + [["verify", "szego", "--max-n", "5", "--grid", "256", "--q", q]
+       for q in ("0.996", "0.999")]
+    # The Gram matrices of the gram_json benchmark workload, one report each;
+    # the Szego one also at both ends of the coefficient range.
+    + [["gram", "szego", "--max-n", "16", "--grid", "2048", "--q", q]
+       for q in ("0.5", "0.05", "0.95")]
     + [["gram", "biortho", "--max-n", "8", "--grid", "2048", "--q", "0.5",
         *params] for params in
        ([], ["--params", "0.3+0.1i,0.2-0.15i,0.4+0.05i,0.1+0.2i"])]
