@@ -15,8 +15,10 @@ import numpy as np
 from .circle import (CircleGrid, dq_rows, gram_check, gram_matrix, shifted,
                      tq_rows)
 from .errors import DegenerateParameters, UnbalancedParameters, WeightUnderflow
+# qpochhammer_inf: bound for benchmarks/tests/test_bench_tracer.py's rebinding.
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, PhiSpec, _maybe_scalar, phi,
-                    qmultipochhammer, qpochhammer, qpochhammer_inf, qval)
+                    qmultipochhammer, qpochhammer, qpochhammer_inf,
+                    qpochhammer_inf_each, qval)
 from .report import IdentityReport
 from .szego import szego_weight
 
@@ -108,19 +110,18 @@ def s_fn(n: int, z, p: BiorthoParams):
     return r_fn(n, z, p.swapped())
 
 
-def _parameter_factors(z, p: BiorthoParams):
-    """The weight's factors beyond the Szego pair: (ab q^{1/2} z; q)_inf,
-    (alpha beta q^{1/2}/z; q)_inf and the denominator
-    (az, alpha/z, bz, beta/z; q)_inf."""
-    qv = p.q
-    rq = math.sqrt(qv)
-    z = np.asarray(z, dtype=complex)
-    den = np.ones(z.shape, dtype=complex)
-    for arg in (p.a * z, p.alpha / z, p.b * z, p.beta / z):
-        den = den * np.asarray(qpochhammer_inf(arg, qv))
-    return (np.asarray(qpochhammer_inf(p.a * p.b * rq * z, qv)),
-            np.asarray(qpochhammer_inf(p.alpha * p.beta * rq / z, qv)),
-            den)
+def _parameter_factors(z, sets) -> list:
+    """The weight's factors beyond the Szego pair for each parameter set:
+    (ab q^{1/2} z; q)_inf, (alpha beta q^{1/2}/z; q)_inf and the denominator
+    (az, alpha/z, bz, beta/z; q)_inf, every q-product from one kernel call."""
+    (qv,) = {p.q for p in sets}  # one base for the batch
+    rq, z = math.sqrt(qv), np.asarray(z, dtype=complex)
+    products = iter(qpochhammer_inf_each([x for p in sets for x in (
+        p.a * p.b * rq * z, p.alpha * p.beta * rq / z,
+        p.a * z, p.alpha / z, p.b * z, p.beta / z)], qv))
+    return [(np.asarray(C), np.asarray(D), math.prod(
+        map(np.asarray, den), start=np.ones(z.shape, dtype=complex)))
+        for C, D, *den in zip(*[products] * 6)]
 
 
 def biortho_weight(z, p: BiorthoParams):
@@ -129,34 +130,53 @@ def biortho_weight(z, p: BiorthoParams):
     parameter factors, multiplied as ((S C) D) / den.
     """
     szego = szego_weight(z, p.q)
-    C, D, den = _parameter_factors(z, p)
+    [(C, D, den)] = _parameter_factors(z, [p])
     return _maybe_scalar(szego * C * D / den)
 
 
+def weight_rows(grid: CircleGrid, sets) -> np.ndarray:
+    """biortho_weight(z_j, p) to the last bit for each set, shape (P, N),
+    from the Szego pair row that all sets share and the parameter factors,
+    those the grid does not hold yet sampled in one kernel call."""
+    (q,) = {p.q for p in sets}
+    S = grid.rows(szego_weight, q, 0, q)[0]
+    return np.stack([S * C * D / den for C, D, den
+                     in grid.rows_each(_parameter_factors, q, sets)])
+
+
 def weight_row(grid: CircleGrid, p: BiorthoParams) -> np.ndarray:
-    """biortho_weight(z_j, p) to the last bit, from the Szego pair row that
-    all parameter sets share and the parameter factors sampled once."""
-    C, D, den = grid.rows(_parameter_factors, p.q, 0, p)[0]
-    return grid.rows(szego_weight, p.q, 0, p.q)[0] * C * D / den
+    """Row P = 1 of weight_rows."""
+    return weight_rows(grid, [p])[0]
+
+
+def kappa_each(sets) -> list:
+    """Total mass of the weight in closed form for each parameter set:
+    (aq^{1/2}, alpha q^{1/2}, bq^{1/2}, beta q^{1/2}, ab alpha beta; q)_inf
+    over (q, a alpha, b alpha, a beta, b beta; q)_inf, every q-product from
+    one kernel call.  Raises WeightUnderflow when a denominator underflows,
+    as it does near q = 1.
+    """
+    (qv,) = {p.q for p in sets}  # one base for the batch
+    rq = math.sqrt(qv)
+    products = iter(qpochhammer_inf_each([x for p in sets for x in (
+        p.a * rq, p.alpha * rq, p.b * rq, p.beta * rq,
+        p.a * p.b * p.alpha * p.beta, qv, p.a * p.alpha, p.b * p.alpha,
+        p.a * p.beta, p.b * p.beta)], qv))
+    kappas = []
+    for f in zip(*[products] * 10):  # multiplied as qmultipochhammer does
+        num, den = (math.prod(f[i:i + 5], start=1.0 + 0.0j) for i in (0, 5))
+        if abs(den) < 1e-280:
+            raise WeightUnderflow(
+                f"(q, a alpha, b alpha, a beta, b beta; q)_inf underflowed "
+                f"below 1e-280 at q={qv}: the total mass kappa is not "
+                f"representable")
+        kappas.append(num / den)
+    return kappas
 
 
 def kappa_closed(p: BiorthoParams) -> complex:
-    """Total mass of the weight in closed form:
-    (aq^{1/2}, alpha q^{1/2}, bq^{1/2}, beta q^{1/2}, ab alpha beta; q)_inf
-    over (q, a alpha, b alpha, a beta, b beta; q)_inf.  Raises
-    WeightUnderflow when the denominator underflows, as it does near q = 1.
-    """
-    qv = p.q
-    rq = math.sqrt(qv)
-    num = qmultipochhammer((p.a * rq, p.alpha * rq, p.b * rq, p.beta * rq,
-                            p.a * p.b * p.alpha * p.beta), qv, math.inf)
-    den = qmultipochhammer((qv, p.a * p.alpha, p.b * p.alpha, p.a * p.beta,
-                            p.b * p.beta), qv, math.inf)
-    if abs(den) < 1e-280:
-        raise WeightUnderflow(
-            f"(q, a alpha, b alpha, a beta, b beta; q)_inf underflowed below "
-            f"1e-280 at q={qv}: the total mass kappa is not representable")
-    return num / den
+    """kappa_each's P = 1 case."""
+    return kappa_each([p])[0]
 
 
 def biortho_norms(max_n: int, p: BiorthoParams) -> list:
@@ -429,30 +449,30 @@ def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
     """
     qv, rq = p.q, math.sqrt(p.q)
     params, upper, table = p.as_dict(), len(table) - 1, table.tolist()
+    shifts = [p.with_params(alpha=qv**n * p.alpha, beta=qv**n * p.beta)
+              if n else p for n in range(upper + 1)]
+    masses = weight_rows(grid, shifts)  # imn_table below reads shift_1's
     reports = []
     if upper >= 1:
-        shift = p.with_params(alpha=qv * p.alpha, beta=qv * p.beta)
-        lowered = imn_table(upper, shift, grid).tolist()
+        lowered = imn_table(upper, shifts[1], grid).tolist()
         reports += [IdentityReport(
             "imn_recursion_step", abs(table[m][n] - imn_step_coefficient(m, p)
                                       * lowered[m - 1][n - 1]),
             tol, grid.n_nodes, {**params, "m": m, "n": n})
             for m in range(1, upper + 1) for n in range(1, upper + 1)]
-    kappa = kappa_closed(p)
+    kappas = kappa_each(shifts)
     for n in range(upper + 1):
-        shift = p.with_params(alpha=qv**n * p.alpha, beta=qv**n * p.beta)
-        mass = complex(np.mean(weight_row(grid, shift)))
+        mass = complex(np.mean(masses[n]))
         num = qmultipochhammer((p.a * p.alpha, p.b * p.alpha, p.a * p.beta,
                                 p.b * p.beta), qv, n)
         den = (qmultipochhammer((rq * p.alpha, rq * p.beta), qv, n)
                * qpochhammer(p.a * p.b * p.alpha * p.beta, qv, 2 * n))
-        closed = kappa * num / den
-        shifted_kappa = kappa_closed(shift) if n else kappa  # shift_0 is p
+        closed = kappas[0] * num / den
         reports.append(IdentityReport(
             "i00_shifted_closed_form", abs(mass - closed) / abs(closed), tol,
             grid.n_nodes, {**params, "n": n}, notes={
                 "closed_vs_shifted_kappa":
-                abs(shifted_kappa - closed) / abs(closed)}))
+                abs(kappas[n] - closed) / abs(closed)}))
     if upper >= 2:  # mass is I_{0,0}(shift_upper)
         chained = imn_iterated_coefficient(upper, p) * mass
         reports.append(IdentityReport(

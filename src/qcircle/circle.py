@@ -57,6 +57,15 @@ class CircleGrid:
             held.append(np.asarray(f(t, *args), dtype=complex))
         return np.stack(held[:depth + 1])
 
+    def rows_each(self, f, q, items) -> list:
+        """f(nodes, items)'s value for each item, held per (f, item, q) like
+        `rows` (not copied): one call of f samples the items not held yet."""
+        qv, held = qval(q), self._samples
+        new = [x for x in dict.fromkeys(items) if (id(f), x, qv) not in held]
+        for x, value in zip(new, f(self.nodes, new) if new else ()):
+            held[id(f), x, qv] = (f, value)
+        return [held[id(f), x, qv][1] for x in items]
+
 
 def laurent_values(coefficients, min_degree: int, z) -> np.ndarray:
     """sum_k c_k z^{min_degree + k} by Horner's rule.  Each c_k broadcasts

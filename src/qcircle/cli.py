@@ -17,6 +17,8 @@ import cmath
 import math
 import sys
 
+import numpy as np
+
 from . import biortho, suites, szego
 from .circle import CircleGrid
 from .errors import QCircleError
@@ -150,39 +152,40 @@ def _emit(text: str, out):
 
 def cmd_eval(args) -> int:
     z = args.z
-    if args.subject == "szego":
-        value = szego.szego_poly(args.n, args.q)(z)
-        label = f"H_{args.n}({_fmt_complex(z)} | q={args.q})"
-    elif args.subject == "weight":
-        value = szego.szego_weight(z, args.q)
-        label = f"w_c({_fmt_complex(z)} | q={args.q})"
-    elif args.subject == "theta":
-        value = theta_sum(z, args.q)
-        label = f"theta({_fmt_complex(z)}, q={args.q})"
-    else:
-        p = biortho_params_from_args(args)
-        if args.subject == "rn":
-            value = biortho.r_fn(args.n, z, p)
+    if args.subject == "kappa":  # closed form and quadrature side by side
+        G, norms, _ = biortho.biortho_gram(0, biortho_params_from_args(args),
+                                           CircleGrid(args.grid_size))
+        closed, quad = norms[0], complex(G[0, 0])
+        doc = {"kappa_closed": closed, "kappa_quadrature": quad,
+               "abs_difference": abs(closed - quad)}
+        if args.output_format == "json":
+            _emit(to_json(doc), args.out)
+        else:
+            _emit("\n".join(
+                f"{k} = {_fmt_complex(v) if isinstance(v, complex) else v}"
+                for k, v in doc.items()), args.out)
+        return 0
+    # The finiteness check below names a non-finite value; numpy's warnings
+    # on the way there would only add file paths to stderr.
+    with np.errstate(all="ignore"):
+        if args.subject == "szego":
+            value = szego.szego_poly(args.n, args.q)(z)
+            label = f"H_{args.n}({_fmt_complex(z)} | q={args.q})"
+        elif args.subject == "weight":
+            value = szego.szego_weight(z, args.q)
+            label = f"w_c({_fmt_complex(z)} | q={args.q})"
+        elif args.subject == "theta":
+            value = theta_sum(z, args.q)
+            label = f"theta({_fmt_complex(z)}, q={args.q})"
+        elif args.subject == "rn":
+            value = biortho.r_fn(args.n, z, biortho_params_from_args(args))
             label = f"r_{args.n}({_fmt_complex(z)})"
         elif args.subject == "sn":
-            value = biortho.s_fn(args.n, z, p)
+            value = biortho.s_fn(args.n, z, biortho_params_from_args(args))
             label = f"s_{args.n}({_fmt_complex(z)})"
-        elif args.subject == "bweight":
-            value = biortho.biortho_weight(z, p)
+        else:  # bweight
+            value = biortho.biortho_weight(z, biortho_params_from_args(args))
             label = f"w({_fmt_complex(z)})"
-        else:  # kappa: closed form and quadrature side by side
-            G, norms, _ = biortho.biortho_gram(0, p,
-                                               CircleGrid(args.grid_size))
-            closed, quad = norms[0], complex(G[0, 0])
-            doc = {"kappa_closed": closed, "kappa_quadrature": quad,
-                   "abs_difference": abs(closed - quad)}
-            if args.output_format == "json":
-                _emit(to_json(doc), args.out)
-            else:
-                _emit("\n".join(
-                    f"{k} = {_fmt_complex(v) if isinstance(v, complex) else v}"
-                    for k, v in doc.items()), args.out)
-            return 0
     value = complex(value)
     if not cmath.isfinite(value):
         raise ValueError(f"{label} is not finite: {_fmt_complex(value)}")

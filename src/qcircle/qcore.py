@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -75,51 +76,76 @@ def qpochhammer_inf(a, q, tol: float = 1e-15):
     Tail bound: once |a| q^K < 1/2, the log of the dropped factors is at most
     2 |a| q^K / (1 - q) in absolute value, so the relative error of the
     truncated product stays below ~2*tol.
+    """
+    return qpochhammer_inf_each([a], q, tol)[0]
 
-    Blocked evaluation: the factors 1 - a q^k are built a block of k at a
-    time as rows of a 2-D array of at most _BLOCK_ELEMS complex elements,
-    with the running product carried in row 0 and each block reduced with
-    np.multiply.reduce along axis 0.  The powers q^k come from np.cumprod
-    and the reduction multiplies rows in order, so the result is bitwise
-    the sequential product prod_k (1 - a q^k) taken one factor at a time.
+
+def qpochhammer_inf_each(args, q, tol: float = 1e-15) -> list:
+    """[qpochhammer_inf(a, q, tol) for a in args], each truncated at its own
+    max|a| and bitwise the sequential product prod_k (1 - a q^k).
+
+    The factors are built a block of k at a time as rows of a 2-D array of
+    at most _BLOCK_ELEMS elements, one column per element of an argument,
+    the running products in row 0; each block is reduced along axis 0, rows
+    in order, with q^k from np.cumprod.  Columns are sorted by step count
+    and a block spans only those still running.  numpy reduces a contiguous
+    column with its scalar loop, which may round differently from the
+    elementwise loop of rows, so array elements lie along rows (a 1-element
+    array as two equal columns) and 0-d arguments down contiguous columns,
+    each reduced as in its lone call.
     """
     qv = qval(q)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = np.asarray(a, dtype=complex)
-    amax = float(np.max(np.abs(a))) if a.size else 0.0
-    if not np.isfinite(amax):
-        raise ValueError("qpochhammer_inf requires finite arguments")
-    if amax == 0.0:
-        return _maybe_scalar(np.ones(a.shape, dtype=complex))
-    cutoff = tol * (1.0 - qv)
-    nsteps = int(math.ceil(math.log(cutoff / amax) / math.log(qv))) if amax > cutoff else 1
-    nsteps = min(max(nsteps, 1), 1_000_000)
-    flat = a.reshape(-1)
-    if flat.size == 1 and a.ndim:
-        # numpy reduces a lone column with its scalar loop, which may round
-        # differently from the elementwise loop that multiplies 1-element
-        # arrays; two equal columns keep the elementwise loop.
-        flat = np.repeat(flat, 2)
-    rows = min(nsteps, max(1, _BLOCK_ELEMS // flat.size))
-    block = np.empty((rows + 1, flat.size), dtype=complex)
-    block[0] = 1.0
-    # q^k as complex numbers with zero imaginary part, the form that
-    # a * q^k converts them to anyway; one column, broadcast over a.
-    powers = np.full((rows, 1), qv, dtype=complex)
-    qk = 1.0
-    for start in range(0, nsteps, rows):
-        r = min(rows, nsteps - start)
-        powers[0] = qk
-        qk_block = np.multiply.accumulate(powers[:r])  # np.cumprod
-        qk = qk_block[-1, 0].real * qv
-        factors = block[1:r + 1]
-        np.multiply(flat, qk_block, out=factors)
-        np.subtract(1.0, factors, out=factors)
-        # initial=None starts from row 0 rather than from 1 + 0j, whose
-        # product with a zero can flip the zero's sign.
-        np.multiply.reduce(block[:r + 1], axis=0, out=block[0], initial=None)
-    return _maybe_scalar(block[0, :a.size].reshape(a.shape).copy())
+    args = [np.asarray(a, dtype=complex) for a in args]
+    cutoff, log_q, steps = tol * (1.0 - qv), math.log(qv), []
+    for a in args:
+        amax = float(np.abs(a).max()) if a.size else 0.0
+        if not math.isfinite(amax):
+            raise ValueError("qpochhammer_inf requires finite arguments")
+        n = math.ceil(math.log(cutoff / amax) / log_q) if amax > cutoff else 1
+        steps.append(min(max(n, 1), 1_000_000) if amax else 0)
+    out = [None] * len(args)  # (a; q)_inf = 1 where a is 0 or empty
+    for scalar in (False, True):
+        lane = sorted((i for i, a in enumerate(args)
+                       if steps[i] and (a.ndim == 0) == scalar),
+                      key=lambda i: -steps[i])
+        if not lane:
+            continue
+        cols = [np.repeat(args[i].reshape(-1),
+                          2 if args[i].size == 1 and not scalar else 1)
+                for i in lane]
+        ends, edges = [steps[i] for i in lane], list(accumulate(map(len, cols)))
+        flat = np.concatenate(cols)
+        rows = min(ends[0], max(1, _BLOCK_ELEMS // flat.size))
+        block = np.empty((rows + 1, flat.size), dtype=complex,
+                         order="F" if scalar else "C")
+        block[0] = 1.0
+        # q^k as complex numbers with zero imaginary part, the form that
+        # a * q^k converts them to anyway; one column, broadcast over a.
+        powers = np.full((rows, 1), qv, dtype=complex)
+        qk, start, running = 1.0, 0, len(lane)
+        while start < ends[0]:
+            while ends[running - 1] <= start:
+                running -= 1  # lane[:running] still take factors
+            live, r = edges[running - 1], min(rows, ends[running - 1] - start)
+            powers[0] = qk
+            qk_block = np.multiply.accumulate(powers[:r])  # np.cumprod
+            qk = qk_block[-1, 0].real * qv
+            factors = block[1:r + 1, :live]
+            np.multiply(flat[:live], qk_block, out=factors)
+            np.subtract(1.0, factors, out=factors)
+            # initial=None starts from row 0 rather than from 1 + 0j, whose
+            # product with a zero can flip the zero's sign.
+            np.multiply.reduce(block[:r + 1, :live], axis=0,
+                               out=block[0, :live], initial=None)
+            start += r
+        got = block[0].tolist() if scalar else block[0]
+        for i, j in zip(lane, [0] + edges):
+            out[i] = got[j] if scalar else (
+                got[j:j + args[i].size].reshape(args[i].shape).copy())
+    return [_maybe_scalar(np.ones(a.shape, dtype=complex)) if x is None else x
+            for a, x in zip(args, out)]
 
 
 def qmultipochhammer(params: Sequence[complex], q, n):

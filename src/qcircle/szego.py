@@ -16,9 +16,15 @@ from .circle import (CircleGrid, LaurentPoly, _shifted_points, dq_rows,
                      tq_apply, tq_power, tq_rows)
 from .errors import WeightUnderflow
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, _maybe_scalar,
-                    jacobi_triple_product, qpochhammer, qpochhammer_inf, qval,
+                    jacobi_triple_product, qpochhammer_inf, qval,
                     theta_sum)
 from .report import IdentityReport, nan_max
+
+
+def _running_qq(top: int, qv: float) -> np.ndarray:
+    """(q;q)_0..(q;q)_max(top, 1), qpochhammer(q, q, n)'s real parts."""
+    qk = np.cumprod(np.r_[1.0, [qv] * (top - 1)])  # 1, q, ..., q^{top-1}
+    return np.cumprod(np.r_[1.0, 1.0 - qv * qk])
 
 
 def _coefficients(n, q) -> np.ndarray:
@@ -27,8 +33,7 @@ def _coefficients(n, q) -> np.ndarray:
     top, qv = int(np.max(n, initial=-1)), qval(q)
     if top < 0:
         raise ValueError("degree must be nonnegative")
-    qk = np.cumprod(np.r_[1.0, [qv] * (top - 1)])  # 1, q, ..., q^{top-1}
-    qq, k = np.cumprod(np.r_[1.0, 1.0 - qv * qk]), np.arange(top + 1)
+    qq, k = _running_qq(top, qv), np.arange(top + 1)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             powers = [qv**(-j / 2.0) for j in range(top + 1)]
@@ -102,8 +107,8 @@ def szego_norms(max_n: int, q) -> list:
         raise WeightUnderflow(
             f"(q;q)_inf underflowed to 0 at q={qv}: the total mass "
             f"1/(q;q)_inf and the closed-form norms are not representable")
-    return [(qv**(-n) * qpochhammer(qv, qv, n) / qq).real
-            for n in range(max_n + 1)]
+    running = _running_qq(max_n, qv)[:max_n + 1].tolist()
+    return [qv**(-n) * qq_n / qq.real for n, qq_n in enumerate(running)]
 
 
 def szego_norm(n: int, q) -> float:

@@ -8,16 +8,17 @@ import pytest
 from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norm,
                              biortho_norms, biortho_weight,
                              imn_iterated_coefficient, imn_step_coefficient,
-                             imn_table, kappa_closed,
+                             imn_table, kappa_closed, kappa_each,
                              ladder_reports, lowering_coefficient,
                              pearson_ratio, r_fn, r_rows, raising_coefficient,
                              raising_ratio_rows, random_params,
                              recursion_chain_reports, s_fn, sears_check,
-                             weight_row, weight_symmetry_check)
+                             weight_row, weight_rows, weight_symmetry_check)
 from qcircle.circle import CircleGrid, contour_mean, dq_apply, tq_apply
 from qcircle.cli import main
-from qcircle.errors import DegenerateParameters, UnbalancedParameters
-from qcircle.qcore import qpochhammer_inf
+from qcircle.errors import (DegenerateParameters, UnbalancedParameters,
+                            WeightUnderflow)
+from qcircle.qcore import qmultipochhammer, qpochhammer_inf
 from qcircle.szego import ladder_reports as szego_ladder_reports
 from qcircle.szego import szego_weight
 
@@ -138,24 +139,35 @@ def _points(z, q, k):
     return z
 
 
-def array_product_calls(monkeypatch, capsys, argv) -> int:
-    """Array qpochhammer_inf calls made by one `qcircle` command."""
+def kernel_calls(monkeypatch, capsys, argv) -> tuple:
+    """(array, scalar) calls of the q-product kernel entries, qpochhammer_inf
+    and qpochhammer_inf_each, made by one `qcircle` command; a batch counts
+    as an array call if any of its arguments is an array."""
     import qcircle.biortho
     import qcircle.qcore
     import qcircle.szego
-    kernel = qcircle.qcore.qpochhammer_inf
-    arrays = []
+    calls, depth = [], [0]
 
-    def counted(a, *args, **kwargs):
-        if np.ndim(a):
-            arrays.append(np.shape(a))
-        return kernel(a, *args, **kwargs)
+    def counted(kernel, batch):
+        def entry(a, *args, **kwargs):
+            if not depth[0]:
+                calls.append(any(np.ndim(x) for x in (a if batch else [a])))
+            depth[0] += 1
+            try:
+                return kernel(a, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return entry
 
-    for module in (qcircle.qcore, qcircle.szego, qcircle.biortho):
-        monkeypatch.setattr(module, "qpochhammer_inf", counted)
+    for name, batch in (("qpochhammer_inf", False),
+                        ("qpochhammer_inf_each", True)):
+        wrapped = counted(getattr(qcircle.qcore, name), batch)
+        for module in (qcircle.qcore, qcircle.szego, qcircle.biortho):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
     main(argv)
     capsys.readouterr()
-    return len(arrays)
+    return calls.count(True), calls.count(False)
 
 
 class TestWeightRows:
@@ -182,26 +194,65 @@ class TestWeightRows:
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_near_one_verdict_array_product_count(self, monkeypatch, capsys):
-        # 160 when every parameter set recomputed the Szego pair, 120 when
-        # the raising checks sampled weight row 1 at p and at the raised set.
-        assert 0 < array_product_calls(monkeypatch, capsys, [
+        # 160 lone calls when every parameter set recomputed the Szego pair,
+        # 108 with one set at a time; now the Szego pair's rows, the direct
+        # 1/z weight and one batch per table of parameter sets.
+        arrays, _ = kernel_calls(monkeypatch, capsys, [
             "verify", "biortho", "--max-n", "5", "--grid", "256",
-            "--q", "0.89"]) <= 108
+            "--q", "0.89"])
+        assert 0 < arrays <= 12
 
     def test_headline_verdict_array_product_count(self, monkeypatch, capsys):
-        # 130 with the raising checks' weight rows.
-        assert 0 < array_product_calls(monkeypatch, capsys, [
-            "verify", "all", "--max-n", "5", "--grid", "256",
-            "--q", "0.5"]) <= 118
+        # 118 with one parameter set at a time.
+        arrays, _ = kernel_calls(monkeypatch, capsys, [
+            "verify", "all", "--max-n", "5", "--grid", "256", "--q", "0.5"])
+        assert 0 < arrays <= 22
+
+    def test_biortho_verdict_kernel_calls(self, monkeypatch, capsys):
+        # 108 array and 160 scalar calls with one parameter set at a time.
+        arrays, scalars = kernel_calls(monkeypatch, capsys, [
+            "verify", "biortho", "--max-n", "5", "--grid", "256",
+            "--q", "0.5"])
+        assert arrays <= 12 and scalars <= 4
+        assert arrays + scalars <= 20
 
     def test_near_one_szego_verdict_array_product_count(self, monkeypatch,
                                                         capsys):
         # Row 0 and the direct Pearson certificate row of the Szego weight,
         # and the Jacobi triple product: two calls each.  14 when every row
         # was two new q-products.
-        assert 0 < array_product_calls(monkeypatch, capsys, [
+        arrays, _ = kernel_calls(monkeypatch, capsys, [
             "verify", "szego", "--max-n", "5", "--grid", "256",
-            "--q", "0.988"]) <= 6
+            "--q", "0.988"])
+        assert 0 < arrays <= 6
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.89])
+    def test_batch_rows_match_single_rows(self, q):
+        rng = np.random.default_rng(int(q * 100))
+        sets = [random_params(rng, q), random_params(rng, q, True),
+                BiorthoParams(0.3, 0.2, 0.4, 0.1, q),
+                BiorthoParams(0.0, 0.0, 0.4, 0.1, q),
+                random_params(rng, q)]
+        rows = weight_rows(CircleGrid(128), sets)
+        assert rows.shape == (5, 128)
+        for p, row in zip(sets, rows):
+            assert row.tobytes() == weight_row(CircleGrid(128), p).tobytes()
+
+    def test_batch_reuses_held_rows(self, monkeypatch):
+        import qcircle.biortho
+        grid, batches = CircleGrid(64), []
+        factors = qcircle.biortho._parameter_factors
+
+        def counted(z, sets):
+            batches.append(list(sets))
+            return factors(z, sets)
+
+        monkeypatch.setattr(qcircle.biortho, "_parameter_factors", counted)
+        shift = P.with_params(alpha=Q * P.alpha)
+        weight_row(grid, P)
+        rows = weight_rows(grid, [shift, P, shift])
+        assert batches == [[P], [shift]]
+        assert rows[0].tobytes() == rows[2].tobytes()
 
 
 class TestKappa:
@@ -235,6 +286,59 @@ class TestKappa:
             quad = complex(np.mean(weight_row(GRID, p)))
             *_, rep = biortho_gram(0, p, GRID)
             assert rep.residual == abs(quad - closed) / abs(closed)
+
+
+def lone_kappa(p):
+    """The closed-form total mass one q-product at a time."""
+    rq = math.sqrt(p.q)
+    num = qmultipochhammer((p.a * rq, p.alpha * rq, p.b * rq, p.beta * rq,
+                            p.a * p.b * p.alpha * p.beta), p.q, math.inf)
+    den = qmultipochhammer((p.q, p.a * p.alpha, p.b * p.alpha, p.a * p.beta,
+                            p.b * p.beta), p.q, math.inf)
+    return num / den
+
+
+class TestKappaBatch:
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.89, 0.97])
+    def test_batch_matches_lone_products(self, q):
+        rng = np.random.default_rng(int(q * 100) + 3)
+        sets = [random_params(rng, q) for _ in range(8)] + [
+            random_params(rng, q, True), BiorthoParams(0, 0, 0.4, 0.1, q),
+            BiorthoParams(0, 0, 0, 0, q)]
+        got = kappa_each(sets)
+        assert all(type(k) is complex for k in got)
+        for want in ([kappa_closed(p) for p in sets],
+                     [lone_kappa(p) for p in sets]):
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_underflow_message_of_a_middle_set(self):
+        # At q = 0.99 (q;q)_inf is 5e-72; pair products near 0.98 push the
+        # third set's denominator below 1e-280.
+        q = 0.99
+        small = [BiorthoParams(0.1, 0.1, 0.1, 0.1, q) for _ in range(4)]
+        big = BiorthoParams(0.99, 0.99, 0.99, 0.99, q)
+        with pytest.raises(WeightUnderflow) as lone:
+            kappa_closed(big)
+        with pytest.raises(WeightUnderflow) as batch:
+            kappa_each(small[:2] + [big] + small[2:])
+        assert str(batch.value) == str(lone.value)
+        assert "underflowed below 1e-280 at q=0.99" in str(lone.value)
+        kappa_each(small)  # the other four alone are representable
+
+    def test_memory_near_one(self):
+        # 160 scalar q-products of about 41,000 factors each at q = 0.999,
+        # in blocks of at most _BLOCK_ELEMS elements: unblocked, ~98 MB.
+        import tracemalloc
+        rng = np.random.default_rng(4)
+        sets = [random_params(rng, 0.999) for _ in range(16)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(WeightUnderflow):
+                kappa_each(sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestGram:
@@ -645,21 +749,24 @@ class TestRecursionChainTable:
     def test_verdict_evaluates_kappa_at_p_at_most_twice(self, monkeypatch,
                                                         capsys):
         # kappa_check, biortho_gram and the chain at p and at shift_0 = p
-        # made four.
+        # made four; biortho_gram's and the chain's batch make two.
         import qcircle.biortho
-        calls = []
-        kappa = qcircle.biortho.kappa_closed
+        batches = []
+        kappa = qcircle.biortho.kappa_each
 
-        def counted(p):
-            calls.append(p)
-            return kappa(p)
+        def counted(sets):
+            batches.append(list(sets))
+            return kappa(sets)
 
-        monkeypatch.setattr(qcircle.biortho, "kappa_closed", counted)
+        monkeypatch.setattr(qcircle.biortho, "kappa_each", counted)
         main(["verify", "biortho", "--max-n", "5", "--grid", "256",
               "--q", "0.5", "--format", "json"])
         capsys.readouterr()
+        calls = [p for sets in batches for p in sets]
         assert calls.count(P) <= 2  # P is the default set
         assert len(calls) <= 16
+        # p's Gram, the ten random sets, the chain's shifts, the Pastro set.
+        assert len(batches) <= 4
 
 
 class TestDegenerations:

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -230,14 +234,30 @@ class TestNoFalsePass:
          "H_5(+1.000000000000e+300"),
     ], ids=["weight", "bweight", "szego"])
     def test_non_finite_value_exits_2(self, argv, label, capsys):
-        # Each printed +nan+nani and exited 0.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main(argv) == 2
+        # Each printed +nan+nani and exited 0.  No RuntimeWarning escapes
+        # either: the test run turns one into an error.
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {label}")
         assert "is not finite: +nan+nani" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "weight", "--z", "1e300"],
+        ["eval", "bweight", "--z", "1e300"],
+        ["eval", "szego", "--n", "5", "--z", "1e300"],
+    ], ids=["weight", "bweight", "szego"])
+    def test_non_finite_value_stderr_is_one_line(self, argv):
+        # numpy's RuntimeWarnings, with file paths, came first: 5 stderr
+        # lines for weight and szego, 7 for bweight.
+        src = pathlib.Path(qcircle.suites.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "qcircle.cli", *argv], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 2
+        assert done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("error: ") and "is not finite" in line
 
     def test_large_finite_value_exits_0(self, capsys):
         assert main(["eval", "weight", "--z", "1e10"]) == 0

@@ -7,7 +7,8 @@ import pytest
 from qcircle.errors import NonConvergent, PoleInDenominator
 from qcircle.qcore import (_BLOCK_ELEMS, TERMINATION_REL_TOL, PhiSpec,
                            QParam, jacobi_triple_product, phi, qpochhammer,
-                           qpochhammer_inf, qmultipochhammer,
+                           qpochhammer_inf, qpochhammer_inf_each,
+                           qmultipochhammer,
                            terminating_index, theta_sum)
 
 
@@ -204,6 +205,63 @@ class TestQPochhammerInfBlocked:
             want = complex(mpmath.qp(mpmath.mpc(a), mpmath.mpf(q),
                                      maxterms=10**5))
             assert abs(value - want) <= 1e-13 * abs(want)
+
+
+class TestQPochhammerInfEach:
+    """One batch call against lone calls and the sequential product, byte
+    for byte: each argument keeps its own truncation and its own lane."""
+
+    QS = [0.05, 0.5, 0.89, 0.97, 0.995]
+
+    @staticmethod
+    def batch(rng):
+        """Shapes (), (1,) and (N,); a = 0, |a| below the cutoff, and real,
+        complex and |a| > 1 arguments, in one shuffled batch."""
+        args = [draw_arguments(rng, shape, kind)
+                for shape in [(), (1,), (256,)]
+                for kind in ("real", "complex", "big")]
+        args += [np.zeros(()), np.zeros(1), np.zeros(256),
+                 1e-21 * draw_arguments(rng, (), "complex"),
+                 1e-21 * draw_arguments(rng, (256,), "complex"),
+                 0.3 - 0.2j, np.concatenate([draw_arguments(rng, (5,), kind)
+                                             for kind in ("real", "big")])]
+        return [args[i] for i in rng.permutation(len(args))]
+
+    @pytest.mark.parametrize("q", QS)
+    def test_matches_lone_calls(self, q):
+        args = self.batch(np.random.default_rng(int(q * 1000)))
+        got = qpochhammer_inf_each(args, q)
+        assert len(got) == len(args)
+        for a, value in zip(args, got):
+            assert_bitwise_equal(value, qpochhammer_inf(a, q))
+            assert_bitwise_equal(value, sequential_pochhammer_inf(a, q))
+
+    @pytest.mark.parametrize("q", QS)
+    def test_many_scalars(self, q):
+        # Scalars lie along contiguous columns, as a lone 0-d call reduces.
+        rng = np.random.default_rng(int(q * 1000) + 1)
+        args = [complex(x) for x in draw_arguments(rng, (40,), "complex")]
+        for a, value in zip(args, qpochhammer_inf_each(args, q)):
+            assert_bitwise_equal(value, sequential_pochhammer_inf(a, q))
+
+    def test_ends_inside_blocks(self):
+        # About 3,000 steps at 165 rows a block (198 columns): each argument
+        # ends inside a block, where the columns still running shrink.
+        q, rng = 0.99, np.random.default_rng(8)
+        args = [draw_arguments(rng, shape, "complex") * scale
+                for shape in [(), (1,), (64,)] for scale in (1e-3, 0.3, 0.9)]
+        for a, value in zip(args, qpochhammer_inf_each(args, q)):
+            assert_bitwise_equal(value, sequential_pochhammer_inf(a, q))
+
+    def test_empty_batch_and_empty_arrays(self):
+        assert qpochhammer_inf_each([], 0.5) == []
+        a = np.zeros((2, 0), dtype=complex)
+        (got,) = qpochhammer_inf_each([a], 0.5)
+        assert_bitwise_equal(got, sequential_pochhammer_inf(a, 0.5))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            qpochhammer_inf_each([0.3, np.array([0.2, np.nan])], 0.5)
 
 
 class TestQMultiPochhammer:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import qcircle.qcore
 import qcircle.szego
 from qcircle.circle import (CircleGrid, LaurentPoly, _shifted_points,
                             contour_mean, dq_apply, shifted, tq_power)
@@ -282,6 +283,36 @@ class TestGram:
         for n in range(1, 8):
             assert szego_norm(n, q) / szego_norm(n - 1, q) == \
                 pytest.approx((1 - q**n) / q)
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.988])
+    def test_norms_from_running_product_bit_for_bit(self, q):
+        # szego_norms reads (q;q)_n off coefficient_table's running product;
+        # it built each from scratch with a scalar qpochhammer.
+        for max_n in range(17):
+            want = [(q**(-n) * qpochhammer(q, q, n)
+                     / qpochhammer_inf(q, q)).real for n in range(max_n + 1)]
+            got = qcircle.szego.szego_norms(max_n, q)
+            assert all(type(x) is float for x in got)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_gram_makes_no_finite_q_products(self, monkeypatch, capsys):
+        # 17 scalar qpochhammer calls for gram szego --max-n 16.
+        import sys
+        calls = []
+        kernel = qcircle.qcore.qpochhammer
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qcircle") and \
+                    getattr(module, "qpochhammer", None) is kernel:
+                monkeypatch.setattr(module, "qpochhammer", counted)
+        assert main(["gram", "szego", "--max-n", "16", "--grid", "2048",
+                     "--format", "json"]) == 0
+        capsys.readouterr()
+        assert calls == []
 
     def test_norms_use_one_qq_inf(self, monkeypatch):
         import qcircle.szego

@@ -55,6 +55,12 @@ SWEEP = (
     # (exit 2).
     + [["verify", "szego", "--max-n", "5", "--grid", "256", "--q", q]
        for q in ("0.996", "0.999")]
+    # biortho_total_mass_random at q=0.97 passes at 96% of its tolerance
+    # (set 3's weight peaks at 1.2e6 |kappa|); q=0.999 exits 2 on kappa.
+    + [["verify", "biortho", "--max-n", "5", "--grid", "256", "--q", q]
+       for q in ("0.97", "0.999")]
+    # sears_random_draws at max_n 8 straddles its tolerance (exit 1).
+    + [["verify", "sears", "--max-n", "8", "--q", "0.12", "--seed", "2"]]
     # The Gram matrices of the gram_json benchmark workload, one report each;
     # the Szego one also at both ends of the coefficient range.
     + [["gram", "szego", "--max-n", "16", "--grid", "2048", "--q", q]
