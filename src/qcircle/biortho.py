@@ -225,7 +225,7 @@ def imn_table(size: int, p: BiorthoParams, grid: CircleGrid) -> np.ndarray:
     I[0, 0] is the total mass, as r_0 = s_0 = 1."""
     z, degrees = grid.nodes, range(size)
     return gram_matrix([s_fn(m, z, p) for m in degrees],
-                       [r_fn(n, z, p) for n in degrees],
+                       np.array([r_fn(n, z, p) for n in degrees]),
                        weight_row(grid, p))
 
 

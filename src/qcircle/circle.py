@@ -144,8 +144,8 @@ def inner_product_c(f, g, grid: CircleGrid) -> complex:
 
 def gram_matrix(left, right, w) -> np.ndarray:
     """G[m, n] = (1/N) sum_j conj(L_m) R_n w: the one Gram assembly, one
-    pairwise 1-D mean per entry."""
-    return np.array([[np.mean(np.conj(lm) * rn * w) for rn in right]
+    mean per row over the stacked R (an array), each entry's sum pairwise."""
+    return np.array([np.mean(np.conj(lm) * right * w, axis=-1)
                      for lm in left])
 
 

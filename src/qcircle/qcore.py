@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Sequence
 
@@ -61,13 +62,14 @@ def qpochhammer(a, q, n: int):
     n = int(n)
     if n < 0:
         raise ValueError("qpochhammer order must be nonnegative")
-    a = np.asarray(a, dtype=complex)
-    out = np.ones(a.shape, dtype=complex)
+    # 0-d: a Python complex, which rounds as numpy's 0-d arithmetic does.
+    a = _maybe_scalar(np.asarray(a, dtype=complex))
+    out = 1.0 + 0.0j if isinstance(a, complex) else np.ones_like(a)
     qk = 1.0
     for _ in range(n):
         out = out * (1.0 - a * qk)
         qk *= qv
-    return _maybe_scalar(out)
+    return out
 
 
 def qpochhammer_inf(a, q, tol: float = 1e-15):
@@ -87,65 +89,84 @@ def qpochhammer_inf_each(args, q, tol: float = 1e-15) -> list:
     The factors are built a block of k at a time as rows of a 2-D array of
     at most _BLOCK_ELEMS elements, one column per element of an argument,
     the running products in row 0; each block is reduced along axis 0, rows
-    in order, with q^k from np.cumprod.  Columns are sorted by step count
-    and a block spans only those still running.  numpy reduces a contiguous
-    column with its scalar loop, which may round differently from the
-    elementwise loop of rows, so array elements lie along rows (a 1-element
-    array as two equal columns) and 0-d arguments down contiguous columns,
-    each reduced as in its lone call.
+    in order, with q^k from np.cumprod.  Columns are sorted by step count,
+    a block spans only those still running, and a wide lane runs in groups
+    of columns.  numpy reduces a contiguous column with its scalar loop,
+    which may round differently from the elementwise loop of rows, so array
+    elements lie along rows (a 1-element array as two equal columns) and
+    0-d arguments down contiguous columns, each reduced as in its lone
+    call.  Past 1,000,000 factors for an argument, raises NonConvergent.
     """
     qv = qval(q)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    args = [np.asarray(a, dtype=complex) for a in args]
+    args = [_maybe_scalar(np.asarray(a, dtype=complex)) for a in args]
     cutoff, log_q, steps = tol * (1.0 - qv), math.log(qv), []
     for a in args:
-        amax = float(np.abs(a).max()) if a.size else 0.0
+        amax = (abs(a) if isinstance(a, complex)
+                else float(np.abs(a).max()) if a.size else 0.0)
         if not math.isfinite(amax):
             raise ValueError("qpochhammer_inf requires finite arguments")
         n = math.ceil(math.log(cutoff / amax) / log_q) if amax > cutoff else 1
-        steps.append(min(max(n, 1), 1_000_000) if amax else 0)
+        if n > 1_000_000:
+            raise NonConvergent(f"(a; q)_inf at q={qv!r} and max|a|={amax:.6g}"
+                                f" needs {n:,} factors to meet tol={tol:g}, "
+                                f"over the cap of 1,000,000")
+        steps.append(max(n, 1) if amax else 0)
     out = [None] * len(args)  # (a; q)_inf = 1 where a is 0 or empty
     for scalar in (False, True):
         lane = sorted((i for i, a in enumerate(args)
-                       if steps[i] and (a.ndim == 0) == scalar),
+                       if steps[i] and isinstance(a, complex) == scalar),
                       key=lambda i: -steps[i])
         if not lane:
             continue
-        cols = [np.repeat(args[i].reshape(-1),
-                          2 if args[i].size == 1 and not scalar else 1)
-                for i in lane]
-        ends, edges = [steps[i] for i in lane], list(accumulate(map(len, cols)))
-        flat = np.concatenate(cols)
-        rows = min(ends[0], max(1, _BLOCK_ELEMS // flat.size))
-        block = np.empty((rows + 1, flat.size), dtype=complex,
+        if scalar:
+            flat, edges = (np.array([args[i] for i in lane], dtype=complex),
+                           range(1, len(lane) + 1))
+        else:
+            edges = list(accumulate(max(2, args[i].size) for i in lane))
+            flat = np.empty(edges[-1], dtype=complex)
+            for i, lo, hi in zip(lane, [0] + edges, edges):
+                flat[lo:hi] = args[i].reshape(-1)
+        ends, width = [steps[i] for i in lane], edges[-1]
+        group = min(width, _BLOCK_ELEMS // 8)  # >= 7 rows: fewer were slower
+        rows = min(ends[0], _BLOCK_ELEMS // group - 1)
+        block = np.empty((rows + 1, group), dtype=complex,
                          order="F" if scalar else "C")
-        block[0] = 1.0
         # q^k as complex numbers with zero imaginary part, the form that
         # a * q^k converts them to anyway; one column, broadcast over a.
         powers = np.full((rows, 1), qv, dtype=complex)
-        qk, start, running = 1.0, 0, len(lane)
-        while start < ends[0]:
-            while ends[running - 1] <= start:
-                running -= 1  # lane[:running] still take factors
-            live, r = edges[running - 1], min(rows, ends[running - 1] - start)
-            powers[0] = qk
-            qk_block = np.multiply.accumulate(powers[:r])  # np.cumprod
-            qk = qk_block[-1, 0].real * qv
-            factors = block[1:r + 1, :live]
-            np.multiply(flat[:live], qk_block, out=factors)
-            np.subtract(1.0, factors, out=factors)
-            # initial=None starts from row 0 rather than from 1 + 0j, whose
-            # product with a zero can flip the zero's sign.
-            np.multiply.reduce(block[:r + 1, :live], axis=0,
-                               out=block[0, :live], initial=None)
-            start += r
-        got = block[0].tolist() if scalar else block[0]
-        for i, j in zip(lane, [0] + edges):
+        lo = 0
+        while lo < width:  # each group's products overwrite its flat columns
+            hi = min(width, lo + group)
+            hi -= hi + 1 in edges  # never an argument's last column alone
+            top, running = bisect_right(edges, lo), bisect_left(edges, hi) + 1
+            block[0, :hi - lo] = 1.0
+            qk, start = 1.0, 0
+            while start < ends[top]:
+                while ends[running - 1] <= start:
+                    running -= 1  # lane[:running] still take factors
+                live = min(hi, edges[running - 1]) - lo
+                r = min(rows, ends[running - 1] - start)
+                powers[0] = qk
+                qk_block = np.multiply.accumulate(powers[:r])  # np.cumprod
+                qk = qk_block[-1, 0].real * qv
+                factors = block[1:r + 1, :live]
+                np.multiply(flat[lo:lo + live], qk_block, out=factors)
+                np.subtract(1.0, factors, out=factors)
+                # initial=None starts from row 0 rather than from 1 + 0j,
+                # whose product with a zero can flip the zero's sign.
+                np.multiply.reduce(block[:r + 1, :live], axis=0,
+                                   out=block[0, :live], initial=None)
+                start += r
+            flat[lo:hi] = block[0, :hi - lo]
+            lo = hi
+        got = flat.tolist() if scalar else flat
+        for i, j in zip(lane, [0, *edges]):
             out[i] = got[j] if scalar else (
                 got[j:j + args[i].size].reshape(args[i].shape).copy())
-    return [_maybe_scalar(np.ones(a.shape, dtype=complex)) if x is None else x
-            for a, x in zip(args, out)]
+    return [x if x is not None else 1.0 + 0.0j if isinstance(a, complex)
+            else np.ones(a.shape, dtype=complex) for a, x in zip(args, out)]
 
 
 def qmultipochhammer(params: Sequence[complex], q, n):

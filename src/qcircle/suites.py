@@ -166,12 +166,11 @@ def random_balanced_sears(rng: np.random.Generator, q, n: int):
     """Draw (A..F) with moderate magnitudes satisfying the balance condition
     A B C q^{1-n} = D E F (F is solved for)."""
     qv = qval(q)
-
-    def draw():
-        return rng.uniform(0.2, 0.8) * np.exp(2j * np.pi * rng.uniform())
-
-    A, B, C, D, E = (draw() for _ in range(5))
-    F = A * B * C * qv**(1 - n) / (D * E)
+    # Five (magnitude, phase) pairs: the doubles of ten rng.uniform calls,
+    # |X| from [0.2, 0.8) as uniform(0.2, 0.8) scales them.
+    u = rng.random(10)
+    A, B, C, D, E = (0.2 + (0.8 - 0.2) * u[::2]) * np.exp(2j * np.pi * u[1::2])
+    F = A * B * C * qv**(1 - n) / (D * E)  # numpy complex128 scalar math
     return A, B, C, D, E, F
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qcircle.circle import (CircleGrid, LaurentPoly, contour_mean, dq_apply,
-                            dq_rows, inner_product_c, laurent_dq, shifted,
-                            tq_apply, tq_iterate, tq_power, tq_rows)
+                            dq_rows, gram_matrix, inner_product_c, laurent_dq,
+                            shifted, tq_apply, tq_iterate, tq_power, tq_rows)
 from qcircle.cli import main
 from qcircle.suites import adjointness_report
 from qcircle.szego import szego_weight
@@ -298,3 +298,29 @@ class TestLaurentDq:
             exact = laurent_dq(p, q)(g.nodes)
             pointwise = np.asarray(dq_apply(p, q)(g.nodes))
             assert np.max(np.abs(exact - pointwise)) < 1e-12
+
+
+def gram_by_entry(left, right, w):
+    """gram_matrix as one 1-D mean per entry: the bytes its one mean per
+    row has to reproduce."""
+    return np.array([[np.mean(np.conj(lm) * rn * w) for rn in right]
+                     for lm in left])
+
+
+@pytest.mark.parametrize("N", [100, 1000, 3001])
+@pytest.mark.parametrize("P", [1, 3, 17])
+def test_gram_matrix_bytes(N, P):
+    # Entries of mixed sizes, and N not a power of two, where the divide
+    # by N rounds.
+    rng = np.random.default_rng(N * P)
+
+    def rows(scale):
+        return [(rng.normal(size=N) + 1j * rng.normal(size=N))
+                * 10.0**rng.uniform(-scale, scale) for _ in range(P)]
+
+    left, right = rows(6), rows(6)
+    w = rng.uniform(0.0, 1e3, N) + 1e-9j * rng.normal(size=N)
+    got, want = gram_matrix(left, right, w), gram_by_entry(left, right, w)
+    assert got.shape == want.shape == (P, P) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert gram_matrix(left, np.stack(right), w).tobytes() == want.tobytes()

@@ -296,6 +296,21 @@ class TestNoFalsePass:
             "error: a value is not representable (MemoryError: Unable to "
             "allocate 1600000000000 bytes)\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "weight", "--z", "1", "--q", "0.99999"],
+        ["verify", "szego", "--q", "0.99999", "--grid", "16"],
+        ["verify", "biortho", "--q", "0.99999", "--grid", "16"],
+    ], ids=["eval-weight", "verify-szego", "verify-biortho"])
+    def test_q_product_past_the_step_cap_exits_2(self, argv, capsys):
+        # eval weight printed an underflowed 0 after 2,000,000 factors; the
+        # verify commands exited 2 on an underflowed total mass.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: (a; q)_inf at q=0.99999 and ")
+        assert "over the cap of 1,000,000" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_underflowed_kappa_denominator_exits_2(self, capsys):
         # At q=0.999 (q; q)_inf drags the total-mass denominator below the
         # floor: an underflow, not a fault of the parameters.

@@ -95,7 +95,9 @@ def sequential_pochhammer_inf(a, q, tol=1e-15):
     cutoff = tol * (1.0 - q)
     nsteps = (int(math.ceil(math.log(cutoff / amax) / math.log(q)))
               if amax > cutoff else 1)
-    nsteps = min(max(nsteps, 1), 1_000_000)
+    if nsteps > 1_000_000:
+        raise NonConvergent(f"needs {nsteps:,} factors")
+    nsteps = max(nsteps, 1)
     qk = 1.0
     for _ in range(nsteps):
         out = out * (1.0 - a * qk)
@@ -150,7 +152,10 @@ class TestQPochhammerInfBlocked:
     def test_step_counts_across_block_edges(self, shape):
         q = 0.999
         a = draw_arguments(np.random.default_rng(5), shape, "complex") / 20
-        block = _BLOCK_ELEMS // max(1, int(np.prod(shape)))
+        # Factor rows per block as the kernel takes them: (rows + 1) x width
+        # within _BLOCK_ELEMS, width at most _BLOCK_ELEMS // 8 columns.
+        width = max(2, int(np.prod(shape))) if shape else 1
+        block = _BLOCK_ELEMS // min(width, _BLOCK_ELEMS // 8) - 1
         for steps in sorted({1, 7, block - 1, block, block + 1,
                              3 * block + 5}):
             tol = tol_for_steps(a, q, steps)
@@ -245,7 +250,7 @@ class TestQPochhammerInfEach:
             assert_bitwise_equal(value, sequential_pochhammer_inf(a, q))
 
     def test_ends_inside_blocks(self):
-        # About 3,000 steps at 165 rows a block (198 columns): each argument
+        # About 3,000 steps at 164 rows a block (198 columns): each argument
         # ends inside a block, where the columns still running shrink.
         q, rng = 0.99, np.random.default_rng(8)
         args = [draw_arguments(rng, shape, "complex") * scale
@@ -262,6 +267,98 @@ class TestQPochhammerInfEach:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             qpochhammer_inf_each([0.3, np.array([0.2, np.nan])], 0.5)
+
+
+class TestKernelLanes:
+    """The scalar lane's inputs, column groups of wide array lanes, and the
+    memory one batch takes."""
+
+    @pytest.mark.parametrize("q", TestQPochhammerInfEach.QS)
+    def test_scalar_lane_mixed_inputs(self, q):
+        # Python numbers, numpy scalars and 0-d arrays share one lane, each
+        # turned into a Python complex once.
+        rng = np.random.default_rng(int(q * 1000) + 2)
+        draws = draw_arguments(rng, (12,), "complex")
+        args = [2, -0.5, 0.3 - 0.2j, np.float64(0.7), np.asarray(-0.25),
+                complex(0.0, -0.0), np.complex128(complex(-0.4, -0.0)),
+                np.zeros(()), *map(np.complex128, draws[:4]),
+                *map(np.asarray, draws[4:8]), *map(complex, draws[8:])]
+        args = [args[i] for i in rng.permutation(len(args))]
+        for a, value in zip(args, qpochhammer_inf_each(args, q)):
+            assert_bitwise_equal(value, qpochhammer_inf(a, q))
+            assert_bitwise_equal(value, sequential_pochhammer_inf(a, q))
+
+    @pytest.mark.parametrize("sizes", [(4095, 2, 4097), (8193,),
+                                       (4097, 1, 3, 4094), (3, 4094, 1)])
+    @pytest.mark.parametrize("q", [0.3, 0.9])
+    def test_lanes_wider_than_a_block(self, sizes, q):
+        # Past _BLOCK_ELEMS // 8 columns a lane runs in groups of columns.
+        # A group left running an argument's last column alone reduces it
+        # with numpy's scalar loop, which rounds otherwise: a plain cut
+        # every 4,096 columns failed at 4,097 elements.
+        rng = np.random.default_rng(sum(sizes))
+        args = [draw_arguments(rng, (size,), "big") * 10.0**-k
+                for k, size in enumerate(sizes)]
+        for a, value in zip(args, qpochhammer_inf_each(args, q)):
+            assert_bitwise_equal(value, sequential_pochhammer_inf(a, q))
+
+    def test_wide_batch_stays_within_its_block(self):
+        # The shape of the ten random parameter sets' batch: 60 arrays of
+        # 256 points.  A (rows + 1) x 15,360 block of rows >= 1 took the
+        # call's peak to 1.46 MB; the arguments, the block of at most
+        # _BLOCK_ELEMS and the results take about 1.03 MB.
+        import tracemalloc
+        rng = np.random.default_rng(3)
+        args = [draw_arguments(rng, (256,), "complex") for _ in range(60)]
+        tracemalloc.start()
+        try:
+            qpochhammer_inf_each(args, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1e6
+
+    @pytest.mark.parametrize("a, q, steps", [
+        (1e-7, 0.999999, "32,236,176"), (1e-4, 0.99999, "3,684,118")])
+    def test_step_cap_raises(self, a, q, steps):
+        # Cut at 1,000,000 factors these returned 0.93874 against 0.90484,
+        # and a value 4.5e-4 off, where the docstring promises ~2 * tol.
+        message = rf"q={q!r} .* needs {steps} factors"
+        with pytest.raises(NonConvergent, match=message):
+            qpochhammer_inf(a, q)
+        with pytest.raises(NonConvergent, match=message):
+            qpochhammer_inf_each([0.0, np.full(3, a)], q)
+
+
+def numpy_0d_pochhammer(a, q, n):
+    """qpochhammer of a 0-d argument as numpy 0-d arithmetic ran it: the
+    bytes its Python complex loop has to reproduce."""
+    a = np.asarray(a, dtype=complex)
+    out = np.ones(a.shape, dtype=complex)
+    qk = 1.0
+    for _ in range(n):
+        out = out * (1.0 - a * qk)
+        qk *= q
+    return complex(out)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99])
+def test_qpochhammer_scalar_bytes(q):
+    rng = np.random.default_rng(int(q * 100))
+    draws = (rng.uniform(0.0, 10.0, 8)
+             * np.exp(2j * np.pi * rng.uniform(size=8)))
+    args = [0, 0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1, -3,
+            2.5, np.float64(-0.75), np.complex128(1.5 - 0.5j),
+            complex(-7.5, 0.0), complex(0.3, -0.0), np.asarray(0.2 + 0.1j),
+            *rng.uniform(-10.0, 10.0, 8), *map(complex, draws),
+            *map(np.complex128, draws[:3]),
+            # a = q^-j: the factor 1 - a q^j is 0, exactly where q^j is.
+            *(q**-j for j in range(6)), *(complex(q**-j, -0.0)
+                                           for j in range(1, 4))]
+    for a in args:
+        for n in range(41):
+            assert_bitwise_equal(qpochhammer(a, q, n),
+                                 numpy_0d_pochhammer(a, q, n))
 
 
 class TestQMultiPochhammer:

@@ -9,8 +9,9 @@ interpreter that imports qcircle from that tree, with `--seed 0`
 appended unless the command sets its own seed.  The tool prints one
 Markdown table row for every report whose residual moved (name, n, parent
 and change residual, |change - parent| / tolerance, and both verdicts), a
-summary row per command, then the reports that appear and the exit codes
-that change.
+summary row per command, which also says whether the command's stdout is
+byte-identical between the trees, a count of those commands, then the
+reports that appear and the exit codes that change.
 
 Exit status 1 if any report turns from PASS to FAIL, a report disappears,
 or an exit code rises (a command that exits 0 or 1 without a JSON report
@@ -33,6 +34,8 @@ SWEEP = (
     # The suites branch at max_n 0..3 (min(max_n, 3), max_n >= 2, ...).
     + [["verify", "all", "--max-n", n, "--grid", "64", "--q", "0.5"]
        for n in ("0", "1", "2", "3")]
+    # A grid that is not a power of two: the Gram's divide by N is inexact.
+    + [["verify", "all", "--max-n", "5", "--grid", "100", "--q", "0.5"]]
     + [["verify", "szego", "--max-n", n, "--grid", "256", "--q", q]
        for n in ("5", "8")
        for q in ("0.9", "0.95", "0.97", "0.98", "0.985", "0.988", "0.99",
@@ -60,7 +63,8 @@ SWEEP = (
     + [["verify", "biortho", "--max-n", "5", "--grid", "256", "--q", q]
        for q in ("0.97", "0.999")]
     # sears_random_draws at max_n 8 straddles its tolerance (exit 1).
-    + [["verify", "sears", "--max-n", "8", "--q", "0.12", "--seed", "2"]]
+    + [["verify", "sears", "--max-n", "8", "--q", q, "--seed", seed]
+       for q, seed in (("0.12", "2"), ("0.9", "5"))]
     # The Gram matrices of the gram_json benchmark workload, one report each;
     # the Szego one also at both ends of the coefficient range.
     + [["gram", "szego", "--max-n", "16", "--grid", "2048", "--q", q]
@@ -68,6 +72,8 @@ SWEEP = (
     + [["gram", "biortho", "--max-n", "8", "--grid", "2048", "--q", "0.5",
         *params] for params in
        ([], ["--params", "0.3+0.1i,0.2-0.15i,0.4+0.05i,0.1+0.2i"])]
+    # biortho_norms' (ab alpha beta; q)_16 near q = 1.
+    + [["gram", "biortho", "--max-n", "8", "--grid", "2048", "--q", "0.9"]]
 )
 
 # Above qcircle's own exit codes (0 pass, 1 fail, 2 bad configuration).
@@ -95,26 +101,27 @@ def source_dir(tree: str) -> str:
 
 
 def run(src: str, argv: list) -> tuple:
-    """(exit code, {key: report}) of one command on one tree; exit code
-    CRASHED when it exits 0 or 1 without a JSON report (a traceback)."""
+    """(exit code, {key: report}, stdout bytes) of one command on one tree;
+    exit code CRASHED when it exits 0 or 1 without a JSON report (a
+    traceback)."""
     seed = [] if "--seed" in argv else ["--seed", "0"]
     done = subprocess.run(
         [sys.executable, "-c", RUNNER, src, *argv, "--format", "json", *seed],
-        capture_output=True, text=True)
+        capture_output=True)
     reports = {}
     if done.returncode in (0, 1):
         try:
             doc = json.loads(done.stdout)
             found = doc["reports"] if "reports" in doc else [doc["report"]]
         except (ValueError, KeyError):
-            return CRASHED, reports
+            return CRASHED, reports, done.stdout
         seen = {}
         for report in found:
             label = index_label(report["params"])
             occurrence = seen.get((report["name"], label), 0)
             seen[(report["name"], label)] = occurrence + 1
             reports[(report["name"], label, occurrence)] = report
-    return done.returncode, reports
+    return done.returncode, reports, done.stdout
 
 
 def index_label(params: dict) -> str:
@@ -140,11 +147,12 @@ def main(argv: list) -> int:
     print("| command | report | n | parent | change | abs(delta)/tol "
           "| verdict |")
     print("| --- | --- | --- | --- | --- | --- | --- |")
-    summary, notes, bad = [], [], []
+    summary, notes, bad, identical = [], [], [], 0
     for argv_ in SWEEP:
         command = " ".join(argv_)
-        code_a, parent = run(parent_src, argv_)
-        code_b, change = run(change_src, argv_)
+        code_a, parent, out_a = run(parent_src, argv_)
+        code_b, change, out_b = run(change_src, argv_)
+        identical += out_a == out_b
         if code_b > code_a:
             bad.append(f"{command}: exit code {code_a} -> {code_b}")
         if code_b != code_a:
@@ -178,14 +186,17 @@ def main(argv: list) -> int:
             notes.append(f"{command}: new {name} {label}: residual "
                          f"{change[key]['residual']:.3e}, "
                          f"{verdict(change[key])}")
-        summary.append(f"| {command} | {code_a} -> {code_b} | {lower} | "
-                       f"{higher} | {fixed} | {largest[1] or '-'} |")
+        summary.append(f"| {command} | {code_a} -> {code_b} | "
+                       f"{'same' if out_a == out_b else 'differs'} | "
+                       f"{lower} | {higher} | {fixed} | "
+                       f"{largest[1] or '-'} |")
     print()
-    print("| command | exit | lower | higher | FAIL -> PASS "
+    print("| command | exit | stdout | lower | higher | FAIL -> PASS "
           "| largest move of a passing residual, /tol |")
-    print("| --- | --- | --- | --- | --- | --- |")
+    print("| --- | --- | --- | --- | --- | --- | --- |")
     print("\n".join(summary))
     print()
+    print(f"stdout byte-identical on {identical} of {len(SWEEP)} commands")
     for line in notes:
         print(line)
     for line in bad:
