@@ -221,12 +221,11 @@ def weight_symmetry_check(p: BiorthoParams, grid: CircleGrid,
 
 def imn_table(size: int, p: BiorthoParams, grid: CircleGrid) -> np.ndarray:
     """I[m, n] = (1/2 pi i) \\oint w r_n conj(s_m) dz/z by quadrature,
-    m, n < size, as circle.gram_matrix of the s_m, the r_n and the weight.
-    I[0, 0] is the total mass, as r_0 = s_0 = 1."""
-    z, degrees = grid.nodes, range(size)
-    return gram_matrix([s_fn(m, z, p) for m in degrees],
-                       np.array([r_fn(n, z, p) for n in degrees]),
-                       weight_row(grid, p))
+    m, n < size, as circle.gram_matrix of the s_m (r_rows at p.swapped()),
+    the r_n and the weight.  I[0, 0] is the total mass, as r_0 = s_0 = 1."""
+    z = grid.nodes
+    return gram_matrix(r_rows(size, p.swapped(), z, 0)[0],
+                       r_rows(size, p, z, 0)[0], weight_row(grid, p))
 
 
 def biortho_gram(max_n: int, p: BiorthoParams, grid: CircleGrid,
@@ -261,7 +260,7 @@ def raising_coefficient(p: BiorthoParams) -> complex:
 
 def r_rows(size: int, p: BiorthoParams, z, depth: int) -> np.ndarray:
     """Rows r_n(q^k z; p), shape (depth+1, size, N), n < size: each row of
-    each r_n from one r_fn call."""
+    each r_n from one r_fn call.  Every verdict samples r_n and s_n here."""
     return np.stack([shifted(partial(r_fn, n, p=p), z, p.q, depth)
                      for n in range(size)], axis=1)
 

@@ -7,7 +7,7 @@ Grammar: qcircle <eval|verify|gram> [subject] [flags]
   gram    emit a Gram matrix with closed-form columns and residuals
 
 Exit codes: 0 all checks passed, 1 a verified identity failed, 2 bad
-configuration or an unrepresentable value (the invariant named on stderr).
+configuration, an unwritable --out or an unrepresentable value (on stderr).
 """
 
 from __future__ import annotations
@@ -60,12 +60,17 @@ def tolerance(text: str) -> float:
     return value
 
 
-def max_degree(text: str) -> int:
-    """--max-n: an integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"max-n must be >= 0, got {value}")
-    return value
+def nonnegative(name: str):
+    """The argparse type of --max-n and --seed: an integer >= 0."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{name} must be >= 0, got {value}")
+        return value
+    return integer
+
+
+max_degree, seed = nonnegative("max-n"), nonnegative("seed")
 
 
 def _add_common(p: argparse.ArgumentParser,
@@ -113,14 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run an identity suite")
     pv.add_argument("suite", choices=("szego", "biortho", "sears", "qsl", "all"))
     pv.add_argument("--max-n", type=max_degree, default=5, dest="max_n")
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=seed, default=0)
     _add_biortho_flags(pv)
     _add_common(pv)
 
     pg = sub.add_parser("gram", help="emit a Gram matrix table")
     pg.add_argument("subject", choices=("szego", "biortho"))
     pg.add_argument("--max-n", type=max_degree, default=4, dest="max_n")
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--seed", type=seed, default=0,
+                    help="unused: gram draws nothing at random, and takes "
+                         "--seed as every verdict command does")
     _add_biortho_flags(pg)
     _add_common(pg)
 
@@ -269,7 +276,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_gram(args)
-    except (ValueError, QCircleError) as exc:
+    except (ValueError, QCircleError, OSError) as exc:  # OSError: --out
         print(f"error: {exc}", file=sys.stderr)
     except (ArithmeticError, MemoryError) as exc:
         print(f"error: a value is not representable "

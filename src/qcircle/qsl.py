@@ -96,40 +96,30 @@ def eigen_residual(prob: QSLProblem, Y, lams, grid: CircleGrid) -> list:
                   axis=-1).tolist()
 
 
-def certify_eigenpair(prob: QSLProblem, y, lam, grid: CircleGrid,
-                      tol: float = EIGEN_CERT_TOL) -> float:
-    """Max residual of M y = lam * y on the grid; raises EigenpairInvalid
-    beyond tol, or when the claimed eigenvalue is not (numerically) real."""
-    [res] = eigen_residual(prob, shifted(y, grid.nodes[None], prob.q, 2),
-                           [lam], grid)
-    if res > tol:
-        raise EigenpairInvalid(f"eigenpair residual {res} exceeds {tol}")
-    if abs(complex(lam).imag) > 1e-10:
-        raise EigenpairInvalid(f"eigenvalue {lam} is not real")
-    return res
-
-
-def eigen_orthogonality_check(prob: QSLProblem, y1, lam1, y2, lam2,
-                              grid: CircleGrid,
+def eigen_orthogonality_check(prob: QSLProblem, Y, lams, grid: CircleGrid,
                               tol: float = QUADRATURE_TOL) -> IdentityReport:
-    """Orthogonality of certified eigenfunctions with distinct eigenvalues.
-
-    Reports both readings: the bare contour mean of y1*y2 (no weight, no
-    conjugation) and the omega-weighted inner product (y1, y2)_omega.  The
-    report residual is the weighted form, which is the one the symmetry of M
-    forces to vanish; the bare value is informational.
-    """
-    if abs(complex(lam1) - complex(lam2)) <= 1e-8:
+    """|(y1, y2)_omega|, which the symmetry of M forces to vanish, for
+    eigenfunctions given as rows 0..2 of shape (3, 2, N) with distinct
+    eigenvalues lams; the bare contour mean of y1*y2 (no weight, no
+    conjugation) is noted.  Raises EigenpairInvalid if the eigenvalues are
+    too close, or a pair's eigen_residual exceeds EIGEN_CERT_TOL or its
+    eigenvalue is not (numerically) real."""
+    lam1, lam2 = lams = [complex(v) for v in lams]
+    if abs(lam1 - lam2) <= 1e-8:
         raise EigenpairInvalid("eigenvalues are too close to test orthogonality")
     prob.validate_on(grid)
-    certify_eigenpair(prob, y1, lam1, grid)
-    certify_eigenpair(prob, y2, lam2, grid)
-    v1, v2 = y1(grid.nodes), y2(grid.nodes)
+    for lam, res in zip(lams, eigen_residual(prob, Y, lams, grid)):
+        if res > EIGEN_CERT_TOL:
+            raise EigenpairInvalid(
+                f"eigenpair residual {res} exceeds {EIGEN_CERT_TOL}")
+        if abs(lam.imag) > 1e-10:
+            raise EigenpairInvalid(f"eigenvalue {lam} is not real")
+    v1, v2 = Y[0]
     bare = complex(np.mean(v1 * v2))
     w = grid.rows(prob.omega, prob.q, 0)[0]
     weighted = complex(np.mean(v1 * np.conj(v2) * w))
     return IdentityReport(
         "qsl_eigen_orthogonality", abs(weighted), tol, grid.n_nodes,
-        {"lambda1": complex(lam1), "lambda2": complex(lam2)},
+        {"lambda1": lam1, "lambda2": lam2},
         notes={"weighted_inner_product": weighted,
                "bare_contour_mean": bare})

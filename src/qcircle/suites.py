@@ -5,6 +5,7 @@ reports, shared by the CLI and the acceptance tests.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -37,7 +38,9 @@ class SuiteConfig:
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
+    @cached_property
     def grid(self) -> CircleGrid:
+        """The one grid of a verdict's suites: each row sampled once."""
         return CircleGrid(self.grid_size)
 
     def biortho_params(self) -> biortho.BiorthoParams:
@@ -81,7 +84,7 @@ def adjointness_report(q, grid: CircleGrid, seed: int, n_pairs: int = 100,
 
 
 def szego_suite(cfg: SuiteConfig) -> list[IdentityReport]:
-    grid, q, tol = cfg.grid(), cfg.q, cfg.tolerance
+    grid, q, tol = cfg.grid, cfg.q, cfg.tolerance
     # The Gram's (0, 0) entry is the total mass, since H_0 = 1.
     G, norms, gram_rep = szego.szego_gram(cfg.max_n, q, grid, tol)
     w = grid.rows(szego.szego_weight, q, 0, q)[0]
@@ -111,11 +114,11 @@ def pastro_degeneration_report(p: biortho.BiorthoParams, grid: CircleGrid,
     their negative Laurent modes, projected by quadrature, must vanish."""
     pastro = p.with_params(a=0.0, alpha=0.0)
     z = grid.nodes
-    worst = 0.0
-    for n in range(max_n + 1):
-        vals = np.asarray(biortho.r_fn(n, z, pastro))
-        for k in range(1, n + 2):
-            worst = nan_max(worst, abs(np.mean(vals * z**k)))
+    R = biortho.r_rows(max_n + 1, pastro, z, 0)[0]
+    Zk = np.stack([z**k for k in range(1, max_n + 2)])
+    modes = np.mean(R[:, None] * Zk, axis=-1).tolist()  # [n][k - 1]
+    worst = nan_max(0.0, *(abs(m) for n, row in enumerate(modes)
+                           for m in row[:n + 1]))
     *_, gram = biortho.biortho_gram(max_n, pastro, grid)
     diag = gram.notes["max_diag_rel_err"]
     return IdentityReport("pastro_degeneration", nan_max(worst, diag), tol,
@@ -141,7 +144,7 @@ def kappa_random_report(q, grid: CircleGrid, seed: int,
 
 
 def biortho_suite(cfg: SuiteConfig) -> list[IdentityReport]:
-    grid = cfg.grid()
+    grid = cfg.grid
     p = cfg.biortho_params()
     tol = cfg.tolerance
     # One I[m, n] at p: the total mass, the Gram and the chain's block.
@@ -211,7 +214,7 @@ def sears_involution_report(q) -> IdentityReport:
 
 
 def qsl_suite(cfg: SuiteConfig) -> list[IdentityReport]:
-    grid = cfg.grid()
+    grid = cfg.grid
     q = cfg.q
     # p and omega are one callable, so the grid samples the weight once.
     weight = lambda z: szego.szego_weight(z, q)
@@ -236,9 +239,9 @@ def qsl_suite(cfg: SuiteConfig) -> list[IdentityReport]:
         "qsl_form_positivity", nan_max(0.0, *form_res), cfg.tolerance,
         grid.n_nodes, {"q": q, "seed": cfg.seed}))
     reports.append(qsl.eigen_orthogonality_check(
-        prob, szego.szego_poly(1, q), szego.sturm_liouville_eigenvalue(1, q),
-        szego.szego_poly(2, q), szego.sturm_liouville_eigenvalue(2, q),
-        grid, cfg.tolerance))
+        prob, szego.poly_rows(2, q, grid.nodes, 2)[:, 1:],
+        [szego.sturm_liouville_eigenvalue(n, q) for n in (1, 2)], grid,
+        cfg.tolerance))
     return reports
 
 

@@ -195,6 +195,10 @@ class TestNoFalsePass:
          "argument --params: not allowed with --alpha, --beta"),
         (["gram", "biortho", "--b", "0.5", "--params", "0.3,0.2,0.4,0.1"],
          "argument --params: not allowed with --b"),
+        (["verify", "all", "--seed", "-1"],
+         "argument --seed: seed must be >= 0, got -1"),
+        (["gram", "szego", "--seed", "-1"],
+         "argument --seed: seed must be >= 0, got -1"),
     ])
     def test_invalid_tolerance_or_degree_exits_2(self, argv, invariant, capsys):
         # Each of these used to run: --tol 0 silently at the default, NaN or
@@ -202,7 +206,9 @@ class TestNoFalsePass:
         # on an empty Gram matrix, a NaN parameter or point printing nan.  A
         # malformed --params entry ended in a traceback and exit 1.  --params
         # beside --a/--alpha/--b/--beta won silently, and so did verify's
-        # former --n alias over --max-n.
+        # former --n alias over --max-n.  verify --seed -1 exited 2 with
+        # numpy's bare "expected non-negative integer", and gram, which
+        # draws nothing at random, exited 0.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -319,6 +325,22 @@ class TestNoFalsePass:
         assert err.startswith("error: (q, a alpha, b alpha, a beta, b beta; "
                               "q)_inf underflowed below 1e-280 at q=0.999")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, target, reason", [
+        (["verify", "szego", "--max-n", "2", "--grid", "64"],
+         "missing/x.json", "[Errno 2] No such file or directory"),
+        (["gram", "szego"], ".", "[Errno 21] Is a directory"),
+        (["eval", "szego", "--n", "2"], "missing/x",
+         "[Errno 2] No such file or directory"),
+    ], ids=["verify", "gram", "eval"])
+    def test_unwritable_out_exits_2(self, argv, target, reason, tmp_path,
+                                    capsys):
+        # Each ended in a traceback and exit 1, the code of a failed identity.
+        path = str(tmp_path / target)
+        assert main([*argv, "--out", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {reason}: {path!r}\n"
 
 
 class TestOneOutputPath:

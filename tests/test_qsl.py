@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from qcircle.circle import CircleGrid, LaurentPoly, dq_apply
+from qcircle.circle import CircleGrid, LaurentPoly, dq_apply, shifted
 from qcircle.errors import EigenpairInvalid
-from qcircle.qsl import (QSLProblem, certify_eigenpair,
-                         eigen_orthogonality_check, m_apply,
-                         symmetry_residuals)
+from qcircle.qsl import (EIGEN_CERT_TOL, QSLProblem, eigen_orthogonality_check,
+                         eigen_residual, m_apply, symmetry_residuals)
 from qcircle.report import nan_max
 from qcircle.suites import random_laurent_rows
-from qcircle.szego import (sturm_liouville_eigenvalue, szego_poly,
+from qcircle.szego import (poly_rows, sturm_liouville_eigenvalue, szego_poly,
                            szego_weight)
 
 GRID = CircleGrid(256)
@@ -126,40 +125,59 @@ class TestSymmetry:
         assert got == want
 
 
+def eigen_rows(q, junk=False):
+    """Rows 0..2 of H_1 and H_2, or of H_1 and 1/z + 0.3 + 2z (no
+    eigenfunction), shape (3, 2, N)."""
+    rows = poly_rows(2, q, GRID.nodes, 2)[:, 1:]
+    if junk:
+        rows[:, 1] = shifted(LaurentPoly(-1, [1.0, 0.3, 2.0]), GRID.nodes, q,
+                             2)
+    return rows
+
+
 class TestEigenpairs:
+    q = 0.5
+    lams = [sturm_liouville_eigenvalue(1, q), sturm_liouville_eigenvalue(2, q)]
+
     def test_certify_accepts_true_pair(self):
-        q = 0.5
-        prob = szego_problem(q)
-        res = certify_eigenpair(prob, szego_poly(2, q),
-                                sturm_liouville_eigenvalue(2, q), GRID)
-        assert res < 1e-9
+        prob = szego_problem(self.q)
+        assert all(r < 1e-9 for r in eigen_residual(
+            prob, eigen_rows(self.q), self.lams, GRID))
+        eigen_orthogonality_check(prob, eigen_rows(self.q), self.lams, GRID)
 
     def test_certify_rejects_wrong_eigenvalue(self):
-        q = 0.5
-        prob = szego_problem(q)
-        with pytest.raises(EigenpairInvalid):
-            certify_eigenpair(prob, szego_poly(2, q), 1.234, GRID)
+        with pytest.raises(EigenpairInvalid, match="residual"):
+            eigen_orthogonality_check(szego_problem(self.q),
+                                      eigen_rows(self.q),
+                                      [self.lams[0], 1.234], GRID)
 
     def test_certify_rejects_non_eigenfunction(self):
-        prob = szego_problem(0.5)
-        junk = LaurentPoly(-1, [1.0, 0.3, 2.0])
-        with pytest.raises(EigenpairInvalid):
-            certify_eigenpair(prob, junk, 1.0, GRID)
+        with pytest.raises(EigenpairInvalid, match="residual"):
+            eigen_orthogonality_check(szego_problem(self.q),
+                                      eigen_rows(self.q, junk=True),
+                                      [self.lams[0], 1.0], GRID)
+
+    def test_certify_rejects_non_real_eigenvalue(self):
+        # Within EIGEN_CERT_TOL of M y_2 (|H_2| < 5 on the circle), but not
+        # real.
+        lams = [self.lams[0], self.lams[1] + 1e-9j]
+        prob = szego_problem(self.q)
+        assert eigen_residual(prob, eigen_rows(self.q), lams,
+                              GRID)[1] < EIGEN_CERT_TOL
+        with pytest.raises(EigenpairInvalid, match="not real"):
+            eigen_orthogonality_check(prob, eigen_rows(self.q), lams, GRID)
 
     def test_orthogonality_of_distinct_modes(self):
-        q = 0.5
-        prob = szego_problem(q)
-        rep = eigen_orthogonality_check(
-            prob, szego_poly(1, q), sturm_liouville_eigenvalue(1, q),
-            szego_poly(2, q), sturm_liouville_eigenvalue(2, q),
-            GRID, tol=1e-10)
+        rep = eigen_orthogonality_check(szego_problem(self.q),
+                                        eigen_rows(self.q), self.lams, GRID,
+                                        tol=1e-10)
         assert rep.passed
         assert abs(rep.notes["weighted_inner_product"]) < 1e-10
 
     def test_orthogonality_rejects_degenerate_eigenvalues(self):
-        q = 0.5
-        prob = szego_problem(q)
-        h1 = szego_poly(1, q)
-        lam = sturm_liouville_eigenvalue(1, q)
-        with pytest.raises(EigenpairInvalid):
-            eigen_orthogonality_check(prob, h1, lam, h1, lam + 1e-12, GRID)
+        rows = eigen_rows(self.q)
+        rows[:, 1] = rows[:, 0]
+        lam = self.lams[0]
+        with pytest.raises(EigenpairInvalid, match="too close"):
+            eigen_orthogonality_check(szego_problem(self.q), rows,
+                                      [lam, lam + 1e-12], GRID)

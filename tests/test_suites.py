@@ -1,7 +1,16 @@
-import numpy as np
+from collections import Counter
 
-from qcircle.qcore import qval
-from qcircle.suites import random_balanced_sears
+import numpy as np
+import pytest
+
+from qcircle import biortho, qsl, szego
+from qcircle.biortho import (DEFAULT_PARAMS, BiorthoParams, biortho_gram,
+                             r_fn, random_params)
+from qcircle.circle import CircleGrid, LaurentPoly
+from qcircle.qcore import QUADRATURE_TOL, qval
+from qcircle.report import IdentityReport, nan_max, to_json
+from qcircle.suites import (SuiteConfig, pastro_degeneration_report,
+                            random_balanced_sears, run_suite)
 
 
 def sears_by_uniform(rng, q, n):
@@ -29,3 +38,80 @@ def test_random_balanced_sears_bytes():
                 b"".join(x.tobytes() for x in want)
         # Both drew the same number of doubles.
         assert rng.random() == frozen.random()
+
+
+def test_verify_all_samples_rows_on_one_grid(monkeypatch):
+    # One grid for the three suites that sample, H_1 and H_2 from the Szego
+    # row table, s_n from r_rows: no callable is evaluated on the grid.
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((CircleGrid, "__post_init__"),
+                        (LaurentPoly, "__call__"), (szego, "szego_poly"),
+                        (biortho, "s_fn"), (qsl, "_m_rows")):
+        count(owner, name)
+    run_suite("all", SuiteConfig(q=0.5, max_n=5, grid_size=256, seed=3))
+    # M applied once each to the anchor, to f and g, and to H_1 and H_2.
+    assert calls == {"__post_init__": 1, "_m_rows": 4}
+    assert not hasattr(qsl, "certify_eigenpair")
+
+
+def pastro_by_loops(p, grid, max_n):
+    """pastro_degeneration_report with one r_fn call per degree and one
+    mean per negative mode."""
+    pastro = p.with_params(a=0.0, alpha=0.0)
+    z = grid.nodes
+    worst = 0.0
+    for n in range(max_n + 1):
+        vals = np.asarray(r_fn(n, z, pastro))
+        for k in range(1, n + 2):
+            worst = nan_max(worst, abs(np.mean(vals * z**k)))
+    *_, gram = biortho_gram(max_n, pastro, grid)
+    diag = gram.notes["max_diag_rel_err"]
+    return IdentityReport("pastro_degeneration", nan_max(worst, diag),
+                          QUADRATURE_TOL, grid.n_nodes, pastro.as_dict(),
+                          notes={"max_negative_mode": worst,
+                                 "max_diag_rel_err": diag})
+
+
+def eigen_orthogonality_by_callables(q, grid):
+    """The qsl_eigen_orthogonality report from H_1 and H_2 as LaurentPoly
+    callables and a direct weight row."""
+    v1, v2 = szego.szego_poly(1, q)(grid.nodes), szego.szego_poly(2, q)(
+        grid.nodes)
+    w = np.asarray(szego.szego_weight(grid.nodes, q))
+    weighted = complex(np.mean(v1 * np.conj(v2) * w))
+    return IdentityReport(
+        "qsl_eigen_orthogonality", abs(weighted), QUADRATURE_TOL,
+        grid.n_nodes, {"lambda1": complex(szego.sturm_liouville_eigenvalue(
+            1, q)), "lambda2": complex(szego.sturm_liouville_eigenvalue(2, q))},
+        notes={"weighted_inner_product": weighted,
+               "bare_contour_mean": complex(np.mean(v1 * v2))})
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 4])
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.8])
+def test_pastro_modes_bytes(q, max_n):
+    grid = CircleGrid(256)
+    for p in (BiorthoParams(*DEFAULT_PARAMS, q),
+              random_params(np.random.default_rng(max_n), q)):
+        got = pastro_degeneration_report(p, grid, max_n)
+        assert to_json(got.as_dict()) == \
+            to_json(pastro_by_loops(p, grid, max_n).as_dict())
+
+
+@pytest.mark.parametrize("max_n", [0, 1, 4])
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.8])
+def test_qsl_eigen_orthogonality_bytes(q, max_n):
+    cfg = SuiteConfig(q=q, max_n=max_n, grid_size=256)
+    (got,) = [r for r in run_suite("qsl", cfg)
+              if r.name == "qsl_eigen_orthogonality"]
+    want = eigen_orthogonality_by_callables(cfg.q, CircleGrid(256))
+    assert to_json(got.as_dict()) == to_json(want.as_dict())

@@ -65,6 +65,10 @@ SWEEP = (
     # sears_random_draws at max_n 8 straddles its tolerance (exit 1).
     + [["verify", "sears", "--max-n", "8", "--q", q, "--seed", seed]
        for q, seed in (("0.12", "2"), ("0.9", "5"))]
+    # The q-Sturm-Liouville suite where p is not real on the grid (exit 2),
+    # and where qsl_form_positivity rests on its last bits.
+    + [["verify", "qsl", "--max-n", n, "--grid", "256", "--q", q]
+       for n, q in (("5", "0.9"), ("8", "0.8"))]
     # The Gram matrices of the gram_json benchmark workload, one report each;
     # the Szego one also at both ends of the coefficient range.
     + [["gram", "szego", "--max-n", "16", "--grid", "2048", "--q", q]
