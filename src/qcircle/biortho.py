@@ -19,7 +19,7 @@ from .errors import DegenerateParameters, UnbalancedParameters, WeightUnderflow
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, PhiSpec, _maybe_scalar, phi,
                     qmultipochhammer, qpochhammer, qpochhammer_inf,
                     qpochhammer_inf_each, qval)
-from .report import IdentityReport
+from .report import IdentityReport, worst
 from .szego import szego_weight
 
 
@@ -212,9 +212,8 @@ def weight_symmetry_check(p: BiorthoParams, grid: CircleGrid,
     """
     lhs = np.asarray(biortho_weight(1.0 / grid.nodes, p))
     rhs = weight_row(grid, BiorthoParams(p.alpha, p.a, p.beta, p.b, p.q))
-    residual = float(np.max(np.abs(lhs - rhs)))
-    literal = float(np.max(np.abs(lhs - weight_row(grid, p))))
-    return IdentityReport("biortho_weight_symmetry", residual, tol,
+    literal = worst(lhs - weight_row(grid, p))
+    return IdentityReport("biortho_weight_symmetry", worst(lhs - rhs), tol,
                           grid.n_nodes, p.as_dict(),
                           notes={"literal_unswapped_residual": literal})
 
@@ -314,12 +313,6 @@ def ladder_reports(max_n: int, p: BiorthoParams, grid: CircleGrid,
     def lowering_prefactor(u):  # (u q^{1/2} z; q)_2
         return (1.0 - u * rq * z) * (1.0 - u * rq * qv * z)
 
-    def largest(x):
-        return float(np.max(np.abs(x)))
-
-    def relative(lhs, rhs):
-        return largest(lhs - rhs) / max(1.0, largest(rhs))
-
     def report(name, n, residual, **kw):
         return IdentityReport(name, residual, tol, grid.n_nodes,
                               {**params, "n": n}, **kw)
@@ -327,17 +320,16 @@ def ladder_reports(max_n: int, p: BiorthoParams, grid: CircleGrid,
     dq = dq_rows(R[:, 1:], z[None], qv)[0]
     target = (np.array([lowering_coefficient(n, p) for n in range(1, top + 1)])
               [:, None] * r_rows(top, lowered, z, 0)[0])
-    lowering = [largest(row)
-                for row in lowering_prefactor(p.a * p.b) * dq - target]
+    lowering = worst(lowering_prefactor(p.a * p.b) * dq - target)
     lhs = tq_rows(raising_ratio_rows(z, p)[:, None]
                   * r_rows(top, raised, z, 1), z[None], qv)[0]
     core = R[0, 1:]  # r_n, n = 1..top
-    raising = [relative(left, right) for left, right
+    raising = [worst(left - right, max(1.0, worst(right))) for left, right
                in zip(lhs, raising_coefficient(p) * core)]
 
     i = min(2, top) - 1  # row of the variant table's degree
-    scale = max(1.0, largest(core[i]))
-    table = {label: largest(lhs[i] - c / ((1.0 - qv) * p.b) * core[i]) / scale
+    scale = max(1.0, worst(core[i]))
+    table = {label: worst(lhs[i] - c / ((1.0 - qv) * p.b) * core[i], scale)
              for label, c in (
         ("raising_coeff_(1-ba)(1-bb)",
          (1.0 - p.b * p.alpha) * (1.0 - p.b * p.beta)),
@@ -346,16 +338,16 @@ def ladder_reports(max_n: int, p: BiorthoParams, grid: CircleGrid,
         ("raising_coeff_(1-ba/q)(1-bb/q)",
          (1.0 - p.b * p.alpha / qv) * (1.0 - p.b * p.beta / qv)))}
     table["lowering_prefactor_ab"] = lowering[i]
-    table["lowering_prefactor_alphabeta"] = largest(
+    table["lowering_prefactor_alphabeta"] = worst(
         lowering_prefactor(p.alpha * p.beta) * dq[i] - target[i])
     if abs(p.alpha / qv) < 1.0 and abs(p.beta / qv) < 1.0:
         divided = p.with_params(alpha=p.alpha / qv, beta=p.beta / qv)
         c = p.alpha * p.beta * qv**-1.5
         pref = [(1.0 - c / t) * (1.0 - c * qv / t) for t in (z, qv * z)]
-        table["raising_unshifted_prefactor"] = relative(
+        rhs = raising_coefficient(divided) * r_fn(i + 1, z, divided)
+        table["raising_unshifted_prefactor"] = worst(
             tq_rows(np.stack([pref[0], pref[1] * pearson_ratio(z, p)])
-                    * R[:, i], z, qv)[0],
-            raising_coefficient(divided) * r_fn(i + 1, z, divided))
+                    * R[:, i], z, qv)[0] - rhs, max(1.0, worst(rhs)))
 
     reports = [report(f"biortho_{name}", n, residuals[n - 1])
                for n in range(1, max_n + 1)
@@ -397,7 +389,7 @@ def sears_check(n: int, A, B, C, D, E, F, q,
     lhs = phi(PhiSpec((qn, A, B, C), (D, E, F), qv, qv))
     pref, args = sears_transform(n, A, B, C, D, E, F, qv)
     rhs = pref * phi(PhiSpec((qn,) + args[:3], args[3:], qv, qv))
-    residual = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    residual = worst(lhs - rhs, max(1.0, abs(lhs), abs(rhs)))
     return IdentityReport("sears_transformation", residual, tol, 0,
                           {"n": n, "A": A, "B": B, "C": C,
                            "D": D, "E": E, "F": F, "q": qv})
@@ -455,8 +447,9 @@ def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
     if upper >= 1:
         lowered = imn_table(upper, shifts[1], grid).tolist()
         reports += [IdentityReport(
-            "imn_recursion_step", abs(table[m][n] - imn_step_coefficient(m, p)
-                                      * lowered[m - 1][n - 1]),
+            "imn_recursion_step",
+            worst(table[m][n] - imn_step_coefficient(m, p)
+                  * lowered[m - 1][n - 1]),
             tol, grid.n_nodes, {**params, "m": m, "n": n})
             for m in range(1, upper + 1) for n in range(1, upper + 1)]
     kappas = kappa_each(shifts)
@@ -468,15 +461,15 @@ def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
                * qpochhammer(p.a * p.b * p.alpha * p.beta, qv, 2 * n))
         closed = kappas[0] * num / den
         reports.append(IdentityReport(
-            "i00_shifted_closed_form", abs(mass - closed) / abs(closed), tol,
-            grid.n_nodes, {**params, "n": n}, notes={
+            "i00_shifted_closed_form", worst(mass - closed, abs(closed)),
+            tol, grid.n_nodes, {**params, "n": n}, notes={
                 "closed_vs_shifted_kappa":
-                abs(kappas[n] - closed) / abs(closed)}))
+                worst(kappas[n] - closed, abs(closed))}))
     if upper >= 2:  # mass is I_{0,0}(shift_upper)
         chained = imn_iterated_coefficient(upper, p) * mass
         reports.append(IdentityReport(
-            "imn_recursion_iterated", abs(table[upper][upper] - chained), tol,
-            grid.n_nodes, {**params, "m": upper, "n": upper}))
+            "imn_recursion_iterated", worst(table[upper][upper] - chained),
+            tol, grid.n_nodes, {**params, "m": upper, "n": upper}))
     return reports
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import WeightUnderflow
 from .qcore import _maybe_scalar, qval
-from .report import IdentityReport, nan_max
+from .report import IdentityReport, nan_max, worst
 
 UNDERFLOW_FLOOR = 1e-300  # smallest weight `over_weight` divides by
 
@@ -153,8 +153,8 @@ def gram_check(name, G, norms, tol, grid_size, params, **notes):
     """(G, norms, report): the worse of a gram_matrix G's largest
     |off-diagonal| and relative error against `norms`, NaN if any is."""
     size = range(len(norms))
-    off = nan_max(0.0, *(abs(G[m, n]) for m in size for n in size if m != n))
-    diag = nan_max(0.0, *(abs(G[n, n] - norms[n]) / abs(norms[n])
+    off = worst([G[m, n] for m in size for n in size if m != n])
+    diag = nan_max(0.0, *(worst(G[n, n] - norms[n], abs(norms[n]))
                           for n in size))
     report = IdentityReport(
         name, nan_max(off, diag), tol, grid_size, params,

@@ -23,7 +23,7 @@ from . import biortho, suites, szego
 from .circle import CircleGrid
 from .errors import QCircleError
 from .qcore import QUADRATURE_TOL, theta_sum
-from .report import to_csv, to_json
+from .report import to_csv, to_json, worst
 from .suites import SuiteConfig
 
 
@@ -77,6 +77,8 @@ def _add_common(p: argparse.ArgumentParser,
                 formats=("json", "csv", "text"), checks=True):
     """Flags of every command; `checks` adds --tol for the ones that judge
     residuals (eval prints values and has nothing to judge)."""
+    p.add_argument("--params", type=four_params, default=None,
+                   help="the rational family's a,alpha,b,beta")
     p.add_argument("--q", type=float, default=0.5, help="base q in (0,1)")
     p.add_argument("--grid", type=int, default=256, dest="grid_size",
                    help="number of quadrature nodes on |z|=1")
@@ -87,15 +89,6 @@ def _add_common(p: argparse.ArgumentParser,
                    dest="output_format")
     p.add_argument("--out", type=str, default=None, metavar="FILE",
                    help="write the report to FILE instead of stdout")
-
-
-def _add_biortho_flags(p: argparse.ArgumentParser):
-    p.add_argument("--a", type=parse_complex, default=None)
-    p.add_argument("--alpha", type=parse_complex, default=None)
-    p.add_argument("--b", type=parse_complex, default=None)
-    p.add_argument("--beta", type=parse_complex, default=None)
-    p.add_argument("--params", type=four_params, default=None,
-                   help="CSV shorthand a,alpha,b,beta")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,14 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "kappa", "theta"))
     pe.add_argument("--n", type=int, default=0)
     pe.add_argument("--z", type=parse_complex, default=complex(1.0))
-    _add_biortho_flags(pe)
     _add_common(pe, formats=("json", "text"), checks=False)
 
     pv = sub.add_parser("verify", help="run an identity suite")
     pv.add_argument("suite", choices=("szego", "biortho", "sears", "qsl", "all"))
     pv.add_argument("--max-n", type=max_degree, default=5, dest="max_n")
     pv.add_argument("--seed", type=seed, default=0)
-    _add_biortho_flags(pv)
     _add_common(pv)
 
     pg = sub.add_parser("gram", help="emit a Gram matrix table")
@@ -128,21 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--seed", type=seed, default=0,
                     help="unused: gram draws nothing at random, and takes "
                          "--seed as every verdict command does")
-    _add_biortho_flags(pg)
     _add_common(pg)
 
     return parser
 
 
 def biortho_params_from_args(args) -> biortho.BiorthoParams:
-    if args.params is not None:
-        return biortho.BiorthoParams(*args.params, args.q)
-    vals = [args.a, args.alpha, args.b, args.beta]
-    if all(v is None for v in vals):
-        return biortho.BiorthoParams(*biortho.DEFAULT_PARAMS, args.q)
-    if any(v is None for v in vals):
-        raise ValueError("give all of --a --alpha --b --beta, or --params")
-    return biortho.BiorthoParams(args.a, args.alpha, args.b, args.beta, args.q)
+    return biortho.BiorthoParams(*(args.params or biortho.DEFAULT_PARAMS),
+                                 args.q)
 
 
 def _fmt_complex(v: complex) -> str:
@@ -224,7 +208,7 @@ def _gram_rows(G, expected):
                 "m": m, "n": n,
                 "computed": complex(G[m, n]),
                 "expected": complex(exp),
-                "residual": float(abs(G[m, n] - exp)),
+                "residual": worst(G[m, n] - exp),
             })
     return rows
 
@@ -266,10 +250,6 @@ def cmd_gram(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    given = [f"--{k}" for k in ("a", "alpha", "b", "beta")
-             if getattr(args, k) is not None]
-    if args.params is not None and given:
-        parser.error(f"argument --params: not allowed with {', '.join(given)}")
     try:
         if args.command == "eval":
             return cmd_eval(args)

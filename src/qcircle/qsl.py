@@ -18,7 +18,7 @@ from .circle import (CircleGrid, dq_rows, over_weight, shifted, tq_apply,
                      tq_rows)
 from .errors import EigenpairInvalid
 from .qcore import QUADRATURE_TOL, _maybe_scalar, qval
-from .report import IdentityReport, nan_max
+from .report import IdentityReport, nan_max, worst
 
 EIGEN_CERT_TOL = 1e-8
 
@@ -40,7 +40,7 @@ class QSLProblem:
     def validate_on(self, grid: CircleGrid):
         for name, fn in (("p", self.p), ("omega", self.omega)):
             vals = grid.rows(fn, self.q, 0)[0]
-            if np.max(np.abs(vals.imag)) > 1e-12:
+            if worst(vals.imag) > 1e-12:
                 raise ValueError(f"{name} is not real on the grid")
             if np.min(vals.real) <= 0.0:
                 raise ValueError(f"{name} is not positive on the grid")
@@ -70,8 +70,8 @@ def symmetry_residuals(prob: QSLProblem, F, G, grid: CircleGrid):
     """Per pair (f_i, g_i), given as rows 0..2 of shape (3, P, N), lists of:
     the symmetry residual |(f, Mg)_omega - conj((g, Mf)_omega)|, the form
     (f, Mf)_omega, and the worst of the form's own symmetry residual, its
-    distance from the nonnegative (1/2 pi i) \\oint p |D_q f|^2 dz/z, and -Re.
-    Magnitudes are Python's abs (hypot), which numpy's can miss by an ulp."""
+    distance from the nonnegative (1/2 pi i) \\oint p |D_q f|^2 dz/z, and
+    -Re."""
     prob.validate_on(grid)
     w = grid.rows(prob.omega, prob.q, 0)[0]
     mf = _m_rows(prob, F, grid)
@@ -82,8 +82,8 @@ def symmetry_residuals(prob: QSLProblem, F, G, grid: CircleGrid):
     df = dq_rows(F, grid.nodes[None], prob.q)[0]
     direct = np.mean(grid.rows(prob.p, prob.q, 0)[0] * np.abs(df)**2,
                      axis=-1).tolist()
-    sym = [abs(a - b.conjugate()) for a, b in zip(lhs, rhs)]
-    form_res = [nan_max(abs(f - f.conjugate()), abs(f - d), -f.real)
+    sym = [worst(a - b.conjugate()) for a, b in zip(lhs, rhs)]
+    form_res = [nan_max(worst(f - f.conjugate()), worst(f - d), -f.real)
                 for f, d in zip(form, direct)]
     return sym, form, form_res
 
@@ -92,8 +92,7 @@ def eigen_residual(prob: QSLProblem, Y, lams, grid: CircleGrid) -> list:
     """max |M y_i - lam_i y_i| over the grid nodes, per function y_i given
     as rows 0..2 of shape (3, P, N), with P eigenvalues lams."""
     lam = np.array([complex(v) for v in lams])[:, None]
-    return np.max(np.abs(_m_rows(prob, Y, grid) - lam * Y[0]),
-                  axis=-1).tolist()
+    return worst(_m_rows(prob, Y, grid) - lam * Y[0])
 
 
 def eigen_orthogonality_check(prob: QSLProblem, Y, lams, grid: CircleGrid,
@@ -119,7 +118,7 @@ def eigen_orthogonality_check(prob: QSLProblem, Y, lams, grid: CircleGrid,
     w = grid.rows(prob.omega, prob.q, 0)[0]
     weighted = complex(np.mean(v1 * np.conj(v2) * w))
     return IdentityReport(
-        "qsl_eigen_orthogonality", abs(weighted), tol, grid.n_nodes,
+        "qsl_eigen_orthogonality", worst(weighted), tol, grid.n_nodes,
         {"lambda1": lam1, "lambda2": lam2},
         notes={"weighted_inner_product": weighted,
                "bare_contour_mean": bare})

@@ -8,6 +8,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def nan_max(*values) -> float:
     """The largest of `values`, or NaN if any of them is NaN.
@@ -18,6 +20,22 @@ def nan_max(*values) -> float:
     if any(math.isnan(v) for v in values):
         return math.nan
     return float(max(values))
+
+
+def worst(diff, scale=1.0):
+    """The one residual rule: the largest |diff| / scale, NaN if any is.
+
+    On a numpy array the reduction runs over the last axis, so a row gives
+    a float and a table one value per row, and an array `scale` divides
+    entry by entry.  A list or a number takes Python's abs (hypot), which
+    numpy's vectorized abs can miss in the last bit; an empty list gives
+    0.0.  No numpy runs on the number path.
+    """
+    if isinstance(diff, np.ndarray):
+        return np.max(np.abs(diff) / scale, axis=-1).tolist()
+    if isinstance(diff, list):
+        return nan_max(0.0, *(abs(d) / scale for d in diff))
+    return abs(diff) / scale
 
 
 def re_im(value) -> list:

@@ -13,7 +13,7 @@ import numpy as np
 from . import biortho, qsl, szego
 from .circle import CircleGrid, dq_rows, laurent_values, shifted, tq_rows
 from .qcore import ALGEBRAIC_TOL, QUADRATURE_TOL, PhiSpec, phi, qval
-from .report import IdentityReport, nan_max, to_csv, to_json
+from .report import IdentityReport, nan_max, to_csv, to_json, worst
 
 
 @dataclass
@@ -77,9 +77,8 @@ def adjointness_report(q, grid: CircleGrid, seed: int, n_pairs: int = 100,
     F, G = rows[:, 0::2], rows[:, 1::2]
     lhs = np.mean(dq_rows(F, z, qv)[0] * np.conj(G[0]), axis=-1)
     rhs = np.mean(F[0] * np.conj(tq_rows(G, z, qv)[0]), axis=-1)
-    # Python's abs (hypot): numpy's vectorized one can differ in the last bit.
-    worst = nan_max(0.0, *(abs(d) for d in (lhs - rhs).tolist()))
-    return IdentityReport("adjointness", worst, tol, grid.n_nodes,
+    return IdentityReport("adjointness", worst((lhs - rhs).tolist()), tol,
+                          grid.n_nodes,
                           {"q": qv, "pairs": n_pairs, "seed": seed})
 
 
@@ -88,10 +87,10 @@ def szego_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     # The Gram's (0, 0) entry is the total mass, since H_0 = 1.
     G, norms, gram_rep = szego.szego_gram(cfg.max_n, q, grid, tol)
     w = grid.rows(szego.szego_weight, q, 0, q)[0]
-    min_real, max_imag = float(np.min(w.real)), float(np.max(np.abs(w.imag)))
+    min_real, max_imag = float(np.min(w.real)), worst(w.imag)
     return [
         IdentityReport("szego_total_mass",
-                       abs(complex(G[0, 0]) - norms[0]) / abs(norms[0]), tol,
+                       worst(complex(G[0, 0]) - norms[0], abs(norms[0])), tol,
                        grid.n_nodes, {"q": q}),
         szego.jacobi_triple_check(q, grid, tol),
         *szego.ladder_reports(cfg.max_n, q, grid, tol),
@@ -117,13 +116,12 @@ def pastro_degeneration_report(p: biortho.BiorthoParams, grid: CircleGrid,
     R = biortho.r_rows(max_n + 1, pastro, z, 0)[0]
     Zk = np.stack([z**k for k in range(1, max_n + 2)])
     modes = np.mean(R[:, None] * Zk, axis=-1).tolist()  # [n][k - 1]
-    worst = nan_max(0.0, *(abs(m) for n, row in enumerate(modes)
-                           for m in row[:n + 1]))
+    negative = worst([m for n, row in enumerate(modes) for m in row[:n + 1]])
     *_, gram = biortho.biortho_gram(max_n, pastro, grid)
     diag = gram.notes["max_diag_rel_err"]
-    return IdentityReport("pastro_degeneration", nan_max(worst, diag), tol,
+    return IdentityReport("pastro_degeneration", nan_max(negative, diag), tol,
                           grid.n_nodes, pastro.as_dict(),
-                          notes={"max_negative_mode": worst,
+                          notes={"max_negative_mode": negative,
                                  "max_diag_rel_err": diag})
 
 
@@ -135,10 +133,10 @@ def kappa_random_report(q, grid: CircleGrid, seed: int,
     n_sets = 10
     rng = np.random.default_rng(seed)
     sets = [biortho.random_params(rng, q) for _ in range(n_sets)]
-    worst = nan_max(0.0, *(
-        abs(complex(np.mean(w)) - kappa) / abs(kappa) for w, kappa
+    residual = nan_max(0.0, *(
+        worst(complex(np.mean(w)) - kappa, abs(kappa)) for w, kappa
         in zip(biortho.weight_rows(grid, sets), biortho.kappa_each(sets))))
-    return IdentityReport("biortho_total_mass_random", worst, tol,
+    return IdentityReport("biortho_total_mass_random", residual, tol,
                           grid.n_nodes, {"q": qval(q), "sets": n_sets,
                                          "seed": seed})
 
@@ -151,7 +149,7 @@ def biortho_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     G, norms, gram_rep = biortho.biortho_gram(cfg.max_n, p, grid, tol)
     reports = [
         IdentityReport("biortho_total_mass",
-                       abs(complex(G[0, 0]) - norms[0]) / abs(norms[0]), tol,
+                       worst(complex(G[0, 0]) - norms[0], abs(norms[0])), tol,
                        grid.n_nodes, p.as_dict()),
         kappa_random_report(cfg.q, grid, cfg.seed, tol=tol),
         biortho.weight_symmetry_check(p, grid, cfg.algebraic_tolerance),
@@ -181,15 +179,15 @@ def sears_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     n_draws = 50
     rng = np.random.default_rng(cfg.seed)
     reports = []
-    worst = 0.0
+    largest = 0.0
     nmax = max(1, min(cfg.max_n, 8))
     for _ in range(n_draws):
         n = int(rng.integers(0, nmax + 1))
         A, B, C, D, E, F = random_balanced_sears(rng, cfg.q, n)
         rep = biortho.sears_check(n, A, B, C, D, E, F, cfg.q, cfg.tolerance)
-        worst = nan_max(worst, rep.residual)
+        largest = nan_max(largest, rep.residual)
     reports.append(IdentityReport(
-        "sears_random_draws", worst, cfg.tolerance, 0,
+        "sears_random_draws", largest, cfg.tolerance, 0,
         {"q": cfg.q, "draws": n_draws, "seed": cfg.seed, "max_n": nmax}))
     # One deterministic double application: the transformation is an
     # involution under the induced parameter relabeling.
@@ -208,7 +206,7 @@ def sears_involution_report(q) -> IdentityReport:
     p1, args1 = biortho.sears_transform(n, A, B, C, D, E, F, qv)
     p2, args2 = biortho.sears_transform(n, *args1, qv)
     twice = p1 * p2 * phi(PhiSpec((qv**-n,) + args2[:3], args2[3:], qv, qv))
-    residual = abs(twice - original) / max(1.0, abs(original))
+    residual = worst(twice - original, max(1.0, abs(original)))
     return IdentityReport("sears_involution", residual, tol, 0,
                           {"q": qv, "n": n})
 

@@ -18,7 +18,7 @@ from .errors import WeightUnderflow
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, _maybe_scalar,
                     jacobi_triple_product, qpochhammer_inf, qval,
                     theta_sum)
-from .report import IdentityReport, nan_max
+from .report import IdentityReport, worst
 
 
 def _running_qq(top: int, qv: float) -> np.ndarray:
@@ -89,10 +89,9 @@ def weight_pearson_check(q, grid: CircleGrid, depth: int,
            * weight_ratio_rows(grid.nodes, qv, depth)[depth])
     direct = np.asarray(szego_weight(
         _shifted_points(grid.nodes, qv, depth)[depth], qv))
-    relative = np.abs(row - direct) / np.abs(direct)
     return IdentityReport("szego_weight_pearson",
-                          nan_max(0.0, *relative.tolist()), tol, grid.n_nodes,
-                          {"q": qv, "depth": depth})
+                          worst(row - direct, np.abs(direct)), tol,
+                          grid.n_nodes, {"q": qv, "depth": depth})
 
 
 def szego_norms(max_n: int, q) -> list:
@@ -158,21 +157,17 @@ def ladder_reports(max_n: int, q, grid: CircleGrid,
     low, up, rod, sl = np.array([ladder_constants(n, qv)
                                  for n in degrees]).T[..., None]
 
-    def residuals(lhs, rhs):
-        return np.max(np.abs(lhs - rhs), axis=-1).tolist()
-
     def report(name, n, residual):
         return IdentityReport(name, residual, tol, grid.n_nodes,
                               {"n": n, "q": qv})
 
-    lowering = residuals(dq_rows(H[:2, 1:-1], z, qv)[0], low[1:] * H[0, :-2])
-    raising = residuals(tq_rows(ratio[:2, None] * H[:2, :-1], z, qv)[0],
-                        up * H[0, 1:])
-    rodrigues = residuals(np.stack([rod[n] * tq_power(ratio, grid.nodes, qv, n)
-                                    for n in degrees]), H[0, :-1])
-    sturm = residuals(
-        tq_rows(ratio[:2, None] * dq_rows(H[:, :-1], z, qv), z, qv)[0],
-        sl * H[0, :-1])
+    lowering = worst(dq_rows(H[:2, 1:-1], z, qv)[0] - low[1:] * H[0, :-2])
+    raising = worst(tq_rows(ratio[:2, None] * H[:2, :-1], z, qv)[0]
+                    - up * H[0, 1:])
+    rodrigues = worst(np.stack([rod[n] * tq_power(ratio, grid.nodes, qv, n)
+                                for n in degrees]) - H[0, :-1])
+    sturm = worst(tq_rows(ratio[:2, None] * dq_rows(H[:, :-1], z, qv),
+                          z, qv)[0] - sl * H[0, :-1])
     return [report("szego_lowering", n, lowering[n - 1])
             for n in degrees[1:]] + [
         report(f"szego_{name}", n, values[n]) for n in degrees
@@ -197,8 +192,6 @@ def jacobi_triple_check(q, grid: CircleGrid,
     """theta_sum(z, q) against the base-q^2 triple product on the grid."""
     qv = qval(q)
     z = grid.nodes
-    lhs = np.asarray(theta_sum(z, qv))
-    rhs = np.asarray(jacobi_triple_product(z, qv))
-    residual = float(np.max(np.abs(lhs - rhs)))
+    residual = worst(theta_sum(z, qv) - jacobi_triple_product(z, qv))
     return IdentityReport("jacobi_triple_product", residual, tol,
                           grid.n_nodes, {"q": qv})

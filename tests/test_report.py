@@ -2,8 +2,9 @@ import json
 import math
 
 import numpy as np
+import pytest
 
-from qcircle.report import IdentityReport, nan_max, to_csv, to_json
+from qcircle.report import IdentityReport, nan_max, to_csv, to_json, worst
 
 
 class TestNanMax:
@@ -18,6 +19,42 @@ class TestNanMax:
     def test_nan_residual_fails(self):
         rep = IdentityReport("x", nan_max(0.0, math.nan), 1e-10, 4)
         assert not rep.passed
+
+
+class TestWorst:
+    @pytest.mark.parametrize("diff", [
+        np.array([1.0, math.nan, 2.0]), [1.0, math.nan, 2.0], math.nan,
+        complex(math.nan, 0.0)])
+    def test_nan_anywhere_gives_nan_and_fails(self, diff):
+        residual = worst(diff)
+        assert math.isnan(residual)
+        assert not IdentityReport("x", residual, 1e-10, 4).passed
+
+    def test_empty_list_gives_zero(self):
+        assert worst([]) == 0.0
+
+    def test_table_gives_one_value_per_row(self):
+        table = np.array([[1.0, -3.0], [0.5j, 0.25], [math.nan, 0.0]])
+        first, second, third = worst(table)
+        assert (first, second) == (3.0, 0.5) and math.isnan(third)
+
+    def test_array_scale_divides_entry_by_entry(self):
+        assert worst(np.array([3.0, -8.0]), np.array([1.0, 16.0])) == 3.0
+
+    @pytest.mark.parametrize("kind", [np.array, list])
+    def test_scalar_scale_is_max_over_scale(self, kind):
+        d = np.random.default_rng(1).standard_normal(64) * 1e-3
+        assert worst(kind(d), 0.7) == float(np.max(np.abs(d))) / 0.7
+
+    def test_array_takes_numpys_abs_and_the_rest_hypot(self):
+        z = np.random.default_rng(0).standard_normal((2000, 2)) @ [1, 1j]
+        split = [complex(v) for v in z if np.abs(np.array([v]))[0]
+                 != math.hypot(v.real, v.imag)]
+        if not split:
+            pytest.skip("numpy's complex abs is hypot on this platform")
+        d = split[0]
+        assert worst(np.array([d])) == np.abs(np.array([d]))[0]
+        assert worst([d]) == worst(d) == math.hypot(d.real, d.imag)
 
 
 class TestWriters:

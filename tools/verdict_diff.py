@@ -10,7 +10,8 @@ appended unless the command sets its own seed.  The tool prints one
 Markdown table row for every report whose residual moved (name, n, parent
 and change residual, |change - parent| / tolerance, and both verdicts), a
 summary row per command, which also says whether the command's stdout is
-byte-identical between the trees, a count of those commands, then the
+byte-identical between the trees, a count of those commands, the line
+count of `src/qcircle/*.py` in both trees (as `wc -l` counts), then the
 reports that appear and the exit codes that change.
 
 Exit status 1 if any report turns from PASS to FAIL, a report disappears,
@@ -128,6 +129,12 @@ def run(src: str, argv: list) -> tuple:
     return done.returncode, reports, done.stdout
 
 
+def line_count(src: str) -> int:
+    """Newlines in the tree's qcircle/*.py, the total of `wc -l`."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in pathlib.Path(src, "qcircle").glob("*.py"))
+
+
 def index_label(params: dict) -> str:
     """The degree indices of a report (n, or m,n, or the weight row depth)."""
     return ",".join(str(params[k]) for k in ("m", "n", "depth") if k in params)
@@ -201,6 +208,8 @@ def main(argv: list) -> int:
     print("\n".join(summary))
     print()
     print(f"stdout byte-identical on {identical} of {len(SWEEP)} commands")
+    print(f"src/qcircle/*.py lines: {line_count(parent_src)} -> "
+          f"{line_count(change_src)}")
     for line in notes:
         print(line)
     for line in bad:
