@@ -16,7 +16,7 @@ from .circle import (CircleGrid, dq_rows, gram_check, gram_matrix, shifted,
                      tq_rows)
 from .errors import DegenerateParameters, UnbalancedParameters, WeightUnderflow
 # qpochhammer_inf: bound for benchmarks/tests/test_bench_tracer.py's rebinding.
-from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, PhiSpec, _maybe_scalar, phi,
+from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, _maybe_scalar, phi,
                     qmultipochhammer, qpochhammer, qpochhammer_inf,
                     qpochhammer_inf_each, qval)
 from .report import IdentityReport, worst
@@ -385,10 +385,9 @@ def sears_check(n: int, A, B, C, D, E, F, q,
     if abs(bal - D * E * F) > 1e-12 * max(abs(D * E * F), 1e-30):
         raise UnbalancedParameters(
             f"A*B*C*q^(1-n) = {bal} but D*E*F = {D * E * F}")
-    qn = qv**-n
-    lhs = phi(PhiSpec((qn, A, B, C), (D, E, F), qv, qv))
+    lhs = phi(n, (A, B, C), (D, E, F), qv)
     pref, args = sears_transform(n, A, B, C, D, E, F, qv)
-    rhs = pref * phi(PhiSpec((qn,) + args[:3], args[3:], qv, qv))
+    rhs = pref * phi(n, args[:3], args[3:], qv)
     residual = worst(lhs - rhs, max(1.0, abs(lhs), abs(rhs)))
     return IdentityReport("sears_transformation", residual, tol, 0,
                           {"n": n, "A": A, "B": B, "C": C,

@@ -72,13 +72,16 @@ def nonnegative(name: str):
 
 max_degree, seed = nonnegative("max-n"), nonnegative("seed")
 
+# The subjects with a rational family, the only ones that take --params.
+RATIONAL_SUBJECTS = ("rn", "sn", "bweight", "kappa", "biortho", "all")
+
 
 def _add_common(p: argparse.ArgumentParser,
                 formats=("json", "csv", "text"), checks=True):
     """Flags of every command; `checks` adds --tol for the ones that judge
     residuals (eval prints values and has nothing to judge)."""
     p.add_argument("--params", type=four_params, default=None,
-                   help="the rational family's a,alpha,b,beta")
+                   help="a,alpha,b,beta of rn|sn|bweight|kappa|biortho|all")
     p.add_argument("--q", type=float, default=0.5, help="base q in (0,1)")
     p.add_argument("--grid", type=int, default=256, dest="grid_size",
                    help="number of quadrature nodes on |z|=1")
@@ -192,7 +195,7 @@ def cmd_verify(args) -> int:
         q=args.q, max_n=args.max_n, grid_size=args.grid_size,
         tolerance=QUADRATURE_TOL if args.tol is None else args.tol,
         params=(biortho_params_from_args(args)
-                if args.suite in ("biortho", "all") else None),
+                if args.suite in RATIONAL_SUBJECTS else None),
         seed=args.seed, output_format=args.output_format)
     reports = suites.run_suite(args.suite, cfg)
     _emit(suites.render(args.suite, cfg, reports), args.out)
@@ -250,6 +253,10 @@ def cmd_gram(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    subject = args.suite if args.command == "verify" else args.subject
+    if args.params is not None and subject not in RATIONAL_SUBJECTS:
+        parser.error(f"argument --params: {args.command} {subject} has no "
+                     f"rational family to take a,alpha,b,beta")
     try:
         if args.command == "eval":
             return cmd_eval(args)

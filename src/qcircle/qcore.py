@@ -1,5 +1,5 @@
-"""q-series kernels: q-shifted factorials, basic hypergeometric series,
-and the theta sum.
+"""q-series kernels: q-shifted factorials, the terminating basic
+hypergeometric series of the Sears checks, and the theta sum.
 
 All arithmetic is double-precision complex.  Argument-like inputs broadcast
 over numpy arrays; the base q is always a real scalar strictly inside (0, 1).
@@ -20,10 +20,6 @@ from .errors import NonConvergent, PoleInDenominator
 # Default tolerances: algebraic identities vs. quadrature-backed checks.
 ALGEBRAIC_TOL = 1e-12
 QUADRATURE_TOL = 1e-10
-
-# Relative window used to decide that a numerator parameter equals q^{-n}
-# (parameters arrive through arithmetic and are never exact).
-TERMINATION_REL_TOL = 1e-9
 
 # Complex elements per block of qpochhammer_inf factors: 512 KiB, the
 # fastest of 4096..131072 elements at 256 and 2048 points on a Xeon core
@@ -185,86 +181,34 @@ def qmultipochhammer(params: Sequence[complex], q, n):
     return out
 
 
-@dataclass(frozen=True)
-class PhiSpec:
-    """Parameters of a basic hypergeometric series r_phi_s.
+def phi(n: int, numerators, denominators, q) -> complex:
+    """The terminating series of the Sears checks, argument q,
 
-    numerator_params has length r, denominator_params length s.  A numerator
-    parameter within TERMINATION_REL_TOL of q^{-n} makes the series terminate
-    at n; otherwise a truncation policy (tol / max_terms) applies.
-    """
+        sum_{k=0..n} (q^{-n}, a_1, .., a_r; q)_k / (q, b_1, .., b_r; q)_k q^k,
 
-    numerator_params: tuple
-    denominator_params: tuple
-    q: float
-    argument: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "numerator_params",
-                           tuple(complex(x) for x in self.numerator_params))
-        object.__setattr__(self, "denominator_params",
-                           tuple(complex(x) for x in self.denominator_params))
-        object.__setattr__(self, "q", qval(self.q))
-        object.__setattr__(self, "argument", complex(self.argument))
-
-
-def terminating_index(params, q, max_terms: int = 200):
-    """Smallest n <= max_terms with some parameter equal to q^{-n}, else None.
-
-    q^{-n} grows with n, so a parameter is given up once
-    q^{-n} (1 - TERMINATION_REL_TOL) >= |x|: no later power can match it.
+    summed by its term recurrence; a_i are `numerators`, b_i `denominators`.
     """
     qv = qval(q)
-    best = None
-    for x in params:
-        qn = 1.0
-        for n in range(max_terms + 1):
-            if abs(x - qn) < TERMINATION_REL_TOL * qn:
-                if best is None or n < best:
-                    best = n
-                break
-            if qn * (1.0 - TERMINATION_REL_TOL) >= abs(x):
-                break
-            qn /= qv
-    return best
-
-
-def phi(spec: PhiSpec, max_terms: int = 200, tol: float = 1e-14) -> complex:
-    """Sum a basic hypergeometric series by its term recurrence.
-
-    Terminates exactly when a numerator parameter is q^{-n}; otherwise stops
-    once |t_k| < tol * |partial sum|, or raises NonConvergent at max_terms.
-    """
-    qv = spec.q
-    z = spec.argument
-    excess = len(spec.denominator_params) + 1 - len(spec.numerator_params)
-    n_stop = terminating_index(spec.numerator_params, qv, max_terms)
-
-    t = 1.0 + 0.0j
-    total = t
-    k = 0
-    while True:
-        if n_stop is not None and k >= n_stop:
-            return total
-        if k >= max_terms:
-            raise NonConvergent(
-                f"series did not meet tol={tol} within {max_terms} terms")
+    if n < 0 or len(numerators) != len(denominators):
+        raise ValueError(
+            "phi needs n >= 0 and as many numerators as denominators")
+    nums = [complex(qv**-n), *map(complex, numerators)]
+    dens = [complex(b) for b in denominators]
+    z = complex(qv)
+    t = total = 1.0 + 0.0j
+    for k in range(n):
         num = 1.0 + 0.0j
-        for a in spec.numerator_params:
+        for a in nums:
             num *= (1.0 - a * qv**k)
         den = 1.0 - qv**(k + 1)
-        for b in spec.denominator_params:
+        for b in dens:
             den *= (1.0 - b * qv**k)
         if abs(den) < 1e-250:
             raise PoleInDenominator(
                 f"denominator factor vanished at term {k + 1}")
         t = t * (num / den) * z
-        if excess:
-            t *= (-(qv**k))**excess
         total += t
-        k += 1
-        if n_stop is None and abs(t) < tol * abs(total):
-            return total
+    return total
 
 
 def theta_sum(z, q):

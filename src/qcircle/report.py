@@ -27,12 +27,14 @@ def worst(diff, scale=1.0):
 
     On a numpy array the reduction runs over the last axis, so a row gives
     a float and a table one value per row, and an array `scale` divides
-    entry by entry.  A list or a number takes Python's abs (hypot), which
-    numpy's vectorized abs can miss in the last bit; an empty list gives
-    0.0.  No numpy runs on the number path.
+    entry by entry, silently: a 0/0 is a NaN residual, so a FAIL.  A list
+    or a number takes Python's abs (hypot), which numpy's vectorized abs
+    can miss in the last bit; an empty list gives 0.0.  No numpy runs on
+    the number path.
     """
     if isinstance(diff, np.ndarray):
-        return np.max(np.abs(diff) / scale, axis=-1).tolist()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.max(np.abs(diff) / scale, axis=-1).tolist()
     if isinstance(diff, list):
         return nan_max(0.0, *(abs(d) / scale for d in diff))
     return abs(diff) / scale

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import biortho, qsl, szego
 from .circle import CircleGrid, dq_rows, laurent_values, shifted, tq_rows
-from .qcore import ALGEBRAIC_TOL, QUADRATURE_TOL, PhiSpec, phi, qval
+from .qcore import ALGEBRAIC_TOL, QUADRATURE_TOL, phi, qval
 from .report import IdentityReport, nan_max, to_csv, to_json, worst
 
 
@@ -202,10 +202,10 @@ def sears_involution_report(q) -> IdentityReport:
     qv = qval(q)
     A, B, C, D, E = 0.3 + 0.1j, 0.4, 0.25 - 0.2j, 0.5, 0.35 + 0.05j
     F = A * B * C * qv**(1 - n) / (D * E)
-    original = phi(PhiSpec((qv**-n, A, B, C), (D, E, F), qv, qv))
+    original = phi(n, (A, B, C), (D, E, F), qv)
     p1, args1 = biortho.sears_transform(n, A, B, C, D, E, F, qv)
     p2, args2 = biortho.sears_transform(n, *args1, qv)
-    twice = p1 * p2 * phi(PhiSpec((qv**-n,) + args2[:3], args2[3:], qv, qv))
+    twice = p1 * p2 * phi(n, args2[:3], args2[3:], qv)
     residual = worst(twice - original, max(1.0, abs(original)))
     return IdentityReport("sears_involution", residual, tol, 0,
                           {"q": qv, "n": n})

@@ -186,6 +186,21 @@ class TestNoFalsePass:
          "argument --seed: seed must be >= 0, got -1"),
         (["gram", "szego", "--seed", "-1"],
          "argument --seed: seed must be >= 0, got -1"),
+        (["verify", "szego", "--max-n", "1", "--grid", "16",
+          "--params", "2,0,0,0"],
+         "argument --params: verify szego has no rational family"),
+        (["verify", "sears", "--params", "0.3,0.2,0.4,0.1"],
+         "argument --params: verify sears has no rational family"),
+        (["verify", "qsl", "--params", "0.3,0.2,0.4,0.1"],
+         "argument --params: verify qsl has no rational family"),
+        (["gram", "szego", "--params", "0.3,0.2,0.4,0.1"],
+         "argument --params: gram szego has no rational family"),
+        (["eval", "szego", "--params", "0.3,0.2,0.4,0.1"],
+         "argument --params: eval szego has no rational family"),
+        (["eval", "weight", "--params", "0.3,0.2,0.4,0.1"],
+         "argument --params: eval weight has no rational family"),
+        (["eval", "theta", "--params", "5,5,5,5"],
+         "argument --params: eval theta has no rational family"),
     ])
     def test_invalid_tolerance_or_degree_exits_2(self, argv, invariant, capsys):
         # Each of these used to run: --tol 0 silently at the default, NaN or
@@ -195,7 +210,9 @@ class TestNoFalsePass:
         # former --n alias won silently over --max-n.  verify --seed -1
         # exited 2 with numpy's bare "expected non-negative integer", and
         # gram, which draws nothing at random, exited 0.  --params is the
-        # one way to give a,alpha,b,beta: --a and its kin are not flags.
+        # one way to give a,alpha,b,beta: --a and its kin are not flags.  A
+        # command without the rational family dropped --params silently:
+        # verify szego with |a| = 2 exited 0.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -210,6 +227,18 @@ class TestNoFalsePass:
         err = capsys.readouterr().err
         assert err.startswith("error: (q;q)_inf underflowed to 0")
         assert "Traceback" not in err
+
+    def test_underflowed_weight_fails_without_warning(self, capsys):
+        # At q=0.996 the Szego weight underflows to 0 at some nodes, so the
+        # Pearson check divides 0 by 0: a NaN residual and a FAIL, once with
+        # numpy's "invalid value encountered in divide" on stderr, which the
+        # test run turns into an error.
+        assert main(["verify", "szego", "--max-n", "5", "--grid", "256",
+                     "--q", "0.996"]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] szego_weight_pearson             residual=nan" \
+            in captured.out
+        assert captured.err == ""
 
     def test_underflowed_qq_inf_exits_2_before_sampling(self, capsys):
         # The norms come before the weight, so the weight at q=0.999, which

@@ -1,4 +1,5 @@
-"""Exact certificates of the Szego ladder identities in rational arithmetic.
+"""Exact certificates of the ladder identities in rational arithmetic: the
+Szego ladder here, the four-parameter ladder of r_n below.
 
 With q = s^2 and s rational, H_n(z) = sum_k [n choose k]_q (z/s)^k has
 rational coefficients.  The weight enters szego.ladder_reports only through
@@ -22,8 +23,11 @@ and so are the float coefficients of szego.coefficient_table.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from qcircle.biortho import (BiorthoParams, lowering_coefficient,
+                             raising_coefficient, raising_ratio_rows)
 from qcircle.szego import (coefficient_table, ladder_constants,
                            sturm_liouville_eigenvalue)
 
@@ -132,3 +136,121 @@ def test_coefficient_table(s):
             ratio = (Fraction(float(C[n, k]))**2 * exact_q**k
                      / q_binomial(n, k, exact_q)**2)
             assert (1 - tol)**2 <= ratio <= (1 + tol)**2
+
+
+# The four-parameter ladder of biortho.ladder_reports.  With q = s^2 and
+# rational s, a, alpha, b, beta, r_n(z) is a rational function of z with
+# rational coefficients, N(z) / (c z; q)_n with c = ab s and deg N <= n,
+# since each term of its 4phi3 is (bz; q)_k (c q^k z; q)_{n-k} over that
+# denominator times a rational constant.  The identities, with the raising
+# one in its Pearson-reduced form (1/w) T_q[...] through the rational
+# factors of raising_ratio_rows,
+#
+#   lowering  (c z; q)_2 D_q r_n = lowering_coefficient(n) r_{n-1}(z; lowered),
+#             lowered = (qa, alpha, qb, beta), whose c is q^2 c;
+#   raising   z (rho_0(z) r_{n-1}(z; raised)
+#                - q rho_1(z) r_{n-1}(qz; raised)) / (1 - q)
+#               = raising_coefficient r_n(z), raised = (a, q alpha, b, q beta),
+#             rho_0 = (1 - alpha/z)(1 - beta/z),
+#             rho_1 = -(1 - alpha beta/(s z))(1 - az)(1 - bz)
+#                     / (s z (1 - c z)),
+#
+# cross-multiplied by Q = z (c z; q)_{n+1} (q^2 c z; q)_{n-1} (lowering) and
+# Q = z^2 (c z; q)_n (raising), become P(z) = 0 for a polynomial P of degree
+# at most 2n + 2 (lowering) and n + 3 (raising).  Q does not vanish on
+# 0 < z < 1, as |c| < 1, so an exact zero at LADDER_POINTS > 2 MAX_LADDER_N
+# + 2 distinct points there makes P, and so each identity, hold for all z.
+MAX_LADDER_N = 5
+LADDER_POINTS = [Fraction(j, 16) for j in range(1, 2 * MAX_LADDER_N + 4)]
+LADDER_PARAMS = [  # (a, alpha, b, beta): the default set and a signed one
+    tuple(Fraction(x) for x in ("0.3", "0.2", "0.4", "0.1")),
+    tuple(Fraction(x) for x in ("-0.25", "0.5", "0.6", "-0.35")),
+]
+
+
+def qpoch(x, q, n):
+    value = Fraction(1)
+    for k in range(n):
+        value *= 1 - x * q**k
+    return value
+
+
+def rn(n, z, params, s):
+    """r_n(z) as the terminating 4phi3 of biortho.r_fn, summed term by term
+    from q-shifted factorials."""
+    a, alpha, b, beta = params
+    q = s * s
+    return sum(qpoch(q**-n, q, k) * qpoch(b * s, q, k) * qpoch(b * z, q, k)
+               * qpoch(a * b * alpha * beta * q**(n - 1), q, k) * q**k
+               / (qpoch(q, q, k) * qpoch(b * alpha, q, k)
+                  * qpoch(b * beta, q, k) * qpoch(a * b * s * z, q, k))
+               for k in range(n + 1))
+
+
+def ratio_factors(z, params, s):
+    """rho_0(z), rho_1(z): the rows of raising_ratio_rows."""
+    a, alpha, b, beta = params
+    return ((1 - alpha / z) * (1 - beta / z),
+            -(1 - alpha * beta / (s * z)) * (1 - a * z) * (1 - b * z)
+            / (s * z * (1 - a * b * s * z)))
+
+
+def exact_ladder_constants(n, params, s):
+    """The degree-n lowering constant and the raising constant."""
+    a, alpha, b, beta = params
+    q = s * s
+    return (b * q**(1 - n) * (1 - a * s) * (1 - b * s) * (1 - q**n)
+            * (1 - a * b * alpha * beta * q**(n - 1))
+            / ((1 - q) * (1 - b * alpha) * (1 - b * beta)),
+            (1 - b * alpha) * (1 - b * beta) / ((1 - q) * b))
+
+
+def float_params(params, s):
+    return BiorthoParams(*map(float, params), float(s * s))
+
+
+def close(got, want):
+    return abs(got - float(want)) <= 1e-14 * max(abs(float(want)), 1e-300)
+
+
+@pytest.mark.parametrize("params", LADDER_PARAMS, ids=["default", "signed"])
+@pytest.mark.parametrize("s", ROOTS)
+class TestBiorthoLadderExact:
+    def test_lowering(self, s, params):
+        a, alpha, b, beta = params
+        q, c = s * s, a * b * s
+        lowered = (q * a, alpha, q * b, beta)
+        for n in range(1, MAX_LADDER_N + 1):
+            low = exact_ladder_constants(n, params, s)[0]
+            for z in LADDER_POINTS:
+                lhs = ((1 - c * z) * (1 - c * q * z)
+                       * (rn(n, z, params, s) - rn(n, q * z, params, s))
+                       / ((1 - q) * z))
+                assert lhs == low * rn(n - 1, z, lowered, s)
+
+    def test_raising(self, s, params):
+        a, alpha, b, beta = params
+        q = s * s
+        raised = (a, q * alpha, b, q * beta)
+        for n in range(1, MAX_LADDER_N + 1):
+            up = exact_ladder_constants(n, params, s)[1]
+            for z in LADDER_POINTS:
+                rho0, rho1 = ratio_factors(z, params, s)
+                lhs = z * (rho0 * rn(n - 1, z, raised, s)
+                           - q * rho1 * rn(n - 1, q * z, raised, s)) / (1 - q)
+                assert lhs == up * rn(n, z, params, s)
+
+    def test_float_constants_match(self, s, params):
+        p = float_params(params, s)
+        for n in range(1, MAX_LADDER_N + 1):
+            low, up = exact_ladder_constants(n, params, s)
+            for got, want in ((lowering_coefficient(n, p), low),
+                              (raising_coefficient(p), up)):
+                assert close(got.real, want) and got.imag == 0
+
+    def test_float_ratio_rows_match(self, s, params):
+        rows = raising_ratio_rows(np.array([float(z) for z in LADDER_POINTS]),
+                                  float_params(params, s))
+        for j, z in enumerate(LADDER_POINTS):
+            for k, want in enumerate(ratio_factors(z, params, s)):
+                assert close(rows[k, j].real, want) and rows[k, j].imag == 0

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from qcircle.errors import NonConvergent, PoleInDenominator
-from qcircle.qcore import (_BLOCK_ELEMS, TERMINATION_REL_TOL, PhiSpec,
-                           QParam, jacobi_triple_product, phi, qpochhammer,
-                           qpochhammer_inf, qpochhammer_inf_each,
-                           qmultipochhammer,
-                           terminating_index, theta_sum)
+from qcircle.biortho import sears_transform
+from qcircle.qcore import (_BLOCK_ELEMS, QParam, jacobi_triple_product, phi,
+                           qpochhammer, qpochhammer_inf, qpochhammer_inf_each,
+                           qmultipochhammer, theta_sum)
+from qcircle.suites import random_balanced_sears
 
 
 def brute_pochhammer_inf(a, q, factors=200):
@@ -378,106 +378,92 @@ class TestQMultiPochhammer:
         assert got == pytest.approx(want)
 
 
-def full_scan_terminating_index(params, q, max_terms):
-    """terminating_index without the early stop: every n up to max_terms."""
-    best = None
-    for x in params:
+def frozen_phi(numerator_params, denominator_params, q):
+    """The former phi(PhiSpec(numerator_params, denominator_params, q, q)),
+    frozen at its terminating path: terminating_index found n by scanning
+    the numerator parameters for q^{-n}, to a relative 1e-9."""
+    nums = tuple(complex(x) for x in numerator_params)
+    dens = tuple(complex(x) for x in denominator_params)
+    z = complex(q)
+    excess = len(dens) + 1 - len(nums)
+    n_stop = None
+    for x in nums:
         qn = 1.0
-        for n in range(max_terms + 1):
-            if abs(x - qn) < TERMINATION_REL_TOL * qn:
-                if best is None or n < best:
-                    best = n
+        for n in range(201):
+            if abs(x - qn) < 1e-9 * qn:
+                if n_stop is None or n < n_stop:
+                    n_stop = n
+                break
+            if qn * (1.0 - 1e-9) >= abs(x):
                 break
             qn /= q
-    return best
+    t = 1.0 + 0.0j
+    total = t
+    for k in range(n_stop):
+        num = 1.0 + 0.0j
+        for a in nums:
+            num *= (1.0 - a * q**k)
+        den = 1.0 - q**(k + 1)
+        for b in dens:
+            den *= (1.0 - b * q**k)
+        t = t * (num / den) * z
+        if excess:
+            t *= (-(q**k))**excess
+        total += t
+    return total
 
 
-def term_from_scratch(spec, n):
-    """n-th series term computed directly from q-shifted factorial ratios."""
-    q = spec.q
+def term_from_scratch(numerators, denominators, q, n):
+    """n-th term of the balanced series, with argument q, computed directly
+    from q-shifted factorial ratios."""
     num = 1.0 + 0.0j
-    for a in spec.numerator_params:
+    for a in numerators:
         num *= qpochhammer(a, q, n)
     den = qpochhammer(q, q, n)
-    for b in spec.denominator_params:
+    for b in denominators:
         den *= qpochhammer(b, q, n)
-    excess = len(spec.denominator_params) + 1 - len(spec.numerator_params)
-    extra = ((-1)**n * q**(n * (n - 1) // 2))**excess
-    return num / den * spec.argument**n * extra
+    return num / den * q**n
 
 
 class TestPhi:
     def test_numerator_one_terminates_immediately(self):
-        # (1; q)_n = 0 for n >= 1, so the series equals its first term.
-        spec = PhiSpec((1.0, 0.3), (0.7,), 0.5, 0.9)
-        assert phi(spec) == 1
-
-    def test_terminating_detection(self):
-        q = 0.5
-        assert terminating_index((q**-3, 0.2), q) == 3
-        assert terminating_index((0.2, 0.4), q) is None
-
-    def test_early_stop_matches_full_scan(self):
-        # Parameters equal to q^{-n}, just inside and just outside the
-        # matching window, beyond max_terms, and generic complex values.
-        rng = np.random.default_rng(29)
-        for _ in range(20_000):
-            q = float(rng.uniform(0.05, 0.99))
-            max_terms = int(rng.integers(0, 250))
-            params = []
-            for _ in range(int(rng.integers(1, 5))):
-                kind = rng.integers(5)
-                # q^{-n} stays below 1e300
-                n = int(rng.integers(0, min(260, 690 / -math.log(q))))
-                if kind == 0:
-                    params.append(q**-n)
-                elif kind == 1:
-                    params.append(q**-n * (1.0 + TERMINATION_REL_TOL
-                                           * rng.uniform(-2.0, 2.0)))
-                elif kind == 2:
-                    params.append(q**-n * np.exp(1j * rng.uniform(-1e-9, 1e-9)))
-                elif kind == 3:
-                    params.append(rng.uniform(0.0, 3.0)
-                                  * np.exp(2j * np.pi * rng.uniform()))
-                else:
-                    params.append(-q**-n)
-            assert terminating_index(params, q, max_terms) == \
-                full_scan_terminating_index(params, q, max_terms)
+        # n = 0: q^{-0} = 1 and (1; q)_k = 0 for k >= 1, so the series is
+        # its first term.
+        assert phi(0, (0.3, 0.2), (0.7, 0.1), 0.5) == 1
 
     def test_terminating_matches_scratch_sum(self):
         q = 0.45
         n = 6
-        spec = PhiSpec((q**-n, 0.3, 0.2 + 0.1j, 0.6), (0.25, 0.15, 0.35),
-                       q, q)
-        expected = sum(term_from_scratch(spec, k) for k in range(n + 1))
+        nums, dens = (0.3, 0.2 + 0.1j, 0.6), (0.25, 0.15, 0.35)
+        expected = sum(term_from_scratch((q**-n,) + nums, dens, q, k)
+                       for k in range(n + 1))
         # q^{-n} makes individual terms large; the alternating sum loses a
         # few digits to cancellation on both routes.
-        assert phi(spec) == pytest.approx(expected, rel=1e-8)
+        assert phi(n, nums, dens, q) == pytest.approx(expected, rel=1e-8)
 
-    def test_recurrence_vs_scratch_nonterminating(self):
-        q = 0.5
-        spec = PhiSpec((0.3, 0.2), (0.4,), q, 0.5)
-        expected = sum(term_from_scratch(spec, k) for k in range(50))
-        assert phi(spec, tol=1e-15) == pytest.approx(expected, rel=1e-12)
+    @pytest.mark.parametrize("q", [0.12, 0.5, 0.9])
+    def test_sears_sides_match_frozen_phi(self, q):
+        # Both series of seeded Sears checks, byte for byte the former
+        # PhiSpec path, which searched the parameters for q^{-n}.
+        rng = np.random.default_rng(int(q * 100))
+        for n in range(9):
+            for _ in range(40):
+                A, B, C, D, E, F = random_balanced_sears(rng, q, n)
+                _, args = sears_transform(n, A, B, C, D, E, F, q)
+                for nums, dens in (((A, B, C), (D, E, F)),
+                                   (args[:3], args[3:])):
+                    assert repr(phi(n, nums, dens, q)) == \
+                        repr(frozen_phi((q**-n, *nums), dens, q))
 
-    def test_sign_factor_excess(self):
-        # 1phi2: excess s+1-r = 2, so odd terms flip sign relative to the
-        # balanced case; verify against the from-scratch formula.
-        q = 0.5
-        spec = PhiSpec((0.3,), (0.4, 0.2), q, 0.7)
-        expected = sum(term_from_scratch(spec, k) for k in range(60))
-        assert phi(spec, tol=1e-15) == pytest.approx(expected, rel=1e-11)
-
-    def test_nonconvergent(self):
-        spec = PhiSpec((0.3, 0.2, 0.1), (0.4,), 0.5, 1.5)
-        with pytest.raises(NonConvergent):
-            phi(spec, max_terms=30)
+    @pytest.mark.parametrize("n, dens", [(2, (0.4,)), (-1, (0.4, 0.1))])
+    def test_bad_order_or_parameter_counts_rejected(self, n, dens):
+        with pytest.raises(ValueError, match="n >= 0 and as many numerators"):
+            phi(n, (0.3, 0.2), dens, 0.5)
 
     def test_pole_in_denominator(self):
         q = 0.5
-        spec = PhiSpec((0.3, 0.2), (q**-2,), q, 0.1)
         with pytest.raises(PoleInDenominator):
-            phi(spec)
+            phi(3, (0.3, 0.2), (q**-2, 0.4), q)
 
 
 class TestThetaSum:

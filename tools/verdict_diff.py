@@ -66,6 +66,8 @@ SWEEP = (
     # sears_random_draws at max_n 8 straddles its tolerance (exit 1).
     + [["verify", "sears", "--max-n", "8", "--q", q, "--seed", seed]
        for q, seed in (("0.12", "2"), ("0.9", "5"))]
+    # The n = 6..8 draws at a mid base.
+    + [["verify", "sears", "--max-n", "8", "--q", "0.5"]]
     # The q-Sturm-Liouville suite where p is not real on the grid (exit 2),
     # and where qsl_form_positivity rests on its last bits.
     + [["verify", "qsl", "--max-n", n, "--grid", "256", "--q", q]
