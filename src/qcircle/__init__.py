@@ -8,8 +8,8 @@ from .circle import (CircleGrid, LaurentPoly, contour_mean, dq_apply,
 from .errors import (DegenerateParameters, EigenpairInvalid, NonConvergent,
                      PoleInDenominator, QCircleError, UnbalancedParameters,
                      WeightUnderflow)
-from .qcore import (QParam, jacobi_triple_product, phi, qpochhammer,
-                    qpochhammer_inf, qmultipochhammer, theta_sum)
+from .qcore import (jacobi_triple_product, phi, qpochhammer, qpochhammer_inf,
+                    qmultipochhammer, theta_sum)
 from .report import IdentityReport
 from .biortho import (BiorthoParams, biortho_gram, biortho_norm,
                       biortho_weight, kappa_closed, r_fn, s_fn, sears_check)
@@ -20,7 +20,7 @@ from .qsl import QSLProblem, m_apply
 __version__ = "0.1.0"
 
 __all__ = [
-    "QParam", "qpochhammer", "qpochhammer_inf", "qmultipochhammer",
+    "qpochhammer", "qpochhammer_inf", "qmultipochhammer",
     "phi", "theta_sum", "jacobi_triple_product",
     "CircleGrid", "LaurentPoly", "contour_mean", "inner_product_c",
     "dq_apply", "tq_apply", "tq_iterate", "laurent_dq",

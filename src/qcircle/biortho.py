@@ -205,17 +205,11 @@ def biortho_norm(n: int, p: BiorthoParams) -> complex:
 
 def weight_symmetry_check(p: BiorthoParams, grid: CircleGrid,
                           tol: float = ALGEBRAIC_TOL) -> IdentityReport:
-    """w(1/z; a, alpha, b, beta) = w(z; alpha, a, beta, b) on the grid.
-
-    The literal unswapped reading w(1/z) = w(z) only holds when alpha = a and
-    beta = b; its residual is reported in the notes for reference.
-    """
+    """w(1/z; a, alpha, b, beta) = w(z; alpha, a, beta, b) on the grid."""
     lhs = np.asarray(biortho_weight(1.0 / grid.nodes, p))
     rhs = weight_row(grid, BiorthoParams(p.alpha, p.a, p.beta, p.b, p.q))
-    literal = worst(lhs - weight_row(grid, p))
     return IdentityReport("biortho_weight_symmetry", worst(lhs - rhs), tol,
-                          grid.n_nodes, p.as_dict(),
-                          notes={"literal_unswapped_residual": literal})
+                          grid.n_nodes, p.as_dict())
 
 
 def imn_table(size: int, p: BiorthoParams, grid: CircleGrid) -> np.ndarray:
@@ -250,8 +244,7 @@ def lowering_coefficient(n: int, p: BiorthoParams) -> complex:
 def raising_coefficient(p: BiorthoParams) -> complex:
     """Scalar (1 - b alpha)(1 - b beta) / ((1 - q) b) of the raising identity.
 
-    The recursion chain for the biorthogonality integrals fixes this value;
-    ladder_reports' variant table measures the other printed candidates.
+    The recursion chain for the biorthogonality integrals fixes this value.
     """
     qv = p.q
     return ((1.0 - p.b * p.alpha) * (1.0 - p.b * p.beta) / ((1.0 - qv) * p.b))
@@ -275,12 +268,6 @@ def raising_ratio_rows(z, p: BiorthoParams) -> np.ndarray:
                      * (1.0 - p.b * z) / (rq * z * (1.0 - p.a * p.b * rq * z))])
 
 
-def pearson_ratio(z, p: BiorthoParams) -> np.ndarray:
-    """w(qz; p) / w(z; p), which has a pole at z = 1 if alpha or beta is q."""
-    return (raising_ratio_rows(z, p)[1]
-            / ((1.0 - p.alpha / (p.q * z)) * (1.0 - p.beta / (p.q * z))))
-
-
 def ladder_reports(max_n: int, p: BiorthoParams, grid: CircleGrid,
                    tol: float = QUADRATURE_TOL) -> list:
     """Max residuals over the grid, from one table of r_n rows at p, one
@@ -292,70 +279,28 @@ def ladder_reports(max_n: int, p: BiorthoParams, grid: CircleGrid,
       raising   T_q[(alpha beta q^{1/2}/z; q)_2 w(.; raised)
                     r_{n-1}(.; raised)] = raising_coefficient w r_n,
                 divided by w = w(z; p): T_q of raising_ratio_rows times
-                r_{n-1}(.; raised), relative to max(1, |rhs|);
-
-    then the informational ladder_variant_reconciliation at n = max(1,
-    min(2, max_n)), the residual of each differently printed reading, the
-    raising ones relative to max(1, |r_n|):
-      * raising coefficient (1-b alpha)(1-b beta) vs the (1-b beta/q) and
-        (1-b alpha/q)(1-b beta/q) readings;
-      * lowering prefactor (ab q^{1/2} z; q)_2 vs (alpha beta q^{1/2} z; q)_2;
-      * raising prefactor (alpha beta q^{-3/2}/z; q)_2 without the parameter
-        shift, target r_n at (a, alpha/q, b, beta/q), through pearson_ratio,
-        while those parameters stay inside the unit disk.
+                r_{n-1}(.; raised), relative to max(1, |rhs|).
     """
-    qv, z, rq = p.q, grid.nodes, math.sqrt(p.q)
-    top, params = max(1, max_n), p.as_dict()
+    if max_n < 1:
+        return []
+    qv, z, ab = p.q, grid.nodes, p.a * p.b * math.sqrt(p.q)
     lowered = p.with_params(a=qv * p.a, b=qv * p.b)
     raised = p.with_params(alpha=qv * p.alpha, beta=qv * p.beta)
-    R = r_rows(top + 1, p, z, 1)
-
-    def lowering_prefactor(u):  # (u q^{1/2} z; q)_2
-        return (1.0 - u * rq * z) * (1.0 - u * rq * qv * z)
-
-    def report(name, n, residual, **kw):
-        return IdentityReport(name, residual, tol, grid.n_nodes,
-                              {**params, "n": n}, **kw)
-
+    R = r_rows(max_n + 1, p, z, 1)
     dq = dq_rows(R[:, 1:], z[None], qv)[0]
-    target = (np.array([lowering_coefficient(n, p) for n in range(1, top + 1)])
-              [:, None] * r_rows(top, lowered, z, 0)[0])
-    lowering = worst(lowering_prefactor(p.a * p.b) * dq - target)
+    target = (np.array([lowering_coefficient(n, p)
+                        for n in range(1, max_n + 1)])
+              [:, None] * r_rows(max_n, lowered, z, 0)[0])
+    lowering = worst((1.0 - ab * z) * (1.0 - ab * qv * z) * dq - target)
     lhs = tq_rows(raising_ratio_rows(z, p)[:, None]
-                  * r_rows(top, raised, z, 1), z[None], qv)[0]
-    core = R[0, 1:]  # r_n, n = 1..top
+                  * r_rows(max_n, raised, z, 1), z[None], qv)[0]
     raising = [worst(left - right, max(1.0, worst(right))) for left, right
-               in zip(lhs, raising_coefficient(p) * core)]
-
-    i = min(2, top) - 1  # row of the variant table's degree
-    scale = max(1.0, worst(core[i]))
-    table = {label: worst(lhs[i] - c / ((1.0 - qv) * p.b) * core[i], scale)
-             for label, c in (
-        ("raising_coeff_(1-ba)(1-bb)",
-         (1.0 - p.b * p.alpha) * (1.0 - p.b * p.beta)),
-        ("raising_coeff_(1-ba)(1-bb/q)",
-         (1.0 - p.b * p.alpha) * (1.0 - p.b * p.beta / qv)),
-        ("raising_coeff_(1-ba/q)(1-bb/q)",
-         (1.0 - p.b * p.alpha / qv) * (1.0 - p.b * p.beta / qv)))}
-    table["lowering_prefactor_ab"] = lowering[i]
-    table["lowering_prefactor_alphabeta"] = worst(
-        lowering_prefactor(p.alpha * p.beta) * dq[i] - target[i])
-    if abs(p.alpha / qv) < 1.0 and abs(p.beta / qv) < 1.0:
-        divided = p.with_params(alpha=p.alpha / qv, beta=p.beta / qv)
-        c = p.alpha * p.beta * qv**-1.5
-        pref = [(1.0 - c / t) * (1.0 - c * qv / t) for t in (z, qv * z)]
-        rhs = raising_coefficient(divided) * r_fn(i + 1, z, divided)
-        table["raising_unshifted_prefactor"] = worst(
-            tq_rows(np.stack([pref[0], pref[1] * pearson_ratio(z, p)])
-                    * R[:, i], z, qv)[0] - rhs, max(1.0, worst(rhs)))
-
-    reports = [report(f"biortho_{name}", n, residuals[n - 1])
-               for n in range(1, max_n + 1)
-               for name, residuals in (("lowering", lowering),
-                                       ("raising", raising))]
-    return reports + [report("ladder_variant_reconciliation", i + 1,
-                             min(table.values()), notes=table,
-                             informational=True)]
+               in zip(lhs, raising_coefficient(p) * R[0, 1:])]
+    return [IdentityReport(f"biortho_{name}", residuals[n - 1], tol,
+                           grid.n_nodes, {**p.as_dict(), "n": n})
+            for n in range(1, max_n + 1)
+            for name, residuals in (("lowering", lowering),
+                                    ("raising", raising))]
 
 
 def sears_transform(n: int, A, B, C, D, E, F, q):

@@ -107,22 +107,9 @@ class LaurentPoly:
     def max_degree(self) -> int:
         return self.min_degree + len(self.coefficients) - 1
 
-    def is_zero(self) -> bool:
-        return len(self.coefficients) == 1 and self.coefficients[0] == 0
-
     def __call__(self, z):
         return _maybe_scalar(laurent_values(self.coefficients,
                                             self.min_degree, z))
-
-    def bar(self) -> "LaurentPoly":
-        """Coefficientwise complex conjugate (the bar operation)."""
-        return LaurentPoly(self.min_degree, np.conj(self.coefficients))
-
-    def coefficient(self, degree: int) -> complex:
-        k = degree - self.min_degree
-        if 0 <= k < len(self.coefficients):
-            return complex(self.coefficients[k])
-        return 0.0 + 0.0j
 
 
 def contour_mean(f, grid: CircleGrid) -> complex:

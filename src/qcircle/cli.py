@@ -75,6 +75,21 @@ max_degree, seed = nonnegative("max-n"), nonnegative("seed")
 # The subjects with a rational family, the only ones that take --params.
 RATIONAL_SUBJECTS = ("rn", "sn", "bweight", "kappa", "biortho", "all")
 
+# The eval subjects that read each flag some eval subjects ignore.
+EVAL_READERS = {"--n": ("szego", "rn", "sn"),
+                "--z": ("szego", "rn", "sn", "weight", "bweight", "theta"),
+                "--grid": ("kappa",)}
+
+
+class Given(argparse.Action):
+    """argparse's store action that also lists the flag in `given`, so that
+    main can refuse a flag the eval subject does not read."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", ()) + (
+            self.option_strings[0],)
+
 
 def _add_common(p: argparse.ArgumentParser,
                 formats=("json", "csv", "text"), checks=True):
@@ -84,7 +99,7 @@ def _add_common(p: argparse.ArgumentParser,
                    help="a,alpha,b,beta of rn|sn|bweight|kappa|biortho|all")
     p.add_argument("--q", type=float, default=0.5, help="base q in (0,1)")
     p.add_argument("--grid", type=int, default=256, dest="grid_size",
-                   help="number of quadrature nodes on |z|=1")
+                   action=Given, help="number of quadrature nodes on |z|=1")
     if checks:
         p.add_argument("--tol", type=tolerance, default=None,
                        help="override the quadrature tolerance")
@@ -106,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("subject",
                     choices=("szego", "rn", "sn", "weight", "bweight",
                              "kappa", "theta"))
-    pe.add_argument("--n", type=int, default=0)
-    pe.add_argument("--z", type=parse_complex, default=complex(1.0))
+    pe.add_argument("--n", type=int, default=0, action=Given)
+    pe.add_argument("--z", type=parse_complex, default=complex(1.0),
+                    action=Given)
     _add_common(pe, formats=("json", "text"), checks=False)
 
     pv = sub.add_parser("verify", help="run an identity suite")
@@ -257,6 +273,10 @@ def main(argv=None) -> int:
     if args.params is not None and subject not in RATIONAL_SUBJECTS:
         parser.error(f"argument --params: {args.command} {subject} has no "
                      f"rational family to take a,alpha,b,beta")
+    for flag in getattr(args, "given", ()):
+        if args.command == "eval" and subject not in EVAL_READERS[flag]:
+            parser.error(f"argument {flag}: eval {subject} does not read it; "
+                         f"only eval {'|'.join(EVAL_READERS[flag])} reads it")
     try:
         if args.command == "eval":
             return cmd_eval(args)

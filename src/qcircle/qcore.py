@@ -8,7 +8,6 @@ over numpy arrays; the base q is always a real scalar strictly inside (0, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Sequence
@@ -27,19 +26,9 @@ QUADRATURE_TOL = 1e-10
 _BLOCK_ELEMS = 32768
 
 
-@dataclass(frozen=True)
-class QParam:
-    """The base q, shared by every series; must lie strictly in (0, 1)."""
-
-    q: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", qval(self.q))
-
-
 def qval(q) -> float:
-    """Return the validated float base from a QParam or a bare number."""
-    qv = q.q if isinstance(q, QParam) else float(q)
+    """Return the validated float base q, strictly inside (0, 1)."""
+    qv = float(q)
     if not 0.0 < qv < 1.0:
         raise ValueError(f"q must satisfy 0 < q < 1 strictly, got {qv!r}")
     return qv

@@ -99,10 +99,9 @@ def eigen_orthogonality_check(prob: QSLProblem, Y, lams, grid: CircleGrid,
                               tol: float = QUADRATURE_TOL) -> IdentityReport:
     """|(y1, y2)_omega|, which the symmetry of M forces to vanish, for
     eigenfunctions given as rows 0..2 of shape (3, 2, N) with distinct
-    eigenvalues lams; the bare contour mean of y1*y2 (no weight, no
-    conjugation) is noted.  Raises EigenpairInvalid if the eigenvalues are
-    too close, or a pair's eigen_residual exceeds EIGEN_CERT_TOL or its
-    eigenvalue is not (numerically) real."""
+    eigenvalues lams, noting the inner product.  Raises EigenpairInvalid if
+    the eigenvalues are too close, or a pair's eigen_residual exceeds
+    EIGEN_CERT_TOL or its eigenvalue is not (numerically) real."""
     lam1, lam2 = lams = [complex(v) for v in lams]
     if abs(lam1 - lam2) <= 1e-8:
         raise EigenpairInvalid("eigenvalues are too close to test orthogonality")
@@ -114,11 +113,9 @@ def eigen_orthogonality_check(prob: QSLProblem, Y, lams, grid: CircleGrid,
         if abs(lam.imag) > 1e-10:
             raise EigenpairInvalid(f"eigenvalue {lam} is not real")
     v1, v2 = Y[0]
-    bare = complex(np.mean(v1 * v2))
     w = grid.rows(prob.omega, prob.q, 0)[0]
     weighted = complex(np.mean(v1 * np.conj(v2) * w))
     return IdentityReport(
         "qsl_eigen_orthogonality", worst(weighted), tol, grid.n_nodes,
         {"lambda1": lam1, "lambda2": lam2},
-        notes={"weighted_inner_product": weighted,
-               "bare_contour_mean": bare})
+        notes={"weighted_inner_product": weighted})

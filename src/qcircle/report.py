@@ -67,8 +67,9 @@ def to_csv(header, rows) -> str:
 class IdentityReport:
     """Residual, tolerance and pass/fail for one verified identity.
 
-    `informational` marks reports (e.g. variant reconciliation tables) that
-    never fail a suite.  Invariant: passed iff residual < tolerance.
+    `informational` marks a report that never fails a suite; no check sets
+    it, and JSON and CSV keep the field.  Invariant: passed iff residual <
+    tolerance.
     """
 
     name: str

@@ -15,7 +15,7 @@ from qcircle.cli import main, parse_complex
 
 # Keys whose values are complex numbers in the JSON of verify, gram and eval.
 COMPLEX_KEYS = {"a", "alpha", "b", "beta", "lambda1", "lambda2",
-                "weighted_inner_product", "bare_contour_mean", "computed",
+                "weighted_inner_product", "computed",
                 "expected", "kappa_closed", "kappa_quadrature"}
 
 
@@ -201,6 +201,18 @@ class TestNoFalsePass:
          "argument --params: eval weight has no rational family"),
         (["eval", "theta", "--params", "5,5,5,5"],
          "argument --params: eval theta has no rational family"),
+        (["eval", "szego", "--grid", "3", "--n", "2"],
+         "argument --grid: eval szego does not read it"),
+        (["eval", "rn", "--n", "3", "--grid", "2"],
+         "argument --grid: eval rn does not read it"),
+        (["eval", "weight", "--n", "5", "--z", "1"],
+         "argument --n: eval weight does not read it"),
+        (["eval", "kappa", "--z", "0.5", "--n", "4"],
+         "argument --z: eval kappa does not read it"),
+        (["eval", "theta", "--n", "0"],
+         "argument --n: eval theta does not read it"),
+        (["eval", "bweight", "--grid", "256"],
+         "argument --grid: eval bweight does not read it"),
     ])
     def test_invalid_tolerance_or_degree_exits_2(self, argv, invariant, capsys):
         # Each of these used to run: --tol 0 silently at the default, NaN or
@@ -212,7 +224,9 @@ class TestNoFalsePass:
         # gram, which draws nothing at random, exited 0.  --params is the
         # one way to give a,alpha,b,beta: --a and its kin are not flags.  A
         # command without the rational family dropped --params silently:
-        # verify szego with |a| = 2 exited 0.
+        # verify szego with |a| = 2 exited 0.  eval dropped --n, --z and
+        # --grid silently where its subject does not read them, even when
+        # given at their default values.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

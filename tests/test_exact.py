@@ -205,6 +205,29 @@ def exact_ladder_constants(n, params, s):
             (1 - b * alpha) * (1 - b * beta) / ((1 - q) * b))
 
 
+def lowering_sides(n, z, params, s, c):
+    """(c z; q)_2 D_q r_n(z) and lowering_coefficient(n) r_{n-1}(z; lowered);
+    c = ab s is the identity's prefactor."""
+    a, alpha, b, beta = params
+    q = s * s
+    lowered = (q * a, alpha, q * b, beta)
+    return ((1 - c * z) * (1 - c * q * z)
+            * (rn(n, z, params, s) - rn(n, q * z, params, s)) / ((1 - q) * z),
+            exact_ladder_constants(n, params, s)[0] * rn(n - 1, z, lowered, s))
+
+
+def raising_sides(n, z, params, s):
+    """The Pearson-reduced raising identity's left side and r_n(z), which
+    raising_coefficient multiplies on the right."""
+    a, alpha, b, beta = params
+    q = s * s
+    raised = (a, q * alpha, b, q * beta)
+    rho0, rho1 = ratio_factors(z, params, s)
+    return (z * (rho0 * rn(n - 1, z, raised, s)
+                 - q * rho1 * rn(n - 1, q * z, raised, s)) / (1 - q),
+            rn(n, z, params, s))
+
+
 def float_params(params, s):
     return BiorthoParams(*map(float, params), float(s * s))
 
@@ -218,27 +241,37 @@ def close(got, want):
 class TestBiorthoLadderExact:
     def test_lowering(self, s, params):
         a, alpha, b, beta = params
-        q, c = s * s, a * b * s
-        lowered = (q * a, alpha, q * b, beta)
         for n in range(1, MAX_LADDER_N + 1):
-            low = exact_ladder_constants(n, params, s)[0]
             for z in LADDER_POINTS:
-                lhs = ((1 - c * z) * (1 - c * q * z)
-                       * (rn(n, z, params, s) - rn(n, q * z, params, s))
-                       / ((1 - q) * z))
-                assert lhs == low * rn(n - 1, z, lowered, s)
+                lhs, rhs = lowering_sides(n, z, params, s, a * b * s)
+                assert lhs == rhs
 
     def test_raising(self, s, params):
-        a, alpha, b, beta = params
-        q = s * s
-        raised = (a, q * alpha, b, q * beta)
         for n in range(1, MAX_LADDER_N + 1):
             up = exact_ladder_constants(n, params, s)[1]
             for z in LADDER_POINTS:
-                rho0, rho1 = ratio_factors(z, params, s)
-                lhs = z * (rho0 * rn(n - 1, z, raised, s)
-                           - q * rho1 * rn(n - 1, q * z, raised, s)) / (1 - q)
-                assert lhs == up * rn(n, z, params, s)
+                lhs, r = raising_sides(n, z, params, s)
+                assert lhs == up * r
+
+    def test_rejected_readings_fail(self, s, params):
+        # The other printed readings, settled here so that no verdict has to
+        # recompute them: the raising coefficients (1 - b alpha)(1 - b
+        # beta/q)/((1 - q) b) and (1 - b alpha/q)(1 - b beta/q)/((1 - q) b),
+        # and the lowering prefactor (alpha beta q^{1/2} z; q)_2 (both sets
+        # have ab != alpha beta).  Each breaks its identity at one or more
+        # points.
+        a, alpha, b, beta = params
+        q = s * s
+        coefficients = [(1 - b * alpha) * (1 - b * beta / q) / ((1 - q) * b),
+                        (1 - b * alpha / q) * (1 - b * beta / q)
+                        / ((1 - q) * b)]
+        for n in range(1, MAX_LADDER_N + 1):
+            raising = [raising_sides(n, z, params, s) for z in LADDER_POINTS]
+            for up in coefficients:
+                assert any(lhs != up * r for lhs, r in raising)
+            assert any(lhs != rhs for lhs, rhs in (
+                lowering_sides(n, z, params, s, alpha * beta * s)
+                for z in LADDER_POINTS))
 
     def test_float_constants_match(self, s, params):
         p = float_params(params, s)

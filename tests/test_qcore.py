@@ -6,9 +6,9 @@ import pytest
 
 from qcircle.errors import NonConvergent, PoleInDenominator
 from qcircle.biortho import sears_transform
-from qcircle.qcore import (_BLOCK_ELEMS, QParam, jacobi_triple_product, phi,
+from qcircle.qcore import (_BLOCK_ELEMS, jacobi_triple_product, phi,
                            qpochhammer, qpochhammer_inf, qpochhammer_inf_each,
-                           qmultipochhammer, theta_sum)
+                           qmultipochhammer, qval, theta_sum)
 from qcircle.suites import random_balanced_sears
 
 
@@ -20,13 +20,15 @@ def brute_pochhammer_inf(a, q, factors=200):
 
 
 class TestQParam:
+    """qval, the one validation of the base q."""
+
     def test_valid(self):
-        assert QParam(0.5).q == 0.5
+        assert qval(0.5) == 0.5
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
     def test_endpoints_rejected(self, bad):
         with pytest.raises(ValueError):
-            QParam(bad)
+            qval(bad)
 
 
 class TestQPochhammer:

@@ -14,9 +14,10 @@ byte-identical between the trees, a count of those commands, the line
 count of `src/qcircle/*.py` in both trees (as `wc -l` counts), then the
 reports that appear and the exit codes that change.
 
-Exit status 1 if any report turns from PASS to FAIL, a report disappears,
-or an exit code rises (a command that exits 0 or 1 without a JSON report
-counts as exit code 3); 0 otherwise.
+Exit status 1 if any report turns from PASS to FAIL, a report disappears
+(named with its verdict in the parent tree), or an exit code rises (a
+command that exits 0 or 1 without a JSON report counts as exit code 3); 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -176,7 +177,8 @@ def main(argv: list) -> int:
             name, label, _ = key
             new = change.get(key)
             if new is None:
-                bad.append(f"{command}: {name} {label} disappeared")
+                bad.append(f"{command}: {name} {label} ({verdict(old)}) "
+                           f"disappeared")
                 continue
             before, after = verdict(old), verdict(new)
             if before == "PASS" and after == "FAIL":
