@@ -15,7 +15,7 @@ from .biortho import (BiorthoParams, biortho_gram, biortho_norm,
                       biortho_weight, kappa_closed, r_fn, s_fn, sears_check)
 from .szego import (szego_gram, szego_norm, szego_poly, szego_weight,
                     sturm_liouville_eigenvalue)
-from .qsl import QSLProblem, m_apply
+from .qsl import m_apply
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "sturm_liouville_eigenvalue",
     "BiorthoParams", "r_fn", "s_fn", "biortho_weight", "kappa_closed",
     "biortho_norm", "biortho_gram", "sears_check",
-    "QSLProblem", "m_apply",
+    "m_apply",
     "IdentityReport",
     "QCircleError", "NonConvergent", "PoleInDenominator",
     "UnbalancedParameters", "DegenerateParameters", "WeightUnderflow",

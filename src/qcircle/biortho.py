@@ -183,9 +183,14 @@ def biortho_norms(max_n: int, p: BiorthoParams) -> list:
     """Closed-form diagonal of the biorthogonality relation, n = 0..max_n:
     kappa * (q, a alpha, ab alpha beta q^{n-1}; q)_n (b beta)^n
     / [(b beta; q)_n (ab alpha beta; q)_{2n}], with one kappa_closed.
+    Raises DegenerateParameters at b beta = 0 and max_n >= 1, where every
+    h_n with n >= 1 vanishes and the relative diagonal check divides by it.
     """
     if max_n < 0:
         raise ValueError("index must be nonnegative")
+    if max_n >= 1 and p.b * p.beta == 0:
+        raise DegenerateParameters(
+            "b*beta = 0: every norm h_n with n >= 1 vanishes")
     qv = p.q
     abab = p.a * p.b * p.alpha * p.beta
     kappa = kappa_closed(p)
@@ -417,10 +422,9 @@ def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
     return reports
 
 
-def random_params(rng: np.random.Generator, q,
-                  conjugate_pair: bool = False) -> BiorthoParams:
+def random_params(rng: np.random.Generator, q) -> BiorthoParams:
     """Draw a valid parameter set: magnitudes uniform in [0.05, 0.6], phases
-    uniform; optionally conjugate-symmetric (alpha = conj a, beta = conj b)."""
+    uniform."""
     qv = qval(q)
 
     def draw():
@@ -428,9 +432,5 @@ def random_params(rng: np.random.Generator, q,
         ph = rng.uniform(0.0, 2.0 * np.pi)
         return mag * np.exp(1j * ph)
 
-    a, b = draw(), draw()
-    if conjugate_pair:
-        alpha, beta = np.conj(a), np.conj(b)
-    else:
-        alpha, beta = draw(), draw()
+    a, b, alpha, beta = draw(), draw(), draw(), draw()
     return BiorthoParams(a, alpha, b, beta, qv)

@@ -6,7 +6,7 @@ T_q f at q^k z need rows k and k+1, T_q^n f at z rows 0..n.  Verdicts use
 rows only: `shifted` and `CircleGrid.rows` (once per grid) sample a callable,
 a batch of Laurent polynomials from `laurent_values` included.  Ladder
 verdicts take (1/w) T_q(w f) as T_q of the rows w(q^k z)/w(z) f(q^k z), so
-only the q-Sturm-Liouville omega goes through `over_weight`.  The adapters
+only the q-Sturm-Liouville weight goes through `over_weight`.  The adapters
 `dq_apply`/`tq_apply`/`tq_iterate`, `contour_mean` and `inner_product_c` are
 the callable API and the tests' oracle.
 Trapezoid quadrature on equispaced nodes is exact for Laurent polynomials
@@ -47,12 +47,10 @@ class CircleGrid:
         """A copy of the rows f(q^k z_j, *args), k = 0..depth, at the nodes.
 
         Rows are sampled once per (f, args, q) on this grid, and a deeper
-        request calls f only for the rows not held yet.  f is keyed by
-        identity, since callables such as a LaurentPoly are unhashable, and
-        kept with its rows so that its id is not reused.
+        request calls f only for the rows not held yet.
         """
         qv = qval(q)
-        held = self._samples.setdefault((id(f), args, qv), (f, []))[1]
+        held = self._samples.setdefault((f, args, qv), [])
         for t in _shifted_points(self.nodes, qv, depth)[len(held):]:
             held.append(np.asarray(f(t, *args), dtype=complex))
         return np.stack(held[:depth + 1])
@@ -61,10 +59,10 @@ class CircleGrid:
         """f(nodes, items)'s value for each item, held per (f, item, q) like
         `rows` (not copied): one call of f samples the items not held yet."""
         qv, held = qval(q), self._samples
-        new = [x for x in dict.fromkeys(items) if (id(f), x, qv) not in held]
+        new = [x for x in dict.fromkeys(items) if (f, x, qv) not in held]
         for x, value in zip(new, f(self.nodes, new) if new else ()):
-            held[id(f), x, qv] = (f, value)
-        return [held[id(f), x, qv][1] for x in items]
+            held[f, x, qv] = value
+        return [held[f, x, qv] for x in items]
 
 
 def laurent_values(coefficients, min_degree: int, z) -> np.ndarray:
@@ -149,10 +147,11 @@ def gram_check(name, G, norms, tol, grid_size, params, **notes):
     return G, norms, report
 
 
-def over_weight(values, w, name: str):
-    """values / w; an underflowed w (below UNDERFLOW_FLOOR) raises."""
+def over_weight(values, w):
+    """values / w, for the q-Sturm-Liouville weight; an underflowed w (below
+    UNDERFLOW_FLOOR) raises."""
     if np.min(np.abs(w)) < UNDERFLOW_FLOOR:
-        raise WeightUnderflow(f"{name} underflowed at an evaluation point")
+        raise WeightUnderflow("the weight underflowed at an evaluation point")
     return values / w
 
 

@@ -214,13 +214,12 @@ def sears_involution_report(q) -> IdentityReport:
 def qsl_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     grid = cfg.grid
     q = cfg.q
-    # p and omega are one callable, so the grid samples the weight once.
-    weight = lambda z: szego.szego_weight(z, q)
-    prob = qsl.QSLProblem(weight, weight, q)
+    # Row 0 is the weight row of the szego and biortho suites.
+    W = grid.rows(szego.szego_weight, q, 1, q)
     anchor = qsl.eigen_residual(
-        prob, szego.poly_rows(cfg.max_n, q, grid.nodes, 2),
+        W, szego.poly_rows(cfg.max_n, q, grid.nodes, 2),
         [szego.sturm_liouville_eigenvalue(n, q) for n in range(cfg.max_n + 1)],
-        grid)
+        q, grid)
     reports = [IdentityReport(
         "qsl_szego_anchor", nan_max(0.0, *anchor), cfg.tolerance,
         grid.n_nodes, {"q": q, "max_n": cfg.max_n})]
@@ -228,8 +227,8 @@ def qsl_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     # 20 seeded pairs (f, g): f's symmetry against g and its own form.
     rows = random_laurent_rows(np.random.default_rng(cfg.seed), 40, 3, grid,
                                q, 2)
-    sym, _, form_res = qsl.symmetry_residuals(prob, rows[:, 0::2],
-                                              rows[:, 1::2], grid)
+    sym, _, form_res = qsl.symmetry_residuals(W, rows[:, 0::2], rows[:, 1::2],
+                                              q, grid)
     reports.append(IdentityReport(
         "qsl_symmetry_random", nan_max(0.0, *sym), cfg.tolerance,
         grid.n_nodes, {"q": q, "seed": cfg.seed}))
@@ -237,8 +236,8 @@ def qsl_suite(cfg: SuiteConfig) -> list[IdentityReport]:
         "qsl_form_positivity", nan_max(0.0, *form_res), cfg.tolerance,
         grid.n_nodes, {"q": q, "seed": cfg.seed}))
     reports.append(qsl.eigen_orthogonality_check(
-        prob, szego.poly_rows(2, q, grid.nodes, 2)[:, 1:],
-        [szego.sturm_liouville_eigenvalue(n, q) for n in (1, 2)], grid,
+        W, szego.poly_rows(2, q, grid.nodes, 2)[:, 1:],
+        [szego.sturm_liouville_eigenvalue(n, q) for n in (1, 2)], q, grid,
         cfg.tolerance))
     return reports
 

@@ -17,7 +17,7 @@ from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norm,
                              weight_row)
 from qcircle.biortho import ladder_reports as biortho_ladder_reports
 from qcircle.circle import CircleGrid, contour_mean
-from qcircle.qsl import QSLProblem, m_apply, symmetry_residuals
+from qcircle.qsl import m_apply, symmetry_residuals
 from qcircle.suites import (adjointness_report, random_balanced_sears,
                             random_laurent_rows)
 from qcircle.szego import (jacobi_triple_check, ladder_reports,
@@ -183,7 +183,6 @@ def test_criterion_10_degenerations():
 def test_criterion_11_qsl_anchor():
     grid = CircleGrid(256)
     w = lambda t: np.asarray(szego_weight(t, Q))
-    prob = QSLProblem(p=w, omega=w, q=Q)
     z = grid.nodes
     worst = 0.0
     for n in range(9):
@@ -191,10 +190,11 @@ def test_criterion_11_qsl_anchor():
         lam = sturm_liouville_eigenvalue(n, Q)
         scale = max(1.0, float(np.max(np.abs(h(z)))))
         worst = max(worst, float(np.max(np.abs(
-            np.asarray(m_apply(prob, h)(z)) - lam * h(z)))) / scale)
+            np.asarray(m_apply(w, h, Q)(z)) - lam * h(z)))) / scale)
     # 50 polynomials from default_rng(0), degrees -4..4, in one batch.
     rows = random_laurent_rows(np.random.default_rng(0), 50, 4, grid, Q, 2)
-    _, form, form_res = symmetry_residuals(prob, rows, rows, grid)
+    _, form, form_res = symmetry_residuals(grid.rows(w, Q, 1), rows, rows, Q,
+                                           grid)
     min_form = min(f.real for f in form)
     if not all(r < 1e-8 for r in form_res):
         min_form = -math.inf

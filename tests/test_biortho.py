@@ -27,6 +27,14 @@ P = BiorthoParams(0.3, 0.2, 0.4, 0.1, Q)
 GRID = CircleGrid(256)
 
 
+def conjugate_params(rng, q):
+    """A conjugate-symmetric set (alpha = conj a, beta = conj b), with a and
+    b drawn as random_params draws them."""
+    a, b = (rng.uniform(0.05, 0.6) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            for _ in range(2))
+    return BiorthoParams(a, np.conj(a), b, np.conj(b), q)
+
+
 class TestBiorthoParams:
     def test_modulus_guard(self):
         with pytest.raises(ValueError):
@@ -52,8 +60,6 @@ class TestBiorthoParams:
         for _ in range(20):
             p = random_params(rng, Q)
             assert max(abs(p.a), abs(p.alpha), abs(p.b), abs(p.beta)) < 1.0
-        p = random_params(rng, Q, conjugate_pair=True)
-        assert p.alpha == np.conj(p.a) and p.beta == np.conj(p.b)
 
 
 class TestRFn:
@@ -181,7 +187,7 @@ class TestWeightRows:
         rng = np.random.default_rng(int(q * 100) + n_nodes)
         grid = CircleGrid(n_nodes)
         for p in (BiorthoParams(0.3, 0.2, 0.4, 0.1, q),
-                  random_params(rng, q), random_params(rng, q, True)):
+                  random_params(rng, q), conjugate_params(rng, q)):
             assert weight_row(grid, p).tobytes() == \
                 eight_factor_weight(grid.nodes, p).tobytes()
 
@@ -231,7 +237,7 @@ class TestWeightRows:
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.89])
     def test_batch_rows_match_single_rows(self, q):
         rng = np.random.default_rng(int(q * 100))
-        sets = [random_params(rng, q), random_params(rng, q, True),
+        sets = [random_params(rng, q), conjugate_params(rng, q),
                 BiorthoParams(0.3, 0.2, 0.4, 0.1, q),
                 BiorthoParams(0.0, 0.0, 0.4, 0.1, q),
                 random_params(rng, q)]
@@ -305,7 +311,7 @@ class TestKappaBatch:
     def test_batch_matches_lone_products(self, q):
         rng = np.random.default_rng(int(q * 100) + 3)
         sets = [random_params(rng, q) for _ in range(8)] + [
-            random_params(rng, q, True), BiorthoParams(0, 0, 0.4, 0.1, q),
+            conjugate_params(rng, q), BiorthoParams(0, 0, 0.4, 0.1, q),
             BiorthoParams(0, 0, 0, 0, q)]
         got = kappa_each(sets)
         assert all(type(k) is complex for k in got)
@@ -538,7 +544,7 @@ class TestRaisingRatioRows:
         z = CircleGrid(128).nodes
         qz = _points(z, q, 1)
         for p in (BiorthoParams(0.3, 0.2, 0.4, 0.1, q),
-                  random_params(rng, q), random_params(rng, q, True)):
+                  random_params(rng, q), conjugate_params(rng, q)):
             raised = p.with_params(alpha=q * p.alpha, beta=q * p.beta)
             c = p.alpha * p.beta * math.sqrt(q)
             w = biortho_weight(z, p)

@@ -75,21 +75,26 @@ def test_verify_all_samples_rows_on_one_grid(monkeypatch):
     # row table, s_n from r_rows: no callable is evaluated on the grid.
     calls = Counter()
 
-    def count(owner, name):
-        original = getattr(owner, name)
+    def count(name, *owners):
+        original = getattr(owners[0], name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
+        for owner in owners:  # one callable, so the grid keys it once
+            monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in ((CircleGrid, "__post_init__"),
-                        (LaurentPoly, "__call__"), (szego, "szego_poly"),
-                        (biortho, "s_fn"), (qsl, "_m_rows")):
-        count(owner, name)
+    for name, *owners in (("__post_init__", CircleGrid),
+                          ("__call__", LaurentPoly), ("szego_poly", szego),
+                          ("s_fn", biortho), ("_m_rows", qsl),
+                          ("szego_weight", szego, biortho)):
+        count(name, *owners)
     run_suite("all", SuiteConfig(q=0.5, max_n=5, grid_size=256, seed=3))
     # M applied once each to the anchor, to f and g, and to H_1 and H_2.
-    assert calls == {"__post_init__": 1, "_m_rows": 4}
+    # The weight: the grid's row 0, which the qsl suite shares with the
+    # szego and biortho suites, its row 1, two direct Pearson references
+    # and biortho_weight at 1/z of the weight symmetry check.
+    assert calls == {"__post_init__": 1, "_m_rows": 4, "szego_weight": 5}
     assert not hasattr(qsl, "certify_eigenpair")
 
 
