@@ -149,6 +149,23 @@ def weight_row(grid: CircleGrid, p: BiorthoParams) -> np.ndarray:
     return weight_rows(grid, [p])[0]
 
 
+def shifted_weight_rows(grid: CircleGrid, p: BiorthoParams,
+                        upper: int) -> np.ndarray:
+    """The weight at shift_n = (a, q^n alpha, b, q^n beta) on the grid,
+    n = 0..upper, shape (upper+1, N), without a q-product: weight_row at p
+    times (alpha/z, beta/z; q)_n / (c/z; q)_{2n}, c = alpha beta q^{1/2},
+    whose denominator vanishes only inside the disk."""
+    qv, z = p.q, grid.nodes
+    c = p.alpha * p.beta * math.sqrt(qv)
+    rows = [weight_row(grid, p)]
+    for n in range(upper):
+        qn = qv**n
+        step = ((1.0 - qn * p.alpha / z) * (1.0 - qn * p.beta / z)
+                / ((1.0 - c * qn * qn / z) * (1.0 - c * qn * qn * qv / z)))
+        rows.append(rows[-1] * step)
+    return np.stack(rows)
+
+
 def kappa_each(sets) -> list:
     """Total mass of the weight in closed form for each parameter set:
     (aq^{1/2}, alpha q^{1/2}, bq^{1/2}, beta q^{1/2}, ab alpha beta; q)_inf
@@ -217,13 +234,15 @@ def weight_symmetry_check(p: BiorthoParams, grid: CircleGrid,
                           grid.n_nodes, p.as_dict())
 
 
-def imn_table(size: int, p: BiorthoParams, grid: CircleGrid) -> np.ndarray:
+def imn_table(size: int, p: BiorthoParams, grid: CircleGrid,
+              w: np.ndarray) -> np.ndarray:
     """I[m, n] = (1/2 pi i) \\oint w r_n conj(s_m) dz/z by quadrature,
     m, n < size, as circle.gram_matrix of the s_m (r_rows at p.swapped()),
-    the r_n and the weight.  I[0, 0] is the total mass, as r_0 = s_0 = 1."""
+    the r_n and w, the weight at p on the grid (weight_row's, or a row the
+    caller derived).  I[0, 0] is the total mass, as r_0 = s_0 = 1."""
     z = grid.nodes
     return gram_matrix(r_rows(size, p.swapped(), z, 0)[0],
-                       r_rows(size, p, z, 0)[0], weight_row(grid, p))
+                       r_rows(size, p, z, 0)[0], w)
 
 
 def biortho_gram(max_n: int, p: BiorthoParams, grid: CircleGrid,
@@ -231,8 +250,9 @@ def biortho_gram(max_n: int, p: BiorthoParams, grid: CircleGrid,
     """gram_check's (G, norms, report) of imn_table(max_n + 1) against the
     closed-form diagonal biortho_norms; at max_n = 0, the total mass."""
     norms = biortho_norms(max_n, p)  # an underflowed kappa raises first
-    return gram_check("biorthogonality", imn_table(max_n + 1, p, grid), norms,
-                      tol, grid.n_nodes, p.as_dict(), max_n=max_n)
+    return gram_check("biorthogonality",
+                      imn_table(max_n + 1, p, grid, weight_row(grid, p)),
+                      norms, tol, grid.n_nodes, p.as_dict(), max_n=max_n)
 
 
 def lowering_coefficient(n: int, p: BiorthoParams) -> complex:
@@ -371,11 +391,16 @@ def imn_iterated_coefficient(n: int, p: BiorthoParams) -> complex:
 
 
 def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
-                            tol: float = QUADRATURE_TOL) -> list:
+                            tol: float = QUADRATURE_TOL,
+                            algebraic_tol: float = ALGEBRAIC_TOL) -> list:
     """The recursion chain behind biorthogonality, from `table`, imn_table at
     p up to degree upper (a leading block of biortho_gram's G), and one at
-    shift_1, where shift_n = (a, q^n alpha, b, q^n beta); in order:
+    shift_1, where shift_n = (a, q^n alpha, b, q^n beta), the weight at
+    shift_n from shifted_weight_rows; in order:
 
+      biortho_weight_shift     shifted_weight_rows' row at shift_upper
+                               against a direct weight_row, pointwise
+                               relative, to algebraic_tol, upper >= 1;
       imn_recursion_step       I_{m,n} = imn_step_coefficient(m)
                                I_{m-1,n-1}(shift_1), 1 <= m, n <= upper;
       i00_shifted_closed_form  I_{0,0}(shift_n) = kappa (a alpha, b alpha,
@@ -391,10 +416,14 @@ def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
     params, upper, table = p.as_dict(), len(table) - 1, table.tolist()
     shifts = [p.with_params(alpha=qv**n * p.alpha, beta=qv**n * p.beta)
               if n else p for n in range(upper + 1)]
-    masses = weight_rows(grid, shifts)  # imn_table below reads shift_1's
-    reports = []
+    rows, reports = shifted_weight_rows(grid, p, upper), []
     if upper >= 1:
-        lowered = imn_table(upper, shifts[1], grid).tolist()
+        direct = weight_row(grid, shifts[upper])
+        reports.append(IdentityReport(
+            "biortho_weight_shift",
+            worst(rows[upper] - direct, np.abs(direct)), algebraic_tol,
+            grid.n_nodes, {**params, "n": upper}))
+        lowered = imn_table(upper, shifts[1], grid, rows[1]).tolist()
         reports += [IdentityReport(
             "imn_recursion_step",
             worst(table[m][n] - imn_step_coefficient(m, p)
@@ -403,7 +432,7 @@ def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
             for m in range(1, upper + 1) for n in range(1, upper + 1)]
     kappas = kappa_each(shifts)
     for n in range(upper + 1):
-        mass = complex(np.mean(masses[n]))
+        mass = complex(np.mean(rows[n]))
         num = qmultipochhammer((p.a * p.alpha, p.b * p.alpha, p.a * p.beta,
                                 p.b * p.beta), qv, n)
         den = (qmultipochhammer((rq * p.alpha, rq * p.beta), qv, n)

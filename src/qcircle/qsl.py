@@ -23,8 +23,10 @@ EIGEN_CERT_TOL = 1e-8
 
 
 def validate(W):
-    """Raise ValueError unless the weight row W[0], the coefficient p of D_q,
-    is real (to an absolute 1e-12) and positive."""
+    """Raise ValueError unless the weight rows W are finite and row W[0], the
+    coefficient p of D_q, is real (to an absolute 1e-12) and positive."""
+    if not np.all(np.isfinite(W)):
+        raise ValueError("p is not finite on the grid")
     if worst(W[0].imag) > 1e-12:
         raise ValueError("p is not real on the grid")
     if np.min(W[0].real) <= 0.0:

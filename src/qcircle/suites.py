@@ -86,7 +86,7 @@ def szego_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     grid, q, tol = cfg.grid, cfg.q, cfg.tolerance
     # The Gram's (0, 0) entry is the total mass, since H_0 = 1.
     G, norms, gram_rep = szego.szego_gram(cfg.max_n, q, grid, tol)
-    w = grid.rows(szego.szego_weight, q, 0, q)[0]
+    w = szego.circle_weight(grid, q, norms[0])  # the Gram's weight row
     min_real, max_imag = float(np.min(w.real)), worst(w.imag)
     return [
         IdentityReport("szego_total_mass",
@@ -96,7 +96,7 @@ def szego_suite(cfg: SuiteConfig) -> list[IdentityReport]:
         *szego.ladder_reports(cfg.max_n, q, grid, tol),
         # The deepest Pearson ratio row the ladder above uses, times row 0:
         # Rodrigues' at n = max_n, raising and Sturm-Liouville's at 1.
-        szego.weight_pearson_check(q, grid, max(1, cfg.max_n),
+        szego.weight_pearson_check(w, q, grid, max(1, cfg.max_n),
                                    cfg.algebraic_tolerance),
         gram_rep,
         adjointness_report(q, grid, cfg.seed, n_pairs=50),
@@ -153,12 +153,16 @@ def biortho_suite(cfg: SuiteConfig) -> list[IdentityReport]:
                        grid.n_nodes, p.as_dict()),
         kappa_random_report(cfg.q, grid, cfg.seed, tol=tol),
         biortho.weight_symmetry_check(p, grid, cfg.algebraic_tolerance),
-        # The Szego Pearson step -1/(q^{1/2} z) of the raising ratio rows.
-        szego.weight_pearson_check(cfg.q, grid, 1, cfg.algebraic_tolerance),
+        # The Szego Pearson step -1/(q^{1/2} z) of the raising ratio rows,
+        # on the q-product row that the weight rows above share.
+        szego.weight_pearson_check(
+            grid.rows(szego.szego_weight, cfg.q, 0, cfg.q)[0], cfg.q, grid, 1,
+            cfg.algebraic_tolerance),
         gram_rep,
     ]
     reports += biortho.ladder_reports(cfg.max_n, p, grid, tol)
-    reports += biortho.recursion_chain_reports(G[:4, :4], p, grid, tol)
+    reports += biortho.recursion_chain_reports(G[:4, :4], p, grid, tol,
+                                               cfg.algebraic_tolerance)
     reports.append(pastro_degeneration_report(p, grid, min(cfg.max_n, 4), tol))
     return reports
 
@@ -214,8 +218,11 @@ def sears_involution_report(q) -> IdentityReport:
 def qsl_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     grid = cfg.grid
     q = cfg.q
-    # Row 0 is the weight row of the szego and biortho suites.
-    W = grid.rows(szego.szego_weight, q, 1, q)
+    # Row 0 is the biortho suite's q-product weight row.  validate names a
+    # non-finite weight, so the sampling's overflow warnings stay silent.
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = grid.rows(szego.szego_weight, q, 1, q)
+    qsl.validate(W)
     anchor = qsl.eigen_residual(
         W, szego.poly_rows(cfg.max_n, q, grid.nodes, 2),
         [szego.sturm_liouville_eigenvalue(n, q) for n in range(cfg.max_n + 1)],

@@ -67,6 +67,43 @@ def szego_weight(z, q):
                          * np.asarray(qpochhammer_inf(rq / z, qv)))
 
 
+def _dual_rows(z, bases) -> list:
+    """circle_weight's row at the N grid nodes z for each (q, mass)."""
+    n = len(z)
+    rows = []
+    for qv, mass in bases:
+        tau = -math.log(qv)
+        c = math.pi**2 / (2.0 * tau)
+        # Terms past |m| = M fall below e^{-4 c M (M + 1)} <= e^{-40} of the
+        # smallest w_j, whose own term is at least exp(L - c).
+        m = max(1, math.ceil((math.sqrt(1.0 + 40.0 / c) - 1.0) / 2.0))
+        # (phi_j + 2 pi m) / pi with phi_j = pi (2j - N) / N: an integer
+        # numerator, one rounding.
+        u = (2 * np.arange(n) - n + 2 * n * np.arange(-m, m + 1)[:, None]) / n
+        log_l = 0.5 * math.log(2.0 * math.pi / tau) + math.log(mass)
+        terms = np.exp(log_l - c * u * u)
+        # The terms at m and -m first: w_{N-j} = w_j bit for bit.
+        rows.append(terms[m] + np.sum(terms[m + 1:] + terms[m - 1::-1],
+                                      axis=0))
+    return rows
+
+
+def circle_weight(grid: CircleGrid, q, mass: float) -> np.ndarray:
+    """szego_weight at the grid nodes e^{i theta_j}, real and positive by
+    construction: the theta series (q;q)_inf w = sum_k q^{k^2/2}
+    e^{ik(theta + pi)} under Jacobi's imaginary transformation,
+
+        w_j = sum_m exp(L - (phi_j + 2 pi m)^2 / (2 tau)),  tau = -log q,
+        L = log(sqrt(2 pi / tau) mass),  phi_j = pi (2j - N) / N,
+
+    phi_j being theta_j + pi reduced to [-pi, pi), and mass the total mass
+    1/(q;q)_inf (szego_norms' first entry).  L sits inside exp, whose
+    factors alone underflow near q = 1.  Built once per grid and q."""
+    qv = qval(q)
+    (row,) = grid.rows_each(_dual_rows, qv, [(qv, mass)])
+    return row
+
+
 def weight_ratio_rows(z, q, depth: int) -> np.ndarray:
     """Rows szego_weight(q^k z, q) / szego_weight(z, q), k = 0..depth, from
     ones by the Pearson step w(qt)/w(t) = (1 - q^{-1/2}/t) / (1 - q^{1/2} t)
@@ -79,18 +116,18 @@ def weight_ratio_rows(z, q, depth: int) -> np.ndarray:
     return np.stack(R)
 
 
-def weight_pearson_check(q, grid: CircleGrid, depth: int,
+def weight_pearson_check(row, q, grid: CircleGrid, depth: int,
                          tol: float = ALGEBRAIC_TOL) -> IdentityReport:
-    """The grid's szego_weight row times weight_ratio_rows' row `depth`
-    against a direct szego_weight at q^depth z: the largest relative
-    difference over the grid, NaN if any is."""
+    """A Szego weight row at the grid nodes (circle_weight's or the
+    q-product's) times weight_ratio_rows' row `depth` against a direct
+    szego_weight at q^depth z: the largest relative difference over the
+    grid, NaN if any is."""
     qv = qval(q)
-    row = (grid.rows(szego_weight, qv, 0, qv)[0]
-           * weight_ratio_rows(grid.nodes, qv, depth)[depth])
+    shifted_row = row * weight_ratio_rows(grid.nodes, qv, depth)[depth]
     direct = np.asarray(szego_weight(
         _shifted_points(grid.nodes, qv, depth)[depth], qv))
     return IdentityReport("szego_weight_pearson",
-                          worst(row - direct, np.abs(direct)), tol,
+                          worst(shifted_row - direct, np.abs(direct)), tol,
                           grid.n_nodes, {"q": qv, "depth": depth})
 
 
@@ -177,13 +214,13 @@ def ladder_reports(max_n: int, q, grid: CircleGrid,
 
 def szego_gram(max_n: int, q, grid: CircleGrid, tol: float = QUADRATURE_TOL):
     """Gram matrix G[m][n] = (1/2 pi i) \\oint conj(H_m) H_n w dz/z by quadrature,
-    as gram_check's (G, norms, report) against the closed-form diagonal
-    szego_norms."""
+    w the grid's circle_weight row, as gram_check's (G, norms, report)
+    against the closed-form diagonal szego_norms."""
     qv = qval(q)
     norms = szego_norms(max_n, qv)
     H = poly_rows(max_n, qv, grid.nodes, 0)[0]
     return gram_check("szego_orthogonality",
-                      gram_matrix(H, H, grid.rows(szego_weight, qv, 0, qv)[0]),
+                      gram_matrix(H, H, circle_weight(grid, qv, norms[0])),
                       norms, tol, grid.n_nodes, {"max_n": max_n, "q": qv})
 
 

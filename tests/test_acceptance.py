@@ -128,7 +128,7 @@ def test_criterion_08_sears():
 
 def test_criterion_09_recursion_chain():
     grid = CircleGrid(256)
-    table = imn_table(5, BASE_PARAMS, grid)
+    table = imn_table(5, BASE_PARAMS, grid, weight_row(grid, BASE_PARAMS))
     chain = recursion_chain_reports(table, BASE_PARAMS, grid)
     worst_step = max(r.residual for r in chain
                      if r.name == "imn_recursion_step")

@@ -13,7 +13,8 @@ from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norm,
                              r_fn, r_rows, raising_coefficient,
                              raising_ratio_rows, random_params,
                              recursion_chain_reports, s_fn, sears_check,
-                             weight_row, weight_rows, weight_symmetry_check)
+                             shifted_weight_rows, weight_row, weight_rows,
+                             weight_symmetry_check)
 from qcircle.circle import CircleGrid, contour_mean, dq_apply, tq_apply
 from qcircle.cli import main
 from qcircle.errors import (DegenerateParameters, UnbalancedParameters,
@@ -226,13 +227,14 @@ class TestWeightRows:
 
     def test_near_one_szego_verdict_array_product_count(self, monkeypatch,
                                                         capsys):
-        # Row 0 and the direct Pearson certificate row of the Szego weight,
-        # and the Jacobi triple product: two calls each.  14 when every row
-        # was two new q-products.
+        # The direct Pearson certificate row of the Szego weight and the
+        # Jacobi triple product: two calls each.  Row 0 took two more before
+        # it came from the Poisson dual, 14 when every row was two new
+        # q-products.
         arrays, _ = kernel_calls(monkeypatch, capsys, [
             "verify", "szego", "--max-n", "5", "--grid", "256",
             "--q", "0.988"])
-        assert 0 < arrays <= 6
+        assert 0 < arrays <= 4
 
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.89])
     def test_batch_rows_match_single_rows(self, q):
@@ -261,6 +263,47 @@ class TestWeightRows:
         rows = weight_rows(grid, [shift, P, shift])
         assert batches == [[P], [shift]]
         assert rows[0].tobytes() == rows[2].tobytes()
+
+
+class TestShiftedWeightRows:
+    """shifted_weight_rows: the weight at (a, q^n alpha, b, q^n beta) as the
+    row at p times a finite ratio, held here to direct rows."""
+
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.89])
+    def test_ratio_matches_direct_rows(self, q):
+        rng = np.random.default_rng(int(q * 100))
+        grid = CircleGrid(256)
+        for p in (BiorthoParams(0.3, 0.2, 0.4, 0.1, q),
+                  random_params(rng, q), conjugate_params(rng, q)):
+            rows = shifted_weight_rows(grid, p, 3)
+            assert rows.shape == (4, 256)
+            assert rows[0].tobytes() == weight_row(grid, p).tobytes()
+            for n in range(1, 4):
+                direct = weight_row(grid, p.with_params(
+                    alpha=q**n * p.alpha, beta=q**n * p.beta))
+                assert np.max(np.abs(rows[n] - direct)
+                              / np.abs(direct)) < 1e-13
+
+    def test_chain_samples_one_direct_shifted_row(self, monkeypatch):
+        # The chain sampled the parameter factors of shift_1..shift_3; now
+        # only shift_3's, for the biortho_weight_shift certificate.
+        import qcircle.biortho
+        grid, batches = CircleGrid(64), []
+        factors = qcircle.biortho._parameter_factors
+
+        def counted(z, sets):
+            batches.append(list(sets))
+            return factors(z, sets)
+
+        monkeypatch.setattr(qcircle.biortho, "_parameter_factors", counted)
+        table = table_at(4, grid=grid)
+        assert batches == [[P]]
+        reports = recursion_chain_reports(table, P, grid)
+        assert batches[1:] == [[P.with_params(alpha=Q**3 * P.alpha,
+                                          beta=Q**3 * P.beta)]]
+        (shift,) = [r for r in reports if r.name == "biortho_weight_shift"]
+        assert shift.params["n"] == 3
+        assert shift.tolerance == 1e-12 and shift.passed
 
 
 class TestKappa:
@@ -623,26 +666,31 @@ class TestSears:
             sears_check(2, 0.3, 0.4, 0.2, 0.5, 0.6, 0.7, Q)
 
 
+def table_at(size, p=P, grid=GRID):
+    """imn_table at p on its weight_row."""
+    return imn_table(size, p, grid, weight_row(grid, p))
+
+
 @functools.lru_cache(maxsize=None)
 def chain_reports(upper=3):
     """{(name, m, n): report} of the chain up to degree upper at P."""
     return {(r.name, r.params.get("m"), r.params["n"]): r
-            for r in recursion_chain_reports(imn_table(upper + 1, P, GRID),
+            for r in recursion_chain_reports(table_at(upper + 1),
                                              P, GRID)}
 
 
 class TestRecursionChain:
     def test_i00_is_kappa(self):
-        assert imn_table(1, P, GRID)[0, 0] == \
+        assert table_at(1)[0, 0] == \
             pytest.approx(kappa_closed(P), rel=1e-12)
 
     def test_offdiagonal_vanishes(self):
-        table = imn_table(3, P, GRID)
+        table = table_at(3)
         assert abs(table[1, 2]) < 1e-10
         assert abs(table[2, 1]) < 1e-10
 
     def test_diagonal_closed_form(self):
-        assert imn_table(4, P, GRID)[3, 3] == \
+        assert table_at(4)[3, 3] == \
             pytest.approx(biortho_norm(3, P), rel=1e-10)
 
     def test_single_step(self):
@@ -650,7 +698,7 @@ class TestRecursionChain:
 
     def test_step_balances_off_diagonal(self):
         # m > n: both sides vanish individually and the recursion holds
-        assert abs(imn_table(3, P, GRID)[2, 1]) < 1e-10
+        assert abs(table_at(3)[2, 1]) < 1e-10
         assert chain_reports()[("imn_recursion_step", 2, 1)].residual < 1e-10
 
     def test_iterated_matches_direct(self):
@@ -669,7 +717,7 @@ class TestRecursionChainTable:
     def test_table_entry_is_the_quadrature(self):
         z = GRID.nodes
         w = weight_row(GRID, P)
-        table = imn_table(3, P, GRID)
+        table = table_at(3)
         for m in range(3):
             for n in range(3):
                 assert table[m, n] == np.mean(np.conj(s_fn(m, z, P))
@@ -679,7 +727,7 @@ class TestRecursionChainTable:
     def test_table_is_the_gram_matrix(self, p):
         for size in (1, 3, 5):
             G, _, _ = biortho_gram(size - 1, p, GRID)
-            assert imn_table(size, p, GRID).tobytes() == G.tobytes()
+            assert table_at(size, p).tobytes() == G.tobytes()
 
     def test_iterated_coefficient_at_one_is_the_step(self):
         assert imn_iterated_coefficient(1, P) == \
@@ -687,19 +735,21 @@ class TestRecursionChainTable:
 
     @pytest.mark.parametrize("upper, want", [
         (0, ["i00_shifted_closed_form"]),
-        (1, ["imn_recursion_step"] + 2 * ["i00_shifted_closed_form"]),
-        (2, 4 * ["imn_recursion_step"] + 3 * ["i00_shifted_closed_form"]
-         + ["imn_recursion_iterated"]),
+        (1, ["biortho_weight_shift", "imn_recursion_step"]
+         + 2 * ["i00_shifted_closed_form"]),
+        (2, ["biortho_weight_shift"] + 4 * ["imn_recursion_step"]
+         + 3 * ["i00_shifted_closed_form"] + ["imn_recursion_iterated"]),
     ])
     def test_reports_at_small_upper(self, upper, want):
         grid = CircleGrid(64)
-        reports = recursion_chain_reports(imn_table(upper + 1, P, grid), P,
+        reports = recursion_chain_reports(table_at(upper + 1, grid=grid), P,
                                           grid)
         assert [r.name for r in reports] == want
 
     def test_each_function_evaluated_once_per_table(self, monkeypatch):
         # imn_recursion_check, i00_closed_check and imn_iterated_check made
-        # 40 r_fn calls for these 14 reports.
+        # 40 r_fn calls for 14 of these reports; the shifted weight's
+        # certificate reads no r_n.
         import qcircle.biortho
         calls = []
         evaluate = qcircle.biortho.r_fn
@@ -708,10 +758,10 @@ class TestRecursionChainTable:
             calls.append(n)
             return evaluate(n, z, p)
 
-        table = imn_table(4, P, GRID)
+        table = table_at(4)
         monkeypatch.setattr(qcircle.biortho, "r_fn", counted)
         reports = recursion_chain_reports(table, P, GRID)
-        assert len(reports) == 14
+        assert len(reports) == 15
         assert len(calls) <= 14
 
     def test_r_fn_only_at_the_shifted_parameters(self, monkeypatch):
@@ -724,7 +774,7 @@ class TestRecursionChainTable:
             seen.append(p)
             return evaluate(n, z, p)
 
-        table = imn_table(4, P, GRID)
+        table = table_at(4)
         monkeypatch.setattr(qcircle.biortho, "r_fn", counted)
         recursion_chain_reports(table, P, GRID)
         shift = P.with_params(alpha=Q * P.alpha, beta=Q * P.beta)

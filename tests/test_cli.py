@@ -223,6 +223,8 @@ class TestNoFalsePass:
          "error: b*beta = 0: every norm h_n with n >= 1 vanishes"),
         (["gram", "biortho", "--max-n", "2", "--params", "0.3,0.2,0,0.1"],
          "error: b*beta = 0: every norm h_n with n >= 1 vanishes"),
+        (["verify", "qsl", "--max-n", "5", "--grid", "256", "--q", "0.999"],
+         "error: p is not finite on the grid"),
     ])
     def test_invalid_tolerance_or_degree_exits_2(self, argv, invariant, capsys):
         # Each of these used to run: --tol 0 silently at the default, NaN or
@@ -239,7 +241,9 @@ class TestNoFalsePass:
         # given at their default values.  At b*beta = 0 every norm h_n with
         # n >= 1 vanishes: verify divided by zero in a traceback (b = 0) or
         # failed at NaN (beta = 0), and gram failed at NaN; the parser takes
-        # these, so the error line is the whole of stderr.
+        # these, so the error line is the whole of stderr.  verify qsl at
+        # q = 0.999, where the weight row overflows, exited 1 with four NaN
+        # FAILs and numpy's warnings.
         if invariant.startswith("error: "):
             assert main(argv) == 2
             captured = capsys.readouterr()

@@ -33,6 +33,15 @@ class TestValidate:
         with pytest.raises(ValueError, match="p is not real on the grid"):
             validate(shifted(lambda z: z, GRID.nodes, 0.5, 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weight_first(self, bad):
+        # A NaN passed both comparisons below; the finiteness test comes
+        # first, so a complex row with a NaN still names the NaN.
+        W = shifted(lambda z: z, GRID.nodes, 0.5, 1)
+        W[1, 7] = bad
+        with pytest.raises(ValueError, match="p is not finite on the grid"):
+            validate(W)
+
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError, match="p is not positive on the grid"):
             validate(shifted(np.real, GRID.nodes, 0.5, 1))

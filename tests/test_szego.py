@@ -13,8 +13,8 @@ from qcircle.cli import main
 from qcircle.errors import WeightUnderflow
 from qcircle.qcore import qpochhammer, qpochhammer_inf
 from qcircle.suites import SuiteConfig, szego_suite
-from qcircle.szego import (coefficient_table, jacobi_triple_check,
-                           ladder_reports, poly_rows,
+from qcircle.szego import (circle_weight, coefficient_table,
+                           jacobi_triple_check, ladder_reports, poly_rows,
                            sturm_liouville_eigenvalue, szego_gram, szego_norm,
                            szego_poly, szego_weight, weight_pearson_check,
                            weight_ratio_rows)
@@ -324,9 +324,10 @@ class TestGram:
             return kernel(a, q)
 
         monkeypatch.setattr(qcircle.szego, "qpochhammer_inf", counted)
-        _, norms, _ = szego_gram(6, 0.5, GRID)
-        # The weight row's two array products aside, one scalar (q;q)_inf.
-        assert [c for c in calls if np.ndim(c[0]) == 0] == [(0.5, 0.5)]
+        _, norms, _ = szego_gram(6, 0.5, CircleGrid(64))
+        # One scalar (q;q)_inf, which the circle row reads too; the row
+        # from two array products took two more calls.
+        assert calls == [(0.5, 0.5)]
         assert norms == [szego_norm(n, 0.5) for n in range(7)]
 
     def test_grid_refinement_stability(self):
@@ -373,28 +374,81 @@ class TestTripleProductAndMass:
             szego_suite(SuiteConfig(q=0.999, grid_size=16))
 
 
-def mp_szego_weight(t, q, mpmath):
-    """(q^{1/2} t, q^{1/2}/t; q)_inf at mpmath's precision.
+def mp_qp_inf(x, q, mpmath):
+    """(x; q)_inf at mpmath's precision, for |x| < 1.
 
     mpmath.qp raises NoConvergence near q = 1, so the product is an explicit
     loop over its factors 1 - x q^k down to |x q^K| < 0.1; the rest is
     exp(-sum_m y^m / (m (1 - q^m))) with y = x q^K, whose 50 terms reach
     1e-49.
     """
-    qm = mpmath.mpf(q)
-    rq, t = mpmath.sqrt(qm), mpmath.mpc(t)
-    total = mpmath.mpc(1)
-    for y in (rq * t, rq / t):
-        for _ in range(max(0, math.ceil(math.log(0.1 / abs(complex(y)))
-                                        / math.log(q)))):
-            total *= 1 - y
-            y *= qm
-        log_tail, ym, qmm = 0, 1, 1
-        for m in range(1, 51):
-            ym, qmm = ym * y, qmm * qm
-            log_tail -= ym / (m * (1 - qmm))
-        total *= mpmath.exp(log_tail)
-    return complex(total)
+    qm, y, total = mpmath.mpf(q), x, mpmath.mpf(1)
+    for _ in range(max(0, math.ceil(math.log(0.1 / abs(complex(y)))
+                                    / math.log(q)))):
+        total *= 1 - y
+        y *= qm
+    log_tail, ym, qmm = 0, 1, 1
+    for m in range(1, 51):
+        ym, qmm = ym * y, qmm * qm
+        log_tail -= ym / (m * (1 - qmm))
+    return total * mpmath.exp(log_tail)
+
+
+def mp_szego_weight(t, q, mpmath):
+    """(q^{1/2} t, q^{1/2}/t; q)_inf at mpmath's precision."""
+    rq, t = mpmath.sqrt(mpmath.mpf(q)), mpmath.mpc(t)
+    return complex(mp_qp_inf(rq * t, q, mpmath) * mp_qp_inf(rq / t, q, mpmath))
+
+
+class TestCircleWeight:
+    """szego.circle_weight: the Szego weight on the grid from its Poisson
+    dual, certified here against the product at 40 digits."""
+
+    @pytest.mark.parametrize("n_nodes", [256, 255])
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99, 0.995])
+    def test_mpmath_oracle(self, q, n_nodes):
+        # Every 8th node and the last: the error peaks next to z = 1, where
+        # the exponent L - (phi + 2 pi m)^2 / (2 tau) is largest in size,
+        # so the bound grows with c = pi^2 / (2 tau).  Measured on every node
+        # of both grids: 4.5e-16, 3.4e-15, 1.9e-14, 2.1e-13 and 5.7e-13.
+        mpmath = pytest.importorskip("mpmath")
+        grid = CircleGrid(n_nodes)
+        nodes = [*range(0, n_nodes, 8), n_nodes - 1]
+        with mpmath.workdps(40):
+            mass = float(1 / mp_qp_inf(mpmath.mpf(q), q, mpmath))
+            want = np.array([mp_szego_weight(grid.nodes[j], q, mpmath)
+                             for j in nodes])
+        row = circle_weight(grid, q, mass)[nodes]
+        c = math.pi**2 / (-2.0 * math.log(q))
+        assert np.max(np.abs(row - want) / np.abs(want)) <= \
+            4 * np.finfo(float).eps * (1.0 + c)
+
+    @pytest.mark.parametrize("n_nodes", [16, 255, 256])
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.995])
+    def test_real_positive_and_conjugate_symmetric(self, q, n_nodes):
+        # w(conj z) = w(z): the phases of nodes j and N - j are exact
+        # negatives, and each +-m pair is summed first.
+        row = circle_weight(CircleGrid(n_nodes), q, szego_norm(0, q))
+        assert row.dtype == np.float64 and np.all(row > 0)
+        assert row[1:].tobytes() == row[:0:-1].tobytes()
+
+    def test_built_once_per_grid(self, monkeypatch):
+        # The Gram, the total mass, positivity and the Pearson certificate
+        # of a verdict read one row.
+        calls = []
+        build = qcircle.szego._dual_rows
+
+        def counted(z, bases):
+            calls.append(bases)
+            return build(z, bases)
+
+        monkeypatch.setattr(qcircle.szego, "_dual_rows", counted)
+        reports = szego_suite(SuiteConfig(q=0.5, max_n=3, grid_size=64))
+        assert calls == [[(0.5, szego_norm(0, 0.5))]]
+        (positivity,) = [r for r in reports
+                         if r.name == "szego_weight_positivity"]
+        assert positivity.residual == 0.0
+        assert positivity.notes["max_imag"] == 0.0
 
 
 class TestPearsonRows:
@@ -447,15 +501,19 @@ class TestPearsonRows:
 
     @pytest.mark.parametrize("poisoned", ["row 0", "direct"])
     def test_nan_fails(self, poisoned, monkeypatch):
-        # Row 0 lies on |z| = 1, the direct comparison row inside it.
-        def weight(z, q):
-            w = np.array(szego_weight(z, q))
-            on_circle = np.isclose(np.abs(np.ravel(z)[0]), 1.0)
-            if on_circle == (poisoned == "row 0"):
+        # Row 0 is the circle row the Szego suite passes in, the direct
+        # comparison row a q-product inside the circle.
+        grid = CircleGrid(16)
+        row = circle_weight(grid, 0.5, szego_norm(0, 0.5)).copy()
+        if poisoned == "row 0":
+            row[3] = np.nan
+        else:
+            def weight(z, q):
+                w = np.array(szego_weight(z, q))
                 w[3] = np.nan
-            return w
+                return w
 
-        monkeypatch.setattr(qcircle.szego, "szego_weight", weight)
-        rep = weight_pearson_check(0.5, CircleGrid(16), 3)
+            monkeypatch.setattr(qcircle.szego, "szego_weight", weight)
+        rep = weight_pearson_check(row, 0.5, grid, 3)
         assert math.isnan(rep.residual)
         assert not rep.passed

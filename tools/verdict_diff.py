@@ -56,6 +56,8 @@ SWEEP = (
         "--params", "0,0,0.4,0.1"]]
     # beta = q: the weight has a pole at z = 1 one q-step inside the circle.
     + [["verify", "biortho", "--q", "0.5", "--params", "0.3,0.2,0.4,0.5"]]
+    # An odd grid: the Szego circle row's phase pi (2j - N) / N at odd N.
+    + [["verify", "szego", "--max-n", "5", "--grid", "255", "--q", "0.9"]]
     # The Szego ladder where the weight underflows, and where (q;q)_inf does
     # (exit 2).
     + [["verify", "szego", "--max-n", "5", "--grid", "256", "--q", q]
