@@ -129,9 +129,19 @@ def inner_product_c(f, g, grid: CircleGrid) -> complex:
 
 def gram_matrix(left, right, w) -> np.ndarray:
     """G[m, n] = (1/N) sum_j conj(L_m) R_n w: the one Gram assembly, one
-    mean per row over the stacked R (an array), each entry's sum pairwise."""
-    return np.array([np.mean(np.conj(lm) * right * w, axis=-1)
-                     for lm in left])
+    mean per row over the stacked R (an array), each entry's sum pairwise.
+    Each row's products conj(L_m) R w go through one buffer the size of R,
+    in the order of the expression, so no table-sized temporary is made
+    per row."""
+    left, right = np.asarray(left), np.asarray(right)
+    buf = np.empty(np.broadcast(right, w).shape,
+                   dtype=np.result_type(left, right, w))
+    G = np.empty((len(left), *buf.shape[:-1]), dtype=buf.dtype)
+    for m, lm in enumerate(left):
+        np.multiply(np.conj(lm), right, out=buf)
+        np.multiply(buf, w, out=buf)
+        G[m] = np.mean(buf, axis=-1)
+    return G
 
 
 def gram_check(name, G, norms, tol, grid_size, params, **notes):

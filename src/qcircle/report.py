@@ -49,8 +49,10 @@ def re_im(value) -> list:
 
 
 def to_json(doc) -> str:
-    """The one JSON writer: sorted keys, complex numbers as [re, im]."""
-    return json.dumps(doc, indent=2, sort_keys=True, default=re_im)
+    """The one JSON writer: one line, sorted keys, complex numbers as
+    [re, im].  Without `indent` CPython encodes in C; `python -m json.tool`
+    indents the line for reading."""
+    return json.dumps(doc, sort_keys=True, default=re_im)
 
 
 def to_csv(header, rows) -> str:

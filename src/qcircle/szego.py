@@ -6,14 +6,15 @@ orthogonality Gram matrix.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 # tq_apply stays bound here for benchmarks/tests/test_bench_tracer.py::
 # test_uninstall_restores_every_original_binding, which checks its rebinding.
 from .circle import (CircleGrid, LaurentPoly, _shifted_points, dq_rows,
-                     gram_check, gram_matrix, laurent_values, shifted,
-                     tq_apply, tq_power, tq_rows)
+                     gram_check, gram_matrix, shifted, tq_apply, tq_power,
+                     tq_rows)
 from .errors import WeightUnderflow
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, _maybe_scalar,
                     jacobi_triple_product, qpochhammer_inf, qval,
@@ -134,15 +135,18 @@ def weight_pearson_check(row, q, grid: CircleGrid, depth: int,
 def szego_norms(max_n: int, q) -> list:
     """Closed-form diagonal <H_n, w H_n>_c = q^{-n} (q;q)_n / (q;q)_inf,
     n = 0..max_n, with one (q;q)_inf, the reciprocal of the total mass;
-    raises WeightUnderflow when it underflows to 0."""
+    raises WeightUnderflow when it underflows below the smallest normal
+    float: a subnormal product has lost its digits (at q = 0.998 it reads
+    1.5e-323 for about 1e-355) and its reciprocal is inf."""
     if max_n < 0:
         raise ValueError("degree must be nonnegative")
     qv = qval(q)
     qq = qpochhammer_inf(qv, qv)
-    if qq == 0:
+    if abs(qq) < sys.float_info.min:
         raise WeightUnderflow(
-            f"(q;q)_inf underflowed to 0 at q={qv}: the total mass "
-            f"1/(q;q)_inf and the closed-form norms are not representable")
+            f"(q;q)_inf underflowed below the smallest normal float at "
+            f"q={qv}: the total mass 1/(q;q)_inf and the closed-form norms "
+            f"are not representable")
     running = _running_qq(max_n, qv)[:max_n + 1].tolist()
     return [qv**(-n) * qq_n / qq.real for n, qq_n in enumerate(running)]
 
@@ -167,10 +171,21 @@ def ladder_constants(n: int, q) -> tuple:
 
 
 def poly_rows(max_n: int, q, z, depth: int) -> np.ndarray:
-    """Rows H_n(q^k z), shape (depth+1, max_n+1, N): coefficient_table as
-    (K, P, 1) coefficients, all degrees in one Horner pass per row."""
-    coeffs = coefficient_table(max_n, q).T[:, :, None]
-    return shifted(lambda t: laurent_values(coeffs, 0, t), z, q, depth)
+    """Rows H_n(q^k z), shape (depth+1, max_n+1, N): all degrees in one
+    Horner pass per row, in place.  coefficient_table is lower-triangular,
+    so H_n takes only the steps k <= n; the steps past n would add zeros to
+    a zero, and the final t**0 is laurent_values' z**min_degree."""
+    C = coefficient_table(max_n, q)
+
+    def horner(t):
+        acc = np.zeros((max_n + 1, *t.shape), dtype=complex)
+        for k in range(max_n, -1, -1):
+            tail = acc[k:]
+            np.multiply(tail, t, out=tail)
+            np.add(tail, C[k:, k, None], out=tail)
+        return np.multiply(acc, t**0, out=acc)
+
+    return shifted(horner, z, q, depth)
 
 
 def ladder_reports(max_n: int, q, grid: CircleGrid,

@@ -8,15 +8,31 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import qcircle.suites
+import qcircle.szego
 from qcircle.cli import main, parse_complex
 
 # Keys whose values are complex numbers in the JSON of verify, gram and eval.
 COMPLEX_KEYS = {"a", "alpha", "b", "beta", "lambda1", "lambda2",
                 "weighted_inner_product", "computed",
                 "expected", "kappa_closed", "kappa_quadrature"}
+
+
+QQ_UNDERFLOW = "error: (q;q)_inf underflowed below the smallest normal float"
+KAPPA_UNDERFLOW = ("error: (q, a alpha, b alpha, a beta, b beta; q)_inf "
+                   "underflowed below 1e-280")
+
+
+def run_cli(argv):
+    """qcircle in a fresh interpreter, so that numpy's warnings reach its
+    stderr, as text."""
+    src = pathlib.Path(qcircle.suites.__file__).parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "qcircle.cli", *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(src)})
 
 
 def json_objects(text):
@@ -147,11 +163,18 @@ class TestGram:
 
 
 class TestNoFalsePass:
-    def test_nan_gram_fails(self, capsys):
-        # At q=0.998 the weight overflows on the grid and the Gram matrix is
-        # NaN; a NaN residual must read as FAIL, not PASS.
-        with pytest.warns(RuntimeWarning):
-            assert main(["gram", "szego", "--q", "0.998", "--max-n", "2"]) == 1
+    def test_nan_gram_fails(self, monkeypatch, capsys):
+        # A NaN in the weight row makes the Gram matrix NaN; a NaN residual
+        # must read as FAIL, not PASS.  (At q=0.998 the row overflowed
+        # until the subnormal (q;q)_inf there was taken for an underflow.)
+        row = qcircle.szego.circle_weight
+
+        def with_nan(grid, q, mass):
+            return np.where(np.arange(grid.n_nodes) == 3, np.nan,
+                            row(grid, q, mass))
+
+        monkeypatch.setattr(qcircle.szego, "circle_weight", with_nan)
+        assert main(["gram", "szego", "--max-n", "2"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] residual=nan" in out
         assert "PASS" not in out
@@ -261,8 +284,28 @@ class TestNoFalsePass:
         # would divide by it.
         assert main(["verify", "szego", "--q", "0.999", "--grid", "16"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: (q;q)_inf underflowed to 0")
+        assert err.startswith(QQ_UNDERFLOW)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, invariant", [
+        (["verify", "szego", "--q", "0.998"], QQ_UNDERFLOW),
+        (["verify", "all", "--q", "0.998"], QQ_UNDERFLOW),
+        (["gram", "szego", "--q", "0.998"], QQ_UNDERFLOW),
+        (["verify", "biortho", "--q", "0.997"], KAPPA_UNDERFLOW),
+        (["verify", "all", "--q", "0.997"], KAPPA_UNDERFLOW),
+    ], ids=["szego-0.998", "all-0.998", "gram-0.998", "biortho-0.997",
+            "all-0.997"])
+    def test_near_one_underflow_is_one_error_line(self, argv, invariant):
+        # At q=0.998 (q;q)_inf is the subnormal 1.5e-323, which passed as
+        # nonzero: verify szego exited 1 on NaN FAILs and verify all 2,
+        # each after 12 numpy warning lines.  At q=0.997 the random sets'
+        # weight rows overflowed, 2 warning lines, before their kappas
+        # raised.
+        done = run_cli([*argv, "--max-n", "5", "--grid", "256"])
+        assert done.returncode == 2
+        assert done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        assert line.startswith(invariant)
 
     def test_underflowed_weight_fails_without_warning(self, capsys):
         # At q=0.996 the Szego weight underflows to 0 at some nodes, so the
@@ -282,8 +325,7 @@ class TestNoFalsePass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["verify", "szego", "--q", "0.999"]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: (q;q)_inf underflowed to 0")
+        assert capsys.readouterr().err.startswith(QQ_UNDERFLOW)
 
     @pytest.mark.parametrize("argv, label", [
         (["eval", "weight", "--z", "1e300"], "w_c(+1.000000000000e+300"),
@@ -308,10 +350,7 @@ class TestNoFalsePass:
     def test_non_finite_value_stderr_is_one_line(self, argv):
         # numpy's RuntimeWarnings, with file paths, came first: 5 stderr
         # lines for weight and szego, 7 for bweight.
-        src = pathlib.Path(qcircle.suites.__file__).parents[1]
-        done = subprocess.run(
-            [sys.executable, "-m", "qcircle.cli", *argv], capture_output=True,
-            text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        done = run_cli(argv)
         assert done.returncode == 2
         assert done.stdout == ""
         (line,) = done.stderr.splitlines()
@@ -374,8 +413,7 @@ class TestNoFalsePass:
         # floor: an underflow, not a fault of the parameters.
         assert main(["verify", "biortho", "--q", "0.999", "--grid", "16"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: (q, a alpha, b alpha, a beta, b beta; "
-                              "q)_inf underflowed below 1e-280 at q=0.999")
+        assert err.startswith(f"{KAPPA_UNDERFLOW} at q=0.999")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv, target, reason", [

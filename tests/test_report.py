@@ -66,6 +66,20 @@ class TestWriters:
         assert doc["notes"] == {"pair": [[1.0, 2.0], 0.5]}
         assert doc["passed"] is True
 
+    def test_json_is_one_line_that_reads_back(self):
+        doc = {"b": [math.nan, math.inf, -math.inf],
+               "a": ((1, (2.5, np.float64(0.1))), np.complex128(1e-300 - 2j)),
+               "c": {"z": np.float64(-0.0), "y": 3 + 0j}}
+        text = to_json(doc)
+        assert "\n" not in text
+        assert text.startswith('{"a": [[1, [2.5, 0.1]], [1e-300, -2.0]], "b"')
+        back = json.loads(text)
+        assert back["a"] == [[1, [2.5, 0.1]], [1e-300, -2.0]]
+        assert math.isnan(back["b"][0]) and back["b"][1:] == [math.inf,
+                                                               -math.inf]
+        assert back["c"] == {"y": [3.0, 0.0], "z": -0.0}
+        assert math.copysign(1.0, back["c"]["z"]) == -1.0
+
     def test_csv_has_lf_line_ends_and_no_trailing_newline(self):
         assert to_csv(["m", "v"], [[0, 1.5], [1, "a,b"]]) == \
             'm,v\n0,1.5\n1,"a,b"'

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from qcircle.suites import SuiteConfig, szego_suite
 from qcircle.szego import (circle_weight, coefficient_table,
                            jacobi_triple_check, ladder_reports, poly_rows,
                            sturm_liouville_eigenvalue, szego_gram, szego_norm,
-                           szego_poly, szego_weight, weight_pearson_check,
-                           weight_ratio_rows)
+                           szego_norms, szego_poly, szego_weight,
+                           weight_pearson_check, weight_ratio_rows)
 
 GRID = CircleGrid(256)
 
@@ -337,11 +338,16 @@ class TestGram:
         *_, r2 = szego_gram(5, q, CircleGrid(512))
         assert r2.residual < 10 * max(r1.residual, 1e-14)
 
-    def test_nan_matrix_fails(self):
-        # The weight overflows on the grid at q=0.998; max(0.0, nan) would
+    def test_nan_matrix_fails(self, monkeypatch):
+        # A NaN in the weight row (as when the row overflowed at q=0.998,
+        # before that q's subnormal (q;q)_inf raised); max(0.0, nan) would
         # report residual 0 here.
-        with pytest.warns(RuntimeWarning):
-            G, _, rep = szego_gram(2, 0.998, CircleGrid(64))
+        row = qcircle.szego.circle_weight
+        monkeypatch.setattr(qcircle.szego, "circle_weight",
+                            lambda grid, q, mass: np.where(
+                                np.arange(grid.n_nodes) == 3, np.nan,
+                                row(grid, q, mass)))
+        G, _, rep = szego_gram(2, 0.5, CircleGrid(64))
         assert np.isnan(G).any()
         assert math.isnan(rep.residual)
         assert math.isnan(rep.notes["max_offdiag"])
@@ -372,6 +378,15 @@ class TestTripleProductAndMass:
             szego_gram(0, 0.999, CircleGrid(16))
         with pytest.raises(WeightUnderflow, match=r"\(q;q\)_inf"):
             szego_suite(SuiteConfig(q=0.999, grid_size=16))
+
+    @pytest.mark.parametrize("q", [0.9977, 0.998])
+    def test_subnormal_qq_inf_raises(self, q):
+        # A subnormal (q;q)_inf has lost its digits and its reciprocal, the
+        # total mass, is inf: an underflow as much as a 0 is.
+        qq = qpochhammer_inf(q, q)
+        assert 0 < abs(qq) < sys.float_info.min
+        with pytest.raises(WeightUnderflow, match="smallest normal float"):
+            szego_norms(0, q)
 
 
 def mp_qp_inf(x, q, mpmath):

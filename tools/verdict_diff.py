@@ -10,13 +10,17 @@ appended unless the command sets its own seed.  The tool prints one
 Markdown table row for every report whose residual moved (name, n, parent
 and change residual, |change - parent| / tolerance, and both verdicts), a
 summary row per command, which also says whether the command's stdout is
-byte-identical between the trees, a count of those commands, the line
-count of `src/qcircle/*.py` in both trees (as `wc -l` counts), then the
-reports that appear and the exit codes that change.
+the `same` bytes in both trees, the `same document` (the bytes differ but
+json.loads reads equal documents, a NaN equal to a NaN) or `differs`, a
+count of the byte-identical commands, the line count of `src/qcircle/*.py`
+in both trees (as `wc -l` counts), then the reports that appear and the
+exit codes that change.
 
 Exit status 1 if any report turns from PASS to FAIL, a report disappears
-(named with its verdict in the parent tree), or an exit code rises (a
-command that exits 0 or 1 without a JSON report counts as exit code 3); 0
+(named with its verdict in the parent tree), an exit code rises (a
+command that exits 0 or 1 without a JSON report counts as exit code 3),
+or a command's stderr in the change tree breaks the stderr rule: empty
+when it exits 0 or 1, exactly one `error: ` line when it exits 2; 0
 otherwise.
 """
 
@@ -84,6 +88,10 @@ SWEEP = (
        ([], ["--params", "0.3+0.1i,0.2-0.15i,0.4+0.05i,0.1+0.2i"])]
     # biortho_norms' (ab alpha beta; q)_16 near q = 1.
     + [["gram", "biortho", "--max-n", "8", "--grid", "2048", "--q", "0.9"]]
+    # kappa underflows (exit 2) where the random sets' weight rows overflow:
+    # the one error line must come before any numpy warning.
+    + [["verify", suite, "--max-n", "5", "--grid", "256", "--q", "0.997"]
+       for suite in ("biortho", "all")]
 )
 
 # Above qcircle's own exit codes (0 pass, 1 fail, 2 bad configuration).
@@ -111,9 +119,9 @@ def source_dir(tree: str) -> str:
 
 
 def run(src: str, argv: list) -> tuple:
-    """(exit code, {key: report}, stdout bytes) of one command on one tree;
-    exit code CRASHED when it exits 0 or 1 without a JSON report (a
-    traceback)."""
+    """(exit code, {key: report}, stdout bytes, stderr bytes) of one command
+    on one tree; exit code CRASHED when it exits 0 or 1 without a JSON
+    report (a traceback)."""
     seed = [] if "--seed" in argv else ["--seed", "0"]
     done = subprocess.run(
         [sys.executable, "-c", RUNNER, src, *argv, "--format", "json", *seed],
@@ -124,14 +132,40 @@ def run(src: str, argv: list) -> tuple:
             doc = json.loads(done.stdout)
             found = doc["reports"] if "reports" in doc else [doc["report"]]
         except (ValueError, KeyError):
-            return CRASHED, reports, done.stdout
+            return CRASHED, reports, done.stdout, done.stderr
         seen = {}
         for report in found:
             label = index_label(report["params"])
             occurrence = seen.get((report["name"], label), 0)
             seen[(report["name"], label)] = occurrence + 1
             reports[(report["name"], label, occurrence)] = report
-    return done.returncode, reports, done.stdout
+    return done.returncode, reports, done.stdout, done.stderr
+
+
+def stderr_fault(code: int, err: bytes) -> str:
+    """What breaks the stderr rule, or "": nothing on stderr at exit 0 or
+    1, exactly one `error: ` line at exit 2."""
+    lines = err.decode(errors="replace").splitlines()
+    if code == 2:
+        if len(lines) == 1 and lines[0].startswith("error: "):
+            return ""
+        return f"exit 2 with {len(lines)} stderr lines, not one error line"
+    if lines:
+        return f"exit {code} with {len(lines)} stderr lines"
+    return ""
+
+
+def compare_stdout(a: bytes, b: bytes) -> str:
+    """`same` bytes, the `same document` in other bytes, or `differs`."""
+    if a == b:
+        return "same"
+    try:
+        # NaN, Infinity and -Infinity as values equal to the same token only.
+        docs = [json.loads(out, parse_constant=lambda token: ("json", token))
+                for out in (a, b)]
+    except ValueError:
+        return "differs"
+    return "same document" if docs[0] == docs[1] else "differs"
 
 
 def line_count(src: str) -> int:
@@ -166,9 +200,12 @@ def main(argv: list) -> int:
     summary, notes, bad, identical = [], [], [], 0
     for argv_ in SWEEP:
         command = " ".join(argv_)
-        code_a, parent, out_a = run(parent_src, argv_)
-        code_b, change, out_b = run(change_src, argv_)
+        code_a, parent, out_a, _ = run(parent_src, argv_)
+        code_b, change, out_b, err_b = run(change_src, argv_)
         identical += out_a == out_b
+        fault = stderr_fault(code_b, err_b)
+        if fault:
+            bad.append(f"{command}: {fault}")
         if code_b > code_a:
             bad.append(f"{command}: exit code {code_a} -> {code_b}")
         if code_b != code_a:
@@ -204,7 +241,7 @@ def main(argv: list) -> int:
                          f"{change[key]['residual']:.3e}, "
                          f"{verdict(change[key])}")
         summary.append(f"| {command} | {code_a} -> {code_b} | "
-                       f"{'same' if out_a == out_b else 'differs'} | "
+                       f"{compare_stdout(out_a, out_b)} | "
                        f"{lower} | {higher} | {fixed} | "
                        f"{largest[1] or '-'} |")
     print()
