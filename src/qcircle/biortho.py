@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
-from .circle import (CircleGrid, dq_rows, gram_check, gram_matrix, shifted,
-                     tq_rows)
+from .circle import (CircleGrid, _shifted_points, dq_rows, gram_check,
+                     gram_matrix, tq_rows)
 from .errors import DegenerateParameters, UnbalancedParameters, WeightUnderflow
 # qpochhammer_inf: bound for benchmarks/tests/test_bench_tracer.py's rebinding.
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, _maybe_scalar, phi,
@@ -276,10 +275,29 @@ def raising_coefficient(p: BiorthoParams) -> complex:
 
 
 def r_rows(size: int, p: BiorthoParams, z, depth: int) -> np.ndarray:
-    """Rows r_n(q^k z; p), shape (depth+1, size, N), n < size: each row of
-    each r_n from one r_fn call.  Every verdict samples r_n and s_n here."""
-    return np.stack([shifted(partial(r_fn, n, p=p), z, p.q, depth)
-                     for n in range(size)], axis=1)
+    """Rows r_n(q^k z; p), shape (depth+1, size, N), n < size, as one table:
+    r_fn's direct sum for every degree at once, with r_fn's operations on
+    r_fn's operands in r_fn's order, so each row is r_fn's bit for bit.
+    Step k builds the rows that depend on k alone once, and advances the
+    degrees n > k.  Every verdict samples r_n and s_n here."""
+    qv, rq = p.q, math.sqrt(p.q)
+    t = np.stack(_shifted_points(z, qv, depth))[:, None]
+    abab, brq, abrq = p.a * p.b * p.alpha * p.beta, p.b * rq, p.a * p.b * rq
+    term = np.ones((depth + 1, size, *np.shape(z)), dtype=complex)
+    total, num = term.copy(), np.empty_like(term)
+    for k in range(size - 1):
+        qk, live = qv**k, slice(k + 1, None)
+        scalars = [(1.0 - qv**(k - n)) * (1.0 - abab * qv**(n - 1) * qk)
+                   * (1.0 - brq * qk) for n in range(k + 1, size)]
+        np.multiply(np.array(scalars)[:, None], 1.0 - p.b * t * qk,
+                    out=num[:, live])
+        num[:, live] /= ((1.0 - qv**(k + 1)) * (1.0 - p.b * p.alpha * qk)
+                         * (1.0 - p.b * p.beta * qk)
+                         * (1.0 - abrq * t * qk))
+        term[:, live] *= num[:, live]
+        term[:, live] *= qv
+        total[:, live] += term[:, live]
+    return total
 
 
 def raising_ratio_rows(z, p: BiorthoParams) -> np.ndarray:

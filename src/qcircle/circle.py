@@ -146,10 +146,11 @@ def gram_matrix(left, right, w) -> np.ndarray:
 
 def gram_check(name, G, norms, tol, grid_size, params, **notes):
     """(G, norms, report): the worse of a gram_matrix G's largest
-    |off-diagonal| and relative error against `norms`, NaN if any is."""
-    size = range(len(norms))
-    off = worst([G[m, n] for m in size for n in size if m != n])
-    diag = nan_max(0.0, *(worst(G[n, n] - norms[n], abs(norms[n]))
+    |off-diagonal| and relative error against `norms`, NaN if any is, in
+    Python's complex arithmetic on one G.tolist()."""
+    entries, size = G.tolist(), range(len(norms))
+    off = worst([entries[m][n] for m in size for n in size if m != n])
+    diag = nan_max(0.0, *(worst(entries[n][n] - norms[n], abs(norms[n]))
                           for n in size))
     report = IdentityReport(
         name, nan_max(off, diag), tol, grid_size, params,

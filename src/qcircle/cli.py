@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
+import shutil
 import sys
 
 import numpy as np
@@ -110,14 +112,19 @@ def _add_common(p: argparse.ArgumentParser,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The width HelpFormatter computes for itself, queried once: argparse
+    # builds a formatter for about every add_argument.
+    fmt = functools.partial(argparse.HelpFormatter,
+                            width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="qcircle",
+        prog="qcircle", formatter_class=fmt,
         description="Evaluate and numerically certify unit-circle "
                     "orthogonal polynomials, biorthogonal rational "
                     "functions, and their ladder-operator identities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("eval", help="evaluate a function at a point")
+    pe = sub.add_parser("eval", help="evaluate a function at a point",
+                        formatter_class=fmt)
     pe.add_argument("subject",
                     choices=("szego", "rn", "sn", "weight", "bweight",
                              "kappa", "theta"))
@@ -126,13 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
                     action=Given)
     _add_common(pe, formats=("json", "text"), checks=False)
 
-    pv = sub.add_parser("verify", help="run an identity suite")
+    pv = sub.add_parser("verify", help="run an identity suite",
+                        formatter_class=fmt)
     pv.add_argument("suite", choices=("szego", "biortho", "sears", "qsl", "all"))
     pv.add_argument("--max-n", type=max_degree, default=5, dest="max_n")
     pv.add_argument("--seed", type=seed, default=0)
     _add_common(pv)
 
-    pg = sub.add_parser("gram", help="emit a Gram matrix table")
+    pg = sub.add_parser("gram", help="emit a Gram matrix table",
+                        formatter_class=fmt)
     pg.add_argument("subject", choices=("szego", "biortho"))
     pg.add_argument("--max-n", type=max_degree, default=4, dest="max_n")
     pg.add_argument("--seed", type=seed, default=0,
@@ -219,16 +228,15 @@ def cmd_verify(args) -> int:
 
 
 def _gram_rows(G, expected):
+    """The Gram's entries from one G.tolist(), complex numbers as [re, im]
+    lists, which to_json writes without its default hook."""
     rows = []
-    for m in range(G.shape[0]):
-        for n in range(G.shape[1]):
-            exp = expected[n] if m == n else 0.0
-            rows.append({
-                "m": m, "n": n,
-                "computed": complex(G[m, n]),
-                "expected": complex(exp),
-                "residual": worst(G[m, n] - exp),
-            })
+    for m, row in enumerate(G.tolist()):
+        for n, g in enumerate(row):
+            exp = complex(expected[n]) if m == n else 0.0
+            rows.append({"m": m, "n": n, "computed": [g.real, g.imag],
+                         "expected": [exp.real, exp.imag],
+                         "residual": worst(g - exp)})
     return rows
 
 
@@ -248,17 +256,16 @@ def cmd_gram(args) -> int:
     elif args.output_format == "csv":
         _emit(to_csv(["m", "n", "computed_re", "computed_im", "expected_re",
                       "expected_im", "residual"],
-                     [[r["m"], r["n"], r["computed"].real, r["computed"].imag,
-                       r["expected"].real, r["expected"].imag, r["residual"]]
-                      for r in rows]), args.out)
+                     [[r["m"], r["n"], *r["computed"], *r["expected"],
+                       r["residual"]] for r in rows]), args.out)
     else:
         lines = [f"{args.subject} Gram matrix, N={grid.n_nodes}",
                  f"{'m':>3} {'n':>3} {'computed':>28} {'expected':>28} "
                  f"{'residual':>12}"]
         for r in rows:
             lines.append(f"{r['m']:>3} {r['n']:>3} "
-                         f"{_fmt_complex(r['computed']):>28} "
-                         f"{_fmt_complex(r['expected']):>28} "
+                         f"{_fmt_complex(complex(*r['computed'])):>28} "
+                         f"{_fmt_complex(complex(*r['expected'])):>28} "
                          f"{r['residual']:>12.3e}")
         lines.append(f"[{'PASS' if report.passed else 'FAIL'}] "
                      f"residual={report.residual:.3e} tol={tol:.1e}")

@@ -13,8 +13,7 @@ import numpy as np
 # tq_apply stays bound here for benchmarks/tests/test_bench_tracer.py::
 # test_uninstall_restores_every_original_binding, which checks its rebinding.
 from .circle import (CircleGrid, LaurentPoly, _shifted_points, dq_rows,
-                     gram_check, gram_matrix, shifted, tq_apply, tq_power,
-                     tq_rows)
+                     gram_check, gram_matrix, tq_apply, tq_power, tq_rows)
 from .errors import WeightUnderflow
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, _maybe_scalar,
                     jacobi_triple_product, qpochhammer_inf, qval,
@@ -172,20 +171,22 @@ def ladder_constants(n: int, q) -> tuple:
 
 def poly_rows(max_n: int, q, z, depth: int) -> np.ndarray:
     """Rows H_n(q^k z), shape (depth+1, max_n+1, N): all degrees in one
-    Horner pass per row, in place.  coefficient_table is lower-triangular,
-    so H_n takes only the steps k <= n; the steps past n would add zeros to
-    a zero, and the final t**0 is laurent_values' z**min_degree."""
-    C = coefficient_table(max_n, q)
-
-    def horner(t):
-        acc = np.zeros((max_n + 1, *t.shape), dtype=complex)
+    Horner pass per row, in place in the table returned.  coefficient_table
+    is lower-triangular, so H_n takes only the steps k <= n; the steps past
+    n would add zeros to a zero, and the final t**0 is laurent_values'
+    z**min_degree."""
+    qv = qval(q)
+    C = coefficient_table(max_n, qv)
+    out = np.zeros((depth + 1, max_n + 1, *np.shape(z)), dtype=complex)
+    for acc, t in zip(out, _shifted_points(z, qv, depth)):
         for k in range(max_n, -1, -1):
             tail = acc[k:]
             np.multiply(tail, t, out=tail)
             np.add(tail, C[k:, k, None], out=tail)
-        return np.multiply(acc, t**0, out=acc)
-
-    return shifted(horner, z, q, depth)
+        one = t**0
+        for row in acc:  # a row at a time: no broadcast, no ufunc buffer
+            np.multiply(row, one, out=row)
+    return out
 
 
 def ladder_reports(max_n: int, q, grid: CircleGrid,

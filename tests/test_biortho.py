@@ -506,14 +506,42 @@ class TestLadder:
         assert residual / max(1.0, np.max(np.abs(target))) < 1e-8
 
 
+def counted_tables(monkeypatch):
+    """The parameter sets of the r_rows tables built from here on, and the
+    degrees r_fn is called at."""
+    import qcircle.biortho
+    tables, calls = [], []
+    build, evaluate = qcircle.biortho.r_rows, qcircle.biortho.r_fn
+
+    def rows(size, p, z, depth):
+        tables.append(p)
+        return build(size, p, z, depth)
+
+    def fn(n, z, p):
+        calls.append(n)
+        return evaluate(n, z, p)
+
+    monkeypatch.setattr(qcircle.biortho, "r_rows", rows)
+    monkeypatch.setattr(qcircle.biortho, "r_fn", fn)
+    return tables, calls
+
+
 class TestLadderTable:
-    def test_r_rows_sample_each_function(self):
-        z = GRID.nodes
-        R = r_rows(4, GENERIC, z, 1)
-        assert R.shape == (2, 4, GRID.n_nodes)
-        for k, t in enumerate((z, Q * z)):
-            for n in range(4):
-                assert np.array_equal(R[k, n], r_fn(n, t, GENERIC))
+    @pytest.mark.parametrize("size, depth",
+                             [(1, 0), (2, 1), (6, 1), (9, 0), (13, 0)])
+    @pytest.mark.parametrize("n_nodes", [64, 100, 256, 2048])
+    @pytest.mark.parametrize("p", [P, GENERIC, PASTRO],
+                             ids=["default", "complex", "pastro"])
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.89, 0.97])
+    def test_r_rows_sample_each_function(self, q, p, n_nodes, size, depth):
+        # One table runs r_fn's direct sum for every degree at once, with
+        # r_fn's operations in r_fn's order: each row is r_fn's, bit for bit.
+        p, z = p.with_params(q=q), CircleGrid(n_nodes).nodes
+        R = r_rows(size, p, z, depth)
+        assert R.shape == (depth + 1, size, n_nodes)
+        for k in range(depth + 1):
+            for n in range(size):
+                assert np.array_equal(R[k, n], r_fn(n, _points(z, q, k), p))
 
     @pytest.mark.parametrize("max_n", [0, 1, 2, 3])
     def test_report_order(self, max_n):
@@ -561,20 +589,15 @@ class TestLadderTable:
 
     def test_each_function_evaluated_once_per_table(self, monkeypatch):
         # lowering_biortho_check, raising_biortho_check and the variant
-        # table made 42 r_fn calls for these reports: 27 rows of three
-        # r_rows tables, and one more for the table's unshifted reading.
-        import qcircle.biortho
-        calls = []
-        evaluate = qcircle.biortho.r_fn
-
-        def counted(n, z, p):
-            calls.append(n)
-            return evaluate(n, z, p)
-
-        monkeypatch.setattr(qcircle.biortho, "r_fn", counted)
+        # table made 42 r_fn calls for these reports, 27 rows of three
+        # r_rows tables; now those three tables call no r_fn.
+        tables, calls = counted_tables(monkeypatch)
         reports = ladder_reports(5, P, CircleGrid(256))
         assert len(reports) == 10
-        assert len(calls) <= 27
+        lowered = P.with_params(a=Q * P.a, b=Q * P.b)
+        raised = P.with_params(alpha=Q * P.alpha, beta=Q * P.beta)
+        assert tables == [P, lowered, raised]
+        assert calls == []
 
 
 class TestRaisingRatioRows:
@@ -748,37 +771,23 @@ class TestRecursionChainTable:
 
     def test_each_function_evaluated_once_per_table(self, monkeypatch):
         # imn_recursion_check, i00_closed_check and imn_iterated_check made
-        # 40 r_fn calls for 14 of these reports; the shifted weight's
-        # certificate reads no r_n.
-        import qcircle.biortho
-        calls = []
-        evaluate = qcircle.biortho.r_fn
-
-        def counted(n, z, p):
-            calls.append(n)
-            return evaluate(n, z, p)
-
+        # 40 r_fn calls for 14 of these reports; the chain builds the two
+        # tables of one imn_table, and the shifted weight's certificate
+        # reads no r_n.
         table = table_at(4)
-        monkeypatch.setattr(qcircle.biortho, "r_fn", counted)
+        tables, calls = counted_tables(monkeypatch)
         reports = recursion_chain_reports(table, P, GRID)
         assert len(reports) == 15
-        assert len(calls) <= 14
+        assert len(tables) == 2
+        assert calls == []
 
-    def test_r_fn_only_at_the_shifted_parameters(self, monkeypatch):
-        # The table at P comes in; the chain evaluated r_n and s_n at P too.
-        import qcircle.biortho
-        seen = []
-        evaluate = qcircle.biortho.r_fn
-
-        def counted(n, z, p):
-            seen.append(p)
-            return evaluate(n, z, p)
-
+    def test_r_rows_only_at_the_shifted_parameters(self, monkeypatch):
+        # The table at P comes in; the chain sampled r_n and s_n at P too.
         table = table_at(4)
-        monkeypatch.setattr(qcircle.biortho, "r_fn", counted)
+        tables, _ = counted_tables(monkeypatch)
         recursion_chain_reports(table, P, GRID)
         shift = P.with_params(alpha=Q * P.alpha, beta=Q * P.beta)
-        assert seen and set(seen) <= {shift, shift.swapped()}
+        assert set(tables) == {shift, shift.swapped()}
 
     def test_verdict_evaluates_kappa_at_p_at_most_twice(self, monkeypatch,
                                                         capsys):

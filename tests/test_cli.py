@@ -13,7 +13,7 @@ import pytest
 
 import qcircle.suites
 import qcircle.szego
-from qcircle.cli import main, parse_complex
+from qcircle.cli import build_parser, main, parse_complex
 
 # Keys whose values are complex numbers in the JSON of verify, gram and eval.
 COMPLEX_KEYS = {"a", "alpha", "b", "beta", "lambda1", "lambda2",
@@ -58,6 +58,24 @@ class TestParseComplex:
         import argparse
         with pytest.raises(argparse.ArgumentTypeError):
             parse_complex("zebra")
+
+
+class TestHelp:
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    def test_help_is_the_default_formatters(self, columns, monkeypatch):
+        # build_parser queries the terminal width once for all its
+        # formatters; every help text is the one argparse's default
+        # formatter, which queries it itself, writes.
+        import argparse
+        monkeypatch.setenv("COLUMNS", columns)
+        parser = build_parser()
+        (commands,) = [action.choices for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert list(commands) == ["eval", "verify", "gram"]
+        for p in (parser, *commands.values()):
+            text = p.format_help()
+            p.formatter_class = argparse.HelpFormatter
+            assert text == p.format_help()
 
 
 class TestEval:

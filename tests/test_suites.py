@@ -41,27 +41,33 @@ def test_random_balanced_sears_bytes():
 
 
 def test_verify_all_samples_r_n_through_r_rows_only(monkeypatch):
-    # biortho.r_rows is the one r_n sampler of a verdict, the seam where a
-    # table-built r_n goes in, and each report judges its own identity.
-    depth, calls = [0], []
+    # biortho.r_rows, one table of every degree per parameter set, is the
+    # one r_n sampler of a verdict: no verdict calls r_fn, and each report
+    # judges its own identity.
+    tables, calls = Counter(), []
     r_fn, r_rows = biortho.r_fn, biortho.r_rows
 
-    def rows(*args, **kwargs):
-        depth[0] += 1
-        try:
-            return r_rows(*args, **kwargs)
-        finally:
-            depth[0] -= 1
+    def rows(size, p, z, depth):
+        tables[p] += 1
+        return r_rows(size, p, z, depth)
 
     def fn(n, z, p):
-        calls.append(depth[0] > 0)
+        calls.append(n)
         return r_fn(n, z, p)
 
     monkeypatch.setattr(biortho, "r_rows", rows)
     monkeypatch.setattr(biortho, "r_fn", fn)
     reports = run_suite("all", SuiteConfig(max_n=5, grid_size=64))
     assert not any(r.informational for r in reports)
-    assert calls and all(calls)
+    assert calls == []
+    p = BiorthoParams(*DEFAULT_PARAMS, 0.5)
+    # shift_1 is the ladder's raised set and the chain's lower table.
+    shift = p.with_params(alpha=0.5 * p.alpha, beta=0.5 * p.beta)
+    lowered = p.with_params(a=0.5 * p.a, b=0.5 * p.b)
+    pastro = p.with_params(a=0.0, alpha=0.0)
+    # The Gram at p and the ladder at p; the modes and the Gram at Pastro.
+    assert tables == {p: 2, p.swapped(): 1, lowered: 1, shift: 2,
+                      shift.swapped(): 1, pastro: 2, pastro.swapped(): 1}
 
 
 def test_informational_never_fails_suite():

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,19 @@ class TestLadderTable:
         rows = poly_rows(max_n, q, z, 2)
         assert rows.shape == oracle.shape
         assert rows.tobytes() == oracle.tobytes()
+
+    def test_poly_rows_memory(self):
+        # The Horner pass writes into the table it returns: stacking each
+        # shifted row's table made a second copy, 2.01 times the table.
+        z = CircleGrid(2048).nodes
+        tracemalloc.start()
+        try:
+            rows = poly_rows(16, 0.5, z, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.nbytes == 557_056
+        assert peak < 1.3 * rows.nbytes
 
     @pytest.mark.parametrize("n, q", [(3000, 0.5), (5000, 0.999)])
     def test_unrepresentable_table_raises(self, n, q):

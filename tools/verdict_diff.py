@@ -92,6 +92,12 @@ SWEEP = (
     # the one error line must come before any numpy warning.
     + [["verify", suite, "--max-n", "5", "--grid", "256", "--q", "0.997"]
        for suite in ("biortho", "all")]
+    # Tables of 13 degrees of r_n and s_n, where the direct sum has lost its
+    # digits (each exits 1): the generic set, a Gram, and Pastro at q = 0.1.
+    + [["verify", "biortho", "--max-n", "12", "--grid", "256", "--q", "0.5"],
+       ["gram", "biortho", "--max-n", "12", "--grid", "512", "--q", "0.3"],
+       ["verify", "biortho", "--max-n", "12", "--grid", "64", "--q", "0.1",
+        "--params", "0,0,0.4,0.1"]]
 )
 
 # Above qcircle's own exit codes (0 pass, 1 fail, 2 bad configuration).
