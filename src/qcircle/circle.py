@@ -132,15 +132,21 @@ def gram_matrix(left, right, w) -> np.ndarray:
     mean per row over the stacked R (an array), each entry's sum pairwise.
     Each row's products conj(L_m) R w go through one buffer the size of R,
     in the order of the expression, so no table-sized temporary is made
-    per row."""
+    per row.  A table against itself under one real row w gives a Hermitian
+    G: row m then sums n >= m only, and the entries below the diagonal are
+    the conjugates of those above."""
+    hermitian = left is right and np.isrealobj(w)
     left, right = np.asarray(left), np.asarray(right)
     buf = np.empty(np.broadcast(right, w).shape,
                    dtype=np.result_type(left, right, w))
     G = np.empty((len(left), *buf.shape[:-1]), dtype=buf.dtype)
     for m, lm in enumerate(left):
-        np.multiply(np.conj(lm), right, out=buf)
-        np.multiply(buf, w, out=buf)
-        G[m] = np.mean(buf, axis=-1)
+        n = m if hermitian else 0
+        np.multiply(np.conj(lm), right[n:], out=buf[n:])
+        np.multiply(buf[n:], w, out=buf[n:])
+        G[m, n:] = np.mean(buf[n:], axis=-1)
+        if hermitian:
+            G[m + 1:, m] = np.conj(G[m, m + 1:])
     return G
 
 

@@ -186,12 +186,12 @@ def phi(n: int, numerators, denominators, q) -> complex:
     z = complex(qv)
     t = total = 1.0 + 0.0j
     for k in range(n):
-        num = 1.0 + 0.0j
+        qk, num = qv**k, 1.0 + 0.0j
         for a in nums:
-            num *= (1.0 - a * qv**k)
+            num *= (1.0 - a * qk)
         den = 1.0 - qv**(k + 1)
         for b in dens:
-            den *= (1.0 - b * qv**k)
+            den *= (1.0 - b * qk)
         if abs(den) < 1e-250:
             raise PoleInDenominator(
                 f"denominator factor vanished at term {k + 1}")

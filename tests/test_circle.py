@@ -330,6 +330,23 @@ def test_gram_matrix_bytes(N, P):
             want.tobytes()
 
 
+@pytest.mark.parametrize("N", [64, 100, 2048])
+@pytest.mark.parametrize("P", [1, 3, 17])
+def test_gram_matrix_hermitian(N, P):
+    # One table against itself under a real row, the Szego Gram's case:
+    # the upper triangle and the diagonal are one mean per entry, the
+    # lower triangle their conjugates.
+    rng = np.random.default_rng(N + P)
+    H = np.stack([(rng.normal(size=N) + 1j * rng.normal(size=N))
+                  * 10.0**rng.uniform(-6, 6) for _ in range(P)])
+    w = rng.uniform(0.0, 1e3, N)
+    got, want = gram_matrix(H, H, w), gram_by_entry(H, H, w)
+    assert got.shape == want.shape == (P, P)
+    upper, lower = np.triu_indices(P), np.tril_indices(P, -1)
+    assert got[upper].tobytes() == want[upper].tobytes()
+    assert got[lower].tobytes() == np.conj(got.T[lower]).tobytes()
+
+
 def test_gram_matrix_memory():
     # One buffer the size of the rows, not two temporaries per row: the
     # Szego Gram at 17 x 2048 allocated 2.3 times the table.

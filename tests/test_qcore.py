@@ -457,6 +457,34 @@ class TestPhi:
                     assert repr(phi(n, nums, dens, q)) == \
                         repr(frozen_phi((q**-n, *nums), dens, q))
 
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    def test_one_power_per_term_bit_for_bit(self, seed):
+        # phi reads q^k once per term; it raised q to the k once per
+        # numerator and once per denominator, the same floats.
+        def reference(n, numerators, denominators, q):
+            nums = [complex(q**-n), *map(complex, numerators)]
+            dens = [complex(b) for b in denominators]
+            t = total = 1.0 + 0.0j
+            for k in range(n):
+                num = 1.0 + 0.0j
+                for a in nums:
+                    num *= (1.0 - a * q**k)
+                den = 1.0 - q**(k + 1)
+                for b in dens:
+                    den *= (1.0 - b * q**k)
+                t = t * (num / den) * complex(q)
+                total += t
+            return total
+
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            q, n = float(rng.uniform(0.02, 0.99)), int(rng.integers(0, 9))
+            A, B, C, D, E, F = random_balanced_sears(rng, q, n)
+            got = phi(n, (A, B, C), (D, E, F), q)
+            want = reference(n, (A, B, C), (D, E, F), q)
+            assert np.complex128(got).tobytes() == \
+                np.complex128(want).tobytes()
+
     @pytest.mark.parametrize("n, dens", [(2, (0.4,)), (-1, (0.4, 0.1))])
     def test_bad_order_or_parameter_counts_rejected(self, n, dens):
         with pytest.raises(ValueError, match="n >= 0 and as many numerators"):

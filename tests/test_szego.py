@@ -10,10 +10,11 @@ import pytest
 import qcircle.qcore
 import qcircle.szego
 from qcircle.circle import (CircleGrid, LaurentPoly, _shifted_points,
-                            contour_mean, dq_apply, shifted, tq_power)
+                            contour_mean, dq_apply, gram_check, shifted,
+                            tq_power)
 from qcircle.cli import main
 from qcircle.errors import WeightUnderflow
-from qcircle.qcore import qpochhammer, qpochhammer_inf
+from qcircle.qcore import QUADRATURE_TOL, qpochhammer, qpochhammer_inf
 from qcircle.suites import SuiteConfig, szego_suite
 from qcircle.szego import (circle_weight, coefficient_table,
                            jacobi_triple_check, ladder_reports, poly_rows,
@@ -344,6 +345,22 @@ class TestGram:
         # from two array products took two more calls.
         assert calls == [(0.5, 0.5)]
         assert norms == [szego_norm(n, 0.5) for n in range(7)]
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.9, 0.988])
+    @pytest.mark.parametrize("N,max_n", [(64, 8), (256, 5), (2048, 16)])
+    def test_hermitian_gram_residual_no_higher(self, q, N, max_n):
+        # The lower triangle mirrors the upper one, so each of its entries
+        # has a residual the full assembly reports for the mirror entry.
+        grid = CircleGrid(N)
+        norms = szego_norms(max_n, q)
+        H = poly_rows(max_n, q, grid.nodes, 0)[0]
+        w = circle_weight(grid, q, norms[0])
+        full = np.array([[np.mean(np.conj(hm) * hn * w) for hn in H]
+                         for hm in H])
+        *_, want = gram_check("szego_orthogonality", full, norms,
+                              QUADRATURE_TOL, N, {})
+        *_, got = szego_gram(max_n, q, grid)
+        assert got.residual <= want.residual
 
     def test_grid_refinement_stability(self):
         # doubling the grid should not move the residual by more than 10x

@@ -98,6 +98,10 @@ SWEEP = (
        ["gram", "biortho", "--max-n", "12", "--grid", "512", "--q", "0.3"],
        ["verify", "biortho", "--max-n", "12", "--grid", "64", "--q", "0.1",
         "--params", "0,0,0.4,0.1"]]
+    # Small Szego Grams, whose lower triangle mirrors the upper one; at 100
+    # nodes the divide by N is inexact.
+    + [["gram", "szego", "--max-n", "8", "--grid", "64", "--q", "0.3"],
+       ["gram", "szego", "--max-n", "16", "--grid", "100", "--q", "0.5"]]
 )
 
 # Above qcircle's own exit codes (0 pass, 1 fail, 2 bad configuration).
