@@ -79,29 +79,16 @@ class BiorthoParams:
 
 
 def r_fn(n: int, z, p: BiorthoParams):
-    """r_n(z): terminating balanced 4phi3 with numerator parameters
-    q^{-n}, a b alpha beta q^{n-1}, b q^{1/2}, b z and denominator
-    b alpha, b beta, a b q^{1/2} z, argument q.  Rational in z; vectorized
-    over z via the term recurrence.
-    """
+    """r_n(z): terminating balanced 4phi3 with numerator parameters q^{-n},
+    a b alpha beta q^{n-1}, b q^{1/2}, b z and denominator b alpha, b beta,
+    a b q^{1/2} z, argument q; rational in z.  r_rows' one-degree table."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    qv = p.q
-    rq = math.sqrt(qv)
     z = np.asarray(z, dtype=complex)
-    abab = p.a * p.b * p.alpha * p.beta * qv**(n - 1)
-    brq = p.b * rq
-    t = np.ones(z.shape, dtype=complex)
-    total = t.copy()
-    for k in range(n):
-        qk = qv**k
-        num = ((1.0 - qv**(k - n)) * (1.0 - abab * qk)
-               * (1.0 - brq * qk) * (1.0 - p.b * z * qk))
-        den = ((1.0 - qv**(k + 1)) * (1.0 - p.b * p.alpha * qk)
-               * (1.0 - p.b * p.beta * qk) * (1.0 - p.a * p.b * rq * z * qk))
-        t = t * (num / den) * qv
-        total += t
-    return _maybe_scalar(total)
+    # A lone point goes in twice: numpy rounds a one-element complex
+    # product unlike its array loops, and each value is its table row's.
+    row = r_rows(range(n, n + 1), p, np.resize(z, max(z.size, 2)), 0)[0, 0]
+    return _maybe_scalar(row[:z.size].reshape(z.shape))
 
 
 def s_fn(n: int, z, p: BiorthoParams):
@@ -236,12 +223,13 @@ def weight_symmetry_check(p: BiorthoParams, grid: CircleGrid,
 def imn_table(size: int, p: BiorthoParams, grid: CircleGrid,
               w: np.ndarray) -> np.ndarray:
     """I[m, n] = (1/2 pi i) \\oint w r_n conj(s_m) dz/z by quadrature,
-    m, n < size, as circle.gram_matrix of the s_m (r_rows at p.swapped()),
-    the r_n and w, the weight at p on the grid (weight_row's, or a row the
-    caller derived).  I[0, 0] is the total mass, as r_0 = s_0 = 1."""
+    m, n < size, as circle.gram_matrix of two r_rows(range(size)) tables,
+    the s_m (at p.swapped()) and the r_n, and w, the weight at p on the
+    grid (weight_row's, or a row the caller derived).  I[0, 0] is the total
+    mass, as r_0 = s_0 = 1."""
     z = grid.nodes
-    return gram_matrix(r_rows(size, p.swapped(), z, 0)[0],
-                       r_rows(size, p, z, 0)[0], w)
+    return gram_matrix(r_rows(range(size), p.swapped(), z, 0)[0],
+                       r_rows(range(size), p, z, 0)[0], w)
 
 
 def biortho_gram(max_n: int, p: BiorthoParams, grid: CircleGrid,
@@ -274,21 +262,21 @@ def raising_coefficient(p: BiorthoParams) -> complex:
     return ((1.0 - p.b * p.alpha) * (1.0 - p.b * p.beta) / ((1.0 - qv) * p.b))
 
 
-def r_rows(size: int, p: BiorthoParams, z, depth: int) -> np.ndarray:
-    """Rows r_n(q^k z; p), shape (depth+1, size, N), n < size, as one table:
-    r_fn's direct sum for every degree at once, with r_fn's operations on
-    r_fn's operands in r_fn's order, so each row is r_fn's bit for bit.
-    Step k builds the rows that depend on k alone once, and advances the
-    degrees n > k.  Every verdict samples r_n and s_n here."""
+def r_rows(degrees: range, p: BiorthoParams, z, depth: int) -> np.ndarray:
+    """Rows r_n(q^k z; p), shape (depth+1, len(degrees), N), n in `degrees`,
+    a range, as one table: the 4phi3 of r_fn summed term by term.  Step k
+    builds the rows that depend on k alone once and advances the degrees
+    n > k, so a row's bits do not depend on which degrees, or (N >= 2) how
+    many points, share its table.  Every r_n and s_n is sampled here."""
     qv, rq = p.q, math.sqrt(p.q)
     t = np.stack(_shifted_points(z, qv, depth))[:, None]
     abab, brq, abrq = p.a * p.b * p.alpha * p.beta, p.b * rq, p.a * p.b * rq
-    term = np.ones((depth + 1, size, *np.shape(z)), dtype=complex)
+    term = np.ones((depth + 1, len(degrees), *np.shape(z)), dtype=complex)
     total, num = term.copy(), np.empty_like(term)
-    for k in range(size - 1):
-        qk, live = qv**k, slice(k + 1, None)
+    for k in range(max(degrees, default=0)):
+        qk, live = qv**k, slice(max(k + 1 - degrees.start, 0), None)
         scalars = [(1.0 - qv**(k - n)) * (1.0 - abab * qv**(n - 1) * qk)
-                   * (1.0 - brq * qk) for n in range(k + 1, size)]
+                   * (1.0 - brq * qk) for n in degrees[live]]
         np.multiply(np.array(scalars)[:, None], 1.0 - p.b * t * qk,
                     out=num[:, live])
         num[:, live] /= ((1.0 - qv**(k + 1)) * (1.0 - p.b * p.alpha * qk)
@@ -329,14 +317,14 @@ def ladder_reports(max_n: int, p: BiorthoParams, grid: CircleGrid,
     qv, z, ab = p.q, grid.nodes, p.a * p.b * math.sqrt(p.q)
     lowered = p.with_params(a=qv * p.a, b=qv * p.b)
     raised = p.with_params(alpha=qv * p.alpha, beta=qv * p.beta)
-    R = r_rows(max_n + 1, p, z, 1)
+    R = r_rows(range(max_n + 1), p, z, 1)
     dq = dq_rows(R[:, 1:], z[None], qv)[0]
     target = (np.array([lowering_coefficient(n, p)
                         for n in range(1, max_n + 1)])
-              [:, None] * r_rows(max_n, lowered, z, 0)[0])
+              [:, None] * r_rows(range(max_n), lowered, z, 0)[0])
     lowering = worst((1.0 - ab * z) * (1.0 - ab * qv * z) * dq - target)
     lhs = tq_rows(raising_ratio_rows(z, p)[:, None]
-                  * r_rows(max_n, raised, z, 1), z[None], qv)[0]
+                  * r_rows(range(max_n), raised, z, 1), z[None], qv)[0]
     raising = [worst(left - right, max(1.0, worst(right))) for left, right
                in zip(lhs, raising_coefficient(p) * R[0, 1:])]
     return [IdentityReport(f"biortho_{name}", residuals[n - 1], tol,

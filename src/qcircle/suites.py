@@ -113,7 +113,7 @@ def pastro_degeneration_report(p: biortho.BiorthoParams, grid: CircleGrid,
     their negative Laurent modes, projected by quadrature, must vanish."""
     pastro = p.with_params(a=0.0, alpha=0.0)
     z = grid.nodes
-    R = biortho.r_rows(max_n + 1, pastro, z, 0)[0]
+    R = biortho.r_rows(range(max_n + 1), pastro, z, 0)[0]
     Zk = np.stack([z**k for k in range(1, max_n + 2)])
     modes = np.mean(R[:, None] * Zk, axis=-1).tolist()  # [n][k - 1]
     negative = worst([m for n, row in enumerate(modes) for m in row[:n + 1]])

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import warnings
 
@@ -16,7 +17,7 @@ from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norm,
                              shifted_weight_rows, weight_row, weight_rows,
                              weight_symmetry_check)
 from qcircle.circle import CircleGrid, contour_mean, dq_apply, tq_apply
-from qcircle.cli import main
+from qcircle.cli import main, parse_complex
 from qcircle.errors import (DegenerateParameters, UnbalancedParameters,
                             WeightUnderflow)
 from qcircle.qcore import qmultipochhammer, qpochhammer_inf
@@ -90,6 +91,45 @@ class TestRFn:
         vec = np.asarray(r_fn(3, z, P))
         for i, zi in enumerate(z):
             assert vec[i] == pytest.approx(r_fn(3, complex(zi), P))
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    def test_keeps_the_shape_of_z(self, shape):
+        # A 0-d z gives a Python complex; each value is the point's own,
+        # bit for bit, so the reshape keeps every value in place.
+        z = 0.9 * np.exp(0.4j * np.arange(1, 1 + math.prod(shape)))
+        got = r_fn(3, z.reshape(shape), P)
+        assert np.shape(got) == shape
+        assert isinstance(got, complex) == (shape == ())
+        assert np.ravel(got).tolist() == [r_fn(3, zj, P) for zj in z]
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_one_table_of_one_row(self, monkeypatch, n):
+        # Step k of the table advances the one row: a single degree costs
+        # n steps, not the n + 1 rows of r_rows(range(n + 1)).
+        tables, _ = counted_tables(monkeypatch)
+        r_fn(n, GRID.nodes, P)
+        s_fn(n, 0.5 + 0.1j, P)
+        assert tables == [(P, range(n, n + 1)),
+                          (P.swapped(), range(n, n + 1))]
+
+    @pytest.mark.parametrize("subject", ["rn", "sn"])
+    @pytest.mark.parametrize("q", ["0.5", "0.9"])
+    @pytest.mark.parametrize("n", [0, 1, 5, 12])
+    def test_eval_json_is_the_table_row(self, capsys, subject, q, n):
+        # eval at a grid node prints the node's entry of the degree-n row
+        # of a table of every degree up to n.
+        params = "0.3+0.1i,0.2-0.15i,0.4+0.05i,0.1+0.2i"
+        p = BiorthoParams(*map(parse_complex, params.split(",")), float(q))
+        z = CircleGrid(64).nodes
+        R = r_rows(range(n + 1), p if subject == "rn" else p.swapped(), z,
+                   0)[0, n]
+        for j in (0, 5, 37):
+            zj = complex(z[j])
+            assert main(["eval", subject, "--n", str(n), "--q", q,
+                         f"--z={zj.real!r}{zj.imag:+}i",
+                         "--params", params, "--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert complex(*doc["value"]) == R[j]
 
 
 class TestSFn:
@@ -507,15 +547,15 @@ class TestLadder:
 
 
 def counted_tables(monkeypatch):
-    """The parameter sets of the r_rows tables built from here on, and the
-    degrees r_fn is called at."""
+    """The (parameter set, degree range) of each r_rows table built from
+    here on, and the degrees r_fn is called at."""
     import qcircle.biortho
     tables, calls = [], []
     build, evaluate = qcircle.biortho.r_rows, qcircle.biortho.r_fn
 
-    def rows(size, p, z, depth):
-        tables.append(p)
-        return build(size, p, z, depth)
+    def rows(degrees, p, z, depth):
+        tables.append((p, degrees))
+        return build(degrees, p, z, depth)
 
     def fn(n, z, p):
         calls.append(n)
@@ -534,10 +574,10 @@ class TestLadderTable:
                              ids=["default", "complex", "pastro"])
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.89, 0.97])
     def test_r_rows_sample_each_function(self, q, p, n_nodes, size, depth):
-        # One table runs r_fn's direct sum for every degree at once, with
-        # r_fn's operations in r_fn's order: each row is r_fn's, bit for bit.
+        # r_fn is the one-degree table: a row does not depend on which
+        # degrees share its table, bit for bit.
         p, z = p.with_params(q=q), CircleGrid(n_nodes).nodes
-        R = r_rows(size, p, z, depth)
+        R = r_rows(range(size), p, z, depth)
         assert R.shape == (depth + 1, size, n_nodes)
         for k in range(depth + 1):
             for n in range(size):
@@ -596,8 +636,53 @@ class TestLadderTable:
         assert len(reports) == 10
         lowered = P.with_params(a=Q * P.a, b=Q * P.b)
         raised = P.with_params(alpha=Q * P.alpha, beta=Q * P.beta)
-        assert tables == [P, lowered, raised]
+        assert tables == [(P, range(6)), (lowered, range(5)),
+                          (raised, range(5))]
         assert calls == []
+
+
+def mp_r_terms(n, z, p, mpmath):
+    """The terms t_k of r_n(z)'s 4phi3 at mpmath's precision, from the
+    doubles of p and z; r_n(z) is their sum."""
+    q = mpmath.mpf(p.q)
+    rq = mpmath.sqrt(q)
+    a, alpha, b, beta, z = map(mpmath.mpc, (p.a, p.alpha, p.b, p.beta, z))
+    abab = a * b * alpha * beta * q**(n - 1)
+    terms = [mpmath.mpc(1)]
+    for k in range(n):
+        qk = q**k
+        terms.append(terms[-1] * q * (1 - q**(k - n)) * (1 - abab * qk)
+                     * (1 - b * rq * qk) * (1 - b * z * qk)
+                     / ((1 - q**(k + 1)) * (1 - b * alpha * qk)
+                        * (1 - b * beta * qk) * (1 - a * b * rq * z * qk)))
+    return terms
+
+
+class TestRRowsOracle:
+    """r_rows, the one direct sum of r_n and s_n, against its terms summed
+    at mpmath's precision, on the circle and off it.  The terms grow like
+    q^(-n^2/2) and cancel, so the bound scales with sum |t_k|, not |r_n|:
+    |R - r_n| <= 8 max(n, 1) eps sum |t_k|.  Measured at 16 points per
+    radius, the worst ratio to max(n, 1) eps sum |t_k| was 2.50 (Pastro,
+    q = 0.9)."""
+
+    @pytest.mark.parametrize("p", [P, GENERIC, PASTRO],
+                             ids=["default", "complex", "pastro"])
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+    def test_mpmath_oracle(self, q, p):
+        mpmath = pytest.importorskip("mpmath")
+        p, eps = p.with_params(q=q), np.finfo(float).eps
+        z = np.concatenate([r * np.exp(2j * np.pi * (np.arange(4) + 0.5) / 4)
+                            for r in (0.5, 1.0, 3.0)])
+        R = r_rows(range(13), p, z, 0)[0]
+        # n^2 log10(1/q) / 2 + 30 digits at n = 12.
+        with mpmath.workdps(math.ceil(72 * math.log10(1 / q)) + 30):
+            for n in range(13):
+                for j, zj in enumerate(z):
+                    terms = mp_r_terms(n, zj, p, mpmath)
+                    error = abs(mpmath.mpc(R[n, j]) - mpmath.fsum(terms))
+                    assert error <= 8 * max(n, 1) * eps * mpmath.fsum(
+                        abs(t) for t in terms)
 
 
 class TestRaisingRatioRows:
@@ -778,7 +863,7 @@ class TestRecursionChainTable:
         tables, calls = counted_tables(monkeypatch)
         reports = recursion_chain_reports(table, P, GRID)
         assert len(reports) == 15
-        assert len(tables) == 2
+        assert [degrees for _, degrees in tables] == [range(3), range(3)]
         assert calls == []
 
     def test_r_rows_only_at_the_shifted_parameters(self, monkeypatch):
@@ -787,7 +872,7 @@ class TestRecursionChainTable:
         tables, _ = counted_tables(monkeypatch)
         recursion_chain_reports(table, P, GRID)
         shift = P.with_params(alpha=Q * P.alpha, beta=Q * P.beta)
-        assert set(tables) == {shift, shift.swapped()}
+        assert {p for p, _ in tables} == {shift, shift.swapped()}
 
     def test_verdict_evaluates_kappa_at_p_at_most_twice(self, monkeypatch,
                                                         capsys):

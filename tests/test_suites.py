@@ -47,9 +47,9 @@ def test_verify_all_samples_r_n_through_r_rows_only(monkeypatch):
     tables, calls = Counter(), []
     r_fn, r_rows = biortho.r_fn, biortho.r_rows
 
-    def rows(size, p, z, depth):
+    def rows(degrees, p, z, depth):
         tables[p] += 1
-        return r_rows(size, p, z, depth)
+        return r_rows(degrees, p, z, depth)
 
     def fn(n, z, p):
         calls.append(n)

@@ -102,6 +102,9 @@ SWEEP = (
     # nodes the divide by N is inexact.
     + [["gram", "szego", "--max-n", "8", "--grid", "64", "--q", "0.3"],
        ["gram", "szego", "--max-n", "16", "--grid", "100", "--q", "0.5"]]
+    # (q;q)_inf is subnormal: the Szego norms are not representable (exit 2).
+    + [["verify", suite, "--max-n", "5", "--grid", "256", "--q", "0.998"]
+       for suite in ("szego", "all")]
 )
 
 # Above qcircle's own exit codes (0 pass, 1 fail, 2 bad configuration).
