@@ -51,18 +51,12 @@ class BiorthoParams:
         for name in ("a", "alpha", "b", "beta"):
             if not abs(getattr(self, name)) < 1.0:  # NaN fails too
                 raise ValueError(f"|{name}| must be < 1, got {getattr(self, name)}")
-        for label, prod in self.pair_products().items():
+        a, alpha, b, beta = self.a, self.alpha, self.b, self.beta
+        for label, prod in (("a*alpha", a * alpha), ("b*alpha", b * alpha),
+                            ("a*beta", a * beta), ("b*beta", b * beta),
+                            ("a*b*alpha*beta", a * b * alpha * beta)):
             if abs(1.0 - prod) < 1e-10:
                 raise DegenerateParameters(f"denominator product {label} = 1")
-
-    def pair_products(self) -> dict:
-        return {
-            "a*alpha": self.a * self.alpha,
-            "b*alpha": self.b * self.alpha,
-            "a*beta": self.a * self.beta,
-            "b*beta": self.b * self.beta,
-            "a*b*alpha*beta": self.a * self.b * self.alpha * self.beta,
-        }
 
     def with_params(self, **kw) -> "BiorthoParams":
         return replace(self, **kw)
@@ -211,13 +205,13 @@ def biortho_norm(n: int, p: BiorthoParams) -> complex:
     return biortho_norms(n, p)[n]
 
 
-def weight_symmetry_check(p: BiorthoParams, grid: CircleGrid,
-                          tol: float = ALGEBRAIC_TOL) -> IdentityReport:
+def weight_symmetry_check(p: BiorthoParams,
+                          grid: CircleGrid) -> IdentityReport:
     """w(1/z; a, alpha, b, beta) = w(z; alpha, a, beta, b) on the grid."""
     lhs = np.asarray(biortho_weight(1.0 / grid.nodes, p))
     rhs = weight_row(grid, BiorthoParams(p.alpha, p.a, p.beta, p.b, p.q))
-    return IdentityReport("biortho_weight_symmetry", worst(lhs - rhs), tol,
-                          grid.n_nodes, p.as_dict())
+    return IdentityReport("biortho_weight_symmetry", worst(lhs - rhs),
+                          ALGEBRAIC_TOL, grid.n_nodes, p.as_dict())
 
 
 def imn_table(size: int, p: BiorthoParams, grid: CircleGrid,
@@ -397,8 +391,7 @@ def imn_iterated_coefficient(n: int, p: BiorthoParams) -> complex:
 
 
 def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
-                            tol: float = QUADRATURE_TOL,
-                            algebraic_tol: float = ALGEBRAIC_TOL) -> list:
+                            tol: float = QUADRATURE_TOL) -> list:
     """The recursion chain behind biorthogonality, from `table`, imn_table at
     p up to degree upper (a leading block of biortho_gram's G), and one at
     shift_1, where shift_n = (a, q^n alpha, b, q^n beta), the weight at
@@ -406,7 +399,7 @@ def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
 
       biortho_weight_shift     shifted_weight_rows' row at shift_upper
                                against a direct weight_row, pointwise
-                               relative, to algebraic_tol, upper >= 1;
+                               relative, to ALGEBRAIC_TOL, upper >= 1;
       imn_recursion_step       I_{m,n} = imn_step_coefficient(m)
                                I_{m-1,n-1}(shift_1), 1 <= m, n <= upper;
       i00_shifted_closed_form  I_{0,0}(shift_n) = kappa (a alpha, b alpha,
@@ -427,7 +420,7 @@ def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
         direct = weight_row(grid, shifts[upper])
         reports.append(IdentityReport(
             "biortho_weight_shift",
-            worst(rows[upper] - direct, np.abs(direct)), algebraic_tol,
+            worst(rows[upper] - direct, np.abs(direct)), ALGEBRAIC_TOL,
             grid.n_nodes, {**params, "n": upper}))
         lowered = imn_table(upper, shifts[1], grid, rows[1]).tolist()
         reports += [IdentityReport(

@@ -104,7 +104,9 @@ def _add_common(p: argparse.ArgumentParser,
                    action=Given, help="number of quadrature nodes on |z|=1")
     if checks:
         p.add_argument("--tol", type=tolerance, default=None,
-                       help="override the quadrature tolerance")
+                       help="every report's tolerance (verify 1e-10, gram "
+                            "1e-9) but the algebraic identities' 1e-12 and "
+                            "adjointness and sears_involution's 1e-11")
     p.add_argument("--format", choices=formats, default="text",
                    dest="output_format")
     p.add_argument("--out", type=str, default=None, metavar="FILE",
@@ -185,13 +187,15 @@ def cmd_eval(args) -> int:
                 for k, v in doc.items()), args.out)
         return 0
     # The finiteness check below names a non-finite value; numpy's warnings
-    # on the way there would only add file paths to stderr.
+    # on the way there would only add file paths to stderr.  A weight's point
+    # goes in twice, as in r_fn: numpy rounds one-element complex products
+    # unlike the array loops that built the verdicts' rows.
     with np.errstate(all="ignore"):
         if args.subject == "szego":
             value = szego.szego_poly(args.n, args.q)(z)
             label = f"H_{args.n}({_fmt_complex(z)} | q={args.q})"
         elif args.subject == "weight":
-            value = szego.szego_weight(z, args.q)
+            value = szego.szego_weight(np.resize(z, 2), args.q)[0]
             label = f"w_c({_fmt_complex(z)} | q={args.q})"
         elif args.subject == "theta":
             value = theta_sum(z, args.q)
@@ -203,7 +207,8 @@ def cmd_eval(args) -> int:
             value = biortho.s_fn(args.n, z, biortho_params_from_args(args))
             label = f"s_{args.n}({_fmt_complex(z)})"
         else:  # bweight
-            value = biortho.biortho_weight(z, biortho_params_from_args(args))
+            value = biortho.biortho_weight(
+                np.resize(z, 2), biortho_params_from_args(args))[0]
             label = f"w({_fmt_complex(z)})"
     value = complex(value)
     if not cmath.isfinite(value):

@@ -1,8 +1,8 @@
 """q-series kernels: q-shifted factorials, the terminating basic
 hypergeometric series of the Sears checks, and the theta sum.
 
-All arithmetic is double-precision complex.  Argument-like inputs broadcast
-over numpy arrays; the base q is always a real scalar strictly inside (0, 1).
+All arithmetic is double-precision complex; the finite q-products and phi
+take numbers, the others numpy arrays too, and the base q is real in (0, 1).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NonConvergent, PoleInDenominator
 
-# Default tolerances: algebraic identities vs. quadrature-backed checks.
+# The algebraic identities' fixed tolerance; the quadrature checks' default.
 ALGEBRAIC_TOL = 1e-12
 QUADRATURE_TOL = 1e-10
 
@@ -38,19 +38,13 @@ def _maybe_scalar(x: np.ndarray):
     return complex(x) if x.ndim == 0 else x
 
 
-def qpochhammer(a, q, n: int):
-    """(a; q)_n = prod_{k=1}^{n} (1 - a q^{k-1}); the empty product is 1.
-
-    `a` may be a complex scalar or array.
-    """
-    qv = qval(q)
-    n = int(n)
+def qpochhammer(a, q, n: int) -> complex:
+    """(a; q)_n = prod_{k=1}^{n} (1 - a q^{k-1}) of a number a, 1 at n = 0, in
+    Python complex arithmetic, which rounds as numpy 0-d arithmetic does."""
+    qv, n = qval(q), int(n)
     if n < 0:
         raise ValueError("qpochhammer order must be nonnegative")
-    # 0-d: a Python complex, which rounds as numpy's 0-d arithmetic does.
-    a = _maybe_scalar(np.asarray(a, dtype=complex))
-    out = 1.0 + 0.0j if isinstance(a, complex) else np.ones_like(a)
-    qk = 1.0
+    a, out, qk = complex(a), 1.0 + 0.0j, 1.0
     for _ in range(n):
         out = out * (1.0 - a * qk)
         qk *= qv
@@ -154,20 +148,9 @@ def qpochhammer_inf_each(args, q, tol: float = 1e-15) -> list:
             else np.ones(a.shape, dtype=complex) for a, x in zip(args, out)]
 
 
-def qmultipochhammer(params: Sequence[complex], q, n):
-    """(a_1, ..., a_k; q)_n, the product of individual q-shifted factorials.
-
-    `n` may be a nonnegative integer or math.inf / None for the infinite
-    product.
-    """
-    infinite = n is None or n is math.inf or n == math.inf
-    out = 1.0 + 0.0j
-    for a in params:
-        if infinite:
-            out *= qpochhammer_inf(a, q)
-        else:
-            out *= qpochhammer(a, q, n)
-    return out
+def qmultipochhammer(params: Sequence[complex], q, n: int) -> complex:
+    """(a_1, ..., a_k; q)_n, the product of each (a_i; q)_n, in order."""
+    return math.prod((qpochhammer(a, q, n) for a in params), start=1.0 + 0.0j)
 
 
 def phi(n: int, numerators, denominators, q) -> complex:

@@ -22,7 +22,6 @@ class SuiteConfig:
     max_n: int = 5
     grid_size: int = 256
     tolerance: float = QUADRATURE_TOL
-    algebraic_tolerance: float = ALGEBRAIC_TOL
     params: Optional[biortho.BiorthoParams] = None
     seed: int = 0
     output_format: str = "text"
@@ -33,8 +32,8 @@ class SuiteConfig:
             raise ValueError("max_n must be nonnegative")
         if self.grid_size < 4:
             raise ValueError("grid size must be at least 4")
-        if self.tolerance <= 0 or self.algebraic_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.tolerance < float("inf"):  # NaN fails too
+            raise ValueError("tolerance must be finite and > 0")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -96,12 +95,11 @@ def szego_suite(cfg: SuiteConfig) -> list[IdentityReport]:
         *szego.ladder_reports(cfg.max_n, q, grid, tol),
         # The deepest Pearson ratio row the ladder above uses, times row 0:
         # Rodrigues' at n = max_n, raising and Sturm-Liouville's at 1.
-        szego.weight_pearson_check(w, q, grid, max(1, cfg.max_n),
-                                   cfg.algebraic_tolerance),
+        szego.weight_pearson_check(w, q, grid, max(1, cfg.max_n)),
         gram_rep,
         adjointness_report(q, grid, cfg.seed, n_pairs=50),
         IdentityReport("szego_weight_positivity", nan_max(max_imag, -min_real),
-                       cfg.algebraic_tolerance, grid.n_nodes, {"q": q},
+                       ALGEBRAIC_TOL, grid.n_nodes, {"q": q},
                        notes={"min_real": min_real, "max_imag": max_imag}),
     ]
 
@@ -155,17 +153,15 @@ def biortho_suite(cfg: SuiteConfig) -> list[IdentityReport]:
                        worst(complex(G[0, 0]) - norms[0], abs(norms[0])), tol,
                        grid.n_nodes, p.as_dict()),
         kappa_random_report(cfg.q, grid, cfg.seed, tol=tol),
-        biortho.weight_symmetry_check(p, grid, cfg.algebraic_tolerance),
+        biortho.weight_symmetry_check(p, grid),
         # The Szego Pearson step -1/(q^{1/2} z) of the raising ratio rows,
         # on the q-product row that the weight rows above share.
         szego.weight_pearson_check(
-            grid.rows(szego.szego_weight, cfg.q, 0, cfg.q)[0], cfg.q, grid, 1,
-            cfg.algebraic_tolerance),
+            grid.rows(szego.szego_weight, cfg.q, 0, cfg.q)[0], cfg.q, grid, 1),
         gram_rep,
     ]
     reports += biortho.ladder_reports(cfg.max_n, p, grid, tol)
-    reports += biortho.recursion_chain_reports(G[:4, :4], p, grid, tol,
-                                               cfg.algebraic_tolerance)
+    reports += biortho.recursion_chain_reports(G[:4, :4], p, grid, tol)
     reports.append(pastro_degeneration_report(p, grid, min(cfg.max_n, 4), tol))
     return reports
 
@@ -226,8 +222,9 @@ def qsl_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     with np.errstate(over="ignore", invalid="ignore"):
         W = grid.rows(szego.szego_weight, q, 1, q)
     qsl.validate(W)
+    H = szego.poly_rows(max(cfg.max_n, 2), q, grid.nodes, 2)  # and H_1, H_2
     anchor = qsl.eigen_residual(
-        W, szego.poly_rows(cfg.max_n, q, grid.nodes, 2),
+        W, H[:, :cfg.max_n + 1],
         [szego.sturm_liouville_eigenvalue(n, q) for n in range(cfg.max_n + 1)],
         q, grid)
     reports = [IdentityReport(
@@ -246,7 +243,7 @@ def qsl_suite(cfg: SuiteConfig) -> list[IdentityReport]:
         "qsl_form_positivity", nan_max(0.0, *form_res), cfg.tolerance,
         grid.n_nodes, {"q": q, "seed": cfg.seed}))
     reports.append(qsl.eigen_orthogonality_check(
-        W, szego.poly_rows(2, q, grid.nodes, 2)[:, 1:],
+        W, H[:, 1:3],
         [szego.sturm_liouville_eigenvalue(n, q) for n in (1, 2)], q, grid,
         cfg.tolerance))
     return reports

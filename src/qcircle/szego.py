@@ -116,8 +116,8 @@ def weight_ratio_rows(z, q, depth: int) -> np.ndarray:
     return np.stack(R)
 
 
-def weight_pearson_check(row, q, grid: CircleGrid, depth: int,
-                         tol: float = ALGEBRAIC_TOL) -> IdentityReport:
+def weight_pearson_check(row, q, grid: CircleGrid,
+                         depth: int) -> IdentityReport:
     """A Szego weight row at the grid nodes (circle_weight's or the
     q-product's) times weight_ratio_rows' row `depth` against a direct
     szego_weight at q^depth z: the largest relative difference over the
@@ -126,8 +126,8 @@ def weight_pearson_check(row, q, grid: CircleGrid, depth: int,
     shifted_row = row * weight_ratio_rows(grid.nodes, qv, depth)[depth]
     direct = np.asarray(szego_weight(
         _shifted_points(grid.nodes, qv, depth)[depth], qv))
-    return IdentityReport("szego_weight_pearson",
-                          worst(shifted_row - direct, np.abs(direct)), tol,
+    residual = worst(shifted_row - direct, np.abs(direct))
+    return IdentityReport("szego_weight_pearson", residual, ALGEBRAIC_TOL,
                           grid.n_nodes, {"q": qv, "depth": depth})
 
 

@@ -20,7 +20,7 @@ from qcircle.circle import CircleGrid, contour_mean, dq_apply, tq_apply
 from qcircle.cli import main, parse_complex
 from qcircle.errors import (DegenerateParameters, UnbalancedParameters,
                             WeightUnderflow)
-from qcircle.qcore import qmultipochhammer, qpochhammer_inf
+from qcircle.qcore import qpochhammer_inf
 from qcircle.szego import ladder_reports as szego_ladder_reports
 from qcircle.szego import szego_weight
 
@@ -56,6 +56,19 @@ class TestBiorthoParams:
     def test_with_params(self):
         p2 = P.with_params(a=Q * P.a)
         assert p2.a == Q * P.a and p2.b == P.b
+
+    @pytest.mark.parametrize("near_one, label", [
+        (("a", "alpha"), "a*alpha"), (("b", "alpha"), "b*alpha"),
+        (("a", "beta"), "a*beta"), (("b", "beta"), "b*beta")])
+    def test_degenerate_pair_product_is_named(self, near_one, label):
+        # Two parameters near 1 put their product within 1e-10 of 1; the
+        # first such product, in this order, is named.
+        kw = dict(a=0.1, alpha=0.1, b=0.1, beta=0.1, q=Q)
+        kw.update(dict.fromkeys(near_one, 1.0 - 1e-12))
+        with pytest.raises(DegenerateParameters) as err:
+            BiorthoParams(**kw)
+        assert str(err.value) == f"denominator product {label} = 1"
+        assert not hasattr(BiorthoParams, "pair_products")
 
     def test_random_params_valid(self):
         rng = np.random.default_rng(5)
@@ -380,12 +393,15 @@ class TestKappa:
 
 
 def lone_kappa(p):
-    """The closed-form total mass one q-product at a time."""
+    """The closed-form total mass one q-product at a time, each side's
+    factors multiplied in order from 1."""
     rq = math.sqrt(p.q)
-    num = qmultipochhammer((p.a * rq, p.alpha * rq, p.b * rq, p.beta * rq,
-                            p.a * p.b * p.alpha * p.beta), p.q, math.inf)
-    den = qmultipochhammer((p.q, p.a * p.alpha, p.b * p.alpha, p.a * p.beta,
-                            p.b * p.beta), p.q, math.inf)
+    num = den = 1.0 + 0.0j
+    for a in (p.a * rq, p.alpha * rq, p.b * rq, p.beta * rq,
+              p.a * p.b * p.alpha * p.beta):
+        num *= qpochhammer_inf(a, p.q)
+    for a in (p.q, p.a * p.alpha, p.b * p.alpha, p.a * p.beta, p.b * p.beta):
+        den *= qpochhammer_inf(a, p.q)
     return num / den
 
 

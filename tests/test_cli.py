@@ -13,7 +13,9 @@ import pytest
 
 import qcircle.suites
 import qcircle.szego
-from qcircle.cli import build_parser, main, parse_complex
+from qcircle.biortho import DEFAULT_PARAMS, BiorthoParams, weight_row
+from qcircle.circle import CircleGrid
+from qcircle.cli import build_parser, four_params, main, parse_complex
 
 # Keys whose values are complex numbers in the JSON of verify, gram and eval.
 COMPLEX_KEYS = {"a", "alpha", "b", "beta", "lambda1", "lambda2",
@@ -100,6 +102,30 @@ class TestEval:
                      "--params", "0.3,0.2,0.4,0.1"]) == 0
         assert "r_1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("q", ["0.5", "0.9"])
+    @pytest.mark.parametrize("subject, params", [
+        ("weight", None), ("bweight", None),
+        ("bweight", "0.3+0.1i,0.2-0.15i,0.4+0.05i,0.1+0.2i")],
+        ids=["weight", "bweight", "bweight-complex"])
+    def test_weight_at_a_node_is_the_verdicts_row(self, subject, params, q,
+                                                  capsys):
+        # eval prints, bit for bit, the entry of the weight row that the
+        # verdicts judge at that grid node.
+        grid = CircleGrid(64)
+        if subject == "weight":
+            row = grid.rows(qcircle.szego.szego_weight, float(q), 0,
+                            float(q))[0]
+        else:
+            p = BiorthoParams(*(four_params(params) if params
+                                else DEFAULT_PARAMS), float(q))
+            row = weight_row(grid, p)
+        for j in range(0, 64, 3):
+            z = repr(complex(grid.nodes[j])).strip("()").replace("j", "i")
+            argv = ["eval", subject, f"--z={z}", "--q", q, "--format", "json"]
+            assert main(argv + (["--params", params] if params else [])) == 0
+            value = complex(*json.loads(capsys.readouterr().out)["value"])
+            assert np.array(value).tobytes() == row[j].tobytes(), j
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["szego", "sears", "qsl"])
@@ -112,6 +138,20 @@ class TestVerify:
     def test_biortho_suite_passes(self, capsys):
         code = main(["verify", "biortho", "--max-n", "2", "--grid", "128"])
         assert code == 0, capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", ["szego", "biortho", "sears", "qsl",
+                                       "all"])
+    def test_json_config_keys(self, suite, capsys):
+        # The tolerance --tol sets; the algebraic one is a constant of the
+        # program and each report carries its own.
+        main(["verify", suite, "--format", "json", "--max-n", "2", "--grid",
+              "64"])
+        config = json.loads(capsys.readouterr().out)["config"]
+        keys = {"q", "max_n", "grid_size", "tolerance", "seed",
+                "output_format"}
+        assert set(config) == keys | ({"params"} if suite in ("biortho",
+                                                              "all")
+                                      else set())
 
     def test_json_schema(self, capsys):
         assert main(["verify", "sears", "--format", "json",

@@ -56,10 +56,11 @@ class TestQPochhammer:
                 split = qpochhammer(a, q, m) * qpochhammer(a * q**m, q, n)
                 assert whole == pytest.approx(split, rel=1e-12, abs=1e-14)
 
-    def test_array_broadcast(self):
-        a = np.array([0.0, 0.5, 1.0])
-        out = qpochhammer(a, 0.5, 2)
-        assert np.allclose(out, [1.0, 0.375, 0.0])
+    def test_takes_a_number(self):
+        # Every caller passes a number: an array is refused, not broadcast.
+        assert type(qpochhammer(np.float64(0.5), 0.5, 2)) is complex
+        with pytest.raises(TypeError):
+            qpochhammer(np.array([0.0, 0.5, 1.0]), 0.5, 2)
 
 
 class TestQPochhammerInf:
@@ -374,10 +375,20 @@ class TestQMultiPochhammer:
         assert qmultipochhammer([0.25], 0.5, 4) == \
             pytest.approx(qpochhammer(0.25, 0.5, 4))
 
-    def test_infinite(self):
-        got = qmultipochhammer([0.3, 0.2], 0.5, math.inf)
-        want = qpochhammer_inf(0.3, 0.5) * qpochhammer_inf(0.2, 0.5)
-        assert got == pytest.approx(want)
+    def test_products_in_order(self):
+        params, q = [0.3 + 0.1j, -0.2, 0.45j, np.complex128(0.6 - 0.3j)], 0.7
+        for n in range(8):
+            want = 1.0 + 0.0j
+            for a in params:
+                want = want * qpochhammer(a, q, n)
+            assert_bitwise_equal(qmultipochhammer(params, q, n), want)
+
+    @pytest.mark.parametrize("order, error", [(math.inf, OverflowError),
+                                              (None, TypeError)])
+    def test_finite_order_only(self, order, error):
+        # The infinite product is qpochhammer_inf's; no order stands for it.
+        with pytest.raises(error):
+            qmultipochhammer([0.3, 0.2], 0.5, order)
 
 
 def frozen_phi(numerator_params, denominator_params, q):

@@ -1,4 +1,6 @@
+import math
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -68,6 +70,35 @@ def test_verify_all_samples_r_n_through_r_rows_only(monkeypatch):
     # The Gram at p and the ladder at p; the modes and the Gram at Pastro.
     assert tables == {p: 2, p.swapped(): 1, lowered: 1, shift: 2,
                       shift.swapped(): 1, pastro: 2, pastro.swapped(): 1}
+
+
+def test_tol_sets_every_report_but_the_fixed_ones():
+    # The algebraic identities keep qcore.ALGEBRAIC_TOL, adjointness and
+    # sears_involution their own 1e-11; every other report reads --tol.
+    reports = run_suite("all", SuiteConfig(q=0.5, max_n=5, grid_size=256,
+                                           tolerance=1e-6))
+    fixed = Counter((r.name, r.tolerance) for r in reports
+                    if r.tolerance != 1e-6)
+    assert fixed == {("szego_weight_pearson", 1e-12): 2,
+                     ("szego_weight_positivity", 1e-12): 1,
+                     ("biortho_weight_symmetry", 1e-12): 1,
+                     ("biortho_weight_shift", 1e-12): 1,
+                     ("adjointness", 1e-11): 1,
+                     ("sears_involution", 1e-11): 1}
+    assert len(reports) - fixed.total() == 59
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
+def test_suite_config_refuses_a_tolerance_the_cli_refuses(tol):
+    # An infinite tolerance would pass every report, a NaN fail them all.
+    with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+        SuiteConfig(tolerance=tol)
+
+
+def test_suite_config_fields():
+    assert [f.name for f in fields(SuiteConfig)] == [
+        "q", "max_n", "grid_size", "tolerance", "params", "seed",
+        "output_format"]
 
 
 def test_informational_never_fails_suite():

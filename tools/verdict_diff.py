@@ -105,6 +105,12 @@ SWEEP = (
     # (q;q)_inf is subnormal: the Szego norms are not representable (exit 2).
     + [["verify", suite, "--max-n", "5", "--grid", "256", "--q", "0.998"]
        for suite in ("szego", "all")]
+    # The biortho suite alone where kappa underflows (exit 2, one error line).
+    + [["verify", "biortho", "--max-n", "5", "--grid", "256", "--q", "0.998"]]
+    # A loose --tol: the reports it sets read 1e-6, the algebraic identities
+    # keep 1e-12 and adjointness and sears_involution 1e-11.
+    + [["verify", "all", "--max-n", "5", "--grid", "256", "--q", "0.5",
+        "--tol", "1e-6"]]
 )
 
 # Above qcircle's own exit codes (0 pass, 1 fail, 2 bad configuration).
