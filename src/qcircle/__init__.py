@@ -11,9 +11,9 @@ from .errors import (DegenerateParameters, EigenpairInvalid, NonConvergent,
 from .qcore import (jacobi_triple_product, phi, qpochhammer, qpochhammer_inf,
                     qmultipochhammer, theta_sum)
 from .report import IdentityReport
-from .biortho import (BiorthoParams, biortho_gram, biortho_norm,
-                      biortho_weight, kappa_closed, r_fn, s_fn, sears_check)
-from .szego import (szego_gram, szego_norm, szego_poly, szego_weight,
+from .biortho import (BiorthoParams, biortho_gram, biortho_weight,
+                      kappa_closed, r_fn, s_fn, sears_check)
+from .szego import (szego_gram, szego_poly, szego_weight,
                     sturm_liouville_eigenvalue)
 from .qsl import m_apply
 
@@ -24,10 +24,10 @@ __all__ = [
     "phi", "theta_sum", "jacobi_triple_product",
     "CircleGrid", "LaurentPoly", "contour_mean", "inner_product_c",
     "dq_apply", "tq_apply", "tq_iterate", "laurent_dq",
-    "szego_poly", "szego_weight", "szego_norm", "szego_gram",
+    "szego_poly", "szego_weight", "szego_gram",
     "sturm_liouville_eigenvalue",
     "BiorthoParams", "r_fn", "s_fn", "biortho_weight", "kappa_closed",
-    "biortho_norm", "biortho_gram", "sears_check",
+    "biortho_gram", "sears_check",
     "m_apply",
     "IdentityReport",
     "QCircleError", "NonConvergent", "PoleInDenominator",

@@ -200,11 +200,6 @@ def biortho_norms(max_n: int, p: BiorthoParams) -> list:
     return norms
 
 
-def biortho_norm(n: int, p: BiorthoParams) -> complex:
-    """Diagonal entry n of biortho_norms."""
-    return biortho_norms(n, p)[n]
-
-
 def weight_symmetry_check(p: BiorthoParams,
                           grid: CircleGrid) -> IdentityReport:
     """w(1/z; a, alpha, b, beta) = w(z; alpha, a, beta, b) on the grid."""

@@ -75,35 +75,17 @@ def laurent_values(coefficients, min_degree: int, z) -> np.ndarray:
     return acc * z**min_degree
 
 
-def _trim(min_degree: int, coeffs: np.ndarray):
-    """Drop zero leading/trailing coefficients; identically zero -> ([0], deg 0)."""
-    nz = np.flatnonzero(coeffs)
-    if nz.size == 0:
-        return 0, np.zeros(1, dtype=complex)
-    lo, hi = nz[0], nz[-1]
-    return min_degree + lo, coeffs[lo:hi + 1].copy()
-
-
 @dataclass(frozen=True)
 class LaurentPoly:
-    """Finite two-sided polynomial sum_k c_k z^{min_degree + k}.
-
-    Immutable; coefficients are stored trimmed so the leading and trailing
-    entries are nonzero unless the polynomial is identically zero.
-    """
+    """Finite two-sided polynomial sum_k c_k z^{min_degree + k}, as given."""
 
     min_degree: int
     coefficients: np.ndarray
 
     def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
-        lo, coeffs = _trim(int(self.min_degree), coeffs)
-        object.__setattr__(self, "min_degree", lo)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def max_degree(self) -> int:
-        return self.min_degree + len(self.coefficients) - 1
+        object.__setattr__(self, "min_degree", int(self.min_degree))
+        object.__setattr__(self, "coefficients", np.array(
+            self.coefficients, dtype=complex, ndmin=1))
 
     def __call__(self, z):
         return _maybe_scalar(laurent_values(self.coefficients,
@@ -201,8 +183,15 @@ def tq_rows(F, z, q) -> np.ndarray:
 
 
 def tq_power(F, z, q, n: int) -> np.ndarray:
-    """(T_q^n f)(z) = z^n sum_k A_k F[k], A = tq_power_coefficients(q, n)."""
-    A = tq_power_coefficients(q, n)
+    """(T_q^n f)(z) = z^n sum_k A_k F[k], n+1 rows of f per point: from
+    T_q f(z) = (z/(1-q)) (f(z) - q f(qz)), the constants A_k follow the
+    recurrence A'_k = (A_k - q^{m+1} A_{k-1}) / (1 - q), m = 0..n-1."""
+    qv = qval(q)
+    A = np.zeros(n + 1, dtype=float)
+    A[0] = 1.0
+    for m in range(n):
+        A[1:m + 2] -= qv**(m + 1) * A[:m + 1]
+        A[:m + 2] /= 1.0 - qv
     return np.asarray(z, dtype=complex)**n * sum(A[k] * F[k]
                                                  for k in range(n + 1))
 
@@ -217,22 +206,6 @@ def tq_apply(f, q):
     """T_q f: z -> z (f(z) - q f(qz)) / (1 - q); the adjoint of D_q."""
     qv = qval(q)
     return lambda z: _maybe_scalar(tq_rows(shifted(f, z, qv, 1), z, qv)[0])
-
-
-def tq_power_coefficients(q, n: int) -> np.ndarray:
-    """Constants A_k with (T_q^n f)(z) = z^n sum_k A_k f(q^k z).
-
-    From T_q f(z) = (z/(1-q)) (f(z) - q f(qz)) the coefficient functions are
-    A z^n with the recurrence A'_k = (A_k - q^{m+1} A_{k-1}) / (1 - q), so an
-    application of T_q^n costs n+1 evaluations of f per point.
-    """
-    qv = qval(q)
-    A = np.zeros(n + 1, dtype=float)
-    A[0] = 1.0
-    for m in range(n):
-        A[1:m + 2] -= qv**(m + 1) * A[:m + 1]
-        A[:m + 2] /= 1.0 - qv
-    return A
 
 
 def tq_iterate(f, q, n: int):
@@ -252,7 +225,7 @@ def laurent_dq(p: LaurentPoly, q) -> LaurentPoly:
     same formula.
     """
     qv = qval(q)
-    degrees = np.arange(p.min_degree, p.max_degree + 1)
+    degrees = p.min_degree + np.arange(len(p.coefficients))
     coeffs = np.zeros(len(degrees), dtype=complex)
     for i, m in enumerate(degrees):
         if m != 0:

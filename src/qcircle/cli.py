@@ -72,7 +72,7 @@ def nonnegative(name: str):
     return integer
 
 
-max_degree, seed = nonnegative("max-n"), nonnegative("seed")
+max_n, seed = nonnegative("max-n"), nonnegative("seed")
 
 # The subjects with a rational family, the only ones that take --params.
 RATIONAL_SUBJECTS = ("rn", "sn", "bweight", "kappa", "biortho", "all")
@@ -138,14 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run an identity suite",
                         formatter_class=fmt)
     pv.add_argument("suite", choices=("szego", "biortho", "sears", "qsl", "all"))
-    pv.add_argument("--max-n", type=max_degree, default=5, dest="max_n")
+    pv.add_argument("--max-n", type=max_n, default=5, dest="max_n")
     pv.add_argument("--seed", type=seed, default=0)
     _add_common(pv)
 
     pg = sub.add_parser("gram", help="emit a Gram matrix table",
                         formatter_class=fmt)
     pg.add_argument("subject", choices=("szego", "biortho"))
-    pg.add_argument("--max-n", type=max_degree, default=4, dest="max_n")
+    pg.add_argument("--max-n", type=max_n, default=4, dest="max_n")
     pg.add_argument("--seed", type=seed, default=0,
                     help="unused: gram draws nothing at random, and takes "
                          "--seed as every verdict command does")

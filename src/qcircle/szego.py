@@ -150,11 +150,6 @@ def szego_norms(max_n: int, q) -> list:
     return [qv**(-n) * qq_n / qq.real for n, qq_n in enumerate(running)]
 
 
-def szego_norm(n: int, q) -> float:
-    """Closed-form diagonal <H_n, w H_n>_c = q^{-n} (q;q)_n / (q;q)_inf."""
-    return szego_norms(n, q)[n]
-
-
 def sturm_liouville_eigenvalue(n: int, q) -> float:
     """lambda_n = (1 - q^n) / (1 - q)^2."""
     qv = qval(q)
@@ -173,8 +168,7 @@ def poly_rows(max_n: int, q, z, depth: int) -> np.ndarray:
     """Rows H_n(q^k z), shape (depth+1, max_n+1, N): all degrees in one
     Horner pass per row, in place in the table returned.  coefficient_table
     is lower-triangular, so H_n takes only the steps k <= n; the steps past
-    n would add zeros to a zero, and the final t**0 is laurent_values'
-    z**min_degree."""
+    n would add zeros to a zero."""
     qv = qval(q)
     C = coefficient_table(max_n, qv)
     out = np.zeros((depth + 1, max_n + 1, *np.shape(z)), dtype=complex)
@@ -183,9 +177,6 @@ def poly_rows(max_n: int, q, z, depth: int) -> np.ndarray:
             tail = acc[k:]
             np.multiply(tail, t, out=tail)
             np.add(tail, C[k:, k, None], out=tail)
-        one = t**0
-        for row in acc:  # a row at a time: no broadcast, no ufunc buffer
-            np.multiply(row, one, out=row)
     return out
 
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norm,
+from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norms,
                              biortho_weight, imn_iterated_coefficient,
                              imn_table, kappa_closed, r_fn, random_params,
                              recursion_chain_reports, sears_check,
@@ -21,7 +21,7 @@ from qcircle.qsl import m_apply, symmetry_residuals
 from qcircle.suites import (adjointness_report, random_balanced_sears,
                             random_laurent_rows)
 from qcircle.szego import (jacobi_triple_check, ladder_reports,
-                           sturm_liouville_eigenvalue, szego_gram, szego_norm,
+                           sturm_liouville_eigenvalue, szego_gram, szego_norms,
                            szego_poly, szego_weight)
 
 Q = 0.5
@@ -44,7 +44,7 @@ def test_criterion_01_szego_orthogonality():
         for m in range(9):
             for n in range(9):
                 if m == n:
-                    ref = szego_norm(n, q)
+                    ref = szego_norms(n, q)[n]
                     worst_diag = max(worst_diag,
                                      abs(G[n, n] - ref) / abs(ref))
                 else:
@@ -99,7 +99,7 @@ def test_criterion_06_biorthogonality():
         for m in range(6):
             for n in range(6):
                 if m == n:
-                    ref = biortho_norm(n, p)
+                    ref = biortho_norms(n, p)[n]
                     worst_diag = max(worst_diag, abs(G[n, n] - ref) / abs(ref))
                 else:
                     worst_off = max(worst_off, abs(G[m, n]))
@@ -162,8 +162,8 @@ def test_criterion_10_degenerations():
         for k in range(1, n + 2):
             worst_mode = max(worst_mode, abs(np.mean(vals * z**k)))
     G, _, _ = biortho_gram(3, pastro, grid)
-    worst_diag = max(abs(G[n, n] - biortho_norm(n, pastro))
-                     / abs(biortho_norm(n, pastro)) for n in range(4))
+    worst_diag = max(abs(G[n, n] - biortho_norms(n, pastro)[n])
+                     / abs(biortho_norms(n, pastro)[n]) for n in range(4))
     # all-parameter-zero limit: weight, total mass, and leading Gram entry
     # collapse to the single-family values
     pz = BiorthoParams(0.0, 0.0, 0.0, 0.0, Q)
@@ -172,7 +172,7 @@ def test_criterion_10_degenerations():
     mass = contour_mean(lambda t: szego_weight(t, Q), grid)
     k_dev = abs(kappa_closed(pz) - mass) / abs(mass)
     G0, _, _ = biortho_gram(0, pz, grid)
-    g_dev = abs(G0[0, 0] - szego_norm(0, Q)) / abs(szego_norm(0, Q))
+    g_dev = abs(G0[0, 0] - szego_norms(0, Q)[0]) / abs(szego_norms(0, Q)[0])
     ok = (worst_mode < 1e-10 and worst_diag < 1e-8
           and w_dev < 1e-10 and k_dev < 1e-10 and g_dev < 1e-10)
     _verdict("criterion 10: Pastro polynomiality + all-zero reduction",

@@ -6,11 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norm,
-                             biortho_norms, biortho_weight,
-                             imn_iterated_coefficient, imn_step_coefficient,
-                             imn_table, kappa_closed, kappa_each,
-                             ladder_reports, lowering_coefficient,
+from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norms,
+                             biortho_weight, imn_iterated_coefficient,
+                             imn_step_coefficient, imn_table, kappa_closed,
+                             kappa_each, ladder_reports, lowering_coefficient,
                              r_fn, r_rows, raising_coefficient,
                              raising_ratio_rows, random_params,
                              recursion_chain_reports, s_fn, sears_check,
@@ -460,7 +459,7 @@ class TestGram:
 
     def test_diagonal_closed_form(self):
         G, _, _ = biortho_gram(2, P, GRID)
-        assert G[2, 2] == pytest.approx(biortho_norm(2, P), rel=1e-10)
+        assert G[2, 2] == pytest.approx(biortho_norms(2, P)[2], rel=1e-10)
 
     def test_norms_use_one_kappa(self, monkeypatch):
         import qcircle.biortho
@@ -475,7 +474,7 @@ class TestGram:
         _, norms, _ = biortho_gram(4, P, GRID)
         assert len(calls) == 1
         assert norms == biortho_norms(4, P)
-        assert norms == [biortho_norm(n, P) for n in range(5)]
+        assert norms == [biortho_norms(n, P)[n] for n in range(5)]
 
     def test_report(self):
         *_, rep = biortho_gram(3, P, GRID, tol=1e-9)
@@ -815,7 +814,7 @@ class TestRecursionChain:
 
     def test_diagonal_closed_form(self):
         assert table_at(4)[3, 3] == \
-            pytest.approx(biortho_norm(3, P), rel=1e-10)
+            pytest.approx(biortho_norms(3, P)[3], rel=1e-10)
 
     def test_single_step(self):
         assert chain_reports()[("imn_recursion_step", 1, 1)].residual < 1e-10
@@ -918,7 +917,7 @@ class TestDegenerations:
         pastro = P.with_params(a=0.0, alpha=0.0)
         G, _, _ = biortho_gram(3, pastro, GRID)
         for n in range(4):
-            want = biortho_norm(n, pastro)
+            want = biortho_norms(n, pastro)[n]
             assert G[n, n] == pytest.approx(want, rel=1e-9)
 
     def test_all_zero_reduces_to_szego_mass(self):

@@ -28,17 +28,8 @@ class TestCircleGrid:
 
 
 class TestLaurentPoly:
-    def test_trimming(self):
-        p = LaurentPoly(-2, [0.0, 1.0, 2.0, 0.0])
-        assert p.min_degree == -1
-        assert p.max_degree == 0
-        assert len(p.coefficients) == 2
-
     def test_zero_poly(self):
-        p = LaurentPoly(5, [0.0, 0.0])
-        assert p.min_degree == 0
-        assert list(p.coefficients) == [0]
-        assert p(1.3 + 0.4j) == 0
+        assert LaurentPoly(5, [0.0, 0.0])(1.3 + 0.4j) == 0
 
     def test_evaluation(self):
         p = LaurentPoly(-1, [2.0, 0.0, 3.0])  # 2/z + 3z
@@ -281,7 +272,7 @@ class TestAdjointness:
 class TestLaurentDq:
     def test_constant(self):
         out = laurent_dq(LaurentPoly(0, [3.0]), 0.5)
-        assert (out.min_degree, list(out.coefficients)) == (0, [0])
+        assert np.all(out(CircleGrid(16).nodes) == 0)
 
     def test_negative_power(self):
         q = 0.5

@@ -16,6 +16,7 @@ import qcircle.szego
 from qcircle.biortho import DEFAULT_PARAMS, BiorthoParams, weight_row
 from qcircle.circle import CircleGrid
 from qcircle.cli import build_parser, four_params, main, parse_complex
+from qcircle.qcore import theta_sum
 
 # Keys whose values are complex numbers in the JSON of verify, gram and eval.
 COMPLEX_KEYS = {"a", "alpha", "b", "beta", "lambda1", "lambda2",
@@ -123,6 +124,26 @@ class TestEval:
             z = repr(complex(grid.nodes[j])).strip("()").replace("j", "i")
             argv = ["eval", subject, f"--z={z}", "--q", q, "--format", "json"]
             assert main(argv + (["--params", params] if params else [])) == 0
+            value = complex(*json.loads(capsys.readouterr().out)["value"])
+            assert np.array(value).tobytes() == row[j].tobytes(), j
+
+    @pytest.mark.parametrize("q", ["0.5", "0.9"])
+    @pytest.mark.parametrize("subject, n", [
+        ("szego", 0), ("szego", 1), ("szego", 5), ("szego", 12),
+        ("theta", None)])
+    def test_polynomial_at_a_node_is_the_verdicts_row(self, subject, n, q,
+                                                      capsys):
+        # eval szego prints, bit for bit, the entry of the H_n row that the
+        # verdicts read at that grid node, and eval theta the theta_sum row.
+        grid = CircleGrid(64)
+        if subject == "szego":
+            row = qcircle.szego.poly_rows(n, float(q), grid.nodes, 0)[0, n]
+        else:
+            row = theta_sum(grid.nodes, float(q))
+        for j in range(0, 64, 3):
+            z = repr(complex(grid.nodes[j])).strip("()").replace("j", "i")
+            argv = ["eval", subject, f"--z={z}", "--q", q, "--format", "json"]
+            assert main(argv + (["--n", str(n)] if n is not None else [])) == 0
             value = complex(*json.loads(capsys.readouterr().out)["value"])
             assert np.array(value).tobytes() == row[j].tobytes(), j
 

@@ -4,9 +4,10 @@ Usage: python tools/verdict_diff.py PARENT_SRC CHANGE_SRC
 
 Each argument is a checkout of the repository (or its `src` directory).
 Every command of SWEEP runs once per tree, as `qcircle ... --format json`
-(`verify` prints a list of reports, `gram` a single one) in a fresh
-interpreter that imports qcircle from that tree, with `--seed 0`
-appended unless the command sets its own seed.  The tool prints one
+(`verify` prints a list of reports, `gram` a single one, `eval` a value
+and none) in a fresh interpreter that imports qcircle from that tree,
+with `--seed 0` appended unless the command sets its own seed or is an
+`eval`, which takes none.  The tool prints one
 Markdown table row for every report whose residual moved (name, n, parent
 and change residual, |change - parent| / tolerance, and both verdicts), a
 summary row per command, which also says whether the command's stdout is
@@ -18,7 +19,8 @@ exit codes that change.
 
 Exit status 1 if any report turns from PASS to FAIL, a report disappears
 (named with its verdict in the parent tree), an exit code rises (a
-command that exits 0 or 1 without a JSON report counts as exit code 3),
+command that exits 0 or 1 without a JSON report, or an `eval` without a
+JSON document, counts as exit code 3),
 or a command's stderr in the change tree breaks the stderr rule: empty
 when it exits 0 or 1, exactly one `error: ` line when it exits 2; 0
 otherwise.
@@ -111,6 +113,21 @@ SWEEP = (
     # keep 1e-12 and adjointness and sears_involution 1e-11.
     + [["verify", "all", "--max-n", "5", "--grid", "256", "--q", "0.5",
         "--tol", "1e-6"]]
+    # eval: H_n off the circle, and past its representable coefficients
+    # (exit 2, one error line); each weight and theta at a point; r_n, and
+    # s_12 at z = 1, which the direct sum reads as -8192 for 1.152e-12; the
+    # total mass; and H_5 at CircleGrid(64)'s node 9, written as its repr.
+    + [["eval", "szego", "--n", "12", "--z", "0.3+0.2i", "--q", "0.5"],
+       ["eval", "szego", "--n", "3000", "--q", "0.5"],
+       ["eval", "weight", "--z", "0.6+0.8i", "--q", "0.9"],
+       ["eval", "bweight", "--z", "0.6+0.8i",
+        "--params", "0.3+0.1i,0.2-0.15i,0.4+0.05i,0.1+0.2i"],
+       ["eval", "theta", "--z", "0.3+0.2i", "--q", "0.5"],
+       ["eval", "rn", "--n", "4", "--z", "0.6+0.8i"],
+       ["eval", "sn", "--n", "12", "--z", "1"],
+       ["eval", "kappa", "--grid", "256"],
+       ["eval", "szego", "--n", "5", "--q", "0.9",
+        "--z", "0.6343932841636455+0.773010453362737i"]]
 )
 
 # Above qcircle's own exit codes (0 pass, 1 fail, 2 bad configuration).
@@ -140,8 +157,8 @@ def source_dir(tree: str) -> str:
 def run(src: str, argv: list) -> tuple:
     """(exit code, {key: report}, stdout bytes, stderr bytes) of one command
     on one tree; exit code CRASHED when it exits 0 or 1 without a JSON
-    report (a traceback)."""
-    seed = [] if "--seed" in argv else ["--seed", "0"]
+    report, or for an `eval` without a JSON document (a traceback)."""
+    seed = [] if argv[0] == "eval" or "--seed" in argv else ["--seed", "0"]
     done = subprocess.run(
         [sys.executable, "-c", RUNNER, src, *argv, "--format", "json", *seed],
         capture_output=True)
@@ -149,7 +166,11 @@ def run(src: str, argv: list) -> tuple:
     if done.returncode in (0, 1):
         try:
             doc = json.loads(done.stdout)
-            found = doc["reports"] if "reports" in doc else [doc["report"]]
+            if argv[0] == "eval":  # a value, not a verdict: no reports
+                found = []
+            else:
+                found = (doc["reports"] if "reports" in doc
+                         else [doc["report"]])
         except (ValueError, KeyError):
             return CRASHED, reports, done.stdout, done.stderr
         seen = {}
