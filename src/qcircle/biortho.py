@@ -58,9 +58,6 @@ class BiorthoParams:
             if abs(1.0 - prod) < 1e-10:
                 raise DegenerateParameters(f"denominator product {label} = 1")
 
-    def with_params(self, **kw) -> "BiorthoParams":
-        return replace(self, **kw)
-
     def swapped(self) -> "BiorthoParams":
         """The parameter map (a, alpha, b, beta) -> (conj alpha, conj a,
         conj beta, conj b) that turns r_n into s_n; an involution."""
@@ -124,20 +121,15 @@ def weight_rows(grid: CircleGrid, sets) -> np.ndarray:
                      in grid.rows_each(_parameter_factors, q, sets)])
 
 
-def weight_row(grid: CircleGrid, p: BiorthoParams) -> np.ndarray:
-    """Row P = 1 of weight_rows."""
-    return weight_rows(grid, [p])[0]
-
-
 def shifted_weight_rows(grid: CircleGrid, p: BiorthoParams,
                         upper: int) -> np.ndarray:
     """The weight at shift_n = (a, q^n alpha, b, q^n beta) on the grid,
-    n = 0..upper, shape (upper+1, N), without a q-product: weight_row at p
-    times (alpha/z, beta/z; q)_n / (c/z; q)_{2n}, c = alpha beta q^{1/2},
+    n = 0..upper, shape (upper+1, N), without a q-product: weight_rows at
+    p times (alpha/z, beta/z; q)_n / (c/z; q)_{2n}, c = alpha beta q^{1/2},
     whose denominator vanishes only inside the disk."""
     qv, z = p.q, grid.nodes
     c = p.alpha * p.beta * math.sqrt(qv)
-    rows = [weight_row(grid, p)]
+    rows = [weight_rows(grid, [p])[0]]
     for n in range(upper):
         qn = qv**n
         step = ((1.0 - qn * p.alpha / z) * (1.0 - qn * p.beta / z)
@@ -204,7 +196,7 @@ def weight_symmetry_check(p: BiorthoParams,
                           grid: CircleGrid) -> IdentityReport:
     """w(1/z; a, alpha, b, beta) = w(z; alpha, a, beta, b) on the grid."""
     lhs = np.asarray(biortho_weight(1.0 / grid.nodes, p))
-    rhs = weight_row(grid, BiorthoParams(p.alpha, p.a, p.beta, p.b, p.q))
+    rhs = weight_rows(grid, [BiorthoParams(p.alpha, p.a, p.beta, p.b, p.q)])[0]
     return IdentityReport("biortho_weight_symmetry", worst(lhs - rhs),
                           ALGEBRAIC_TOL, grid.n_nodes, p.as_dict())
 
@@ -214,7 +206,7 @@ def imn_table(size: int, p: BiorthoParams, grid: CircleGrid,
     """I[m, n] = (1/2 pi i) \\oint w r_n conj(s_m) dz/z by quadrature,
     m, n < size, as circle.gram_matrix of two r_rows(range(size)) tables,
     the s_m (at p.swapped()) and the r_n, and w, the weight at p on the
-    grid (weight_row's, or a row the caller derived).  I[0, 0] is the total
+    grid (weight_rows', or a row the caller derived).  I[0, 0] is the total
     mass, as r_0 = s_0 = 1."""
     z = grid.nodes
     return gram_matrix(r_rows(range(size), p.swapped(), z, 0)[0],
@@ -226,9 +218,9 @@ def biortho_gram(max_n: int, p: BiorthoParams, grid: CircleGrid,
     """gram_check's (G, norms, report) of imn_table(max_n + 1) against the
     closed-form diagonal biortho_norms; at max_n = 0, the total mass."""
     norms = biortho_norms(max_n, p)  # an underflowed kappa raises first
-    return gram_check("biorthogonality",
-                      imn_table(max_n + 1, p, grid, weight_row(grid, p)),
-                      norms, tol, grid.n_nodes, p.as_dict(), max_n=max_n)
+    G = imn_table(max_n + 1, p, grid, weight_rows(grid, [p])[0])
+    return gram_check("biorthogonality", G, norms, tol, grid.n_nodes,
+                      p.as_dict(), max_n=max_n)
 
 
 def lowering_coefficient(n: int, p: BiorthoParams) -> complex:
@@ -304,8 +296,8 @@ def ladder_reports(max_n: int, p: BiorthoParams, grid: CircleGrid,
     if max_n < 1:
         return []
     qv, z, ab = p.q, grid.nodes, p.a * p.b * math.sqrt(p.q)
-    lowered = p.with_params(a=qv * p.a, b=qv * p.b)
-    raised = p.with_params(alpha=qv * p.alpha, beta=qv * p.beta)
+    lowered = replace(p, a=qv * p.a, b=qv * p.b)
+    raised = replace(p, alpha=qv * p.alpha, beta=qv * p.beta)
     R = r_rows(range(max_n + 1), p, z, 1)
     dq = dq_rows(R[:, 1:], z[None], qv)[0]
     target = (np.array([lowering_coefficient(n, p)
@@ -393,14 +385,14 @@ def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
     shift_n from shifted_weight_rows; in order:
 
       biortho_weight_shift     shifted_weight_rows' row at shift_upper
-                               against a direct weight_row, pointwise
+                               against its weight_rows row, pointwise
                                relative, to ALGEBRAIC_TOL, upper >= 1;
       imn_recursion_step       I_{m,n} = imn_step_coefficient(m)
                                I_{m-1,n-1}(shift_1), 1 <= m, n <= upper;
       i00_shifted_closed_form  I_{0,0}(shift_n) = kappa (a alpha, b alpha,
                                a beta, b beta; q)_n / [(q^{1/2} alpha,
                                q^{1/2} beta; q)_n (ab alpha beta; q)_{2n}],
-                               n <= upper, noting kappa(shift_n)'s distance;
+                               n <= upper;
       imn_recursion_iterated   I_{n,n} = imn_iterated_coefficient(n)
                                I_{0,0}(shift_n), n = upper >= 2.
 
@@ -408,35 +400,33 @@ def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
     """
     qv, rq = p.q, math.sqrt(p.q)
     params, upper, table = p.as_dict(), len(table) - 1, table.tolist()
-    shifts = [p.with_params(alpha=qv**n * p.alpha, beta=qv**n * p.beta)
-              if n else p for n in range(upper + 1)]
     rows, reports = shifted_weight_rows(grid, p, upper), []
     if upper >= 1:
-        direct = weight_row(grid, shifts[upper])
+        direct = weight_rows(grid, [replace(
+            p, alpha=qv**upper * p.alpha, beta=qv**upper * p.beta)])[0]
         reports.append(IdentityReport(
             "biortho_weight_shift",
             worst(rows[upper] - direct, np.abs(direct)), ALGEBRAIC_TOL,
             grid.n_nodes, {**params, "n": upper}))
-        lowered = imn_table(upper, shifts[1], grid, rows[1]).tolist()
+        shift_1 = replace(p, alpha=qv * p.alpha, beta=qv * p.beta)
+        lowered = imn_table(upper, shift_1, grid, rows[1]).tolist()
         reports += [IdentityReport(
             "imn_recursion_step",
             worst(table[m][n] - imn_step_coefficient(m, p)
                   * lowered[m - 1][n - 1]),
             tol, grid.n_nodes, {**params, "m": m, "n": n})
             for m in range(1, upper + 1) for n in range(1, upper + 1)]
-    kappas = kappa_each(shifts)
+    kappa = kappa_closed(p)
     for n in range(upper + 1):
         mass = complex(np.mean(rows[n]))
         num = qmultipochhammer((p.a * p.alpha, p.b * p.alpha, p.a * p.beta,
                                 p.b * p.beta), qv, n)
         den = (qmultipochhammer((rq * p.alpha, rq * p.beta), qv, n)
                * qpochhammer(p.a * p.b * p.alpha * p.beta, qv, 2 * n))
-        closed = kappas[0] * num / den
+        closed = kappa * num / den
         reports.append(IdentityReport(
             "i00_shifted_closed_form", worst(mass - closed, abs(closed)),
-            tol, grid.n_nodes, {**params, "n": n}, notes={
-                "closed_vs_shifted_kappa":
-                worst(kappas[n] - closed, abs(closed))}))
+            tol, grid.n_nodes, {**params, "n": n}))
     if upper >= 2:  # mass is I_{0,0}(shift_upper)
         chained = imn_iterated_coefficient(upper, p) * mass
         reports.append(IdentityReport(

@@ -15,6 +15,7 @@ with degree span < N and spectrally accurate for analytic integrands.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,11 @@ class CircleGrid:
                            default_factory=dict)
 
     def __post_init__(self):
-        n = int(self.n_nodes)
+        n = self.n_nodes
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"node count {n!r} is not an integer") from None
         if n < 4:
             raise ValueError(f"grid needs at least 4 nodes, got {n}")
         object.__setattr__(self, "n_nodes", n)

@@ -6,8 +6,8 @@ class QCircleError(Exception):
 
 
 class NonConvergent(QCircleError):
-    """A non-terminating series failed to meet its tolerance within the
-    allowed number of terms."""
+    """(a; q)_inf needs more than qpochhammer_inf's cap of 1,000,000
+    factors to meet its fixed truncation tolerance."""
 
 
 class PoleInDenominator(QCircleError):

@@ -51,18 +51,18 @@ def qpochhammer(a, q, n: int) -> complex:
     return out
 
 
-def qpochhammer_inf(a, q, tol: float = 1e-15):
-    """(a; q)_infty, truncated when max|a| q^K < tol * (1 - q).
+def qpochhammer_inf(a, q):
+    """(a; q)_infty, truncated when max|a| q^K < 1e-15 * (1 - q).
 
     Tail bound: once |a| q^K < 1/2, the log of the dropped factors is at most
     2 |a| q^K / (1 - q) in absolute value, so the relative error of the
-    truncated product stays below ~2*tol.
+    truncated product stays below ~2e-15.
     """
-    return qpochhammer_inf_each([a], q, tol)[0]
+    return qpochhammer_inf_each([a], q)[0]
 
 
-def qpochhammer_inf_each(args, q, tol: float = 1e-15) -> list:
-    """[qpochhammer_inf(a, q, tol) for a in args], each truncated at its own
+def qpochhammer_inf_each(args, q) -> list:
+    """[qpochhammer_inf(a, q) for a in args], each truncated at its own
     max|a| and bitwise the sequential product prod_k (1 - a q^k).
 
     The factors are built a block of k at a time as rows of a 2-D array of
@@ -77,10 +77,8 @@ def qpochhammer_inf_each(args, q, tol: float = 1e-15) -> list:
     call.  Past 1,000,000 factors for an argument, raises NonConvergent.
     """
     qv = qval(q)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     args = [_maybe_scalar(np.asarray(a, dtype=complex)) for a in args]
-    cutoff, log_q, steps = tol * (1.0 - qv), math.log(qv), []
+    cutoff, log_q, steps = 1e-15 * (1.0 - qv), math.log(qv), []
     for a in args:
         amax = (abs(a) if isinstance(a, complex)
                 else float(np.abs(a).max()) if a.size else 0.0)
@@ -89,7 +87,7 @@ def qpochhammer_inf_each(args, q, tol: float = 1e-15) -> list:
         n = math.ceil(math.log(cutoff / amax) / log_q) if amax > cutoff else 1
         if n > 1_000_000:
             raise NonConvergent(f"(a; q)_inf at q={qv!r} and max|a|={amax:.6g}"
-                                f" needs {n:,} factors to meet tol={tol:g}, "
+                                f" needs {n:,} factors to meet tol=1e-15, "
                                 f"over the cap of 1,000,000")
         steps.append(max(n, 1) if amax else 0)
     out = [None] * len(args)  # (a; q)_inf = 1 where a is 0 or empty

@@ -4,7 +4,7 @@ reports, shared by the CLI and the acceptance tests.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -30,8 +30,7 @@ class SuiteConfig:
         self.q = qval(self.q)
         if self.max_n < 0:
             raise ValueError("max_n must be nonnegative")
-        if self.grid_size < 4:
-            raise ValueError("grid size must be at least 4")
+        self.grid_size = self.grid.n_nodes  # CircleGrid checks the count
         if not 0 < self.tolerance < float("inf"):  # NaN fails too
             raise ValueError("tolerance must be finite and > 0")
         if self.output_format not in ("json", "csv", "text"):
@@ -109,7 +108,7 @@ def pastro_degeneration_report(p: biortho.BiorthoParams, grid: CircleGrid,
                                tol: float = QUADRATURE_TOL) -> IdentityReport:
     """At a = alpha = 0 the rational functions collapse to polynomials:
     their negative Laurent modes, projected by quadrature, must vanish."""
-    pastro = p.with_params(a=0.0, alpha=0.0)
+    pastro = replace(p, a=0.0, alpha=0.0)
     z = grid.nodes
     R = biortho.r_rows(range(max_n + 1), pastro, z, 0)[0]
     Zk = np.stack([z**k for k in range(1, max_n + 2)])

@@ -6,6 +6,7 @@ frozen here on purpose; loosening them is a behavior change, not a tweak.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norms,
                              biortho_weight, imn_iterated_coefficient,
                              imn_table, kappa_closed, r_fn, random_params,
                              recursion_chain_reports, sears_check,
-                             weight_row)
+                             weight_rows)
 from qcircle.biortho import ladder_reports as biortho_ladder_reports
 from qcircle.circle import CircleGrid, contour_mean
 from qcircle.qsl import m_apply, symmetry_residuals
@@ -128,7 +129,8 @@ def test_criterion_08_sears():
 
 def test_criterion_09_recursion_chain():
     grid = CircleGrid(256)
-    table = imn_table(5, BASE_PARAMS, grid, weight_row(grid, BASE_PARAMS))
+    w = weight_rows(grid, [BASE_PARAMS])[0]
+    table = imn_table(5, BASE_PARAMS, grid, w)
     chain = recursion_chain_reports(table, BASE_PARAMS, grid)
     worst_step = max(r.residual for r in chain
                      if r.name == "imn_recursion_step")
@@ -138,9 +140,9 @@ def test_criterion_09_recursion_chain():
     q = BASE_PARAMS.q
     worst_iter = max(
         abs(table[n, n] - imn_iterated_coefficient(n, BASE_PARAMS)
-            * np.mean(weight_row(grid, BASE_PARAMS.with_params(
-                alpha=q**n * BASE_PARAMS.alpha,
-                beta=q**n * BASE_PARAMS.beta))))
+            * np.mean(weight_rows(grid, [replace(
+                BASE_PARAMS, alpha=q**n * BASE_PARAMS.alpha,
+                beta=q**n * BASE_PARAMS.beta)])[0]))
         for n in range(1, 5))
     worst_off = max(abs(table[m, n])
                     for m in range(5) for n in range(5) if m != n)
@@ -154,7 +156,7 @@ def test_criterion_09_recursion_chain():
 
 def test_criterion_10_degenerations():
     grid = CircleGrid(256)
-    pastro = BASE_PARAMS.with_params(a=0.0, alpha=0.0)
+    pastro = replace(BASE_PARAMS, a=0.0, alpha=0.0)
     z = grid.nodes
     worst_mode = 0.0
     for n in range(5):

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +14,13 @@ from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norms,
                              r_fn, r_rows, raising_coefficient,
                              raising_ratio_rows, random_params,
                              recursion_chain_reports, s_fn, sears_check,
-                             shifted_weight_rows, weight_row, weight_rows,
+                             shifted_weight_rows, weight_rows,
                              weight_symmetry_check)
 from qcircle.circle import CircleGrid, contour_mean, dq_apply, tq_apply
 from qcircle.cli import main, parse_complex
 from qcircle.errors import (DegenerateParameters, UnbalancedParameters,
                             WeightUnderflow)
-from qcircle.qcore import qpochhammer_inf
+from qcircle.qcore import qmultipochhammer, qpochhammer, qpochhammer_inf
 from qcircle.szego import ladder_reports as szego_ladder_reports
 from qcircle.szego import szego_weight
 
@@ -52,9 +53,11 @@ class TestBiorthoParams:
     def test_swapped_is_involution(self):
         assert P.swapped().swapped() == P
 
-    def test_with_params(self):
-        p2 = P.with_params(a=Q * P.a)
+    def test_replace_reruns_modulus_guard(self):
+        p2 = replace(P, a=Q * P.a)
         assert p2.a == Q * P.a and p2.b == P.b
+        with pytest.raises(ValueError, match=r"\|a\| must be < 1"):
+            replace(P, a=1.0)
 
     @pytest.mark.parametrize("near_one, label", [
         (("a", "alpha"), "a*alpha"), (("b", "alpha"), "b*alpha"),
@@ -91,7 +94,7 @@ class TestRFn:
         assert r_fn(1, z, P) == pytest.approx(1 + term1, rel=1e-13)
 
     def test_pastro_case_is_polynomial(self):
-        pastro = P.with_params(a=0.0, alpha=0.0)
+        pastro = replace(P, a=0.0, alpha=0.0)
         z = GRID.nodes
         for n in range(5):
             vals = np.asarray(r_fn(n, z, pastro))
@@ -168,7 +171,7 @@ class TestWeight:
         assert rep.passed
         # the literal unswapped reading does not hold for generic parameters
         literal = np.asarray(biortho_weight(1.0 / GRID.nodes, P)) - \
-            weight_row(GRID, P)
+            weight_rows(GRID, [P])[0]
         assert np.max(np.abs(literal)) > 1e-2
 
     def test_literal_symmetry_when_families_coincide(self):
@@ -180,7 +183,7 @@ class TestWeight:
 
 def eight_factor_weight(z, p):
     """The weight as one product of eight q-shifted factorials, in the
-    multiplication order weight_row and biortho_weight must reproduce."""
+    multiplication order weight_rows and biortho_weight must reproduce."""
     rq = math.sqrt(p.q)
     z = np.asarray(z, dtype=complex)
     num = np.ones(z.shape, dtype=complex)
@@ -241,7 +244,7 @@ class TestWeightRows:
         grid = CircleGrid(n_nodes)
         for p in (BiorthoParams(0.3, 0.2, 0.4, 0.1, q),
                   random_params(rng, q), conjugate_params(rng, q)):
-            assert weight_row(grid, p).tobytes() == \
+            assert weight_rows(grid, [p])[0].tobytes() == \
                 eight_factor_weight(grid.nodes, p).tobytes()
 
     def test_direct_calls_match_eight_factor_product(self):
@@ -277,6 +280,25 @@ class TestWeightRows:
         assert arrays <= 12 and scalars <= 4
         assert arrays + scalars <= 20
 
+    def test_biortho_verdict_scalar_kernel_arguments(self, monkeypatch,
+                                                     capsys):
+        # 160 when the recursion chain took kappa at shift_0..shift_3, ten
+        # q-products each, for a note that no residual read.
+        import qcircle.biortho
+        import qcircle.qcore
+        kernel, scalars = qcircle.qcore.qpochhammer_inf_each, []
+
+        def counted(args, q):
+            scalars.extend(a for a in args if np.ndim(a) == 0)
+            return kernel(args, q)
+
+        for module in (qcircle.qcore, qcircle.biortho):
+            monkeypatch.setattr(module, "qpochhammer_inf_each", counted)
+        main(["verify", "biortho", "--max-n", "5", "--grid", "256",
+              "--q", "0.5"])
+        capsys.readouterr()
+        assert len(scalars) == 130
+
     def test_near_one_szego_verdict_array_product_count(self, monkeypatch,
                                                         capsys):
         # The direct Pearson certificate row of the Szego weight and the
@@ -298,7 +320,8 @@ class TestWeightRows:
         rows = weight_rows(CircleGrid(128), sets)
         assert rows.shape == (5, 128)
         for p, row in zip(sets, rows):
-            assert row.tobytes() == weight_row(CircleGrid(128), p).tobytes()
+            single = weight_rows(CircleGrid(128), [p])[0]
+            assert row.tobytes() == single.tobytes()
 
     def test_batch_reuses_held_rows(self, monkeypatch):
         import qcircle.biortho
@@ -310,8 +333,8 @@ class TestWeightRows:
             return factors(z, sets)
 
         monkeypatch.setattr(qcircle.biortho, "_parameter_factors", counted)
-        shift = P.with_params(alpha=Q * P.alpha)
-        weight_row(grid, P)
+        shift = replace(P, alpha=Q * P.alpha)
+        weight_rows(grid, [P])
         rows = weight_rows(grid, [shift, P, shift])
         assert batches == [[P], [shift]]
         assert rows[0].tobytes() == rows[2].tobytes()
@@ -329,10 +352,10 @@ class TestShiftedWeightRows:
                   random_params(rng, q), conjugate_params(rng, q)):
             rows = shifted_weight_rows(grid, p, 3)
             assert rows.shape == (4, 256)
-            assert rows[0].tobytes() == weight_row(grid, p).tobytes()
+            assert rows[0].tobytes() == weight_rows(grid, [p])[0].tobytes()
             for n in range(1, 4):
-                direct = weight_row(grid, p.with_params(
-                    alpha=q**n * p.alpha, beta=q**n * p.beta))
+                direct = weight_rows(grid, [replace(
+                    p, alpha=q**n * p.alpha, beta=q**n * p.beta)])[0]
                 assert np.max(np.abs(rows[n] - direct)
                               / np.abs(direct)) < 1e-13
 
@@ -351,8 +374,8 @@ class TestShiftedWeightRows:
         table = table_at(4, grid=grid)
         assert batches == [[P]]
         reports = recursion_chain_reports(table, P, grid)
-        assert batches[1:] == [[P.with_params(alpha=Q**3 * P.alpha,
-                                          beta=Q**3 * P.beta)]]
+        assert batches[1:] == [[replace(P, alpha=Q**3 * P.alpha,
+                                        beta=Q**3 * P.beta)]]
         (shift,) = [r for r in reports if r.name == "biortho_weight_shift"]
         assert shift.params["n"] == 3
         assert shift.tolerance == 1e-12 and shift.passed
@@ -386,7 +409,7 @@ class TestKappa:
         for _ in range(10):
             p = random_params(rng, Q)
             closed = kappa_closed(p)
-            quad = complex(np.mean(weight_row(GRID, p)))
+            quad = complex(np.mean(weight_rows(GRID, [p])[0]))
             *_, rep = biortho_gram(0, p, GRID)
             assert rep.residual == abs(quad - closed) / abs(closed)
 
@@ -483,7 +506,7 @@ class TestGram:
 
 
 GENERIC = BiorthoParams(0.3 + 0.1j, 0.2 - 0.15j, 0.4 + 0.05j, 0.1 + 0.2j, Q)
-PASTRO = P.with_params(a=0.0, alpha=0.0)
+PASTRO = replace(P, a=0.0, alpha=0.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -514,7 +537,7 @@ class TestLadder:
         # integrating both sides of the raising identity over the circle
         # gives equal values
         z = GRID.nodes
-        raised = P.with_params(alpha=Q * P.alpha, beta=Q * P.beta)
+        raised = replace(P, alpha=Q * P.alpha, beta=Q * P.beta)
         c = P.alpha * P.beta * math.sqrt(Q)
 
         def g(t):
@@ -535,11 +558,11 @@ class TestLadder:
         n = 3
         z = GRID.nodes
         rq = math.sqrt(q)
-        low = p_low = P.with_params(a=q * P.a, b=q * P.b)
-        base = P.with_params(a=q * P.a, alpha=P.alpha / q,
-                             b=q * P.b, beta=P.beta / q)
+        low = p_low = replace(P, a=q * P.a, b=q * P.b)
+        base = replace(P, a=q * P.a, alpha=P.alpha / q,
+                       b=q * P.b, beta=P.beta / q)
         # raising identity at `base` maps r_{n-1}(.; low) scaled by w's
-        shifted = base.with_params(alpha=q * base.alpha, beta=q * base.beta)
+        shifted = replace(base, alpha=q * base.alpha, beta=q * base.beta)
         assert shifted == low
 
         def g(t):
@@ -591,7 +614,7 @@ class TestLadderTable:
     def test_r_rows_sample_each_function(self, q, p, n_nodes, size, depth):
         # r_fn is the one-degree table: a row does not depend on which
         # degrees share its table, bit for bit.
-        p, z = p.with_params(q=q), CircleGrid(n_nodes).nodes
+        p, z = replace(p, q=q), CircleGrid(n_nodes).nodes
         R = r_rows(range(size), p, z, depth)
         assert R.shape == (depth + 1, size, n_nodes)
         for k in range(depth + 1):
@@ -623,8 +646,8 @@ class TestLadderTable:
         # T_q, with the raising identity divided by w(z; p) as quotients of
         # directly evaluated weights instead of ratio rows.
         z, rq = GRID.nodes, math.sqrt(Q)
-        lowered = p.with_params(a=Q * p.a, b=Q * p.b)
-        raised = p.with_params(alpha=Q * p.alpha, beta=Q * p.beta)
+        lowered = replace(p, a=Q * p.a, b=Q * p.b)
+        raised = replace(p, alpha=Q * p.alpha, beta=Q * p.beta)
         u, c = p.a * p.b, p.alpha * p.beta * rq
         lowering = float(np.max(np.abs(
             (1.0 - u * rq * z) * (1.0 - u * rq * Q * z)
@@ -649,8 +672,8 @@ class TestLadderTable:
         tables, calls = counted_tables(monkeypatch)
         reports = ladder_reports(5, P, CircleGrid(256))
         assert len(reports) == 10
-        lowered = P.with_params(a=Q * P.a, b=Q * P.b)
-        raised = P.with_params(alpha=Q * P.alpha, beta=Q * P.beta)
+        lowered = replace(P, a=Q * P.a, b=Q * P.b)
+        raised = replace(P, alpha=Q * P.alpha, beta=Q * P.beta)
         assert tables == [(P, range(6)), (lowered, range(5)),
                           (raised, range(5))]
         assert calls == []
@@ -686,7 +709,7 @@ class TestRRowsOracle:
     @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
     def test_mpmath_oracle(self, q, p):
         mpmath = pytest.importorskip("mpmath")
-        p, eps = p.with_params(q=q), np.finfo(float).eps
+        p, eps = replace(p, q=q), np.finfo(float).eps
         z = np.concatenate([r * np.exp(2j * np.pi * (np.arange(4) + 0.5) / 4)
                             for r in (0.5, 1.0, 3.0)])
         R = r_rows(range(13), p, z, 0)[0]
@@ -711,7 +734,7 @@ class TestRaisingRatioRows:
         qz = _points(z, q, 1)
         for p in (BiorthoParams(0.3, 0.2, 0.4, 0.1, q),
                   random_params(rng, q), conjugate_params(rng, q)):
-            raised = p.with_params(alpha=q * p.alpha, beta=q * p.beta)
+            raised = replace(p, alpha=q * p.alpha, beta=q * p.beta)
             c = p.alpha * p.beta * math.sqrt(q)
             w = biortho_weight(z, p)
             want = [(1 - c / t) * (1 - c * q / t) * biortho_weight(t, raised)
@@ -732,7 +755,7 @@ class TestRaisingRatioRows:
     def test_raising_near_one(self):
         # T_q(w r) divided back by w: 1.97e-10, 1.38e-9 and 1.19e-8 FAILs.
         residuals = [r.residual for r in ladder_reports(
-            8, P.with_params(q=0.95), GRID)
+            8, replace(P, q=0.95), GRID)
             if r.name == "biortho_raising" and r.params["n"] >= 6]
         assert len(residuals) == 3
         assert max(residuals) < 1e-10
@@ -790,8 +813,8 @@ class TestSears:
 
 
 def table_at(size, p=P, grid=GRID):
-    """imn_table at p on its weight_row."""
-    return imn_table(size, p, grid, weight_row(grid, p))
+    """imn_table at p on its weight_rows row."""
+    return imn_table(size, p, grid, weight_rows(grid, [p])[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -829,17 +852,25 @@ class TestRecursionChain:
             < 1e-9
 
     def test_i00_shifted_closed_form(self):
+        rq, abab = math.sqrt(Q), P.a * P.b * P.alpha * P.beta
         for n in range(4):
             rep = chain_reports()[("i00_shifted_closed_form", None, n)]
             assert rep.residual < 1e-10
-            # two closed-form routes agree: the verified prefactor reading
-            assert rep.notes["closed_vs_shifted_kappa"] < 1e-12
+            # two closed-form routes agree: kappa at shift_n, and kappa at
+            # P times the verified prefactor
+            shift = replace(P, alpha=Q**n * P.alpha, beta=Q**n * P.beta)
+            num = qmultipochhammer((P.a * P.alpha, P.b * P.alpha,
+                                    P.a * P.beta, P.b * P.beta), Q, n)
+            den = (qmultipochhammer((rq * P.alpha, rq * P.beta), Q, n)
+                   * qpochhammer(abab, Q, 2 * n))
+            closed = kappa_closed(P) * num / den
+            assert abs(kappa_closed(shift) - closed) < 1e-12 * abs(closed)
 
 
 class TestRecursionChainTable:
     def test_table_entry_is_the_quadrature(self):
         z = GRID.nodes
-        w = weight_row(GRID, P)
+        w = weight_rows(GRID, [P])[0]
         table = table_at(3)
         for m in range(3):
             for n in range(3):
@@ -886,13 +917,13 @@ class TestRecursionChainTable:
         table = table_at(4)
         tables, _ = counted_tables(monkeypatch)
         recursion_chain_reports(table, P, GRID)
-        shift = P.with_params(alpha=Q * P.alpha, beta=Q * P.beta)
+        shift = replace(P, alpha=Q * P.alpha, beta=Q * P.beta)
         assert {p for p, _ in tables} == {shift, shift.swapped()}
 
     def test_verdict_evaluates_kappa_at_p_at_most_twice(self, monkeypatch,
                                                         capsys):
         # kappa_check, biortho_gram and the chain at p and at shift_0 = p
-        # made four; biortho_gram's and the chain's batch make two.
+        # made four; biortho_gram's and the chain's kappa_closed make two.
         import qcircle.biortho
         batches = []
         kappa = qcircle.biortho.kappa_each
@@ -907,14 +938,14 @@ class TestRecursionChainTable:
         capsys.readouterr()
         calls = [p for sets in batches for p in sets]
         assert calls.count(P) <= 2  # P is the default set
-        assert len(calls) <= 16
-        # p's Gram, the ten random sets, the chain's shifts, the Pastro set.
+        assert len(calls) <= 13
+        # p's Gram, the ten random sets, the chain's p, the Pastro set.
         assert len(batches) <= 4
 
 
 class TestDegenerations:
     def test_pastro_gram_diagonal(self):
-        pastro = P.with_params(a=0.0, alpha=0.0)
+        pastro = replace(P, a=0.0, alpha=0.0)
         G, _, _ = biortho_gram(3, pastro, GRID)
         for n in range(4):
             want = biortho_norms(n, pastro)[n]

@@ -26,6 +26,16 @@ class TestCircleGrid:
         with pytest.raises(ValueError):
             CircleGrid(3)
 
+    @pytest.mark.parametrize("count", [64.5, 64.0, "64", None])
+    def test_refuses_a_count_that_is_not_an_integer(self, count):
+        # 64.5 made a grid of 64 nodes, and "64" one of 64.
+        with pytest.raises(ValueError, match=f"node count {count!r} is not"):
+            CircleGrid(count)
+
+    def test_numpy_integer_count(self):
+        grid = CircleGrid(np.int64(64))
+        assert type(grid.n_nodes) is int and grid.nodes.shape == (64,)
+
 
 class TestLaurentPoly:
     def test_zero_poly(self):

@@ -13,7 +13,7 @@ import pytest
 
 import qcircle.suites
 import qcircle.szego
-from qcircle.biortho import DEFAULT_PARAMS, BiorthoParams, weight_row
+from qcircle.biortho import DEFAULT_PARAMS, BiorthoParams, weight_rows
 from qcircle.circle import CircleGrid
 from qcircle.cli import build_parser, four_params, main, parse_complex
 from qcircle.qcore import theta_sum
@@ -119,7 +119,7 @@ class TestEval:
         else:
             p = BiorthoParams(*(four_params(params) if params
                                 else DEFAULT_PARAMS), float(q))
-            row = weight_row(grid, p)
+            row = weight_rows(grid, [p])[0]
         for j in range(0, 64, 3):
             z = repr(complex(grid.nodes[j])).strip("()").replace("j", "i")
             argv = ["eval", subject, f"--z={z}", "--q", q, "--format", "json"]

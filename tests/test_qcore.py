@@ -68,7 +68,7 @@ class TestQPochhammerInf:
         assert qpochhammer_inf(0.0, 0.5) == 1
 
     def test_matches_brute_force(self):
-        got = qpochhammer_inf(0.5, 0.5, tol=1e-14)
+        got = qpochhammer_inf(0.5, 0.5)
         want = brute_pochhammer_inf(0.5, 0.5)
         assert abs(got - want) / abs(want) < 1e-13
 
@@ -80,12 +80,8 @@ class TestQPochhammerInf:
                 rhs = qpochhammer(a, 0.6, n) * qpochhammer_inf(a * 0.6**n, 0.6)
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            qpochhammer_inf(0.5, 0.5, tol=0.0)
 
-
-def sequential_pochhammer_inf(a, q, tol=1e-15):
+def sequential_pochhammer_inf(a, q):
     """(a; q)_inf one factor per step: the product qpochhammer_inf must
     reproduce bit for bit, with the same truncation rule."""
     a = np.asarray(a, dtype=complex)
@@ -95,7 +91,7 @@ def sequential_pochhammer_inf(a, q, tol=1e-15):
         if not np.isfinite(amax):
             raise ValueError("qpochhammer_inf requires finite arguments")
         return complex(out) if out.ndim == 0 else out
-    cutoff = tol * (1.0 - q)
+    cutoff = 1e-15 * (1.0 - q)
     nsteps = (int(math.ceil(math.log(cutoff / amax) / math.log(q)))
               if amax > cutoff else 1)
     if nsteps > 1_000_000:
@@ -108,17 +104,21 @@ def sequential_pochhammer_inf(a, q, tol=1e-15):
     return complex(out) if out.ndim == 0 else out
 
 
-def steps_for(a, q, tol):
+def steps_for(a, q):
     amax = float(np.max(np.abs(a)))
-    cutoff = tol * (1.0 - q)
+    cutoff = 1e-15 * (1.0 - q)
     if amax <= cutoff:
         return 1
     return int(math.ceil(math.log(cutoff / amax) / math.log(q)))
 
 
-def tol_for_steps(a, q, steps):
-    """A tolerance at which the truncation rule takes exactly `steps`."""
-    return float(np.max(np.abs(a))) * q**(steps - 0.5) / (1.0 - q)
+def at_steps(a, steps):
+    """(a rescaled, q) at which the truncation rule takes exactly `steps`:
+    q^steps = 5e-16, and max|a| q^(steps - 1/2) = 1e-15 (1 - q), half a
+    step from either end of the rule, so |a| stays above 1e-8."""
+    q = 5e-16 ** (1.0 / steps)
+    return a * (1e-15 * (1.0 - q) * q**(0.5 - steps)
+                / float(np.max(np.abs(a)))), q
 
 
 def assert_bitwise_equal(got, want):
@@ -153,18 +153,17 @@ class TestQPochhammerInfBlocked:
     @pytest.mark.parametrize("shape", [(), (1,), (256,), (3, 5), (2048,),
                                        (4097,)])
     def test_step_counts_across_block_edges(self, shape):
-        q = 0.999
-        a = draw_arguments(np.random.default_rng(5), shape, "complex") / 20
+        a = draw_arguments(np.random.default_rng(5), shape, "complex")
         # Factor rows per block as the kernel takes them: (rows + 1) x width
         # within _BLOCK_ELEMS, width at most _BLOCK_ELEMS // 8 columns.
         width = max(2, int(np.prod(shape))) if shape else 1
         block = _BLOCK_ELEMS // min(width, _BLOCK_ELEMS // 8) - 1
         for steps in sorted({1, 7, block - 1, block, block + 1,
                              3 * block + 5}):
-            tol = tol_for_steps(a, q, steps)
-            assert steps_for(a, q, tol) == steps
-            assert_bitwise_equal(qpochhammer_inf(a, q, tol),
-                                 sequential_pochhammer_inf(a, q, tol))
+            b, q = at_steps(a, steps)
+            assert steps_for(b, q) == steps
+            assert_bitwise_equal(qpochhammer_inf(b, q),
+                                 sequential_pochhammer_inf(b, q))
 
     def test_python_scalars(self):
         for a in (0.3, -0.7 + 0.2j, 2, np.complex128(1.5 - 0.5j)):

@@ -1,6 +1,7 @@
+import json
 import math
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qcircle import biortho, qsl, szego
 from qcircle.biortho import (DEFAULT_PARAMS, BiorthoParams, biortho_gram,
                              r_fn, random_params)
 from qcircle.circle import CircleGrid, LaurentPoly
+from qcircle.cli import main
 from qcircle.qcore import QUADRATURE_TOL, qval
 from qcircle.report import IdentityReport, nan_max, to_json
 from qcircle.suites import (SuiteConfig, pastro_degeneration_report,
@@ -64,9 +66,9 @@ def test_verify_all_samples_r_n_through_r_rows_only(monkeypatch):
     assert calls == []
     p = BiorthoParams(*DEFAULT_PARAMS, 0.5)
     # shift_1 is the ladder's raised set and the chain's lower table.
-    shift = p.with_params(alpha=0.5 * p.alpha, beta=0.5 * p.beta)
-    lowered = p.with_params(a=0.5 * p.a, b=0.5 * p.b)
-    pastro = p.with_params(a=0.0, alpha=0.0)
+    shift = replace(p, alpha=0.5 * p.alpha, beta=0.5 * p.beta)
+    lowered = replace(p, a=0.5 * p.a, b=0.5 * p.b)
+    pastro = replace(p, a=0.0, alpha=0.0)
     # The Gram at p and the ladder at p; the modes and the Gram at Pastro.
     assert tables == {p: 2, p.swapped(): 1, lowered: 1, shift: 2,
                       shift.swapped(): 1, pastro: 2, pastro.swapped(): 1}
@@ -93,6 +95,34 @@ def test_suite_config_refuses_a_tolerance_the_cli_refuses(tol):
     # An infinite tolerance would pass every report, a NaN fail them all.
     with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
         SuiteConfig(tolerance=tol)
+
+
+@pytest.mark.parametrize("count", [64.5, "64"])
+def test_suite_config_refuses_a_grid_size_that_is_not_an_integer(count):
+    # 64.5 went into the JSON config while every report said 64.
+    with pytest.raises(ValueError, match=f"node count {count!r} is not"):
+        SuiteConfig(grid_size=count)
+
+
+def test_suite_config_grid_size_from_a_numpy_integer():
+    cfg = SuiteConfig(grid_size=np.int64(64))
+    assert type(cfg.grid_size) is int and cfg.grid.n_nodes == 64
+
+
+def test_notes_hold_only_evidence_of_their_own_residual(capsys):
+    # The recursion chain's i00_shifted_closed_form reports carried
+    # closed_vs_shifted_kappa, a distance that no residual read.
+    # biorthogonality's max_n is its Gram's size, not a note of evidence.
+    evidence = {"max_offdiag", "max_diag_rel_err", "max_negative_mode",
+                "weighted_inner_product", "min_real", "max_imag"}
+    main(["verify", "all", "--max-n", "5", "--grid", "256", "--q", "0.5",
+          "--format", "json"])
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    for report in reports:
+        size = {"max_n"} if report["name"] == "biorthogonality" else set()
+        assert set(report["notes"]) <= evidence | size, report["name"]
+    assert {key for report in reports for key in report["notes"]} \
+        == evidence | {"max_n"}
 
 
 def test_suite_config_fields():
@@ -138,7 +168,7 @@ def test_verify_all_samples_rows_on_one_grid(monkeypatch):
 def pastro_by_loops(p, grid, max_n):
     """pastro_degeneration_report with one r_fn call per degree and one
     mean per negative mode."""
-    pastro = p.with_params(a=0.0, alpha=0.0)
+    pastro = replace(p, a=0.0, alpha=0.0)
     z = grid.nodes
     worst = 0.0
     for n in range(max_n + 1):

@@ -12,7 +12,9 @@ Markdown table row for every report whose residual moved (name, n, parent
 and change residual, |change - parent| / tolerance, and both verdicts), a
 summary row per command, which also says whether the command's stdout is
 the `same` bytes in both trees, the `same document` (the bytes differ but
-json.loads reads equal documents, a NaN equal to a NaN) or `differs`, a
+json.loads reads equal documents, a NaN equal to a NaN), the `same
+reports` (the documents are equal once each report's `notes` is dropped)
+or `differs`, a
 count of the byte-identical commands, the line count of `src/qcircle/*.py`
 in both trees (as `wc -l` counts), then the reports that appear and the
 exit codes that change.
@@ -195,8 +197,25 @@ def stderr_fault(code: int, err: bytes) -> str:
     return ""
 
 
+def without_notes(doc):
+    """The document with each report's `notes` dropped: `verify`'s list of
+    reports and `gram`'s one; any other document as it is."""
+    def strip(report):
+        return {k: v for k, v in report.items() if k != "notes"}
+
+    if not isinstance(doc, dict):
+        return doc
+    doc = dict(doc)
+    if "reports" in doc:
+        doc["reports"] = [strip(report) for report in doc["reports"]]
+    if "report" in doc:
+        doc["report"] = strip(doc["report"])
+    return doc
+
+
 def compare_stdout(a: bytes, b: bytes) -> str:
-    """`same` bytes, the `same document` in other bytes, or `differs`."""
+    """`same` bytes, the `same document` in other bytes, the `same reports`
+    once each report's notes are dropped, or `differs`."""
     if a == b:
         return "same"
     try:
@@ -205,7 +224,11 @@ def compare_stdout(a: bytes, b: bytes) -> str:
                 for out in (a, b)]
     except ValueError:
         return "differs"
-    return "same document" if docs[0] == docs[1] else "differs"
+    if docs[0] == docs[1]:
+        return "same document"
+    if without_notes(docs[0]) == without_notes(docs[1]):
+        return "same reports"
+    return "differs"
 
 
 def line_count(src: str) -> int:
