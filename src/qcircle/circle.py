@@ -3,8 +3,10 @@ operator D_q with its adjoint T_q.
 
 A function f on the circle is an array of rows F[k] = f(q^k z): D_q f and
 T_q f at q^k z need rows k and k+1, T_q^n f at z rows 0..n.  Verdicts use
-rows only: `shifted` and `CircleGrid.rows` (once per grid) sample a callable,
-a batch of Laurent polynomials from `laurent_values` included.  Ladder
+rows only: `CircleGrid.rows` samples a callable once per grid, and
+`laurent_values` evaluates a batch of Laurent polynomials at stacked shifted
+points in one in-place Horner pass (a 0-d point stays on numpy's 0-d
+arithmetic); `shifted` samples a callable's rows for the callable API.  Ladder
 verdicts take (1/w) T_q(w f) as T_q of the rows w(q^k z)/w(z) f(q^k z), so
 only the q-Sturm-Liouville weight goes through `over_weight`.  The adapters
 `dq_apply`/`tq_apply`/`tq_iterate`, `contour_mean` and `inner_product_c` are
@@ -72,12 +74,22 @@ class CircleGrid:
 
 def laurent_values(coefficients, min_degree: int, z) -> np.ndarray:
     """sum_k c_k z^{min_degree + k} by Horner's rule.  Each c_k broadcasts
-    against z, so (K, P, 1) coefficients at (1, N) points give P rows."""
+    against z, so (K, P, 1) coefficients at (1, N) points give P rows.  One
+    pass, in place, in one accumulator of the broadcast shape; a 0-d z keeps
+    the expression form, as numpy's 0-d arithmetic rounds unlike its array
+    loops."""
     z = np.asarray(z, dtype=complex)
-    acc = np.zeros(z.shape, dtype=complex)
+    if z.ndim == 0:
+        acc = np.zeros((), dtype=complex)
+        for c in coefficients[::-1]:
+            acc = acc * z + c
+        return acc * z**min_degree
+    acc = np.zeros(np.broadcast_shapes(z.shape, np.shape(coefficients)[1:]),
+                   dtype=complex)
     for c in coefficients[::-1]:
-        acc = acc * z + c
-    return acc * z**min_degree
+        np.multiply(acc, z, out=acc)
+        np.add(acc, c, out=acc)
+    return np.multiply(acc, z**min_degree, out=acc)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ from typing import Optional
 import numpy as np
 
 from . import biortho, qsl, szego
-from .circle import CircleGrid, dq_rows, laurent_values, shifted, tq_rows
+from .circle import (CircleGrid, _shifted_points, dq_rows, laurent_values,
+                     tq_rows)
 from .qcore import ALGEBRAIC_TOL, QUADRATURE_TOL, phi, qval
 from .report import IdentityReport, nan_max, to_csv, to_json, worst
 
@@ -57,11 +58,13 @@ def random_laurent_rows(rng: np.random.Generator, count: int, deg_range: int,
                         grid: CircleGrid, q, depth: int) -> np.ndarray:
     """Rows 0..depth at the grid nodes, shape (depth+1, count, N), of
     `count` random Laurent polynomials of degrees -deg_range..deg_range,
-    drawn as `count` successive polynomials (real parts, then imaginary)."""
+    drawn as `count` successive polynomials (real parts, then imaginary):
+    one in-place Horner pass of `laurent_values` at the stacked shifted
+    nodes, so the table is allocated once."""
     x = rng.standard_normal((count, 2, 2 * deg_range + 1))
     coeffs = (x[:, 0] + 1j * x[:, 1]).T[:, :, None]
-    return shifted(lambda t: laurent_values(coeffs, -deg_range, t),
-                   grid.nodes[None], q, depth)
+    points = np.stack(_shifted_points(grid.nodes[None], qval(q), depth))
+    return laurent_values(coeffs, -deg_range, points)
 
 
 def adjointness_report(q, grid: CircleGrid, seed: int, n_pairs: int = 100,

@@ -108,11 +108,17 @@ def weight_ratio_rows(z, q, depth: int) -> np.ndarray:
     """Rows szego_weight(q^k z, q) / szego_weight(z, q), k = 0..depth, from
     ones by the Pearson step w(qt)/w(t) = (1 - q^{-1/2}/t) / (1 - q^{1/2} t)
     = -1/(q^{1/2} t) at t = q^k z, without a q-product; weight_pearson_check
-    holds the deepest row, times the weight, to a direct weight."""
+    holds the deepest row, times the weight, to a direct weight.  Row k has
+    size q^{-k^2/2}: ValueError if a row is not representable."""
     qv = qval(q)
     R = [np.ones(np.shape(z), dtype=complex)]
-    for t in _shifted_points(z, qv, depth)[:-1]:
-        R.append(R[-1] / (-math.sqrt(qv) * t))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for t in _shifted_points(z, qv, depth)[:-1]:
+                R.append(R[-1] / (-math.sqrt(qv) * t))
+    except ArithmeticError:  # q^{-k^2/2} overflows
+        raise ValueError(f"the Pearson ratio rows w(q^k z)/w(z) are not "
+                         f"representable at depth={depth}, q={qv}") from None
     return np.stack(R)
 
 

@@ -5,10 +5,11 @@ import pytest
 
 from qcircle.circle import (CircleGrid, LaurentPoly, contour_mean, dq_apply,
                             dq_rows, gram_matrix, inner_product_c, laurent_dq,
-                            shifted, tq_apply, tq_iterate, tq_power, tq_rows)
+                            laurent_values, shifted, tq_apply, tq_iterate,
+                            tq_power, tq_rows)
 from qcircle.cli import main
-from qcircle.suites import adjointness_report
-from qcircle.szego import szego_weight
+from qcircle.suites import adjointness_report, random_laurent_rows
+from qcircle.szego import szego_poly, szego_weight
 
 
 def random_laurent(rng, min_deg, max_deg):
@@ -361,3 +362,88 @@ def test_gram_matrix_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * H.nbytes
+
+
+def expression_values(coefficients, min_degree, z):
+    """Horner's rule as one expression per step, each making a new array:
+    the form laurent_values' in-place pass must agree with bit for bit."""
+    z = np.asarray(z, dtype=complex)
+    acc = np.zeros(z.shape, dtype=complex)
+    for c in coefficients[::-1]:
+        acc = acc * z + c
+    return acc * z**min_degree
+
+
+class TestLaurentRowsOracle:
+    """Random Laurent rows against the expression form, one row at a time."""
+
+    @staticmethod
+    def points(grid, q, depth):
+        t = [grid.nodes[None]]
+        for _ in range(depth):
+            t.append(q * t[-1])
+        return t
+
+    @pytest.mark.parametrize("N", [64, 100, 256])
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99])
+    def test_rows_are_byte_identical(self, q, N):
+        grid = CircleGrid(N)
+        for count in (2, 40, 100, 200):
+            for deg_range in (2, 3, 5):
+                for depth in (0, 1, 2):
+                    seed = count + 10 * deg_range + 100 * depth
+                    x = np.random.default_rng(seed).standard_normal(
+                        (count, 2, 2 * deg_range + 1))
+                    coeffs = (x[:, 0] + 1j * x[:, 1]).T[:, :, None]
+                    t = self.points(grid, q, depth)
+                    want = np.stack([expression_values(coeffs, -deg_range, tk)
+                                     for tk in t]).tobytes()
+                    got = laurent_values(coeffs, -deg_range, np.stack(t))
+                    assert got.tobytes() == want
+                    rows = random_laurent_rows(np.random.default_rng(seed),
+                                               count, deg_range, grid, q,
+                                               depth)
+                    assert rows.tobytes() == want
+
+    def test_scalar_point_keeps_the_expression_form(self):
+        # eval szego prints LaurentPoly at one point; numpy's 0-d arithmetic
+        # rounds unlike its array loops, so that path stays an expression.
+        # Points off the circle, then CircleGrid(64)'s nodes.
+        rng = np.random.default_rng(5)
+        p = LaurentPoly(-3, rng.standard_normal(8)
+                        + 1j * rng.standard_normal(8))
+        for z in [0.3 + 0.2j, 1.7 - 0.4j, -0.05, 2.0,
+                  *CircleGrid(64).nodes.tolist()]:
+            for poly in (p, szego_poly(5, 0.9), szego_poly(12, 0.5)):
+                want = expression_values(poly.coefficients, poly.min_degree,
+                                         z)
+                assert np.asarray(poly(z)).tobytes() == want.tobytes()
+
+
+def test_laurent_rows_memory():
+    # One accumulator filled in place: two new tables per Horner step made
+    # adjointness' batch peak at 2.21 times its rows.
+    grid, rng = CircleGrid(256), np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        rows = random_laurent_rows(rng, 100, 5, grid, 0.5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * rows.nbytes
+
+
+def test_laurent_values_memory():
+    # (11, 100, 1) coefficients at (1, 256) points peaked at 3.32 times the
+    # (100, 256) output.
+    rng = np.random.default_rng(1)
+    coeffs = (rng.standard_normal((11, 100, 1))
+              + 1j * rng.standard_normal((11, 100, 1)))
+    z = CircleGrid(256).nodes[None]
+    tracemalloc.start()
+    try:
+        values = laurent_values(coeffs, -5, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * values.nbytes

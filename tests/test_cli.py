@@ -449,11 +449,22 @@ class TestNoFalsePass:
         (["eval", "szego", "--n", "5000", "--q", "0.999"],
          "error: the coefficients of H_n are not representable at n=5000, "
          "q=0.999"),
-    ], ids=["theta", "szego-overflow", "szego-underflow"])
+        (["verify", "szego", "--max-n", "60", "--grid", "64", "--q", "0.3"],
+         "error: the Pearson ratio rows w(q^k z)/w(z) are not representable "
+         "at depth=60, q=0.3"),
+        (["verify", "all", "--max-n", "60", "--grid", "64", "--q", "0.3"],
+         "error: the Pearson ratio rows w(q^k z)/w(z) are not representable "
+         "at depth=60, q=0.3"),
+        (["verify", "szego", "--max-n", "30", "--grid", "64", "--q", "0.05"],
+         "error: the Pearson ratio rows w(q^k z)/w(z) are not representable "
+         "at depth=30, q=0.05"),
+    ], ids=["theta", "szego-overflow", "szego-underflow", "pearson-rows",
+            "pearson-rows-all", "pearson-rows-small-q"])
     def test_unrepresentable_value_exits_2(self, argv, invariant, capsys):
         # Each ended in a traceback: OverflowError from the theta sum's
         # truncation bound and from q**(-k/2), ZeroDivisionError from an
-        # underflowed (q;q)_k.
+        # underflowed (q;q)_k.  The Pearson ratio rows, of size q^{-k^2/2},
+        # exited 1 with numpy's overflow warnings on stderr.
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

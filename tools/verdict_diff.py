@@ -83,6 +83,12 @@ SWEEP = (
     # and where qsl_form_positivity rests on its last bits.
     + [["verify", "qsl", "--max-n", n, "--grid", "256", "--q", q]
        for n, q in (("5", "0.9"), ("8", "0.8"))]
+    # Random Laurent pairs at a node count that is not a power of two, and
+    # at other seeds.
+    + [["verify", "qsl", "--max-n", "5", "--grid", "100", "--q", "0.5",
+        "--seed", "3"],
+       ["verify", "szego", "--max-n", "3", "--grid", "100", "--q", "0.5",
+        "--seed", "4"]]
     # The Gram matrices of the gram_json benchmark workload, one report each;
     # the Szego one also at both ends of the coefficient range.
     + [["gram", "szego", "--max-n", "16", "--grid", "2048", "--q", q]
