@@ -17,9 +17,9 @@ from .errors import DegenerateParameters, UnbalancedParameters, WeightUnderflow
 # qpochhammer_inf: bound for benchmarks/tests/test_bench_tracer.py's rebinding.
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, _maybe_scalar, phi,
                     qmultipochhammer, qpochhammer, qpochhammer_inf,
-                    qpochhammer_inf_each, qval)
+                    qpochhammer_inf_each, qval, representable)
 from .report import IdentityReport, worst
-from .szego import szego_weight
+from .szego import product_rows, szego_weight
 
 
 # (a, alpha, b, beta) of verify, gram and eval when none are given.
@@ -87,11 +87,10 @@ def s_fn(n: int, z, p: BiorthoParams):
     return r_fn(n, z, p.swapped())
 
 
-def _parameter_factors(z, sets) -> list:
+def _parameter_factors(z, qv, sets) -> list:
     """The weight's factors beyond the Szego pair for each parameter set:
     (ab q^{1/2} z; q)_inf, (alpha beta q^{1/2}/z; q)_inf and the denominator
     (az, alpha/z, bz, beta/z; q)_inf, every q-product from one kernel call."""
-    (qv,) = {p.q for p in sets}  # one base for the batch
     rq, z = math.sqrt(qv), np.asarray(z, dtype=complex)
     products = iter(qpochhammer_inf_each([x for p in sets for x in (
         p.a * p.b * rq * z, p.alpha * p.beta * rq / z,
@@ -107,18 +106,19 @@ def biortho_weight(z, p: BiorthoParams):
     parameter factors, multiplied as ((S C) D) / den.
     """
     szego = szego_weight(z, p.q)
-    [(C, D, den)] = _parameter_factors(z, [p])
+    [(C, D, den)] = _parameter_factors(z, p.q, [p])
     return _maybe_scalar(szego * C * D / den)
 
 
 def weight_rows(grid: CircleGrid, sets) -> np.ndarray:
-    """biortho_weight(z_j, p) to the last bit for each set, shape (P, N),
-    from the Szego pair row that all sets share and the parameter factors,
-    those the grid does not hold yet sampled in one kernel call."""
-    (q,) = {p.q for p in sets}
-    S = grid.rows(szego_weight, q, 0, q)[0]
-    return np.stack([S * C * D / den for C, D, den
-                     in grid.rows_each(_parameter_factors, q, sets)])
+    """biortho_weight(z_j, p) to the last bit for each set, shape (P, N): the
+    grid's Szego q-product row 0 times each set's parameter factors, those
+    not held yet sampled in one kernel call; ValueError if one overflows."""
+    (q,) = {p.q for p in sets}  # one base for the batch
+    (S,) = grid.rows(product_rows, q, [0])
+    factors = grid.rows(_parameter_factors, q, sets)
+    with representable(f"the biortho weight rows overflow at q={q}"):
+        return np.stack([S * C * D / den for C, D, den in factors])
 
 
 def shifted_weight_rows(grid: CircleGrid, p: BiorthoParams,
@@ -220,7 +220,7 @@ def biortho_gram(max_n: int, p: BiorthoParams, grid: CircleGrid,
     norms = biortho_norms(max_n, p)  # an underflowed kappa raises first
     G = imn_table(max_n + 1, p, grid, weight_rows(grid, [p])[0])
     return gram_check("biorthogonality", G, norms, tol, grid.n_nodes,
-                      p.as_dict(), max_n=max_n)
+                      p.as_dict())
 
 
 def lowering_coefficient(n: int, p: BiorthoParams) -> complex:

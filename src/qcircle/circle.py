@@ -3,14 +3,14 @@ operator D_q with its adjoint T_q.
 
 A function f on the circle is an array of rows F[k] = f(q^k z): D_q f and
 T_q f at q^k z need rows k and k+1, T_q^n f at z rows 0..n.  Verdicts use
-rows only: `CircleGrid.rows` samples a callable once per grid, and
-`laurent_values` evaluates a batch of Laurent polynomials at stacked shifted
-points in one in-place Horner pass (a 0-d point stays on numpy's 0-d
-arithmetic); `shifted` samples a callable's rows for the callable API.  Ladder
-verdicts take (1/w) T_q(w f) as T_q of the rows w(q^k z)/w(z) f(q^k z), so
-only the q-Sturm-Liouville weight goes through `over_weight`.  The adapters
-`dq_apply`/`tq_apply`/`tq_iterate`, `contour_mean` and `inner_product_c` are
-the callable API and the tests' oracle.
+rows only: `CircleGrid.rows`, the one cache, samples each item of a sampler
+once per grid, and `laurent_values` evaluates a batch of Laurent polynomials
+at stacked shifted points in one in-place Horner pass (a 0-d point stays on
+numpy's 0-d arithmetic); `shifted` samples a callable's rows for the callable
+API.  Ladder verdicts take (1/w) T_q(w f) as T_q of the rows w(q^k z)/w(z)
+f(q^k z), so only the q-Sturm-Liouville weight goes through `over_weight`.
+The adapters `dq_apply`/`tq_apply`/`tq_iterate`, `contour_mean` and
+`inner_product_c` are the callable API and the tests' oracle.
 Trapezoid quadrature on equispaced nodes is exact for Laurent polynomials
 with degree span < N and spectrally accurate for analytic integrands.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WeightUnderflow
-from .qcore import _maybe_scalar, qval
+from .qcore import _maybe_scalar, qval, representable
 from .report import IdentityReport, nan_max, worst
 
 UNDERFLOW_FLOOR = 1e-300  # smallest weight `over_weight` divides by
@@ -50,24 +50,13 @@ class CircleGrid:
         theta = 2.0 * np.pi * np.arange(n) / n
         object.__setattr__(self, "nodes", np.exp(1j * theta))
 
-    def rows(self, f, q, depth: int, *args) -> np.ndarray:
-        """A copy of the rows f(q^k z_j, *args), k = 0..depth, at the nodes.
-
-        Rows are sampled once per (f, args, q) on this grid, and a deeper
-        request calls f only for the rows not held yet.
-        """
-        qv = qval(q)
-        held = self._samples.setdefault((f, args, qv), [])
-        for t in _shifted_points(self.nodes, qv, depth)[len(held):]:
-            held.append(np.asarray(f(t, *args), dtype=complex))
-        return np.stack(held[:depth + 1])
-
-    def rows_each(self, f, q, items) -> list:
-        """f(nodes, items)'s value for each item, held per (f, item, q) like
-        `rows` (not copied): one call of f samples the items not held yet."""
+    def rows(self, f, q, items) -> list:
+        """f's value at the nodes for each item, kept per (f, item, q) on
+        this grid and returned uncopied: one call f(nodes, q, new) samples
+        the items not held yet."""
         qv, held = qval(q), self._samples
         new = [x for x in dict.fromkeys(items) if (f, x, qv) not in held]
-        for x, value in zip(new, f(self.nodes, new) if new else ()):
+        for x, value in zip(new, f(self.nodes, qv, new) if new else ()):
             held[f, x, qv] = value
         return [held[f, x, qv] for x in items]
 
@@ -133,23 +122,24 @@ def gram_matrix(left, right, w) -> np.ndarray:
     in the order of the expression, so no table-sized temporary is made
     per row.  A table against itself under one real row w gives a Hermitian
     G: row m then sums n >= m only, and the entries below the diagonal are
-    the conjugates of those above."""
+    the conjugates of those above.  ValueError if an entry overflows."""
     hermitian = left is right and np.isrealobj(w)
     left, right = np.asarray(left), np.asarray(right)
     buf = np.empty(np.broadcast(right, w).shape,
                    dtype=np.result_type(left, right, w))
     G = np.empty((len(left), *buf.shape[:-1]), dtype=buf.dtype)
-    for m, lm in enumerate(left):
-        n = m if hermitian else 0
-        np.multiply(np.conj(lm), right[n:], out=buf[n:])
-        np.multiply(buf[n:], w, out=buf[n:])
-        G[m, n:] = np.mean(buf[n:], axis=-1)
-        if hermitian:
-            G[m + 1:, m] = np.conj(G[m, m + 1:])
+    with representable(f"the {len(left)} x {len(right)} Gram matrix overflows"):
+        for m, lm in enumerate(left):
+            n = m if hermitian else 0
+            np.multiply(np.conj(lm), right[n:], out=buf[n:])
+            np.multiply(buf[n:], w, out=buf[n:])
+            G[m, n:] = np.mean(buf[n:], axis=-1)
+            if hermitian:
+                G[m + 1:, m] = np.conj(G[m, m + 1:])
     return G
 
 
-def gram_check(name, G, norms, tol, grid_size, params, **notes):
+def gram_check(name, G, norms, tol, grid_size, params):
     """(G, norms, report): the worse of a gram_matrix G's largest
     |off-diagonal| and relative error against `norms`, NaN if any is, in
     Python's complex arithmetic on one G.tolist()."""
@@ -159,7 +149,7 @@ def gram_check(name, G, norms, tol, grid_size, params, **notes):
                           for n in size))
     report = IdentityReport(
         name, nan_max(off, diag), tol, grid_size, params,
-        notes={"max_offdiag": off, "max_diag_rel_err": diag, **notes})
+        notes={"max_offdiag": off, "max_diag_rel_err": diag})
     return G, norms, report
 
 

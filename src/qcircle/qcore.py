@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from itertools import accumulate
 from typing import Sequence
 
@@ -32,6 +33,17 @@ def qval(q) -> float:
     if not 0.0 < qv < 1.0:
         raise ValueError(f"q must satisfy 0 < q < 1 strictly, got {qv!r}")
     return qv
+
+
+@contextmanager
+def representable(message: str):
+    """Raise ValueError(message) in place of an overflow, a division by zero
+    or an invalid operation in the block, numpy's or Python's."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except ArithmeticError:
+        raise ValueError(message) from None
 
 
 def _maybe_scalar(x: np.ndarray):

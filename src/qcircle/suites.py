@@ -67,18 +67,17 @@ def random_laurent_rows(rng: np.random.Generator, count: int, deg_range: int,
     return laurent_values(coeffs, -deg_range, points)
 
 
-def adjointness_report(q, grid: CircleGrid, seed: int, n_pairs: int = 100,
-                       deg_range: int = 5,
-                       tol: float = 1e-11) -> IdentityReport:
-    """Max |<D_q f, g>_c - <f, T_q g>_c| over seeded random Laurent pairs,
-    all pairs in one batch of rows."""
+def adjointness_report(q, grid: CircleGrid, seed: int,
+                       n_pairs: int = 100) -> IdentityReport:
+    """Max |<D_q f, g>_c - <f, T_q g>_c| over seeded random Laurent pairs of
+    degrees -5..5, all pairs in one batch of rows, to 1e-11."""
     qv, z = qval(q), grid.nodes[None]
-    rows = random_laurent_rows(np.random.default_rng(seed), 2 * n_pairs,
-                               deg_range, grid, qv, 1)
+    rows = random_laurent_rows(np.random.default_rng(seed), 2 * n_pairs, 5,
+                               grid, qv, 1)
     F, G = rows[:, 0::2], rows[:, 1::2]
     lhs = np.mean(dq_rows(F, z, qv)[0] * np.conj(G[0]), axis=-1)
     rhs = np.mean(F[0] * np.conj(tq_rows(G, z, qv)[0]), axis=-1)
-    return IdentityReport("adjointness", worst((lhs - rhs).tolist()), tol,
+    return IdentityReport("adjointness", worst((lhs - rhs).tolist()), 1e-11,
                           grid.n_nodes,
                           {"q": qv, "pairs": n_pairs, "seed": seed})
 
@@ -145,9 +144,7 @@ def kappa_random_report(q, grid: CircleGrid, seed: int,
 
 
 def biortho_suite(cfg: SuiteConfig) -> list[IdentityReport]:
-    grid = cfg.grid
-    p = cfg.biortho_params()
-    tol = cfg.tolerance
+    grid, p, tol = cfg.grid, cfg.biortho_params(), cfg.tolerance
     # One I[m, n] at p: the total mass, the Gram and the chain's block.
     G, norms, gram_rep = biortho.biortho_gram(cfg.max_n, p, grid, tol)
     reports = [
@@ -159,7 +156,7 @@ def biortho_suite(cfg: SuiteConfig) -> list[IdentityReport]:
         # The Szego Pearson step -1/(q^{1/2} z) of the raising ratio rows,
         # on the q-product row that the weight rows above share.
         szego.weight_pearson_check(
-            grid.rows(szego.szego_weight, cfg.q, 0, cfg.q)[0], cfg.q, grid, 1),
+            grid.rows(szego.product_rows, cfg.q, [0])[0], cfg.q, grid, 1),
         gram_rep,
     ]
     reports += biortho.ladder_reports(cfg.max_n, p, grid, tol)
@@ -217,12 +214,11 @@ def sears_involution_report(q) -> IdentityReport:
 
 
 def qsl_suite(cfg: SuiteConfig) -> list[IdentityReport]:
-    grid = cfg.grid
-    q = cfg.q
-    # Row 0 is the biortho suite's q-product weight row.  validate names a
-    # non-finite weight, so the sampling's overflow warnings stay silent.
+    grid, q = cfg.grid, cfg.q
+    # The q-product rows 0 and 1 the biortho suite samples.  validate names
+    # a non-finite weight, so the sampling's overflow warnings stay silent.
     with np.errstate(over="ignore", invalid="ignore"):
-        W = grid.rows(szego.szego_weight, q, 1, q)
+        W = np.stack(grid.rows(szego.product_rows, q, (0, 1)))
     qsl.validate(W)
     H = szego.poly_rows(max(cfg.max_n, 2), q, grid.nodes, 2)  # and H_1, H_2
     anchor = qsl.eigen_residual(

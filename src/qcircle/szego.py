@@ -17,7 +17,7 @@ from .circle import (CircleGrid, LaurentPoly, _shifted_points, dq_rows,
 from .errors import WeightUnderflow
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, _maybe_scalar,
                     jacobi_triple_product, qpochhammer_inf, qval,
-                    theta_sum)
+                    representable, theta_sum)
 from .report import IdentityReport, worst
 
 
@@ -34,14 +34,11 @@ def _coefficients(n, q) -> np.ndarray:
     if top < 0:
         raise ValueError("degree must be nonnegative")
     qq, k = _running_qq(top, qv), np.arange(top + 1)
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            powers = [qv**(-j / 2.0) for j in range(top + 1)]
-            return np.divide(qq[n], qq[k] * qq[n - k], where=k <= n,
-                             out=np.zeros(np.broadcast(n, k).shape)) * powers
-    except ArithmeticError:  # q^{-n/2} overflows or (q;q)_n underflows to 0
-        raise ValueError(f"the coefficients of H_n are not representable at "
-                         f"n={top}, q={qv}") from None
+    with representable(f"the coefficients of H_n are not representable at "
+                       f"n={top}, q={qv}"):
+        powers = [qv**(-j / 2.0) for j in range(top + 1)]
+        return np.divide(qq[n], qq[k] * qq[n - k], where=k <= n,
+                         out=np.zeros(np.broadcast(n, k).shape)) * powers
 
 
 def coefficient_table(max_n: int, q) -> np.ndarray:
@@ -67,11 +64,18 @@ def szego_weight(z, q):
                          * np.asarray(qpochhammer_inf(rq / z, qv)))
 
 
-def _dual_rows(z, bases) -> list:
-    """circle_weight's row at the N grid nodes z for each (q, mass)."""
+def product_rows(z, q, depths) -> list:
+    """The Szego q-product rows: szego_weight at q^k z, each point q times
+    the last (_shifted_points), for each k in `depths`."""
+    points = _shifted_points(z, q, max(depths))
+    return [np.asarray(szego_weight(points[k], q)) for k in depths]
+
+
+def _dual_rows(z, qv, masses) -> list:
+    """circle_weight's row at the N grid nodes z for each mass."""
     n = len(z)
     rows = []
-    for qv, mass in bases:
+    for mass in masses:
         tau = -math.log(qv)
         c = math.pi**2 / (2.0 * tau)
         # Terms past |m| = M fall below e^{-4 c M (M + 1)} <= e^{-40} of the
@@ -99,9 +103,7 @@ def circle_weight(grid: CircleGrid, q, mass: float) -> np.ndarray:
     phi_j being theta_j + pi reduced to [-pi, pi), and mass the total mass
     1/(q;q)_inf (szego_norms' first entry).  L sits inside exp, whose
     factors alone underflow near q = 1.  Built once per grid and q."""
-    qv = qval(q)
-    (row,) = grid.rows_each(_dual_rows, qv, [(qv, mass)])
-    return row
+    return grid.rows(_dual_rows, q, [mass])[0]
 
 
 def weight_ratio_rows(z, q, depth: int) -> np.ndarray:
@@ -112,26 +114,22 @@ def weight_ratio_rows(z, q, depth: int) -> np.ndarray:
     size q^{-k^2/2}: ValueError if a row is not representable."""
     qv = qval(q)
     R = [np.ones(np.shape(z), dtype=complex)]
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            for t in _shifted_points(z, qv, depth)[:-1]:
-                R.append(R[-1] / (-math.sqrt(qv) * t))
-    except ArithmeticError:  # q^{-k^2/2} overflows
-        raise ValueError(f"the Pearson ratio rows w(q^k z)/w(z) are not "
-                         f"representable at depth={depth}, q={qv}") from None
+    with representable(f"the Pearson ratio rows w(q^k z)/w(z) are not "
+                       f"representable at depth={depth}, q={qv}"):
+        for t in _shifted_points(z, qv, depth)[:-1]:
+            R.append(R[-1] / (-math.sqrt(qv) * t))
     return np.stack(R)
 
 
 def weight_pearson_check(row, q, grid: CircleGrid,
                          depth: int) -> IdentityReport:
     """A Szego weight row at the grid nodes (circle_weight's or the
-    q-product's) times weight_ratio_rows' row `depth` against a direct
-    szego_weight at q^depth z: the largest relative difference over the
+    q-product's) times weight_ratio_rows' row `depth` against the grid's
+    product_rows row `depth`: the largest relative difference over the
     grid, NaN if any is."""
     qv = qval(q)
     shifted_row = row * weight_ratio_rows(grid.nodes, qv, depth)[depth]
-    direct = np.asarray(szego_weight(
-        _shifted_points(grid.nodes, qv, depth)[depth], qv))
+    (direct,) = grid.rows(product_rows, qv, [depth])
     residual = worst(shifted_row - direct, np.abs(direct))
     return IdentityReport("szego_weight_pearson", residual, ALGEBRAIC_TOL,
                           grid.n_nodes, {"q": qv, "depth": depth})

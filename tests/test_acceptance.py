@@ -22,8 +22,8 @@ from qcircle.qsl import m_apply, symmetry_residuals
 from qcircle.suites import (adjointness_report, random_balanced_sears,
                             random_laurent_rows)
 from qcircle.szego import (jacobi_triple_check, ladder_reports,
-                           sturm_liouville_eigenvalue, szego_gram, szego_norms,
-                           szego_poly, szego_weight)
+                           product_rows, sturm_liouville_eigenvalue,
+                           szego_gram, szego_norms, szego_poly, szego_weight)
 
 Q = 0.5
 BASE_PARAMS = BiorthoParams(0.3, 0.2, 0.4, 0.1, Q)
@@ -56,8 +56,7 @@ def test_criterion_01_szego_orthogonality():
 
 
 def test_criterion_02_adjointness():
-    rep = adjointness_report(Q, CircleGrid(64), seed=0, n_pairs=100,
-                             deg_range=5, tol=1e-11)
+    rep = adjointness_report(Q, CircleGrid(64), seed=0, n_pairs=100)
     _verdict("criterion 2: adjointness, 100 random pairs, span<=10, N=64",
              rep.passed, f"max_residual={rep.residual:.2e}")
 
@@ -195,8 +194,8 @@ def test_criterion_11_qsl_anchor():
             np.asarray(m_apply(w, h, Q)(z)) - lam * h(z)))) / scale)
     # 50 polynomials from default_rng(0), degrees -4..4, in one batch.
     rows = random_laurent_rows(np.random.default_rng(0), 50, 4, grid, Q, 2)
-    _, form, form_res = symmetry_residuals(grid.rows(w, Q, 1), rows, rows, Q,
-                                           grid)
+    W = np.stack(grid.rows(product_rows, Q, (0, 1)))
+    _, form, form_res = symmetry_residuals(W, rows, rows, Q, grid)
     min_form = min(f.real for f in form)
     if not all(r < 1e-8 for r in form_res):
         min_form = -math.inf

@@ -328,9 +328,9 @@ class TestWeightRows:
         grid, batches = CircleGrid(64), []
         factors = qcircle.biortho._parameter_factors
 
-        def counted(z, sets):
+        def counted(z, q, sets):
             batches.append(list(sets))
-            return factors(z, sets)
+            return factors(z, q, sets)
 
         monkeypatch.setattr(qcircle.biortho, "_parameter_factors", counted)
         shift = replace(P, alpha=Q * P.alpha)
@@ -366,9 +366,9 @@ class TestShiftedWeightRows:
         grid, batches = CircleGrid(64), []
         factors = qcircle.biortho._parameter_factors
 
-        def counted(z, sets):
+        def counted(z, q, sets):
             batches.append(list(sets))
-            return factors(z, sets)
+            return factors(z, q, sets)
 
         monkeypatch.setattr(qcircle.biortho, "_parameter_factors", counted)
         table = table_at(4, grid=grid)

@@ -9,7 +9,7 @@ from qcircle.circle import (CircleGrid, LaurentPoly, contour_mean, dq_apply,
                             tq_power, tq_rows)
 from qcircle.cli import main
 from qcircle.suites import adjointness_report, random_laurent_rows
-from qcircle.szego import szego_poly, szego_weight
+from qcircle.szego import product_rows, szego_poly, szego_weight
 
 
 def random_laurent(rng, min_deg, max_deg):
@@ -206,26 +206,34 @@ class TestRows:
         grid = CircleGrid(16)
         calls = []
 
-        def f(t, c):
-            calls.append(c)
-            return c * t
+        def f(z, q, items):
+            calls.append((q, items))
+            return [c * q * z for c in items]
 
-        first = grid.rows(f, 0.5, 1, 2.0)
+        first = grid.rows(f, 0.5, [1.0, 2.0])
+        assert calls == [(0.5, [1.0, 2.0])]
+        again = grid.rows(f, "0.5", [2.0, 3.0, 2.0, 3.0])
+        # One call for the items not held, each once; held values uncopied.
+        assert calls[1:] == [(0.5, [3.0])]
+        assert again[0] is first[1] and again[2] is first[1]
+        assert again[3] is again[1]
+        assert np.array_equal(again[1], 1.5 * grid.nodes)
+        held = grid.rows(f, 0.5, [1.0, 3.0, 2.0])
+        assert [id(x) for x in held] == [id(first[0]), id(again[1]),
+                                         id(first[1])]
+        assert grid.rows(f, 0.5, []) == []
         assert len(calls) == 2
-        deeper = grid.rows(f, 0.5, 3, 2.0)
-        assert len(calls) == 4
-        assert np.array_equal(deeper[:2], first)
-        assert np.array_equal(deeper, shifted(lambda t: 2.0 * t, grid.nodes,
-                                              0.5, 3))
-        assert np.array_equal(grid.rows(f, 0.5, 2, 2.0), deeper[:3])
-        assert len(calls) == 4
-        deeper[0] = 0.0  # a copy: the grid's samples are not settable
-        assert np.array_equal(grid.rows(f, 0.5, 0, 2.0)[0], first[0])
-        grid.rows(f, 0.25, 0, 2.0)  # another q
-        grid.rows(f, 0.5, 0, 3.0)  # other arguments
-        assert len(calls) == 6
-        assert len(CircleGrid(16).rows(f, 0.5, 0, 2.0)) == 1  # another grid
-        assert len(calls) == 7
+        grid.rows(f, 0.25, [1.0])  # another q
+        grid.rows(lambda z, q, items: f(z, q, items), 0.5, [1.0])  # another f
+        CircleGrid(16).rows(f, 0.5, [1.0])  # another grid
+        assert calls[2:] == [(0.25, [1.0]), (0.5, [1.0]), (0.5, [1.0])]
+
+    def test_product_rows_are_the_shifted_weight_rows(self):
+        q, grid = 0.7, CircleGrid(64)
+        rows = grid.rows(product_rows, q, [3, 0, 1])
+        want = shifted(lambda t: szego_weight(t, q), grid.nodes, q, 3)
+        for k, row in zip([3, 0, 1], rows):
+            assert row.tobytes() == want[k].tobytes()
 
     def test_verify_all_samples_the_szego_weight_once_per_row(
             self, monkeypatch, capsys):

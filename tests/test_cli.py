@@ -114,8 +114,7 @@ class TestEval:
         # verdicts judge at that grid node.
         grid = CircleGrid(64)
         if subject == "weight":
-            row = grid.rows(qcircle.szego.szego_weight, float(q), 0,
-                            float(q))[0]
+            (row,) = grid.rows(qcircle.szego.product_rows, float(q), [0])
         else:
             p = BiorthoParams(*(four_params(params) if params
                                 else DEFAULT_PARAMS), float(q))
@@ -465,6 +464,32 @@ class TestNoFalsePass:
         # truncation bound and from q**(-k/2), ZeroDivisionError from an
         # underflowed (q;q)_k.  The Pearson ratio rows, of size q^{-k^2/2},
         # exited 1 with numpy's overflow warnings on stderr.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(invariant)
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, invariant", [
+        *[(["verify", suite, "--max-n", "5", "--grid", "256", "--q", q,
+            "--seed", seed],
+           f"error: the biortho weight rows overflow at q={q}")
+          for suite in ("biortho", "all")
+          for q, seed in (("0.996", "2"), ("0.9965", "2"), ("0.9968", "2"),
+                          ("0.997", "1"))],
+        *[([command, "biortho", "--max-n", n, "--grid", "64"],
+           f"error: the {int(n) + 1} x {int(n) + 1} Gram matrix overflows")
+          for command, n in (("verify", "35"), ("verify", "40"),
+                             ("gram", "40"))],
+    ], ids=["biortho-0.996", "biortho-0.9965", "biortho-0.9968",
+            "biortho-0.997", "all-0.996", "all-0.9965", "all-0.9968",
+            "all-0.997", "verify-gram-35", "verify-gram-40", "gram-40"])
+    def test_overflow_exits_2_naming_what_overflowed(self, argv, invariant,
+                                                     capsys):
+        # verify biortho exited 1 after numpy's overflow warnings, from the
+        # random sets' weights S C D / den near q = 1 (their kappas are
+        # representable) and from the Gram entries of 36 and 41 degrees of
+        # the direct r_n sum; verify all exited 2 with the warnings first.
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

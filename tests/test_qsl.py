@@ -7,15 +7,15 @@ from qcircle.qsl import (EIGEN_CERT_TOL, eigen_orthogonality_check,
                          eigen_residual, m_apply, symmetry_residuals, validate)
 from qcircle.report import nan_max
 from qcircle.suites import random_laurent_rows
-from qcircle.szego import (poly_rows, sturm_liouville_eigenvalue, szego_poly,
-                           szego_weight)
+from qcircle.szego import (poly_rows, product_rows, sturm_liouville_eigenvalue,
+                           szego_poly, szego_weight)
 
 GRID = CircleGrid(256)
 
 
 def szego_rows(q):
     """The Szego weight's rows (w(z), w(qz)) at the grid nodes."""
-    return GRID.rows(szego_weight, q, 1, q)
+    return np.stack(GRID.rows(product_rows, q, (0, 1)))
 
 
 def ones(z):

@@ -112,17 +112,16 @@ def test_suite_config_grid_size_from_a_numpy_integer():
 def test_notes_hold_only_evidence_of_their_own_residual(capsys):
     # The recursion chain's i00_shifted_closed_form reports carried
     # closed_vs_shifted_kappa, a distance that no residual read.
-    # biorthogonality's max_n is its Gram's size, not a note of evidence.
+    # biorthogonality carried max_n, its Gram's size.
     evidence = {"max_offdiag", "max_diag_rel_err", "max_negative_mode",
                 "weighted_inner_product", "min_real", "max_imag"}
     main(["verify", "all", "--max-n", "5", "--grid", "256", "--q", "0.5",
           "--format", "json"])
     reports = json.loads(capsys.readouterr().out)["reports"]
     for report in reports:
-        size = {"max_n"} if report["name"] == "biorthogonality" else set()
-        assert set(report["notes"]) <= evidence | size, report["name"]
+        assert set(report["notes"]) <= evidence, report["name"]
     assert {key for report in reports for key in report["notes"]} \
-        == evidence | {"max_n"}
+        == evidence
 
 
 def test_suite_config_fields():
@@ -158,10 +157,11 @@ def test_verify_all_samples_rows_on_one_grid(monkeypatch):
         count(name, *owners)
     run_suite("all", SuiteConfig(q=0.5, max_n=5, grid_size=256, seed=3))
     # M applied once each to the anchor, to f and g, and to H_1 and H_2.
-    # The weight: the grid's row 0, which the qsl suite shares with the
-    # szego and biortho suites, its row 1, two direct Pearson references
-    # and biortho_weight at 1/z of the weight symmetry check.
-    assert calls == {"__post_init__": 1, "_m_rows": 4, "szego_weight": 5}
+    # The weight: the grid's q-product rows 0 and 1, which the biortho
+    # suite's weight rows and Pearson check sample and the qsl suite reads,
+    # its row 5, the szego suite's Pearson reference, and biortho_weight at
+    # 1/z of the weight symmetry check.
+    assert calls == {"__post_init__": 1, "_m_rows": 4, "szego_weight": 4}
     assert not hasattr(qsl, "certify_eigenpair")
 
 

@@ -484,13 +484,13 @@ class TestCircleWeight:
         calls = []
         build = qcircle.szego._dual_rows
 
-        def counted(z, bases):
-            calls.append(bases)
-            return build(z, bases)
+        def counted(z, q, masses):
+            calls.append((q, masses))
+            return build(z, q, masses)
 
         monkeypatch.setattr(qcircle.szego, "_dual_rows", counted)
         reports = szego_suite(SuiteConfig(q=0.5, max_n=3, grid_size=64))
-        assert calls == [[(0.5, szego_norms(0, 0.5)[0])]]
+        assert calls == [(0.5, [szego_norms(0, 0.5)[0]])]
         (positivity,) = [r for r in reports
                          if r.name == "szego_weight_positivity"]
         assert positivity.residual == 0.0

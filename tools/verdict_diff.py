@@ -117,6 +117,13 @@ SWEEP = (
        for suite in ("szego", "all")]
     # The biortho suite alone where kappa underflows (exit 2, one error line).
     + [["verify", "biortho", "--max-n", "5", "--grid", "256", "--q", "0.998"]]
+    # Pearson ratio rows of depth 60 that overflow (exit 2, one error line).
+    + [["verify", suite, "--max-n", "60", "--grid", "64", "--q", "0.3"]
+       for suite in ("szego", "all")]
+    # A random set's weight row overflows while its kappa is representable
+    # (exit 2, one error line).
+    + [["verify", "all", "--max-n", "5", "--grid", "256", "--q", "0.996",
+        "--seed", "2"]]
     # A loose --tol: the reports it sets read 1e-6, the algebraic identities
     # keep 1e-12 and adjointness and sears_involution 1e-11.
     + [["verify", "all", "--max-n", "5", "--grid", "256", "--q", "0.5",
