@@ -7,6 +7,7 @@ biorthogonality relation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -173,7 +174,10 @@ def biortho_norms(max_n: int, p: BiorthoParams) -> list:
     kappa * (q, a alpha, ab alpha beta q^{n-1}; q)_n (b beta)^n
     / [(b beta; q)_n (ab alpha beta; q)_{2n}], with one kappa_closed.
     Raises DegenerateParameters at b beta = 0 and max_n >= 1, where every
-    h_n with n >= 1 vanishes and the relative diagonal check divides by it.
+    h_n with n >= 1 vanishes and the relative diagonal check divides by it,
+    and WeightUnderflow when an h_n underflows below the smallest normal
+    float, as about (b beta)^n does (n >= 220 at the default set, q = 0.5):
+    a subnormal h_n has lost its digits, and 0 would divide by zero.
     """
     if max_n < 0:
         raise ValueError("index must be nonnegative")
@@ -189,6 +193,11 @@ def biortho_norms(max_n: int, p: BiorthoParams) -> list:
                * (p.b * p.beta)**n)
         den = qpochhammer(p.b * p.beta, qv, n) * qpochhammer(abab, qv, 2 * n)
         norms.append(kappa * num / den)
+        if abs(norms[-1]) < sys.float_info.min:
+            raise WeightUnderflow(
+                f"the closed-form norm h_{n} underflowed below the smallest "
+                f"normal float at q={qv}: the norms h_n, n >= {n}, are not "
+                f"representable")
     return norms
 
 
@@ -245,28 +254,55 @@ def raising_coefficient(p: BiorthoParams) -> complex:
 
 def r_rows(degrees: range, p: BiorthoParams, z, depth: int) -> np.ndarray:
     """Rows r_n(q^k z; p), shape (depth+1, len(degrees), N), n in `degrees`,
-    a range, as one table: the 4phi3 of r_fn summed term by term.  Step k
-    builds the rows that depend on k alone once and advances the degrees
-    n > k, so a row's bits do not depend on which degrees, or (N >= 2) how
-    many points, share its table.  Every r_n and s_n is sampled here."""
+    a range, as one table from r_fn's three-term recurrence in n at
+    t = q^k z (the normalized Askey-Wilson recurrence, Koekoek, Lesky and
+    Swarttouw 14.1, times A = b q^{1/4} t^{1/2}), r_0 = 1:
+
+      A_n r_{n+1} = (b q^{1/2} - 1 + (b - b^2 q^{1/2}) t + A_n + C_n) r_n
+                    - C_n r_{n-1},
+      A_n = K_n (1 - ab q^{n+1/2} t),   C_n = L_n (t - alpha beta q^{n-3/2}),
+
+    with scalars K_n, L_n (below).  At n = 0 they take their cancelled
+    forms, K_0 = (1 - b alpha)(1 - b beta)/(1 - lambda) and C_0 = 0, as the
+    general ones read 0/0 at lambda = ab alpha beta = q or q^2.  Every table
+    runs the same steps from n = 0, so a row's bits do not depend on which
+    degrees, or (N >= 2) how many points, share its table.  ValueError
+    where a row is not finite, as at a pole t = q^{-n-1/2}/(ab) of r_{n+1}.
+    Every r_n and s_n is sampled here."""
     qv, rq = p.q, math.sqrt(p.q)
-    t = np.stack(_shifted_points(z, qv, depth))[:, None]
-    abab, brq, abrq = p.a * p.b * p.alpha * p.beta, p.b * rq, p.a * p.b * rq
-    term = np.ones((depth + 1, len(degrees), *np.shape(z)), dtype=complex)
-    total, num = term.copy(), np.empty_like(term)
-    for k in range(max(degrees, default=0)):
-        qk, live = qv**k, slice(max(k + 1 - degrees.start, 0), None)
-        scalars = [(1.0 - qv**(k - n)) * (1.0 - abab * qv**(n - 1) * qk)
-                   * (1.0 - brq * qk) for n in degrees[live]]
-        np.multiply(np.array(scalars)[:, None], 1.0 - p.b * t * qk,
-                    out=num[:, live])
-        num[:, live] /= ((1.0 - qv**(k + 1)) * (1.0 - p.b * p.alpha * qk)
-                         * (1.0 - p.b * p.beta * qk)
-                         * (1.0 - abrq * t * qk))
-        term[:, live] *= num[:, live]
-        term[:, live] *= qv
-        total[:, live] += term[:, live]
-    return total
+    a, alpha, b, beta = p.a, p.alpha, p.b, p.beta
+    lam, size = a * b * alpha * beta, max(degrees, default=-1) + 1
+    t = np.stack(_shifted_points(z, qv, depth))
+    table = np.empty((depth + 1, size, *np.shape(z)), dtype=complex)
+    table[:, :1] = 1.0
+    work = np.empty_like(t)
+    with representable(f"r_n is not finite at a point of its table, n < "
+                       f"{size}, q={qv}: a pole q^(-n-1/2)/(ab) or an "
+                       f"overflow"):
+        for n in range(size - 1):
+            qn = qv**n
+            # lambda q^{2n-1} and lambda q^{2n}
+            odd, even = lam * qn * qn / qv, lam * qn * qn
+            K = ((1.0 - b * alpha * qn) * (1.0 - b * beta * qn)
+                 * ((1.0 - lam * qn / qv) / (1.0 - odd) if n else 1.0)
+                 / (1.0 - even))
+            L = (b * b * rq * (1.0 - qn) * (1.0 - a * alpha * qn / qv)
+                 * (1.0 - a * beta * qn / qv)
+                 / ((1.0 - odd / qv) * (1.0 - odd)) if n else 0.0)
+            u, m = a * b * rq * qn, alpha * beta * qn / (qv * rq)
+            out = table[:, n + 1]
+            np.multiply(t, b - b * b * rq - K * u + L, out=out)
+            out += b * rq - 1.0 + K - L * m
+            out *= table[:, n]
+            if n:  # C_0 = 0
+                np.subtract(t, m, out=work)
+                work *= L
+                work *= table[:, n - 1]
+                out -= work
+            np.multiply(t, -K * u, out=work)
+            work += K
+            out /= work
+    return table[:, degrees.start:]
 
 
 def raising_ratio_rows(z, p: BiorthoParams) -> np.ndarray:

@@ -202,3 +202,26 @@ def test_criterion_11_qsl_anchor():
     _verdict("criterion 11: generic M reproduces the Szego eigen-problem + "
              "form positivity", worst < 1e-9 and min_form >= -1e-10,
              f"max_eigen_residual={worst:.2e} min_form={min_form:.2e}")
+
+
+def test_criterion_12_biortho_to_degree_10():
+    # Criteria 6 and 7's bounds at n <= 10, where the direct 4phi3 sum of
+    # r_n read 5.8e-3, 3.0e9 and 0.14.
+    grid = CircleGrid(512)
+    worst_off, worst_diag = 0.0, 0.0
+    for p in (BASE_PARAMS, CONJ_PARAMS):
+        G, norms, _ = biortho_gram(10, p, grid)
+        for m in range(11):
+            for n in range(11):
+                if m == n:
+                    worst_diag = max(worst_diag,
+                                     abs(G[n, n] - norms[n]) / abs(norms[n]))
+                else:
+                    worst_off = max(worst_off, abs(G[m, n]))
+    ladder = max(r.residual for r in
+                 biortho_ladder_reports(10, BASE_PARAMS, CircleGrid(256)))
+    _verdict("criterion 12: biortho 11x11 Gram (real + conjugate-symmetric "
+             "sets, N=512) and ladder n<=10",
+             worst_off < 1e-9 and worst_diag < 1e-8 and ladder < 1e-9,
+             f"offdiag={worst_off:.2e} diag_rel={worst_diag:.2e} "
+             f"ladder={ladder:.2e}")

@@ -119,8 +119,8 @@ class TestRFn:
 
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_one_table_of_one_row(self, monkeypatch, n):
-        # Step k of the table advances the one row: a single degree costs
-        # n steps, not the n + 1 rows of r_rows(range(n + 1)).
+        # r_fn asks for the one degree: its value is that row of every
+        # table, and s_n is the table at the swapped set.
         tables, _ = counted_tables(monkeypatch)
         r_fn(n, GRID.nodes, P)
         s_fn(n, 0.5 + 0.1j, P)
@@ -697,30 +697,34 @@ def mp_r_terms(n, z, p, mpmath):
 
 
 class TestRRowsOracle:
-    """r_rows, the one direct sum of r_n and s_n, against its terms summed
-    at mpmath's precision, on the circle and off it.  The terms grow like
-    q^(-n^2/2) and cancel, so the bound scales with sum |t_k|, not |r_n|:
-    |R - r_n| <= 8 max(n, 1) eps sum |t_k|.  Measured at 16 points per
-    radius, the worst ratio to max(n, 1) eps sum |t_k| was 2.50 (Pastro,
-    q = 0.9)."""
+    """r_rows, the one recurrence of r_n and s_n, against the 4phi3's terms
+    summed at mpmath's precision, on the circle, off it and at z = 0.  Two
+    bounds: the direct sum's, |R - r_n| <= 8 max(n, 1) eps sum |t_k|, which
+    it met with a worst ratio of 2.50 (Pastro, q = 0.9) and whose terms grow
+    like q^(-n^2/2), and one relative to r_n itself, which the direct sum
+    missed by up to 6e58 at q = 0.1: |R - r_n| <= 2e-14 |r_n|, where the
+    worst measured was 6.5e-15 (complex set, q = 0.5)."""
 
     @pytest.mark.parametrize("p", [P, GENERIC, PASTRO],
                              ids=["default", "complex", "pastro"])
-    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
     def test_mpmath_oracle(self, q, p):
         mpmath = pytest.importorskip("mpmath")
         p, eps = replace(p, q=q), np.finfo(float).eps
-        z = np.concatenate([r * np.exp(2j * np.pi * (np.arange(4) + 0.5) / 4)
-                            for r in (0.5, 1.0, 3.0)])
+        z = np.concatenate([[0.0, 1e-4]] + [
+            r * np.exp(2j * np.pi * (np.arange(4) + 0.5) / 4)
+            for r in (0.5, 1.0, 3.0)])
         R = r_rows(range(13), p, z, 0)[0]
         # n^2 log10(1/q) / 2 + 30 digits at n = 12.
         with mpmath.workdps(math.ceil(72 * math.log10(1 / q)) + 30):
             for n in range(13):
                 for j, zj in enumerate(z):
                     terms = mp_r_terms(n, zj, p, mpmath)
-                    error = abs(mpmath.mpc(R[n, j]) - mpmath.fsum(terms))
+                    exact = mpmath.fsum(terms)
+                    error = abs(mpmath.mpc(R[n, j]) - exact)
                     assert error <= 8 * max(n, 1) * eps * mpmath.fsum(
                         abs(t) for t in terms)
+                    assert error <= 2e-14 * abs(exact)
 
 
 class TestRaisingRatioRows:

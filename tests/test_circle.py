@@ -340,6 +340,16 @@ def test_gram_matrix_bytes(N, P):
             want.tobytes()
 
 
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_gram_matrix_overflow_raises(hermitian):
+    # Entries of 1e200 squared: the guard names the Gram instead of
+    # returning inf with numpy's warnings.
+    H = np.full((3, 8), 1e200 + 0j)
+    w = np.ones(8) if hermitian else np.ones(8, dtype=complex)
+    with pytest.raises(ValueError, match="^the 3 x 3 Gram matrix overflows$"):
+        gram_matrix(H, H, w)
+
+
 @pytest.mark.parametrize("N", [64, 100, 2048])
 @pytest.mark.parametrize("P", [1, 3, 17])
 def test_gram_matrix_hermitian(N, P):

@@ -103,6 +103,20 @@ class TestEval:
                      "--params", "0.3,0.2,0.4,0.1"]) == 0
         assert "r_1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, value", [
+        (["eval", "sn", "--n", "12", "--z", "1"], "+1.152290242332e-12"),
+        (["eval", "rn", "--n", "12", "--z", "0", "--q", "0.1"],
+         "+4.342820376581e-12"),
+        (["eval", "rn", "--n", "12", "--z", "1e-4", "--q", "0.9"],
+         "+1.871527340338e-06"),
+    ], ids=["sn-12-at-1", "rn-12-at-0", "rn-12-near-0"])
+    def test_rn_and_sn_to_the_printed_digits(self, argv, value, capsys):
+        # mpmath's 200-digit 4phi3 sums, rounded to the 13 printed digits.
+        # The direct double sum printed -8192, 0 and 1.871526407626e-06.
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.split(" = ")[1] == f"{value}+0.000000000000e+00i\n"
+
     @pytest.mark.parametrize("q", ["0.5", "0.9"])
     @pytest.mark.parametrize("subject, params", [
         ("weight", None), ("bweight", None),
@@ -183,8 +197,9 @@ class TestVerify:
     @pytest.mark.parametrize("argv, code", [
         (["verify", "sears", "--seed", "7", "--format", "json", "--max-n",
           "3"], 0),
-        # Exit 1: biorthogonality is 2.7e-9 against 1e-10 at the defaults.
-        (["verify", "all", "--seed", "7", "--format", "json"], 1),
+        # Every report passes: biorthogonality read 2.7e-9 against 1e-10
+        # from the direct 4phi3 sum of r_n, 1.4e-15 from its recurrence.
+        (["verify", "all", "--seed", "7", "--format", "json"], 0),
     ], ids=["sears", "all"])
     def test_seeded_output_is_deterministic(self, argv, code, capsys):
         assert main(argv) == code
@@ -457,13 +472,26 @@ class TestNoFalsePass:
         (["verify", "szego", "--max-n", "30", "--grid", "64", "--q", "0.05"],
          "error: the Pearson ratio rows w(q^k z)/w(z) are not representable "
          "at depth=30, q=0.05"),
+        *[([command, "biortho", "--max-n", n, "--grid", "64"],
+           "error: the closed-form norm h_220 underflowed below the "
+           "smallest normal float at q=0.5")
+          for command, n in (("verify", "220"), ("verify", "240"),
+                             ("gram", "240"))],
+        # z = 8 = 1/(ab q^{1/2}), the pole of r_1.
+        (["eval", "rn", "--n", "1", "--z", "8", "--q", "0.25", "--params",
+          "0.5,0.2,0.5,0.1"],
+         "error: r_n is not finite at a point of its table, n < 2, q=0.25"),
     ], ids=["theta", "szego-overflow", "szego-underflow", "pearson-rows",
-            "pearson-rows-all", "pearson-rows-small-q"])
+            "pearson-rows-all", "pearson-rows-small-q", "biortho-norm-220",
+            "biortho-norm-240", "gram-norm-240", "rn-pole"])
     def test_unrepresentable_value_exits_2(self, argv, invariant, capsys):
         # Each ended in a traceback: OverflowError from the theta sum's
         # truncation bound and from q**(-k/2), ZeroDivisionError from an
         # underflowed (q;q)_k.  The Pearson ratio rows, of size q^{-k^2/2},
-        # exited 1 with numpy's overflow warnings on stderr.
+        # exited 1 with numpy's overflow warnings on stderr.  The default
+        # set's closed-form h_n is subnormal from n = 220: its lost digits
+        # failed biorthogonality (exit 1), and an h_n of 0 divided the
+        # relative diagonal by zero (exit 2 naming ZeroDivisionError).
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -477,24 +505,33 @@ class TestNoFalsePass:
           for suite in ("biortho", "all")
           for q, seed in (("0.996", "2"), ("0.9965", "2"), ("0.9968", "2"),
                           ("0.997", "1"))],
-        *[([command, "biortho", "--max-n", n, "--grid", "64"],
-           f"error: the {int(n) + 1} x {int(n) + 1} Gram matrix overflows")
-          for command, n in (("verify", "35"), ("verify", "40"),
-                             ("gram", "40"))],
     ], ids=["biortho-0.996", "biortho-0.9965", "biortho-0.9968",
             "biortho-0.997", "all-0.996", "all-0.9965", "all-0.9968",
-            "all-0.997", "verify-gram-35", "verify-gram-40", "gram-40"])
+            "all-0.997"])
     def test_overflow_exits_2_naming_what_overflowed(self, argv, invariant,
                                                      capsys):
         # verify biortho exited 1 after numpy's overflow warnings, from the
         # random sets' weights S C D / den near q = 1 (their kappas are
-        # representable) and from the Gram entries of 36 and 41 degrees of
-        # the direct r_n sum; verify all exited 2 with the warnings first.
+        # representable); verify all exited 2 with the warnings first.
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(invariant)
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        [command, "biortho", "--max-n", n, "--grid", "64"]
+        for command, n in (("verify", "35"), ("verify", "40"), ("gram", "40"),
+                           ("verify", "48"), ("verify", "60"))
+    ], ids=["verify-35", "verify-40", "gram-40", "verify-48", "verify-60"])
+    def test_deep_biortho_tables_pass(self, argv, capsys):
+        # The direct r_n sum's terms of size q^(-n^2/2) overflowed the Gram
+        # (exit 2 at 36 and 41 degrees) or r_rows itself (exit 2 after
+        # numpy's warnings at 49 and 61); the recurrence's rows pass.
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out
+        assert captured.err == ""
 
     def test_unallocatable_grid_exits_2(self, monkeypatch, capsys):
         # --grid 100000000000 raised numpy's MemoryError; no test allocates

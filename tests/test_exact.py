@@ -1,5 +1,6 @@
 """Exact certificates of the ladder identities in rational arithmetic: the
-Szego ladder here, the four-parameter ladder of r_n below.
+Szego ladder here, the four-parameter ladder of r_n and the three-term
+recurrence that samples r_n below.
 
 With q = s^2 and s rational, H_n(z) = sum_k [n choose k]_q (z/s)^k has
 rational coefficients.  The weight enters szego.ladder_reports only through
@@ -287,3 +288,51 @@ class TestBiorthoLadderExact:
         for j, z in enumerate(LADDER_POINTS):
             for k, want in enumerate(ratio_factors(z, params, s)):
                 assert close(rows[k, j].real, want) and rows[k, j].imag == 0
+
+
+# The three-term recurrence of biortho.r_rows, with lambda = ab alpha beta:
+#
+#   A_n r_{n+1} = (b s + b z - 1 - b^2 s z + A_n + C_n) r_n - C_n r_{n-1},
+#   A_n = (1 - b alpha q^n)(1 - b beta q^n)(1 - lambda q^{n-1})(1 - c q^n z)
+#         / [(1 - lambda q^{2n-1})(1 - lambda q^{2n})],
+#   C_n = b^2 s (1 - q^n)(1 - a alpha q^{n-1})(1 - a beta q^{n-1})
+#         (z - alpha beta q^n / (q s))
+#         / [(1 - lambda q^{2n-2})(1 - lambda q^{2n-1})],
+#
+# and at n = 0 its cancelled form A_0 = (1 - b alpha)(1 - b beta)(1 - c z)
+# / (1 - lambda), C_0 = 0.  Multiplied by Q = (c z; q)_n, A_n r_{n+1} is
+# (c z; q)_{n+1} r_{n+1} times a constant, and the right side is affine
+# times (c z; q)_n r_n plus affine times (1 - c q^{n-1} z) (c z; q)_{n-1}
+# r_{n-1}: P(z) = 0 for a polynomial P of degree at most n + 1.  Q does not
+# vanish on 0 < z < 1, so an exact zero at n + 2 of LADDER_POINTS proves it.
+MAX_RECURRENCE_N = 6
+
+
+def recurrence_sides(n, z, params, s):
+    """A_n r_{n+1}(z) and the recurrence's right side."""
+    a, alpha, b, beta = params
+    q, lam = s * s, a * b * alpha * beta
+    if n == 0:
+        A = (1 - b * alpha) * (1 - b * beta) * (1 - a * b * s * z) / (1 - lam)
+        C = 0
+    else:
+        A = ((1 - b * alpha * q**n) * (1 - b * beta * q**n)
+             * (1 - lam * q**(n - 1)) * (1 - a * b * s * q**n * z)
+             / ((1 - lam * q**(2 * n - 1)) * (1 - lam * q**(2 * n))))
+        C = (b * b * s * (1 - q**n) * (1 - a * alpha * q**(n - 1))
+             * (1 - a * beta * q**(n - 1))
+             * (z - alpha * beta * q**n / (q * s))
+             / ((1 - lam * q**(2 * n - 2)) * (1 - lam * q**(2 * n - 1))))
+    middle = b * s + b * z - 1 - b * b * s * z + A + C
+    return (A * rn(n + 1, z, params, s),
+            middle * rn(n, z, params, s)
+            - (C * rn(n - 1, z, params, s) if n else 0))
+
+
+@pytest.mark.parametrize("params", LADDER_PARAMS, ids=["default", "signed"])
+@pytest.mark.parametrize("s", ROOTS)
+def test_r_rows_recurrence(s, params):
+    for n in range(MAX_RECURRENCE_N + 1):
+        for z in LADDER_POINTS[:n + 2]:
+            lhs, rhs = recurrence_sides(n, z, params, s)
+            assert lhs == rhs

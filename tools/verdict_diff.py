@@ -102,12 +102,14 @@ SWEEP = (
     # the one error line must come before any numpy warning.
     + [["verify", suite, "--max-n", "5", "--grid", "256", "--q", "0.997"]
        for suite in ("biortho", "all")]
-    # Tables of 13 degrees of r_n and s_n, where the direct sum has lost its
-    # digits (each exits 1): the generic set, a Gram, and Pastro at q = 0.1.
+    # Tables of 13 degrees of r_n and s_n, where the direct 4phi3 sum lost
+    # its digits: the generic set, a Gram, and Pastro at q = 0.1; and one of
+    # 49 degrees, where it overflowed (exit 2 after numpy's warnings).
     + [["verify", "biortho", "--max-n", "12", "--grid", "256", "--q", "0.5"],
        ["gram", "biortho", "--max-n", "12", "--grid", "512", "--q", "0.3"],
        ["verify", "biortho", "--max-n", "12", "--grid", "64", "--q", "0.1",
-        "--params", "0,0,0.4,0.1"]]
+        "--params", "0,0,0.4,0.1"],
+       ["verify", "biortho", "--max-n", "48", "--grid", "64"]]
     # Small Szego Grams, whose lower triangle mirrors the upper one; at 100
     # nodes the divide by N is inexact.
     + [["gram", "szego", "--max-n", "8", "--grid", "64", "--q", "0.3"],
@@ -130,8 +132,10 @@ SWEEP = (
         "--tol", "1e-6"]]
     # eval: H_n off the circle, and past its representable coefficients
     # (exit 2, one error line); each weight and theta at a point; r_n, and
-    # s_12 at z = 1, which the direct sum reads as -8192 for 1.152e-12; the
-    # total mass; and H_5 at CircleGrid(64)'s node 9, written as its repr.
+    # s_12 at z = 1, which the direct sum read as -8192 for 1.152e-12; the
+    # total mass; H_5 at CircleGrid(64)'s node 9, written as its repr; and
+    # r_12 at z = 0 and 1e-4, which the direct sum read as 0 for 4.343e-12
+    # and with 6 digits.
     + [["eval", "szego", "--n", "12", "--z", "0.3+0.2i", "--q", "0.5"],
        ["eval", "szego", "--n", "3000", "--q", "0.5"],
        ["eval", "weight", "--z", "0.6+0.8i", "--q", "0.9"],
@@ -142,7 +146,9 @@ SWEEP = (
        ["eval", "sn", "--n", "12", "--z", "1"],
        ["eval", "kappa", "--grid", "256"],
        ["eval", "szego", "--n", "5", "--q", "0.9",
-        "--z", "0.6343932841636455+0.773010453362737i"]]
+        "--z", "0.6343932841636455+0.773010453362737i"],
+       ["eval", "rn", "--n", "12", "--z", "0", "--q", "0.1"],
+       ["eval", "rn", "--n", "12", "--z", "1e-4", "--q", "0.9"]]
 )
 
 # Above qcircle's own exit codes (0 pass, 1 fail, 2 bad configuration).
