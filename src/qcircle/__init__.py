@@ -13,8 +13,7 @@ from .qcore import (jacobi_triple_product, phi, qpochhammer, qpochhammer_inf,
 from .report import IdentityReport
 from .biortho import (BiorthoParams, biortho_gram, biortho_weight,
                       kappa_closed, r_fn, s_fn, sears_check)
-from .szego import (szego_gram, szego_poly, szego_weight,
-                    sturm_liouville_eigenvalue)
+from .szego import szego_gram, szego_weight, sturm_liouville_eigenvalue
 from .qsl import m_apply
 
 __version__ = "0.1.0"
@@ -24,7 +23,7 @@ __all__ = [
     "phi", "theta_sum", "jacobi_triple_product",
     "CircleGrid", "LaurentPoly", "contour_mean", "inner_product_c",
     "dq_apply", "tq_apply", "tq_iterate", "laurent_dq",
-    "szego_poly", "szego_weight", "szego_gram",
+    "szego_weight", "szego_gram",
     "sturm_liouville_eigenvalue",
     "BiorthoParams", "r_fn", "s_fn", "biortho_weight", "kappa_closed",
     "biortho_gram", "sears_check",

@@ -7,7 +7,6 @@ biorthogonality relation.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,9 +15,10 @@ from .circle import (CircleGrid, _shifted_points, dq_rows, gram_check,
                      gram_matrix, tq_rows)
 from .errors import DegenerateParameters, UnbalancedParameters, WeightUnderflow
 # qpochhammer_inf: bound for benchmarks/tests/test_bench_tracer.py's rebinding.
-from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, _maybe_scalar, phi,
-                    qmultipochhammer, qpochhammer, qpochhammer_inf,
-                    qpochhammer_inf_each, qval, representable)
+from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, UNDERFLOW_FLOOR,
+                    _maybe_scalar, phi, qmultipochhammer, qpochhammer,
+                    qpochhammer_inf, qpochhammer_inf_each, qval,
+                    representable)
 from .report import IdentityReport, worst
 from .szego import product_rows, szego_weight
 
@@ -143,8 +143,8 @@ def kappa_each(sets) -> list:
     """Total mass of the weight in closed form for each parameter set:
     (aq^{1/2}, alpha q^{1/2}, bq^{1/2}, beta q^{1/2}, ab alpha beta; q)_inf
     over (q, a alpha, b alpha, a beta, b beta; q)_inf, every q-product from
-    one kernel call.  Raises WeightUnderflow when a denominator underflows,
-    as it does near q = 1.
+    one kernel call.  Raises WeightUnderflow when a denominator underflows
+    below the smallest normal float, as it does near q = 1.
     """
     (qv,) = {p.q for p in sets}  # one base for the batch
     rq = math.sqrt(qv)
@@ -155,11 +155,11 @@ def kappa_each(sets) -> list:
     kappas = []
     for f in zip(*[products] * 10):  # multiplied as qmultipochhammer does
         num, den = (math.prod(f[i:i + 5], start=1.0 + 0.0j) for i in (0, 5))
-        if abs(den) < 1e-280:
+        if abs(den) < UNDERFLOW_FLOOR:
             raise WeightUnderflow(
                 f"(q, a alpha, b alpha, a beta, b beta; q)_inf underflowed "
-                f"below 1e-280 at q={qv}: the total mass kappa is not "
-                f"representable")
+                f"below the smallest normal float at q={qv}: the total mass "
+                f"kappa is not representable")
         kappas.append(num / den)
     return kappas
 
@@ -193,7 +193,7 @@ def biortho_norms(max_n: int, p: BiorthoParams) -> list:
                * (p.b * p.beta)**n)
         den = qpochhammer(p.b * p.beta, qv, n) * qpochhammer(abab, qv, 2 * n)
         norms.append(kappa * num / den)
-        if abs(norms[-1]) < sys.float_info.min:
+        if abs(norms[-1]) < UNDERFLOW_FLOOR:
             raise WeightUnderflow(
                 f"the closed-form norm h_{n} underflowed below the smallest "
                 f"normal float at q={qv}: the norms h_n, n >= {n}, are not "
@@ -267,8 +267,10 @@ def r_rows(degrees: range, p: BiorthoParams, z, depth: int) -> np.ndarray:
     general ones read 0/0 at lambda = ab alpha beta = q or q^2.  Every table
     runs the same steps from n = 0, so a row's bits do not depend on which
     degrees, or (N >= 2) how many points, share its table.  ValueError
-    where a row is not finite, as at a pole t = q^{-n-1/2}/(ab) of r_{n+1}.
-    Every r_n and s_n is sampled here."""
+    where a row is not finite, as at a pole t = q^{-n-1/2}/(ab) of r_{n+1},
+    or the last two rows underflow at a point: one subnormal, or both below
+    the smallest normal float (a 0 next to a normal value is a root; at
+    b = 0 every r_n, n >= 1, is 0).  Every r_n and s_n is sampled here."""
     qv, rq = p.q, math.sqrt(p.q)
     a, alpha, b, beta = p.a, p.alpha, p.b, p.beta
     lam, size = a * b * alpha * beta, max(degrees, default=-1) + 1
@@ -302,6 +304,11 @@ def r_rows(degrees: range, p: BiorthoParams, z, depth: int) -> np.ndarray:
             np.multiply(t, -K * u, out=work)
             work += K
             out /= work
+    last = np.abs(table[:, -2:])
+    tiny = last < UNDERFLOW_FLOOR
+    if b and np.any(tiny & ((last > 0) | tiny[:, ::-1])):
+        raise ValueError(f"r_{size - 1} underflowed below the smallest "
+                         f"normal float at a point of its table, q={qv}")
     return table[:, degrees.start:]
 
 

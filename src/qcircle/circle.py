@@ -5,12 +5,12 @@ A function f on the circle is an array of rows F[k] = f(q^k z): D_q f and
 T_q f at q^k z need rows k and k+1, T_q^n f at z rows 0..n.  Verdicts use
 rows only: `CircleGrid.rows`, the one cache, samples each item of a sampler
 once per grid, and `laurent_values` evaluates a batch of Laurent polynomials
-at stacked shifted points in one in-place Horner pass (a 0-d point stays on
-numpy's 0-d arithmetic); `shifted` samples a callable's rows for the callable
-API.  Ladder verdicts take (1/w) T_q(w f) as T_q of the rows w(q^k z)/w(z)
-f(q^k z), so only the q-Sturm-Liouville weight goes through `over_weight`.
-The adapters `dq_apply`/`tq_apply`/`tq_iterate`, `contour_mean` and
-`inner_product_c` are the callable API and the tests' oracle.
+at stacked shifted points in one in-place Horner pass; `shifted` samples a
+callable's rows for the callable API.  Ladder verdicts take (1/w) T_q(w f)
+as T_q of the rows w(q^k z)/w(z) f(q^k z), so only the q-Sturm-Liouville
+weight goes through `over_weight`.  The adapters `dq_apply`/`tq_apply`/
+`tq_iterate`, `contour_mean` and `inner_product_c` are the callable API and
+the tests' oracle.
 Trapezoid quadrature on equispaced nodes is exact for Laurent polynomials
 with degree span < N and spectrally accurate for analytic integrands.
 """
@@ -23,10 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WeightUnderflow
-from .qcore import _maybe_scalar, qval, representable
+from .qcore import UNDERFLOW_FLOOR, _maybe_scalar, qval, representable
 from .report import IdentityReport, nan_max, worst
-
-UNDERFLOW_FLOOR = 1e-300  # smallest weight `over_weight` divides by
 
 
 @dataclass(frozen=True)
@@ -64,15 +62,8 @@ class CircleGrid:
 def laurent_values(coefficients, min_degree: int, z) -> np.ndarray:
     """sum_k c_k z^{min_degree + k} by Horner's rule.  Each c_k broadcasts
     against z, so (K, P, 1) coefficients at (1, N) points give P rows.  One
-    pass, in place, in one accumulator of the broadcast shape; a 0-d z keeps
-    the expression form, as numpy's 0-d arithmetic rounds unlike its array
-    loops."""
+    pass, in place, in one accumulator of the broadcast shape."""
     z = np.asarray(z, dtype=complex)
-    if z.ndim == 0:
-        acc = np.zeros((), dtype=complex)
-        for c in coefficients[::-1]:
-            acc = acc * z + c
-        return acc * z**min_degree
     acc = np.zeros(np.broadcast_shapes(z.shape, np.shape(coefficients)[1:]),
                    dtype=complex)
     for c in coefficients[::-1]:
@@ -154,8 +145,7 @@ def gram_check(name, G, norms, tol, grid_size, params):
 
 
 def over_weight(values, w):
-    """values / w, for the q-Sturm-Liouville weight; an underflowed w (below
-    UNDERFLOW_FLOOR) raises."""
+    """values / w for the q-Sturm-Liouville weight; a subnormal or 0 w raises."""
     if np.min(np.abs(w)) < UNDERFLOW_FLOOR:
         raise WeightUnderflow("the weight underflowed at an evaluation point")
     return values / w

@@ -187,12 +187,13 @@ def cmd_eval(args) -> int:
                 for k, v in doc.items()), args.out)
         return 0
     # The finiteness check below names a non-finite value; numpy's warnings
-    # on the way there would only add file paths to stderr.  A weight's point
-    # goes in twice, as in r_fn: numpy rounds one-element complex products
-    # unlike the array loops that built the verdicts' rows.
+    # on the way there would only add file paths to stderr.  A point of H_n
+    # or a weight goes in twice, as in r_fn: numpy rounds one-element
+    # complex products unlike the array loops that built the verdicts' rows.
     with np.errstate(all="ignore"):
         if args.subject == "szego":
-            value = szego.szego_poly(args.n, args.q)(z)
+            value = szego.poly_rows(range(args.n, args.n + 1), args.q,
+                                    np.resize(z, 2), 0)[0, 0, 0]
             label = f"H_{args.n}({_fmt_complex(z)} | q={args.q})"
         elif args.subject == "weight":
             value = szego.szego_weight(np.resize(z, 2), args.q)[0]

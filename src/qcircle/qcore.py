@@ -8,6 +8,7 @@ take numbers, the others numpy arrays too, and the base q is real in (0, 1).
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from itertools import accumulate
@@ -20,6 +21,9 @@ from .errors import NonConvergent, PoleInDenominator
 # The algebraic identities' fixed tolerance; the quadrature checks' default.
 ALGEBRAIC_TOL = 1e-12
 QUADRATURE_TOL = 1e-10
+
+# The smallest normal float: below it a value has lost digits, or is 0.
+UNDERFLOW_FLOOR = sys.float_info.min
 
 # Complex elements per block of qpochhammer_inf factors: 512 KiB, the
 # fastest of 4096..131072 elements at 256 and 2048 points on a Xeon core

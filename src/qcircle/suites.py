@@ -220,7 +220,8 @@ def qsl_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     with np.errstate(over="ignore", invalid="ignore"):
         W = np.stack(grid.rows(szego.product_rows, q, (0, 1)))
     qsl.validate(W)
-    H = szego.poly_rows(max(cfg.max_n, 2), q, grid.nodes, 2)  # and H_1, H_2
+    # Degrees 0..max(max_n, 2): the eigenpair check reads H_1 and H_2.
+    H = szego.poly_rows(range(max(cfg.max_n, 2) + 1), q, grid.nodes, 2)
     anchor = qsl.eigen_residual(
         W, H[:, :cfg.max_n + 1],
         [szego.sturm_liouville_eigenvalue(n, q) for n in range(cfg.max_n + 1)],

@@ -6,18 +6,17 @@ orthogonality Gram matrix.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 # tq_apply stays bound here for benchmarks/tests/test_bench_tracer.py::
 # test_uninstall_restores_every_original_binding, which checks its rebinding.
-from .circle import (CircleGrid, LaurentPoly, _shifted_points, dq_rows,
-                     gram_check, gram_matrix, tq_apply, tq_power, tq_rows)
+from .circle import (CircleGrid, _shifted_points, dq_rows, gram_check,
+                     gram_matrix, tq_apply, tq_power, tq_rows)
 from .errors import WeightUnderflow
-from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, _maybe_scalar,
-                    jacobi_triple_product, qpochhammer_inf, qval,
-                    representable, theta_sum)
+from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, UNDERFLOW_FLOOR,
+                    _maybe_scalar, jacobi_triple_product, qpochhammer_inf,
+                    qval, representable, theta_sum)
 from .report import IdentityReport, worst
 
 
@@ -27,30 +26,20 @@ def _running_qq(top: int, qv: float) -> np.ndarray:
     return np.cumprod(np.r_[1.0, 1.0 - qv * qk])
 
 
-def _coefficients(n, q) -> np.ndarray:
-    """[n k]_q q^{-k/2}, k = 0..max(n), zero for k > n, of a degree n or a
-    column of them, from one running (q;q)_k; ValueError if unrepresentable."""
-    top, qv = int(np.max(n, initial=-1)), qval(q)
-    if top < 0:
+def coefficient_table(degrees: range, q) -> np.ndarray:
+    """C[i, k] = [n k]_q q^{-k/2} for n = degrees[i], k = 0..max(degrees),
+    zero for k > n, from one running (q;q)_k: H_n(z|q) = sum_k C[i, k] z^k
+    for each degree of the range; ValueError if unrepresentable."""
+    top, qv = max(degrees, default=-1), qval(q)
+    if min(degrees, default=-1) < 0:
         raise ValueError("degree must be nonnegative")
     qq, k = _running_qq(top, qv), np.arange(top + 1)
+    n = np.arange(degrees.start, top + 1)[:, None]
     with representable(f"the coefficients of H_n are not representable at "
                        f"n={top}, q={qv}"):
         powers = [qv**(-j / 2.0) for j in range(top + 1)]
         return np.divide(qq[n], qq[k] * qq[n - k], where=k <= n,
-                         out=np.zeros(np.broadcast(n, k).shape)) * powers
-
-
-def coefficient_table(max_n: int, q) -> np.ndarray:
-    """C[n, k] = [n k]_q q^{-k/2}, shape (max_n+1, max_n+1), zero for k > n:
-    H_n(z|q) = sum_k C[n, k] z^k, every degree from one table."""
-    return _coefficients(np.arange(max_n + 1)[:, None], q)
-
-
-def szego_poly(n: int, q) -> LaurentPoly:
-    """H_n(z|q) = sum_k [n choose k]_q (q^{-1/2} z)^k as an ordinary
-    polynomial: row n of coefficient_table, built alone in O(n) memory."""
-    return LaurentPoly(0, _coefficients(n, q))
+                         out=np.zeros((len(degrees), top + 1))) * powers
 
 
 def szego_weight(z, q):
@@ -145,7 +134,7 @@ def szego_norms(max_n: int, q) -> list:
         raise ValueError("degree must be nonnegative")
     qv = qval(q)
     qq = qpochhammer_inf(qv, qv)
-    if abs(qq) < sys.float_info.min:
+    if abs(qq) < UNDERFLOW_FLOOR:
         raise WeightUnderflow(
             f"(q;q)_inf underflowed below the smallest normal float at "
             f"q={qv}: the total mass 1/(q;q)_inf and the closed-form norms "
@@ -168,19 +157,19 @@ def ladder_constants(n: int, q) -> tuple:
             (qv**-0.5 - qv**0.5)**n, sturm_liouville_eigenvalue(n, qv))
 
 
-def poly_rows(max_n: int, q, z, depth: int) -> np.ndarray:
-    """Rows H_n(q^k z), shape (depth+1, max_n+1, N): all degrees in one
-    Horner pass per row, in place in the table returned.  coefficient_table
-    is lower-triangular, so H_n takes only the steps k <= n; the steps past
-    n would add zeros to a zero."""
+def poly_rows(degrees: range, q, z, depth: int) -> np.ndarray:
+    """Rows H_n(q^k z), shape (depth+1, len(degrees), N), n in `degrees`, a
+    range, the one sampler of H_n: a Horner pass per row in place over the
+    lower-triangular coefficient_table, so H_n takes only its own steps
+    k <= n, whichever degrees share its table."""
     qv = qval(q)
-    C = coefficient_table(max_n, qv)
-    out = np.zeros((depth + 1, max_n + 1, *np.shape(z)), dtype=complex)
+    C = coefficient_table(degrees, qv)
+    out = np.zeros((depth + 1, len(degrees), *np.shape(z)), dtype=complex)
     for acc, t in zip(out, _shifted_points(z, qv, depth)):
-        for k in range(max_n, -1, -1):
-            tail = acc[k:]
+        for k in range(C.shape[1] - 1, -1, -1):
+            tail = acc[max(k - degrees.start, 0):]  # the degrees n >= k
             np.multiply(tail, t, out=tail)
-            np.add(tail, C[k:, k, None], out=tail)
+            np.add(tail, C[-len(tail):, k, None], out=tail)
     return out
 
 
@@ -200,7 +189,7 @@ def ladder_reports(max_n: int, q, grid: CircleGrid,
     """
     qv = qval(q)
     z, degrees = grid.nodes[None], range(max_n + 1)
-    H = poly_rows(max_n + 1, qv, grid.nodes, 2)
+    H = poly_rows(range(max_n + 2), qv, grid.nodes, 2)
     ratio = weight_ratio_rows(grid.nodes, qv, max(1, max_n))
     low, up, rod, sl = np.array([ladder_constants(n, qv)
                                  for n in degrees]).T[..., None]
@@ -229,7 +218,7 @@ def szego_gram(max_n: int, q, grid: CircleGrid, tol: float = QUADRATURE_TOL):
     against the closed-form diagonal szego_norms."""
     qv = qval(q)
     norms = szego_norms(max_n, qv)
-    H = poly_rows(max_n, qv, grid.nodes, 0)[0]
+    H = poly_rows(range(max_n + 1), qv, grid.nodes, 0)[0]
     return gram_check("szego_orthogonality",
                       gram_matrix(H, H, circle_weight(grid, qv, norms[0])),
                       norms, tol, grid.n_nodes, {"max_n": max_n, "q": qv})

@@ -17,13 +17,14 @@ from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norms,
                              recursion_chain_reports, sears_check,
                              weight_rows)
 from qcircle.biortho import ladder_reports as biortho_ladder_reports
-from qcircle.circle import CircleGrid, contour_mean
+from qcircle.circle import CircleGrid, LaurentPoly, contour_mean
 from qcircle.qsl import m_apply, symmetry_residuals
 from qcircle.suites import (adjointness_report, random_balanced_sears,
                             random_laurent_rows)
-from qcircle.szego import (jacobi_triple_check, ladder_reports,
-                           product_rows, sturm_liouville_eigenvalue,
-                           szego_gram, szego_norms, szego_poly, szego_weight)
+from qcircle.szego import (coefficient_table, jacobi_triple_check,
+                           ladder_reports, product_rows,
+                           sturm_liouville_eigenvalue, szego_gram, szego_norms,
+                           szego_weight)
 
 Q = 0.5
 BASE_PARAMS = BiorthoParams(0.3, 0.2, 0.4, 0.1, Q)
@@ -187,7 +188,7 @@ def test_criterion_11_qsl_anchor():
     z = grid.nodes
     worst = 0.0
     for n in range(9):
-        h = szego_poly(n, Q)
+        h = LaurentPoly(0, coefficient_table(range(n, n + 1), Q)[0])
         lam = sturm_liouville_eigenvalue(n, Q)
         scale = max(1.0, float(np.max(np.abs(h(z)))))
         worst = max(worst, float(np.max(np.abs(

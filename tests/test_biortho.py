@@ -442,7 +442,7 @@ class TestKappaBatch:
 
     def test_underflow_message_of_a_middle_set(self):
         # At q = 0.99 (q;q)_inf is 5e-72; pair products near 0.98 push the
-        # third set's denominator below 1e-280.
+        # third set's denominator below the smallest normal float.
         q = 0.99
         small = [BiorthoParams(0.1, 0.1, 0.1, 0.1, q) for _ in range(4)]
         big = BiorthoParams(0.99, 0.99, 0.99, 0.99, q)
@@ -451,7 +451,8 @@ class TestKappaBatch:
         with pytest.raises(WeightUnderflow) as batch:
             kappa_each(small[:2] + [big] + small[2:])
         assert str(batch.value) == str(lone.value)
-        assert "underflowed below 1e-280 at q=0.99" in str(lone.value)
+        assert ("underflowed below the smallest normal float at q=0.99"
+                in str(lone.value))
         kappa_each(small)  # the other four alone are representable
 
     def test_memory_near_one(self):

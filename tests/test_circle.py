@@ -9,7 +9,7 @@ from qcircle.circle import (CircleGrid, LaurentPoly, contour_mean, dq_apply,
                             tq_power, tq_rows)
 from qcircle.cli import main
 from qcircle.suites import adjointness_report, random_laurent_rows
-from qcircle.szego import product_rows, szego_poly, szego_weight
+from qcircle.szego import product_rows, szego_weight
 
 
 def random_laurent(rng, min_deg, max_deg):
@@ -422,20 +422,6 @@ class TestLaurentRowsOracle:
                                                count, deg_range, grid, q,
                                                depth)
                     assert rows.tobytes() == want
-
-    def test_scalar_point_keeps_the_expression_form(self):
-        # eval szego prints LaurentPoly at one point; numpy's 0-d arithmetic
-        # rounds unlike its array loops, so that path stays an expression.
-        # Points off the circle, then CircleGrid(64)'s nodes.
-        rng = np.random.default_rng(5)
-        p = LaurentPoly(-3, rng.standard_normal(8)
-                        + 1j * rng.standard_normal(8))
-        for z in [0.3 + 0.2j, 1.7 - 0.4j, -0.05, 2.0,
-                  *CircleGrid(64).nodes.tolist()]:
-            for poly in (p, szego_poly(5, 0.9), szego_poly(12, 0.5)):
-                want = expression_values(poly.coefficients, poly.min_degree,
-                                         z)
-                assert np.asarray(poly(z)).tobytes() == want.tobytes()
 
 
 def test_laurent_rows_memory():

@@ -26,7 +26,7 @@ COMPLEX_KEYS = {"a", "alpha", "b", "beta", "lambda1", "lambda2",
 
 QQ_UNDERFLOW = "error: (q;q)_inf underflowed below the smallest normal float"
 KAPPA_UNDERFLOW = ("error: (q, a alpha, b alpha, a beta, b beta; q)_inf "
-                   "underflowed below 1e-280")
+                   "underflowed below the smallest normal float")
 
 
 def run_cli(argv):
@@ -150,7 +150,8 @@ class TestEval:
         # verdicts read at that grid node, and eval theta the theta_sum row.
         grid = CircleGrid(64)
         if subject == "szego":
-            row = qcircle.szego.poly_rows(n, float(q), grid.nodes, 0)[0, n]
+            row = qcircle.szego.poly_rows(range(n + 1), float(q), grid.nodes,
+                                          0)[0, n]
         else:
             row = theta_sum(grid.nodes, float(q))
         for j in range(0, 64, 3):
@@ -159,6 +160,48 @@ class TestEval:
             assert main(argv + (["--n", str(n)] if n is not None else [])) == 0
             value = complex(*json.loads(capsys.readouterr().out)["value"])
             assert np.array(value).tobytes() == row[j].tobytes(), j
+
+    @pytest.mark.parametrize("q", ["0.3", "0.9", "0.99"])
+    def test_polynomial_off_the_grid_is_the_tables_entry(self, q, capsys):
+        # eval szego reads poly_rows' one-degree table at the point given
+        # twice; its value is, bit for bit, the entry of a table of every
+        # degree at random points off the circle.
+        rng = np.random.default_rng(int(float(q) * 100))
+        z = rng.normal(size=24) * 1.5 + 1j * rng.normal(size=24)
+        table = qcircle.szego.poly_rows(range(21), float(q), z, 0)[0]
+        for j, n in enumerate(rng.integers(0, 21, size=24)):
+            point = repr(complex(z[j])).strip("()").replace("j", "i")
+            assert main(["eval", "szego", "--n", str(n), f"--z={point}",
+                         "--q", q, "--format", "json"]) == 0
+            value = complex(*json.loads(capsys.readouterr().out)["value"])
+            assert np.array(value).tobytes() == table[n, j].tobytes(), j
+
+    @pytest.mark.parametrize("n, z", [("600", "0.5"), ("700", "0.5"),
+                                      ("3000", "0.5"), ("565", "0.5"),
+                                      ("1040", "1")])
+    def test_underflowed_rn_exits_2(self, n, z, capsys):
+        # r_n at |z| <= 1 decays through the subnormals to 0, and each
+        # printed what was left: +0 at n = 600, 700 and 3000, 2.669e-310 at
+        # 565 and 4.941e-324 at 1040.
+        assert main(["eval", "rn", "--n", n, "--z", z]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: r_{n} underflowed below the smallest normal float at a "
+            f"point of its table, q=0.5\n")
+
+    @pytest.mark.parametrize("n, z, value", [
+        ("560", "0.5", "+1.474605673148e-307+0.000000000000e+00i"),
+        ("1", "-0.7942146141233379", "+0.000000000000e+00+0.000000000000e+00i"),
+        ("5", "0.5", "+0.000000000000e+00+0.000000000000e+00i"),
+    ], ids=["normal", "root", "b-zero"])
+    def test_small_or_zero_rn_prints(self, n, z, value, capsys):
+        # A normal r_560 two degrees short of the subnormals; an exact 0 of
+        # r_1 next to r_0 = 1, a root rather than an underflow; and r_5 at
+        # b = 0, where the 4phi3 is 1phi0(q^-n; ; q, q) = 0 for n >= 1.
+        params = ["--params", "0.3,0.2,0,0.1"] if n == "5" else []
+        assert main(["eval", "rn", "--n", n, f"--z={z}", *params]) == 0
+        assert capsys.readouterr().out.endswith(f" = {value}\n")
 
 
 class TestVerify:

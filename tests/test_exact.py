@@ -129,7 +129,7 @@ def test_coefficient_table(s):
     # there, so C^2 q^k is held to [n choose k]_q^2 in exact arithmetic.
     q = float(s * s)
     exact_q, tol = Fraction(q), Fraction(1, 10**15)
-    C = coefficient_table(TABLE_N, q)
+    C = coefficient_table(range(TABLE_N + 1), q)
     assert C.shape == (TABLE_N + 1, TABLE_N + 1)
     for n in range(TABLE_N + 1):
         assert not C[n, n + 1:].any()

@@ -151,7 +151,7 @@ def test_verify_all_samples_rows_on_one_grid(monkeypatch):
             monkeypatch.setattr(owner, name, counted)
 
     for name, *owners in (("__post_init__", CircleGrid),
-                          ("__call__", LaurentPoly), ("szego_poly", szego),
+                          ("__call__", LaurentPoly),
                           ("s_fn", biortho), ("_m_rows", qsl),
                           ("szego_weight", szego, biortho)):
         count(name, *owners)
@@ -186,8 +186,8 @@ def pastro_by_loops(p, grid, max_n):
 def eigen_orthogonality_by_callables(q, grid):
     """The qsl_eigen_orthogonality report from H_1 and H_2 as LaurentPoly
     callables and a direct weight row."""
-    v1, v2 = szego.szego_poly(1, q)(grid.nodes), szego.szego_poly(2, q)(
-        grid.nodes)
+    v1, v2 = (LaurentPoly(0, szego.coefficient_table(range(n, n + 1), q)[0])(
+        grid.nodes) for n in (1, 2))
     w = np.asarray(szego.szego_weight(grid.nodes, q))
     weighted = complex(np.mean(v1 * np.conj(v2) * w))
     return IdentityReport(

@@ -19,10 +19,16 @@ from qcircle.suites import SuiteConfig, szego_suite
 from qcircle.szego import (circle_weight, coefficient_table,
                            jacobi_triple_check, ladder_reports, poly_rows,
                            sturm_liouville_eigenvalue, szego_gram, szego_norms,
-                           szego_poly, szego_weight, weight_pearson_check,
+                           szego_weight, weight_pearson_check,
                            weight_ratio_rows)
 
 GRID = CircleGrid(256)
+
+
+def szego_poly(n, q):
+    """H_n as a LaurentPoly callable from its one-degree coefficient table:
+    the tests' oracle, on numpy's array arithmetic as poly_rows is."""
+    return LaurentPoly(0, coefficient_table(range(n, n + 1), q)[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -66,7 +72,7 @@ class TestSzegoPoly:
     def test_gaussian_binomial_symmetry(self):
         # [n k]_q = [n n-k]_q, read off the table as C[n, k] q^{k/2}.
         q = 0.4
-        C = coefficient_table(7, q)
+        C = coefficient_table(range(8), q)
         for n in range(8):
             for k in range(n + 1):
                 assert C[n, k] * q**(k / 2) == \
@@ -74,8 +80,9 @@ class TestSzegoPoly:
 
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_poly_is_a_table_row(self, n):
-        assert np.array_equal(szego_poly(n, 0.3).coefficients,
-                              coefficient_table(7, 0.3)[n, :n + 1])
+        # The one-degree table is row n of the full one, bit for bit.
+        assert (coefficient_table(range(n, n + 1), 0.3)[0].tobytes()
+                == coefficient_table(range(8), 0.3)[n, :n + 1].tobytes())
 
 
 class TestSzegoWeight:
@@ -179,7 +186,7 @@ class TestSturmLiouville:
 class TestLadderTable:
     def test_poly_rows_sample_each_polynomial(self):
         q, z = 0.5, GRID.nodes
-        H = poly_rows(4, q, z, 2)
+        H = poly_rows(range(5), q, z, 2)
         assert H.shape == (3, 5, GRID.n_nodes)
         for k, t in enumerate(_shifted_points(z, q, 2)):
             for n in range(5):
@@ -227,14 +234,14 @@ class TestLadderTable:
         calls = []
         build = qcircle.szego.coefficient_table
 
-        def counted(max_n, q):
-            calls.append(max_n)
-            return build(max_n, q)
+        def counted(degrees, q):
+            calls.append(degrees)
+            return build(degrees, q)
 
         monkeypatch.setattr(qcircle.szego, "coefficient_table", counted)
         reports = ladder_reports(5, 0.5, CircleGrid(256))
         assert len(reports) == 23
-        assert calls == [6]
+        assert calls == [range(7)]
 
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.988])
     @pytest.mark.parametrize("n_nodes", [64, 2048])
@@ -250,7 +257,7 @@ class TestLadderTable:
         oracle = np.stack([shifted(LaurentPoly(0, [
             binomial(n, k) * q**(-k / 2.0) for k in range(n + 1)]), z, q, 2)
             for n in range(max_n + 1)], axis=1)
-        rows = poly_rows(max_n, q, z, 2)
+        rows = poly_rows(range(max_n + 1), q, z, 2)
         assert rows.shape == oracle.shape
         assert rows.tobytes() == oracle.tobytes()
 
@@ -260,20 +267,45 @@ class TestLadderTable:
         z = CircleGrid(2048).nodes
         tracemalloc.start()
         try:
-            rows = poly_rows(16, 0.5, z, 0)
+            rows = poly_rows(range(17), 0.5, z, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rows.nbytes == 557_056
         assert peak < 1.3 * rows.nbytes
 
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize("n_nodes", [2, 64])
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.99])
+    @pytest.mark.parametrize("a, b", [(0, 1), (3, 4), (2, 9), (0, 13),
+                                      (12, 13)])
+    def test_poly_rows_sample_each_degree_range(self, a, b, q, n_nodes,
+                                                depth):
+        # A row does not depend on which degrees share its table, bit for
+        # bit: eval szego reads the one-degree table.
+        z = np.exp(2j * np.pi * np.arange(n_nodes) / n_nodes + 0.3) * 1.1
+        got, full = (poly_rows(degrees, q, z, depth)
+                     for degrees in (range(a, b), range(b)))
+        assert got.shape == (depth + 1, b - a, n_nodes)
+        assert got.tobytes() == full[:, a:].tobytes()
+
+    def test_one_degree_memory(self):
+        # One degree at two points builds a (1, n+1) coefficient row, not
+        # the (n+1)^2 table, 32 MB at n = 2000.
+        tracemalloc.start()
+        try:
+            poly_rows(range(2000, 2001), 0.99, np.array([0.5, 0.5j]), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
+
     @pytest.mark.parametrize("n, q", [(3000, 0.5), (5000, 0.999)])
     def test_unrepresentable_table_raises(self, n, q):
         # q^{-n/2} overflows at q=0.5; (q;q)_n underflows to 0 at q=0.999.
-        with pytest.raises(ValueError, match=f"n={n}, q={q}"):
-            coefficient_table(n, q)
-        with pytest.raises(ValueError, match=f"n={n}, q={q}"):
-            szego_poly(n, q)
+        for degrees in (range(n + 1), range(n, n + 1)):
+            with pytest.raises(ValueError, match=f"n={n}, q={q}"):
+                coefficient_table(degrees, q)
 
 
 class TestGram:
@@ -353,7 +385,7 @@ class TestGram:
         # has a residual the full assembly reports for the mirror entry.
         grid = CircleGrid(N)
         norms = szego_norms(max_n, q)
-        H = poly_rows(max_n, q, grid.nodes, 0)[0]
+        H = poly_rows(range(max_n + 1), q, grid.nodes, 0)[0]
         w = circle_weight(grid, q, norms[0])
         full = np.array([[np.mean(np.conj(hm) * hn * w) for hn in H]
                          for hm in H])

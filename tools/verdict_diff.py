@@ -135,7 +135,9 @@ SWEEP = (
     # s_12 at z = 1, which the direct sum read as -8192 for 1.152e-12; the
     # total mass; H_5 at CircleGrid(64)'s node 9, written as its repr; and
     # r_12 at z = 0 and 1e-4, which the direct sum read as 0 for 4.343e-12
-    # and with 6 digits.
+    # and with 6 digits; H_16 near q = 1 at a point where Horner's rule over
+    # the coefficients loses digits, and H_400 at q = 0.99; and r_560 at
+    # z = 0.5, normal, two degrees below r_562, the first subnormal one.
     + [["eval", "szego", "--n", "12", "--z", "0.3+0.2i", "--q", "0.5"],
        ["eval", "szego", "--n", "3000", "--q", "0.5"],
        ["eval", "weight", "--z", "0.6+0.8i", "--q", "0.9"],
@@ -148,7 +150,11 @@ SWEEP = (
        ["eval", "szego", "--n", "5", "--q", "0.9",
         "--z", "0.6343932841636455+0.773010453362737i"],
        ["eval", "rn", "--n", "12", "--z", "0", "--q", "0.1"],
-       ["eval", "rn", "--n", "12", "--z", "1e-4", "--q", "0.9"]]
+       ["eval", "rn", "--n", "12", "--z", "1e-4", "--q", "0.9"],
+       ["eval", "szego", "--n", "16", "--q", "0.99",
+        "--z=-0.981139731106635+0.19329983974126813i"],
+       ["eval", "szego", "--n", "400", "--q", "0.99", "--z", "0.5"],
+       ["eval", "rn", "--n", "560", "--z", "0.5"]]
 )
 
 # Above qcircle's own exit codes (0 pass, 1 fail, 2 bad configuration).
