@@ -13,10 +13,13 @@ import pytest
 
 import qcircle.suites
 import qcircle.szego
-from qcircle.biortho import DEFAULT_PARAMS, BiorthoParams, weight_rows
-from qcircle.circle import CircleGrid
-from qcircle.cli import build_parser, four_params, main, parse_complex
-from qcircle.qcore import theta_sum
+from qcircle.biortho import (DEFAULT_PARAMS, BiorthoParams, biortho_weight,
+                             r_rows, weight_rows)
+from qcircle.circle import CircleGrid, gram_matrix
+from qcircle.cli import (UFUNC_BUFSIZE, build_parser, four_params, main,
+                         parse_complex)
+from qcircle.qcore import qpochhammer_inf_each, theta_sum
+from qcircle.szego import circle_weight, poly_rows, szego_norms
 
 # Keys whose values are complex numbers in the JSON of verify, gram and eval.
 COMPLEX_KEYS = {"a", "alpha", "b", "beta", "lambda1", "lambda2",
@@ -116,6 +119,13 @@ class TestEval:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert out.split(" = ")[1] == f"{value}+0.000000000000e+00i\n"
+
+    def test_theta_near_one_to_the_printed_digits(self, capsys):
+        # mpmath's jtheta(3, 0, 0.999999) is 1772.4534077664; capped at
+        # 2000 terms a side, the sum printed +1.764253486281e+03.
+        assert main(["eval", "theta", "--z", "1", "--q", "0.999999"]) == 0
+        assert capsys.readouterr().out.split(" = ")[1] == \
+            "+1.772453407766e+03+0.000000000000e+00i\n"
 
     @pytest.mark.parametrize("q", ["0.5", "0.9"])
     @pytest.mark.parametrize("subject, params", [
@@ -500,6 +510,9 @@ class TestNoFalsePass:
     @pytest.mark.parametrize("argv, invariant", [
         (["eval", "theta", "--z", "1e-300"],
          "error: a value is not representable (OverflowError"),
+        (["eval", "theta", "--z", "1", "--q", "0.9999999999"],
+         "error: theta sum at q=0.9999999999 and max(|z|, 1/|z|)=1 needs "
+         "K > 100,000 terms a side"),
         (["eval", "szego", "--n", "3000", "--q", "0.5"],
          "error: the coefficients of H_n are not representable at n=3000, "
          "q=0.5"),
@@ -524,7 +537,8 @@ class TestNoFalsePass:
         (["eval", "rn", "--n", "1", "--z", "8", "--q", "0.25", "--params",
           "0.5,0.2,0.5,0.1"],
          "error: r_n is not finite at a point of its table, n < 2, q=0.25"),
-    ], ids=["theta", "szego-overflow", "szego-underflow", "pearson-rows",
+    ], ids=["theta", "theta-past-the-term-cap",
+            "szego-overflow", "szego-underflow", "pearson-rows",
             "pearson-rows-all", "pearson-rows-small-q", "biortho-norm-220",
             "biortho-norm-240", "gram-norm-240", "rn-pole"])
     def test_unrepresentable_value_exits_2(self, argv, invariant, capsys):
@@ -663,3 +677,88 @@ class TestOneOutputPath:
         assert "\r" not in out and not out.endswith("\n\n")
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) > 1 and len({len(row) for row in rows}) == 1
+
+
+def at_bufsize(size, f, *args):
+    """f(*args) under numpy's ufunc buffer of `size` elements."""
+    old = np.setbufsize(size)
+    try:
+        return f(*args)
+    finally:
+        np.setbufsize(old)
+
+
+def gram_of_poly_rows(q):
+    grid = CircleGrid(2048)
+    H = poly_rows(range(17), q, grid.nodes, 0)[0]
+    return gram_matrix(H, H, circle_weight(grid, q, szego_norms(0, q)[0]))
+
+
+def gram_of_r_rows(p):
+    z = CircleGrid(256).nodes
+    return gram_matrix(r_rows(range(9), p.swapped(), z, 0)[0],
+                       r_rows(range(9), p, z, 0)[0],
+                       biortho_weight(z, p))
+
+
+class TestUfuncBuffer:
+    """cli.main runs a command under numpy's ufunc buffer of UFUNC_BUFSIZE
+    elements, which changes how numpy copies broadcast operands and not the
+    arithmetic: every row a verdict reads has the bytes it has under
+    numpy's default 8192."""
+
+    @pytest.mark.parametrize("case", [
+        *[(f"qpochhammer_inf_each-{rows}x{width}-q{q}",
+           lambda rows=rows, width=width, q=q: qpochhammer_inf_each(
+               [c * CircleGrid(width).nodes for c in
+                np.random.default_rng(rows).uniform(-0.9, 0.9, rows)
+                * np.exp(1j * np.arange(rows))], q))
+          for rows, width in ((1, 256), (6, 256), (60, 256), (1, 2048))
+          for q in (0.5, 0.987)],
+        ("poly_rows", lambda: poly_rows(range(17), 0.5,
+                                        CircleGrid(2048).nodes, 0)),
+        ("gram_matrix-poly_rows", lambda: gram_of_poly_rows(0.5)),
+        *[(f"gram_matrix-r_rows-{i}", lambda p=p: gram_of_r_rows(p))
+          for i, p in enumerate((
+              BiorthoParams(*DEFAULT_PARAMS, 0.5),
+              BiorthoParams(0.3 + 0.1j, 0.2 - 0.15j, 0.4 + 0.05j, 0.1 + 0.2j,
+                            0.89)))],
+        ("random_laurent_rows", lambda: qcircle.suites.random_laurent_rows(
+            np.random.default_rng(3), 100, 5, CircleGrid(256), 0.5, 2)),
+    ], ids=lambda case: case[0])
+    def test_bytes_do_not_depend_on_the_buffer(self, case):
+        default, small = (np.asarray(at_bufsize(size, case[1]))
+                          for size in (8192, UFUNC_BUFSIZE))
+        assert default.tobytes() == small.tobytes()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["eval", "szego", "--n", "3"], 0),
+        (["verify", "szego", "--max-n", "1", "--grid", "16", "--tol",
+          "1e-300"], 1),
+        (["eval", "szego", "--n", "5", "--z", "1e300"], 2),
+        (["verify", "nothing"], SystemExit),
+    ], ids=["exit-0", "exit-1", "exit-2", "argparse"])
+    def test_main_restores_the_callers_buffer(self, argv, code, capsys):
+        old = np.setbufsize(4096)
+        try:
+            if code is SystemExit:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == code
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(old)
+
+    def test_a_command_runs_under_the_small_buffer(self, monkeypatch,
+                                                     capsys):
+        seen = []
+        run_suite = qcircle.suites.run_suite
+
+        def spy(*args, **kwargs):
+            seen.append(np.getbufsize())
+            return run_suite(*args, **kwargs)
+
+        monkeypatch.setattr(qcircle.suites, "run_suite", spy)
+        assert main(["verify", "szego", "--max-n", "1", "--grid", "16"]) == 0
+        assert seen == [UFUNC_BUFSIZE]

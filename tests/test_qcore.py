@@ -527,6 +527,24 @@ class TestThetaSum:
                                  - np.asarray(jacobi_triple_product(z, q))))
         assert residual < 1e-10
 
+    @pytest.mark.parametrize("q", [0.998, 0.9999, 0.999999])
+    @pytest.mark.parametrize("phi", [0.0, 0.8])
+    def test_near_one_meets_its_bound(self, q, phi):
+        # Capped at K = 2000 terms a side, the sum at q = 0.999999 and z = 1
+        # read 1764.25 for 1772.45; it needs K = 5,879.  The error is judged
+        # against the sum of |terms|, the value at z = 1.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = complex(mpmath.jtheta(3, phi / 2, mpmath.mpf(q)))
+            scale = float(mpmath.jtheta(3, 0, mpmath.mpf(q)))
+        got = theta_sum(complex(math.cos(phi), math.sin(phi)), q)
+        assert abs(got - want) <= 1e-12 * scale
+
+    def test_past_the_term_cap_raises(self):
+        with pytest.raises(NonConvergent, match=r"theta sum at "
+                           r"q=0\.9999999999 .* needs K > 100,000 terms"):
+            theta_sum(1.0, 0.9999999999)
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             theta_sum(0.0, 0.5)

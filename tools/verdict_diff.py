@@ -93,6 +93,8 @@ SWEEP = (
     # the Szego one also at both ends of the coefficient range.
     + [["gram", "szego", "--max-n", "16", "--grid", "2048", "--q", q]
        for q in ("0.5", "0.05", "0.95")]
+    # Rows longer than numpy's default 8192-element ufunc buffer.
+    + [["gram", "szego", "--max-n", "16", "--grid", "8192", "--q", "0.5"]]
     + [["gram", "biortho", "--max-n", "8", "--grid", "2048", "--q", "0.5",
         *params] for params in
        ([], ["--params", "0.3+0.1i,0.2-0.15i,0.4+0.05i,0.1+0.2i"])]
@@ -137,7 +139,8 @@ SWEEP = (
     # r_12 at z = 0 and 1e-4, which the direct sum read as 0 for 4.343e-12
     # and with 6 digits; H_16 near q = 1 at a point where Horner's rule over
     # the coefficients loses digits, and H_400 at q = 0.99; and r_560 at
-    # z = 0.5, normal, two degrees below r_562, the first subnormal one.
+    # z = 0.5, normal, two degrees below r_562, the first subnormal one;
+    # theta at q = 0.999999, which needs 5,879 terms a side.
     + [["eval", "szego", "--n", "12", "--z", "0.3+0.2i", "--q", "0.5"],
        ["eval", "szego", "--n", "3000", "--q", "0.5"],
        ["eval", "weight", "--z", "0.6+0.8i", "--q", "0.9"],
@@ -154,7 +157,8 @@ SWEEP = (
        ["eval", "szego", "--n", "16", "--q", "0.99",
         "--z=-0.981139731106635+0.19329983974126813i"],
        ["eval", "szego", "--n", "400", "--q", "0.99", "--z", "0.5"],
-       ["eval", "rn", "--n", "560", "--z", "0.5"]]
+       ["eval", "rn", "--n", "560", "--z", "0.5"],
+       ["eval", "theta", "--z", "1", "--q", "0.999999"]]
 )
 
 # Above qcircle's own exit codes (0 pass, 1 fail, 2 bad configuration).
