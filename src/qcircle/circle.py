@@ -108,23 +108,25 @@ def inner_product_c(f, g, grid: CircleGrid) -> complex:
 
 def gram_matrix(left, right, w) -> np.ndarray:
     """G[m, n] = (1/N) sum_j conj(L_m) R_n w: the one Gram assembly, one
-    mean per row over the stacked R (an array), each entry's sum pairwise.
-    Each row's products conj(L_m) R w go through one buffer the size of R,
-    in the order of the expression, so no table-sized temporary is made
-    per row.  A table against itself under one real row w gives a Hermitian
-    G: row m then sums n >= m only, and the entries below the diagonal are
-    the conjugates of those above.  ValueError if an entry overflows."""
+    add.reduce (pairwise) and one divide by N per row over the stacked R
+    (an array), np.mean's arithmetic.  Each row's products conj(L_m) R w go
+    through one buffer the size of R, in the order of the expression, w
+    cast to the buffer's dtype once.  A table against itself under a real w
+    gives a Hermitian G: row m then sums n >= m only, and the entries below
+    the diagonal are the conjugates of those above.  ValueError on overflow."""
     hermitian = left is right and np.isrealobj(w)
     left, right = np.asarray(left), np.asarray(right)
     buf = np.empty(np.broadcast(right, w).shape,
                    dtype=np.result_type(left, right, w))
+    w = np.asarray(w, dtype=buf.dtype)
     G = np.empty((len(left), *buf.shape[:-1]), dtype=buf.dtype)
     with representable(f"the {len(left)} x {len(right)} Gram matrix overflows"):
         for m, lm in enumerate(left):
             n = m if hermitian else 0
             np.multiply(np.conj(lm), right[n:], out=buf[n:])
             np.multiply(buf[n:], w, out=buf[n:])
-            G[m, n:] = np.mean(buf[n:], axis=-1)
+            np.divide(np.add.reduce(buf[n:], axis=-1), buf.shape[-1],
+                      out=G[m, n:])
             if hermitian:
                 G[m + 1:, m] = np.conj(G[m, m + 1:])
     return G

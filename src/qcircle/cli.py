@@ -159,6 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built at its first call and kept for the process."""
+    return build_parser()
+
+
 def biortho_params_from_args(args) -> biortho.BiorthoParams:
     return biortho.BiorthoParams(*(args.params or biortho.DEFAULT_PARAMS),
                                  args.q)
@@ -285,7 +291,7 @@ def cmd_gram(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     subject = args.suite if args.command == "verify" else args.subject
     if args.params is not None and subject not in RATIONAL_SUBJECTS:

@@ -160,10 +160,10 @@ def ladder_constants(n: int, q) -> tuple:
 def poly_rows(degrees: range, q, z, depth: int) -> np.ndarray:
     """Rows H_n(q^k z), shape (depth+1, len(degrees), N), n in `degrees`, a
     range, the one sampler of H_n: a Horner pass per row in place over the
-    lower-triangular coefficient_table, so H_n takes only its own steps
-    k <= n, whichever degrees share its table."""
+    lower-triangular coefficient_table, cast to complex once, so H_n takes
+    only its own steps k <= n, whichever degrees share its table."""
     qv = qval(q)
-    C = coefficient_table(degrees, qv)
+    C = coefficient_table(degrees, qv).astype(complex)
     out = np.zeros((depth + 1, len(degrees), *np.shape(z)), dtype=complex)
     for acc, t in zip(out, _shifted_points(z, qv, depth)):
         for k in range(C.shape[1] - 1, -1, -1):

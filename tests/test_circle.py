@@ -7,9 +7,11 @@ from qcircle.circle import (CircleGrid, LaurentPoly, contour_mean, dq_apply,
                             dq_rows, gram_matrix, inner_product_c, laurent_dq,
                             laurent_values, shifted, tq_apply, tq_iterate,
                             tq_power, tq_rows)
+from qcircle.biortho import DEFAULT_PARAMS, BiorthoParams, r_rows
 from qcircle.cli import main
 from qcircle.suites import adjointness_report, random_laurent_rows
-from qcircle.szego import product_rows, szego_weight
+from qcircle.szego import (circle_weight, poly_rows, product_rows,
+                           szego_norms, szego_weight)
 
 
 def random_laurent(rng, min_deg, max_deg):
@@ -365,6 +367,30 @@ def test_gram_matrix_hermitian(N, P):
     upper, lower = np.triu_indices(P), np.tril_indices(P, -1)
     assert got[upper].tobytes() == want[upper].tobytes()
     assert got[lower].tobytes() == np.conj(got.T[lower]).tobytes()
+
+
+@pytest.mark.parametrize("N", [64, 100, 2048])
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
+def test_gram_matrix_casts_a_real_row_byte_for_byte(N, q):
+    # The Szego circle row is real: cast to complex once per Gram, it gives
+    # the bytes of the same row passed as complex, and each entry is the
+    # one-row np.mean of its products, on the Hermitian path (one table)
+    # and on the general one (the s_m and r_n tables).
+    grid = CircleGrid(N)
+    w = circle_weight(grid, q, szego_norms(0, q)[0])
+    assert w.dtype == np.float64
+    H = poly_rows(range(9), q, grid.nodes, 0)[0]
+    p = BiorthoParams(*DEFAULT_PARAMS, q)
+    S, R = (r_rows(range(9), s, grid.nodes, 0)[0] for s in (p.swapped(), p))
+    upper = np.triu_indices(9)
+    got = gram_matrix(H, H, w)
+    for want in (gram_matrix(H, H, w.astype(complex)),
+                 gram_by_entry(H, H, w)):
+        assert got[upper].tobytes() == want[upper].tobytes()
+    got = gram_matrix(S, R, w)
+    for want in (gram_matrix(S, R, w.astype(complex)),
+                 gram_by_entry(S, R, w)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_gram_matrix_memory():

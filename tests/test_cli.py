@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -82,6 +83,82 @@ class TestHelp:
             text = p.format_help()
             p.formatter_class = argparse.HelpFormatter
             assert text == p.format_help()
+
+
+def main_streams(argv, out_file=None):
+    """(exit code, stdout, stderr, --out file text or None) of one main
+    call, a SystemExit as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = None
+    if out_file is not None and out_file.exists():
+        written = out_file.read_text()
+        out_file.unlink()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+class TestOneParserPerProcess:
+    """main builds its parser at the first call and keeps it: a command
+    prints what it prints under a fresh parser, whichever ran before it."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        qcircle.cli._parser.cache_clear()
+        yield
+        qcircle.cli._parser.cache_clear()
+
+    @staticmethod
+    def commands(out_file):
+        return [
+            ["eval", "szego", "--n", "3", "--z", "0.3+0.2i", "--format",
+             "json"],
+            ["eval", "rn", "--n", "2", "--params", "0.3,0.2,0.4,0.1"],
+            ["verify", "sears", "--max-n", "2", "--format", "csv"],
+            ["gram", "szego", "--max-n", "2", "--grid", "64", "--format",
+             "text"],
+            ["gram", "biortho", "--max-n", "2", "--grid", "64", "--out",
+             str(out_file)],
+            ["verify", "szego", "--params", "0.3,0.2,0.4,0.1"],  # refused
+            ["eval", "weight", "--n", "3"],  # refused: weight has no n
+            ["verify", "szego", "--max-n", "-1"],
+            ["eval", "kappa", "--grid", "3"],  # exits 2: too few nodes
+            ["eval", "szego"],  # after the refusals: no --n given
+            ["--help"],
+        ]
+
+    def test_a_command_is_its_fresh_parsers(self, tmp_path):
+        out_file = tmp_path / "gram.json"
+        sequence = self.commands(out_file)
+        alone = []
+        for argv in sequence:
+            qcircle.cli._parser.cache_clear()
+            alone.append(main_streams(argv, out_file))
+        qcircle.cli._parser.cache_clear()
+        assert [code for code, *_ in alone] == [0, 0, 0, 0, 0, 2, 2, 2, 2,
+                                                0, 0]
+        assert alone[4][3].startswith("biortho Gram matrix, N=64")
+        for argv, want in [*zip(sequence, alone),
+                           *zip(sequence[::-1], alone[::-1])]:
+            assert main_streams(argv, out_file) == want, argv
+
+    def test_main_builds_one_parser(self, monkeypatch, capsys):
+        built = []
+        build = qcircle.cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(qcircle.cli, "build_parser", counting)
+        for argv in [["eval", "szego", "--n", "3"], ["eval", "rn"]] * 3:
+            assert main(argv) == 0
+        assert len(built) == 1
+        # build_parser itself still makes a new parser at every call.
+        assert qcircle.cli.build_parser() is not qcircle.cli.build_parser()
 
 
 class TestEval:

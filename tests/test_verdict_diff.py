@@ -64,3 +64,71 @@ class TestCompareStdout:
             dumps({"label": "r_4", "notes": 1}),
             dumps({"label": "r_4", "notes": 2})) == "differs"
         assert verdict_diff.compare_stdout(b"{", b"}") == "differs"
+
+
+class TestOneInterpreter:
+    SWEEP = [["eval", "szego", "--n", "3"], ["verify", "szego", "--q", "2"]]
+    FRESH = [(0, b'{"label": "H_3"}\n', b""), (2, b"", b"error: q\n")]
+
+    def test_equal_runs_have_no_fault(self):
+        assert verdict_diff.one_interpreter_faults(
+            self.SWEEP, self.FRESH, list(self.FRESH)) == []
+
+    def test_each_difference_is_named(self):
+        one = [(0, b'{"label": "H_0"}\n', b""), (1, b"", b"")]
+        assert verdict_diff.one_interpreter_faults(
+            self.SWEEP, self.FRESH, one) == [
+            "eval szego --n 3: one interpreter and a fresh one differ in "
+            "stdout",
+            "verify szego --q 2: one interpreter and a fresh one differ in "
+            "exit code, stderr"]
+
+    def test_a_short_run_is_a_fault(self):
+        assert verdict_diff.one_interpreter_faults(
+            self.SWEEP, self.FRESH, self.FRESH[:1]) == [
+            "the sweep in one interpreter ran 1 of 2 commands"]
+
+    def test_runs_match_on_this_tree(self):
+        src = verdict_diff.source_dir(str(TOOLS.parent))
+        sweep = [["eval", "rn", "--n", "4", "--z", "0.6+0.8i"],
+                 ["eval", "weight", "--n", "3"],  # refused by argparse
+                 ["eval", "kappa", "--grid", "3"],  # exit 2, one error line
+                 ["eval", "szego", "--n", "4"]]
+        fresh = [verdict_diff.run(src, argv) for argv in sweep]
+        assert [code for code, *_ in fresh] == [0, 2, 2, 0]
+        assert verdict_diff.one_interpreter_faults(
+            sweep, fresh, verdict_diff.run_in_one_interpreter(src, sweep)) \
+            == []
+
+    def test_state_kept_for_the_process_shows(self, tmp_path):
+        # A main that counts its calls differs from its fresh runs from the
+        # second call on; a warning shown by an earlier command is shown
+        # again, as a fresh interpreter shows it.
+        (tmp_path / "qcircle").mkdir()
+        (tmp_path / "qcircle" / "__init__.py").write_text("")
+        (tmp_path / "qcircle" / "cli.py").write_text(FAKE_CLI)
+        src = str(tmp_path)
+        sweep = [["echo"], ["refuse"], ["echo"], ["count"], ["count"]]
+        fresh = [verdict_diff.run(src, argv) for argv in sweep]
+        one = verdict_diff.run_in_one_interpreter(src, sweep)
+        assert [code for code, *_ in one] == [0, 2, 0, 0, 0]
+        assert all(b"RuntimeWarning: shown once" in err for *_, err in one)
+        assert verdict_diff.one_interpreter_faults(sweep, fresh, one) == [
+            "count: one interpreter and a fresh one differ in stdout"] * 2
+
+
+FAKE_CLI = """\
+import sys
+import warnings
+
+calls = []
+
+
+def main(argv):
+    calls.append(argv)
+    warnings.warn("shown once", RuntimeWarning)
+    print(len(calls) if argv[0] == "count" else " ".join(argv))
+    if argv[0] == "refuse":
+        sys.exit(2)
+    return 0
+"""

@@ -17,15 +17,18 @@ reports` (the documents are equal once each report's `notes` is dropped)
 or `differs`, a
 count of the byte-identical commands, the line count of `src/qcircle/*.py`
 in both trees (as `wc -l` counts), then the reports that appear and the
-exit codes that change.
+exit codes that change.  The change tree's sweep then runs once more, every
+command in one interpreter through `qcircle.cli.main`, so that state kept
+for a whole process shows: each command's exit code, stdout and stderr
+there must equal its fresh-interpreter run's.
 
 Exit status 1 if any report turns from PASS to FAIL, a report disappears
 (named with its verdict in the parent tree), an exit code rises (a
 command that exits 0 or 1 without a JSON report, or an `eval` without a
 JSON document, counts as exit code 3),
-or a command's stderr in the change tree breaks the stderr rule: empty
-when it exits 0 or 1, exactly one `error: ` line when it exits 2; 0
-otherwise.
+a command's stderr in the change tree breaks the stderr rule (empty
+when it exits 0 or 1, exactly one `error: ` line when it exits 2), or a
+command in one interpreter differs from its fresh run; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -175,6 +178,37 @@ if not qcircle.cli.__file__.startswith(src):
 sys.exit(qcircle.cli.main(sys.argv[1:]))
 """
 
+# Runs every command it reads from stdin (a JSON list of argv lists) through
+# one qcircle.cli.main, imported once from the directory given as the first
+# argument, and writes their [exit code, stdout, stderr] as a JSON list, the
+# streams' bytes as latin-1 text.  Each command runs under catch_warnings,
+# which resets the warnings already shown, so it prints the numpy warnings
+# a fresh interpreter would.
+ONE_INTERPRETER_RUNNER = """\
+import contextlib, io, json, sys, traceback, warnings
+src = sys.argv.pop(1)
+sys.path.insert(0, src)
+import qcircle.cli
+if not qcircle.cli.__file__.startswith(src):
+    sys.exit(f"qcircle imported from {qcircle.cli.__file__}, not {src}")
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \\
+            warnings.catch_warnings():
+        try:
+            code = qcircle.cli.main(argv)
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    results.append([code, *(text.getvalue().encode(
+        stream.encoding, stream.errors).decode("latin-1")
+        for text, stream in ((out, sys.stdout), (err, sys.stderr)))])
+json.dump(results, sys.stdout)
+"""
+
 
 def source_dir(tree: str) -> str:
     """The directory that holds the qcircle package of a checkout."""
@@ -185,32 +219,77 @@ def source_dir(tree: str) -> str:
     return str(src)
 
 
-def run(src: str, argv: list) -> tuple:
-    """(exit code, {key: report}, stdout bytes, stderr bytes) of one command
-    on one tree; exit code CRASHED when it exits 0 or 1 without a JSON
-    report, or for an `eval` without a JSON document (a traceback)."""
+def command(argv: list) -> list:
+    """The argv a sweep command runs as: JSON output, and `--seed 0` unless
+    it sets its own seed or is an `eval`, which takes none."""
     seed = [] if argv[0] == "eval" or "--seed" in argv else ["--seed", "0"]
+    return [*argv, "--format", "json", *seed]
+
+
+def run(src: str, argv: list) -> tuple:
+    """(exit code, stdout bytes, stderr bytes) of one command on one tree,
+    in a fresh interpreter."""
     done = subprocess.run(
-        [sys.executable, "-c", RUNNER, src, *argv, "--format", "json", *seed],
+        [sys.executable, "-c", RUNNER, src, *command(argv)],
         capture_output=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def run_in_one_interpreter(src: str, sweep: list) -> list:
+    """(exit code, stdout bytes, stderr bytes) of each command of `sweep`
+    on one tree, all of them in one interpreter; [] with a message on
+    stderr if that interpreter fails."""
+    done = subprocess.run(
+        [sys.executable, "-c", ONE_INTERPRETER_RUNNER, src],
+        input=json.dumps([command(argv) for argv in sweep]).encode(),
+        capture_output=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr.decode(errors="replace"))
+        return []
+    return [(code, out.encode("latin-1"), err.encode("latin-1"))
+            for code, out, err in json.loads(done.stdout)]
+
+
+def one_interpreter_faults(sweep: list, fresh: list, one: list) -> list:
+    """A line for each command whose exit code, stdout or stderr differ
+    between its fresh-interpreter run (`fresh`) and its run in one
+    interpreter with the others (`one`), each an (exit code, stdout,
+    stderr) per command of `sweep`; one line if `one` lacks commands."""
+    if len(one) != len(sweep):
+        return [f"the sweep in one interpreter ran {len(one)} of "
+                f"{len(sweep)} commands"]
+    faults = []
+    for argv, alone, shared in zip(sweep, fresh, one):
+        moved = [name for name, x, y in zip(("exit code", "stdout", "stderr"),
+                                            alone, shared) if x != y]
+        if moved:
+            faults.append(f"{' '.join(argv)}: one interpreter and a fresh "
+                          f"one differ in {', '.join(moved)}")
+    return faults
+
+
+def reports_of(argv: list, code: int, out: bytes) -> tuple:
+    """(exit code, {key: report}) of one command's exit code and stdout;
+    exit code CRASHED when it exits 0 or 1 without a JSON report, or for
+    an `eval` without a JSON document (a traceback)."""
     reports = {}
-    if done.returncode in (0, 1):
+    if code in (0, 1):
         try:
-            doc = json.loads(done.stdout)
+            doc = json.loads(out)
             if argv[0] == "eval":  # a value, not a verdict: no reports
                 found = []
             else:
                 found = (doc["reports"] if "reports" in doc
                          else [doc["report"]])
         except (ValueError, KeyError):
-            return CRASHED, reports, done.stdout, done.stderr
+            return CRASHED, reports
         seen = {}
         for report in found:
             label = index_label(report["params"])
             occurrence = seen.get((report["name"], label), 0)
             seen[(report["name"], label)] = occurrence + 1
             reports[(report["name"], label, occurrence)] = report
-    return done.returncode, reports, done.stdout, done.stderr
+    return code, reports
 
 
 def stderr_fault(code: int, err: bytes) -> str:
@@ -289,11 +368,14 @@ def main(argv: list) -> int:
     print("| command | report | n | parent | change | abs(delta)/tol "
           "| verdict |")
     print("| --- | --- | --- | --- | --- | --- | --- |")
-    summary, notes, bad, identical = [], [], [], 0
+    summary, notes, bad, identical, fresh = [], [], [], 0, []
     for argv_ in SWEEP:
         command = " ".join(argv_)
-        code_a, parent, out_a, _ = run(parent_src, argv_)
-        code_b, change, out_b, err_b = run(change_src, argv_)
+        ran_a, ran_b = run(parent_src, argv_), run(change_src, argv_)
+        fresh.append(ran_b)
+        (code_a, parent), (code_b, change) = (
+            reports_of(argv_, *ran[:2]) for ran in (ran_a, ran_b))
+        out_a, (_, out_b, err_b) = ran_a[1], ran_b
         identical += out_a == out_b
         fault = stderr_fault(code_b, err_b)
         if fault:
@@ -343,6 +425,11 @@ def main(argv: list) -> int:
     print("\n".join(summary))
     print()
     print(f"stdout byte-identical on {identical} of {len(SWEEP)} commands")
+    one = run_in_one_interpreter(change_src, SWEEP)
+    same_run = sum(a == b for a, b in zip(fresh, one))
+    print(f"exit code, stdout and stderr in one interpreter as in a fresh "
+          f"one on {same_run} of {len(SWEEP)} commands")
+    bad += one_interpreter_faults(SWEEP, fresh, one)
     print(f"src/qcircle/*.py lines: {line_count(parent_src)} -> "
           f"{line_count(change_src)}")
     for line in notes:
