@@ -13,18 +13,24 @@ import numpy as np
 
 from .circle import (CircleGrid, _shifted_points, dq_rows, gram_check,
                      gram_matrix, tq_rows)
-from .errors import DegenerateParameters, UnbalancedParameters, WeightUnderflow
+from .errors import (DegenerateParameters, NonConvergent, UnbalancedParameters,
+                     WeightUnderflow)
 # qpochhammer_inf: bound for benchmarks/tests/test_bench_tracer.py's rebinding.
 from .qcore import (ALGEBRAIC_TOL, QUADRATURE_TOL, UNDERFLOW_FLOOR,
                     _maybe_scalar, phi, qmultipochhammer, qpochhammer,
                     qpochhammer_inf, qpochhammer_inf_each, qval,
                     representable)
 from .report import IdentityReport, worst
-from .szego import product_rows, szego_weight
+from .szego import circle_weight, szego_weight
 
 
 # (a, alpha, b, beta) of verify, gram and eval when none are given.
 DEFAULT_PARAMS = (0.3, 0.2, 0.4, 0.1)
+
+# weight_rows' log-Laurent series: the tail a set's truncation may leave,
+# a relative error of the row, and the most terms it may take.
+_SERIES_TAIL = 1e-16
+_SERIES_TERMS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -88,38 +94,76 @@ def s_fn(n: int, z, p: BiorthoParams):
     return r_fn(n, z, p.swapped())
 
 
-def _parameter_factors(z, qv, sets) -> list:
-    """The weight's factors beyond the Szego pair for each parameter set:
-    (ab q^{1/2} z; q)_inf, (alpha beta q^{1/2}/z; q)_inf and the denominator
-    (az, alpha/z, bz, beta/z; q)_inf, every q-product from one kernel call."""
-    rq, z = math.sqrt(qv), np.asarray(z, dtype=complex)
-    products = iter(qpochhammer_inf_each([x for p in sets for x in (
-        p.a * p.b * rq * z, p.alpha * p.beta * rq / z,
-        p.a * z, p.alpha / z, p.b * z, p.beta / z)], qv))
-    return [(np.asarray(C), np.asarray(D), math.prod(
-        map(np.asarray, den), start=np.ones(z.shape, dtype=complex)))
-        for C, D, *den in zip(*[products] * 6)]
-
-
 def biortho_weight(z, p: BiorthoParams):
     """Weight: (q^{1/2}z, q^{1/2}/z, ab q^{1/2}z, alpha beta q^{1/2}/z; q)_inf
     over (az, alpha/z, bz, beta/z; q)_inf, i.e. the Szego weight times the
-    parameter factors, multiplied as ((S C) D) / den.
+    parameter factors, multiplied as ((S C) D) / den, the six q-products
+    beyond the Szego pair from one kernel call: the definition that
+    weight_rows' series is certified against and that eval bweight prints.
     """
-    szego = szego_weight(z, p.q)
-    [(C, D, den)] = _parameter_factors(z, p.q, [p])
-    return _maybe_scalar(szego * C * D / den)
+    rq, z = math.sqrt(p.q), np.asarray(z, dtype=complex)
+    C, D, *den = map(np.asarray, qpochhammer_inf_each([
+        p.a * p.b * rq * z, p.alpha * p.beta * rq / z,
+        p.a * z, p.alpha / z, p.b * z, p.beta / z], p.q))
+    return _maybe_scalar(szego_weight(z, p.q) * C * D / math.prod(
+        den, start=np.ones(z.shape, dtype=complex)))
+
+
+def _series_terms(r: float, qv: float) -> int:
+    """The K terms of _log_series_rows' series for a set whose largest
+    |parameter| is r: past K each of a term's six powers is at most r^k and
+    k (1 - q^k) >= 1 - q, so the tail is at most 6 r^(K+1) / ((1 - q)(1 - r)),
+    here <= _SERIES_TAIL.  Past _SERIES_TERMS terms, raises NonConvergent."""
+    if r == 0.0:
+        return 0
+    bound = _SERIES_TAIL * (1.0 - qv) * (1.0 - r) / 6.0
+    terms = max(0, math.ceil(math.log(bound) / math.log(r)) - 1)
+    if terms > _SERIES_TERMS:
+        raise NonConvergent(f"the log-Laurent series of the weight at q={qv!r}"
+                            f" and max|parameter|={r:.6g} needs {terms:,} "
+                            f"terms to meet tail={_SERIES_TAIL:g}, over the "
+                            f"cap of {_SERIES_TERMS:,}")
+    return terms
+
+
+def _log_series_rows(z, qv, sets) -> list:
+    """exp L at the N grid nodes z_j = e^{2 pi i j/N} for each set, L the
+    log of the weight's factors beyond the Szego pair, (ab q^{1/2} z,
+    alpha beta q^{1/2}/z; q)_inf / (az, alpha/z, bz, beta/z; q)_inf, by
+    log (x; q)_inf = -sum_k x^k / (k (1 - q^k)) (Gasper and Rahman, Basic
+    Hypergeometric Series, 2nd ed., 1.3):
+
+      L = sum_{k>=1} [(a^k + b^k - (ab q^{1/2})^k) z^k
+                      + (alpha^k + beta^k - (alpha beta q^{1/2})^k) z^{-k}]
+                     / (k (1 - q^k)).
+
+    Each set's own _series_terms terms fold mod N into the coefficients of
+    z^0..z^{N-1}, a block of N at a time; one inverse FFT of every set sums
+    them at the nodes, and one exp.  A row's bits depend on its set alone."""
+    n, log_q, rq = len(z), math.log(qv), math.sqrt(qv)
+    folded = np.zeros((len(sets), n), dtype=complex)
+    for row, p in zip(folded, sets):
+        terms = _series_terms(max(map(abs, (p.a, p.alpha, p.b, p.beta))), qv)
+        ab, alpha_beta = p.a * p.b * rq, p.alpha * p.beta * rq
+        for lo in range(1, terms + 1, n):
+            k = np.arange(lo, min(lo + n, terms + 1))
+            scale = -1.0 / (k * np.expm1(k * log_q))  # 1 / (k (1 - q^k))
+            row[k % n] += (p.a**k + p.b**k - ab**k) * scale
+            row[-k % n] += (p.alpha**k + p.beta**k - alpha_beta**k) * scale
+    return list(np.exp(np.fft.ifft(folded, norm="forward")))
 
 
 def weight_rows(grid: CircleGrid, sets) -> np.ndarray:
-    """biortho_weight(z_j, p) to the last bit for each set, shape (P, N): the
-    grid's Szego q-product row 0 times each set's parameter factors, those
-    not held yet sampled in one kernel call; ValueError if one overflows."""
+    """The weight at the grid nodes for each set, shape (P, N), with no
+    q-product: the grid's Szego circle row (szego.circle_weight at the total
+    mass 1/(q;q)_inf) times exp of the set's log-Laurent series, the sets
+    the grid does not hold yet summed in one _log_series_rows call.
+    biortho_weight_series holds them to biortho_weight's q-products.
+    ValueError if one overflows."""
     (q,) = {p.q for p in sets}  # one base for the batch
-    (S,) = grid.rows(product_rows, q, [0])
-    factors = grid.rows(_parameter_factors, q, sets)
+    S = circle_weight(grid, q)
     with representable(f"the biortho weight rows overflow at q={q}"):
-        return np.stack([S * C * D / den for C, D, den in factors])
+        return np.stack([S * E for E in grid.rows(_log_series_rows, q, sets)])
 
 
 def shifted_weight_rows(grid: CircleGrid, p: BiorthoParams,
@@ -201,13 +245,23 @@ def biortho_norms(max_n: int, p: BiorthoParams) -> list:
     return norms
 
 
-def weight_symmetry_check(p: BiorthoParams,
-                          grid: CircleGrid) -> IdentityReport:
-    """w(1/z; a, alpha, b, beta) = w(z; alpha, a, beta, b) on the grid."""
+def weight_symmetry_reports(p: BiorthoParams,
+                            grid: CircleGrid) -> list:
+    """w(1/z; a, alpha, b, beta) = w(z; alpha, a, beta, b) on the grid, both
+    sides biortho_weight's q-products, as biortho_weight_symmetry; then
+    weight_rows at (alpha, a, beta, b) held to that right-hand side,
+    pointwise relative, as biortho_weight_series, which certifies the
+    series rows every verdict reads.  Both to ALGEBRAIC_TOL."""
+    swapped = BiorthoParams(p.alpha, p.a, p.beta, p.b, p.q)
     lhs = np.asarray(biortho_weight(1.0 / grid.nodes, p))
-    rhs = weight_rows(grid, [BiorthoParams(p.alpha, p.a, p.beta, p.b, p.q)])[0]
-    return IdentityReport("biortho_weight_symmetry", worst(lhs - rhs),
-                          ALGEBRAIC_TOL, grid.n_nodes, p.as_dict())
+    rhs = np.asarray(biortho_weight(grid.nodes, swapped))
+    series = weight_rows(grid, [swapped])[0]
+    return [IdentityReport(name, residual, ALGEBRAIC_TOL, grid.n_nodes,
+                           p.as_dict())
+            for name, residual in (
+                ("biortho_weight_symmetry", worst(lhs - rhs)),
+                ("biortho_weight_series",
+                 worst(series - rhs, np.abs(rhs))))]
 
 
 def imn_table(size: int, p: BiorthoParams, grid: CircleGrid,

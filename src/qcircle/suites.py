@@ -152,11 +152,11 @@ def biortho_suite(cfg: SuiteConfig) -> list[IdentityReport]:
                        worst(complex(G[0, 0]) - norms[0], abs(norms[0])), tol,
                        grid.n_nodes, p.as_dict()),
         kappa_random_report(cfg.q, grid, cfg.seed, tol=tol),
-        biortho.weight_symmetry_check(p, grid),
+        *biortho.weight_symmetry_reports(p, grid),
         # The Szego Pearson step -1/(q^{1/2} z) of the raising ratio rows,
-        # on the q-product row that the weight rows above share.
-        szego.weight_pearson_check(
-            grid.rows(szego.product_rows, cfg.q, [0])[0], cfg.q, grid, 1),
+        # on the circle row that the weight rows above share.
+        szego.weight_pearson_check(szego.circle_weight(grid, cfg.q), cfg.q,
+                                   grid, 1),
         gram_rep,
     ]
     reports += biortho.ladder_reports(cfg.max_n, p, grid, tol)

@@ -61,10 +61,13 @@ def product_rows(z, q, depths) -> list:
 
 
 def _dual_rows(z, qv, masses) -> list:
-    """circle_weight's row at the N grid nodes z for each mass."""
+    """circle_weight's row at the N grid nodes z for each mass, None for
+    the total mass 1/(q;q)_inf."""
     n = len(z)
     rows = []
     for mass in masses:
+        if mass is None:
+            mass = szego_norms(0, qv)[0]
         tau = -math.log(qv)
         c = math.pi**2 / (2.0 * tau)
         # Terms past |m| = M fall below e^{-4 c M (M + 1)} <= e^{-40} of the
@@ -81,7 +84,7 @@ def _dual_rows(z, qv, masses) -> list:
     return rows
 
 
-def circle_weight(grid: CircleGrid, q, mass: float) -> np.ndarray:
+def circle_weight(grid: CircleGrid, q, mass: float | None = None) -> np.ndarray:
     """szego_weight at the grid nodes e^{i theta_j}, real and positive by
     construction: the theta series (q;q)_inf w = sum_k q^{k^2/2}
     e^{ik(theta + pi)} under Jacobi's imaginary transformation,
@@ -90,8 +93,9 @@ def circle_weight(grid: CircleGrid, q, mass: float) -> np.ndarray:
         L = log(sqrt(2 pi / tau) mass),  phi_j = pi (2j - N) / N,
 
     phi_j being theta_j + pi reduced to [-pi, pi), and mass the total mass
-    1/(q;q)_inf (szego_norms' first entry).  L sits inside exp, whose
-    factors alone underflow near q = 1.  Built once per grid and q."""
+    1/(q;q)_inf (szego_norms' first entry), which None, the default, takes
+    once per grid and q.  L sits inside exp, whose factors alone underflow
+    near q = 1.  Built once per grid, q and mass."""
     return grid.rows(_dual_rows, q, [mass])[0]
 
 

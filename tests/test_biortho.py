@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qcircle.biortho
 from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norms,
                              biortho_weight, imn_iterated_coefficient,
                              imn_step_coefficient, imn_table, kappa_closed,
@@ -15,14 +16,14 @@ from qcircle.biortho import (BiorthoParams, biortho_gram, biortho_norms,
                              raising_ratio_rows, random_params,
                              recursion_chain_reports, s_fn, sears_check,
                              shifted_weight_rows, weight_rows,
-                             weight_symmetry_check)
+                             weight_symmetry_reports)
 from qcircle.circle import CircleGrid, contour_mean, dq_apply, tq_apply
 from qcircle.cli import main, parse_complex
-from qcircle.errors import (DegenerateParameters, UnbalancedParameters,
-                            WeightUnderflow)
+from qcircle.errors import (DegenerateParameters, NonConvergent,
+                            UnbalancedParameters, WeightUnderflow)
 from qcircle.qcore import qmultipochhammer, qpochhammer, qpochhammer_inf
 from qcircle.szego import ladder_reports as szego_ladder_reports
-from qcircle.szego import szego_weight
+from qcircle.szego import circle_weight, szego_weight
 
 Q = 0.5
 P = BiorthoParams(0.3, 0.2, 0.4, 0.1, Q)
@@ -167,8 +168,18 @@ class TestWeight:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_symmetry_under_parameter_swap(self):
-        rep = weight_symmetry_check(P, GRID)
-        assert rep.passed
+        symmetry, series = weight_symmetry_reports(P, GRID)
+        assert symmetry.name == "biortho_weight_symmetry" and symmetry.passed
+        assert series.name == "biortho_weight_series" and series.passed
+        assert symmetry.tolerance == series.tolerance == 1e-12
+        # Both sides of the symmetry are biortho_weight's q-products; the
+        # series rows at the swapped set are held to the right-hand side.
+        swapped = BiorthoParams(P.alpha, P.a, P.beta, P.b, Q)
+        rhs = np.asarray(biortho_weight(GRID.nodes, swapped))
+        assert symmetry.residual == np.max(np.abs(
+            np.asarray(biortho_weight(1.0 / GRID.nodes, P)) - rhs))
+        assert series.residual == np.max(np.abs(
+            weight_rows(GRID, [swapped])[0] - rhs) / np.abs(rhs))
         # the literal unswapped reading does not hold for generic parameters
         literal = np.asarray(biortho_weight(1.0 / GRID.nodes, P)) - \
             weight_rows(GRID, [P])[0]
@@ -183,7 +194,8 @@ class TestWeight:
 
 def eight_factor_weight(z, p):
     """The weight as one product of eight q-shifted factorials, in the
-    multiplication order weight_rows and biortho_weight must reproduce."""
+    multiplication order biortho_weight must reproduce; weight_rows' series
+    is held to it pointwise."""
     rq = math.sqrt(p.q)
     z = np.asarray(z, dtype=complex)
     num = np.ones(z.shape, dtype=complex)
@@ -234,18 +246,26 @@ def kernel_calls(monkeypatch, capsys, argv) -> tuple:
     return calls.count(True), calls.count(False)
 
 
+def relative_error(got, want) -> float:
+    """The largest pointwise |got - want| / |want|."""
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
 class TestWeightRows:
-    """The grid row shares the Szego pair and keeps the eight-factor bits."""
+    """The grid rows: the Szego circle row times exp of each set's
+    log-Laurent series, held pointwise to the eight-factor product."""
 
     @pytest.mark.parametrize("n_nodes", [128, 2048])
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.89])
     def test_rows_match_eight_factor_product(self, n_nodes, q):
+        # The bits of the q-products until the rows became a series; the
+        # worst measured is 3.3e-14 (q = 0.89, 2048 nodes).
         rng = np.random.default_rng(int(q * 100) + n_nodes)
         grid = CircleGrid(n_nodes)
         for p in (BiorthoParams(0.3, 0.2, 0.4, 0.1, q),
                   random_params(rng, q), conjugate_params(rng, q)):
-            assert weight_rows(grid, [p])[0].tobytes() == \
-                eight_factor_weight(grid.nodes, p).tobytes()
+            assert relative_error(weight_rows(grid, [p])[0],
+                                  eight_factor_weight(grid.nodes, p)) < 1e-13
 
     def test_direct_calls_match_eight_factor_product(self):
         rng = np.random.default_rng(41)
@@ -259,26 +279,50 @@ class TestWeightRows:
 
     def test_near_one_verdict_array_product_count(self, monkeypatch, capsys):
         # 160 lone calls when every parameter set recomputed the Szego pair,
-        # 108 with one set at a time; now the Szego pair's rows, the direct
-        # 1/z weight and one batch per table of parameter sets.
+        # 108 with one set at a time, 12 with one batch of q-products per
+        # table of parameter sets; now none for the weight rows: the two
+        # direct weights of the symmetry check (a batch and the Szego pair
+        # each) and the Pearson check's direct Szego row at qz.
         arrays, _ = kernel_calls(monkeypatch, capsys, [
             "verify", "biortho", "--max-n", "5", "--grid", "256",
             "--q", "0.89"])
-        assert 0 < arrays <= 12
+        assert 0 < arrays <= 8
 
     def test_headline_verdict_array_product_count(self, monkeypatch, capsys):
-        # 118 with one parameter set at a time.
+        # 118 with one parameter set at a time, 16 with q-product weight
+        # rows.
         arrays, _ = kernel_calls(monkeypatch, capsys, [
             "verify", "all", "--max-n", "5", "--grid", "256", "--q", "0.5"])
-        assert 0 < arrays <= 22
+        assert 0 < arrays <= 14
 
     def test_biortho_verdict_kernel_calls(self, monkeypatch, capsys):
-        # 108 array and 160 scalar calls with one parameter set at a time.
+        # 108 array and 160 scalar calls with one parameter set at a time,
+        # 12 and 4 with q-product weight rows; the circle row's total mass
+        # 1/(q;q)_inf is the fifth scalar call.
         arrays, scalars = kernel_calls(monkeypatch, capsys, [
             "verify", "biortho", "--max-n", "5", "--grid", "256",
             "--q", "0.5"])
-        assert arrays <= 12 and scalars <= 4
-        assert arrays + scalars <= 20
+        assert arrays <= 8 and scalars <= 5
+        assert arrays + scalars <= 13
+
+    def test_weight_rows_call_no_q_product(self, monkeypatch):
+        # The ten random sets of kappa_random_report at q = 0.89, once the
+        # grid holds the circle row and its (q;q)_inf, a scalar q-product.
+        import qcircle.qcore
+        import qcircle.szego
+        grid, rng = CircleGrid(256), np.random.default_rng(0)
+        circle_weight(grid, 0.89)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a q-product")
+
+        for module in (qcircle.qcore, qcircle.szego, qcircle.biortho):
+            for name in ("qpochhammer_inf", "qpochhammer_inf_each"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+        rows = weight_rows(grid, [random_params(rng, 0.89)
+                                  for _ in range(10)])
+        assert rows.shape == (10, 256)
 
     def test_biortho_verdict_scalar_kernel_arguments(self, monkeypatch,
                                                      capsys):
@@ -297,7 +341,8 @@ class TestWeightRows:
         main(["verify", "biortho", "--max-n", "5", "--grid", "256",
               "--q", "0.5"])
         capsys.readouterr()
-        assert len(scalars) == 130
+        # 130 and the circle row's (q;q)_inf.
+        assert len(scalars) == 131
 
     def test_near_one_szego_verdict_array_product_count(self, monkeypatch,
                                                         capsys):
@@ -323,21 +368,110 @@ class TestWeightRows:
             single = weight_rows(CircleGrid(128), [p])[0]
             assert row.tobytes() == single.tobytes()
 
+    @pytest.mark.parametrize("n_nodes", [64, 100, 256, 2048])
+    def test_a_rows_bits_do_not_depend_on_its_batch(self, n_nodes):
+        # Each set takes its own number of terms: 0.95 folds 825 terms
+        # into 64 coefficients, Pastro's largest, 0.4, takes 43, and the
+        # inverse FFT of a batch is each row's own.
+        q, rng = 0.5, np.random.default_rng(n_nodes)
+        sets = [BiorthoParams(0.95, 0.2, 0.4, 0.1, q), PASTRO,
+                random_params(rng, q), BiorthoParams(0.0, 0.0, 0.0, 0.0, q),
+                conjugate_params(rng, q)]
+        rows = weight_rows(CircleGrid(n_nodes), sets)
+        for p, row in zip(sets, rows):
+            single = weight_rows(CircleGrid(n_nodes), [p])[0]
+            assert row.tobytes() == single.tobytes()
+            assert relative_error(row, eight_factor_weight(
+                CircleGrid(n_nodes).nodes, p)) < 1e-13
+
+    def test_zero_parameters_give_the_circle_row(self):
+        pz = BiorthoParams(0.0, 0.0, 0.0, 0.0, Q)
+        assert weight_rows(GRID, [pz])[0].tobytes() == \
+            circle_weight(GRID, Q).astype(complex).tobytes()
+
+    @pytest.mark.parametrize("r, q", [(0.3, 0.5), (0.95, 0.5), (0.999, 0.9),
+                                      (0.99995, 0.5)])
+    def test_truncation_meets_its_tail_bound(self, r, q):
+        # Past K terms each of a term's six powers is at most r^k and
+        # k (1 - q^k) >= 1 - q: the tail is at most
+        # 6 r^(K+1) / ((1 - q)(1 - r)), and K is the least that keeps it
+        # under 1e-16.
+        terms = qcircle.biortho._series_terms(r, q)
+        tail = lambda k: 6 * r**(k + 1) / ((1 - q) * (1 - r))  # noqa: E731
+        assert tail(terms) <= 1e-16 < tail(terms - 2)
+
+    def test_past_the_term_cap_raises(self):
+        # max|parameter| 0.99999 at q = 0.5 needs 5,083,893 terms; the
+        # q-product kernel caps its factors at the same 1,000,000.
+        with pytest.raises(NonConvergent, match=(
+                r"series of the weight at q=0\.5 and max\|parameter\|="
+                r"0\.99999 needs 5,083,893 terms")):
+            weight_rows(CircleGrid(64), [BiorthoParams(0.2, 0.99999, 0.4,
+                                                       0.1, 0.5)])
+
     def test_batch_reuses_held_rows(self, monkeypatch):
         import qcircle.biortho
         grid, batches = CircleGrid(64), []
-        factors = qcircle.biortho._parameter_factors
+        series = qcircle.biortho._log_series_rows
 
         def counted(z, q, sets):
             batches.append(list(sets))
-            return factors(z, q, sets)
+            return series(z, q, sets)
 
-        monkeypatch.setattr(qcircle.biortho, "_parameter_factors", counted)
+        monkeypatch.setattr(qcircle.biortho, "_log_series_rows", counted)
         shift = replace(P, alpha=Q * P.alpha)
         weight_rows(grid, [P])
         rows = weight_rows(grid, [shift, P, shift])
         assert batches == [[P], [shift]]
         assert rows[0].tobytes() == rows[2].tobytes()
+
+
+def mp_qproducts(xs, q, mpmath) -> list:
+    """(x; q)_inf for each x at mpmath's precision, the factors 1 - x q^k
+    multiplied out until q^k < 10^-(dps + 2), every x sharing one q^k."""
+    eps, qk = mpmath.mpf(10)**-(mpmath.mp.dps + 2), mpmath.mpf(1)
+    products = [mpmath.mpc(1)] * len(xs)
+    while qk > eps:
+        products = [v * (1 - x * qk) for v, x in zip(products, xs)]
+        qk *= q
+    return products
+
+
+class TestWeightRowsOracle:
+    """weight_rows against the eight-factor product at 20 digits, the
+    Szego pair (q^{1/2} z, q^{1/2}/z; q)_inf times (ab q^{1/2} z,
+    alpha beta q^{1/2}/z; q)_inf / (az, alpha/z, bz, beta/z; q)_inf, on
+    16 nodes, or every `step`-th of them from node 3: near q = 1 each
+    product of 5,000 factors costs mpmath about 45 ms.  The worst measured
+    is 3.8e-14 (q = 0.99), about eps times the circle row's exponent, 490."""
+
+    @pytest.mark.parametrize("q, step", [(0.5, 1), (0.89, 4), (0.97, 8),
+                                         (0.99, 16)])
+    def test_mpmath_oracle(self, q, step):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(int(q * 100))
+        sets = [replace(P, q=q), random_params(rng, q),
+                conjugate_params(rng, q), replace(PASTRO, q=q)]
+        grid = CircleGrid(16)
+        rows = weight_rows(grid, sets)
+        with mpmath.workdps(20):
+            qm = mpmath.mpf(q)
+            rq = mpmath.sqrt(qm)
+            for j in range(3 % step, 16, step):
+                z = mpmath.mpc(grid.nodes[j])
+                xs = [rq * z, rq / z]
+                for p in sets:
+                    a, alpha, b, beta = map(mpmath.mpc, (p.a, p.alpha, p.b,
+                                                         p.beta))
+                    xs += [a * b * rq * z, alpha * beta * rq / z, a * z,
+                           alpha / z, b * z, beta / z]
+                szego, *factors = mp_qproducts(xs, qm, mpmath)
+                szego *= factors.pop(0)
+                for i, row in enumerate(rows):
+                    num0, num1, *den = factors[6 * i:6 * i + 6]
+                    want = complex(szego * num0 * num1
+                                   / (den[0] * den[1] * den[2] * den[3]))
+                    assert abs(row[j] - want) <= 1e-13 * abs(want), (i, j)
 
 
 class TestShiftedWeightRows:
@@ -354,23 +488,25 @@ class TestShiftedWeightRows:
             assert rows.shape == (4, 256)
             assert rows[0].tobytes() == weight_rows(grid, [p])[0].tobytes()
             for n in range(1, 4):
-                direct = weight_rows(grid, [replace(
-                    p, alpha=q**n * p.alpha, beta=q**n * p.beta)])[0]
-                assert np.max(np.abs(rows[n] - direct)
-                              / np.abs(direct)) < 1e-13
+                shift = replace(p, alpha=q**n * p.alpha, beta=q**n * p.beta)
+                direct = weight_rows(grid, [shift])[0]
+                assert relative_error(rows[n], direct) < 1e-13
+                # The worst measured is 2.7e-14 (q = 0.89).
+                assert relative_error(rows[n], eight_factor_weight(
+                    grid.nodes, shift)) < 1e-13
 
     def test_chain_samples_one_direct_shifted_row(self, monkeypatch):
         # The chain sampled the parameter factors of shift_1..shift_3; now
         # only shift_3's, for the biortho_weight_shift certificate.
         import qcircle.biortho
         grid, batches = CircleGrid(64), []
-        factors = qcircle.biortho._parameter_factors
+        series = qcircle.biortho._log_series_rows
 
         def counted(z, q, sets):
             batches.append(list(sets))
-            return factors(z, q, sets)
+            return series(z, q, sets)
 
-        monkeypatch.setattr(qcircle.biortho, "_parameter_factors", counted)
+        monkeypatch.setattr(qcircle.biortho, "_log_series_rows", counted)
         table = table_at(4, grid=grid)
         assert batches == [[P]]
         reports = recursion_chain_reports(table, P, grid)
@@ -779,7 +915,7 @@ class TestRaisingRatioRows:
 
         for module in (qcircle.circle, qcircle.szego, qcircle.biortho):
             for name in ("szego_weight", "biortho_weight",
-                         "_parameter_factors", "over_weight"):
+                         "_log_series_rows", "circle_weight", "over_weight"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name,
                                         tracked(name, getattr(module, name)))

@@ -19,7 +19,7 @@ from qcircle.biortho import (DEFAULT_PARAMS, BiorthoParams, biortho_weight,
 from qcircle.circle import CircleGrid, gram_matrix
 from qcircle.cli import (UFUNC_BUFSIZE, build_parser, four_params, main,
                          parse_complex)
-from qcircle.qcore import qpochhammer_inf_each, theta_sum
+from qcircle.qcore import ALGEBRAIC_TOL, qpochhammer_inf_each, theta_sum
 from qcircle.szego import circle_weight, poly_rows, szego_norms
 
 # Keys whose values are complex numbers in the JSON of verify, gram and eval.
@@ -211,21 +211,28 @@ class TestEval:
         ids=["weight", "bweight", "bweight-complex"])
     def test_weight_at_a_node_is_the_verdicts_row(self, subject, params, q,
                                                   capsys):
-        # eval prints, bit for bit, the entry of the weight row that the
-        # verdicts judge at that grid node.
+        # eval weight prints, bit for bit, the entry of the q-product row
+        # that the Pearson checks judge at that grid node.  eval bweight
+        # prints biortho_weight's q-products, the reference that
+        # biortho_weight_series holds the verdicts' series rows to: bit
+        # for bit that row's entry, and the series row's within
+        # ALGEBRAIC_TOL, relative.
         grid = CircleGrid(64)
         if subject == "weight":
             (row,) = grid.rows(qcircle.szego.product_rows, float(q), [0])
         else:
             p = BiorthoParams(*(four_params(params) if params
                                 else DEFAULT_PARAMS), float(q))
-            row = weight_rows(grid, [p])[0]
+            row = np.asarray(biortho_weight(grid.nodes, p))
+            series = weight_rows(grid, [p])[0]
         for j in range(0, 64, 3):
             z = repr(complex(grid.nodes[j])).strip("()").replace("j", "i")
             argv = ["eval", subject, f"--z={z}", "--q", q, "--format", "json"]
             assert main(argv + (["--params", params] if params else [])) == 0
             value = complex(*json.loads(capsys.readouterr().out)["value"])
             assert np.array(value).tobytes() == row[j].tobytes(), j
+            if subject == "bweight":
+                assert abs(series[j] - value) <= ALGEBRAIC_TOL * abs(value)
 
     @pytest.mark.parametrize("q", ["0.5", "0.9"])
     @pytest.mark.parametrize("subject, n", [
@@ -614,10 +621,17 @@ class TestNoFalsePass:
         (["eval", "rn", "--n", "1", "--z", "8", "--q", "0.25", "--params",
           "0.5,0.2,0.5,0.1"],
          "error: r_n is not finite at a point of its table, n < 2, q=0.25"),
+        # The weight rows' log-Laurent series decays like 0.99999^k.
+        *[([command, "biortho", "--max-n", "2", "--grid", "64", "--q", "0.5",
+            "--params", "0.3,0.2,0.4,0.99999"],
+           "error: the log-Laurent series of the weight at q=0.5 and "
+           "max|parameter|=0.99999 needs 5,083,893 terms to meet tail=1e-16, "
+           "over the cap of 1,000,000") for command in ("verify", "gram")],
     ], ids=["theta", "theta-past-the-term-cap",
             "szego-overflow", "szego-underflow", "pearson-rows",
             "pearson-rows-all", "pearson-rows-small-q", "biortho-norm-220",
-            "biortho-norm-240", "gram-norm-240", "rn-pole"])
+            "biortho-norm-240", "gram-norm-240", "rn-pole",
+            "series-past-the-term-cap", "gram-series-past-the-term-cap"])
     def test_unrepresentable_value_exits_2(self, argv, invariant, capsys):
         # Each ended in a traceback: OverflowError from the theta sum's
         # truncation bound and from q**(-k/2), ZeroDivisionError from an

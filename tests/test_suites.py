@@ -84,6 +84,7 @@ def test_tol_sets_every_report_but_the_fixed_ones():
     assert fixed == {("szego_weight_pearson", 1e-12): 2,
                      ("szego_weight_positivity", 1e-12): 1,
                      ("biortho_weight_symmetry", 1e-12): 1,
+                     ("biortho_weight_series", 1e-12): 1,
                      ("biortho_weight_shift", 1e-12): 1,
                      ("adjointness", 1e-11): 1,
                      ("sears_involution", 1e-11): 1}
@@ -157,11 +158,13 @@ def test_verify_all_samples_rows_on_one_grid(monkeypatch):
         count(name, *owners)
     run_suite("all", SuiteConfig(q=0.5, max_n=5, grid_size=256, seed=3))
     # M applied once each to the anchor, to f and g, and to H_1 and H_2.
-    # The weight: the grid's q-product rows 0 and 1, which the biortho
-    # suite's weight rows and Pearson check sample and the qsl suite reads,
-    # its row 5, the szego suite's Pearson reference, and biortho_weight at
-    # 1/z of the weight symmetry check.
-    assert calls == {"__post_init__": 1, "_m_rows": 4, "szego_weight": 4}
+    # The weight: the grid's q-product rows 0 and 1, which the qsl suite
+    # reads and the biortho suite's Pearson check samples (row 1), its row
+    # 5, the szego suite's Pearson reference, and biortho_weight at 1/z and
+    # at z, the two sides of the weight symmetry check.  The biortho
+    # suite's weight rows sample none: they are the circle row times a
+    # series.
+    assert calls == {"__post_init__": 1, "_m_rows": 4, "szego_weight": 5}
     assert not hasattr(qsl, "certify_eigenpair")
 
 

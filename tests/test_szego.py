@@ -528,6 +528,14 @@ class TestCircleWeight:
         assert positivity.residual == 0.0
         assert positivity.notes["max_imag"] == 0.0
 
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99])
+    def test_default_mass_is_the_total_mass(self, q):
+        # The biortho weight rows' circle row: the mass is 1/(q;q)_inf,
+        # taken once per grid and q.
+        row = circle_weight(CircleGrid(64), q)
+        assert row.tobytes() == circle_weight(
+            CircleGrid(64), q, szego_norms(0, q)[0]).tobytes()
+
 
 class TestPearsonRows:
     """szego.weight_ratio_rows: ones, then one Pearson step per row."""

@@ -67,13 +67,20 @@ SWEEP = (
         "--params", "0,0,0.4,0.1"]]
     # beta = q: the weight has a pole at z = 1 one q-step inside the circle.
     + [["verify", "biortho", "--q", "0.5", "--params", "0.3,0.2,0.4,0.5"]]
+    # A parameter near the circle: the weight rows' log-Laurent series takes
+    # more terms than the grid has nodes (825 at 0.95, 47,819 at 0.999) and
+    # folds them.
+    + [["verify", "biortho", "--max-n", "5", "--grid", "64", "--q", q,
+        "--params", params]
+       for q, params in (("0.5", "0.95,0.2,0.4,0.1"),
+                         ("0.9", "0.999,0.2,0.4,0.1"))]
     # An odd grid: the Szego circle row's phase pi (2j - N) / N at odd N.
     + [["verify", "szego", "--max-n", "5", "--grid", "255", "--q", "0.9"]]
     # The Szego ladder where the weight underflows, and where (q;q)_inf does
     # (exit 2).
     + [["verify", "szego", "--max-n", "5", "--grid", "256", "--q", q]
        for q in ("0.996", "0.999")]
-    # biortho_total_mass_random at q=0.97 passes at 96% of its tolerance
+    # biortho_total_mass_random at q=0.97 passes at 98% of its tolerance
     # (set 3's weight peaks at 1.2e6 |kappa|); q=0.999 exits 2 on kappa.
     + [["verify", "biortho", "--max-n", "5", "--grid", "256", "--q", q]
        for q in ("0.97", "0.999")]
@@ -101,6 +108,8 @@ SWEEP = (
     + [["gram", "biortho", "--max-n", "8", "--grid", "2048", "--q", "0.5",
         *params] for params in
        ([], ["--params", "0.3+0.1i,0.2-0.15i,0.4+0.05i,0.1+0.2i"])]
+    # An inverse FFT of a length that is not a power of two.
+    + [["gram", "biortho", "--max-n", "8", "--grid", "100", "--q", "0.5"]]
     # biortho_norms' (ab alpha beta; q)_16 near q = 1.
     + [["gram", "biortho", "--max-n", "8", "--grid", "2048", "--q", "0.9"]]
     # kappa underflows (exit 2) where the random sets' weight rows overflow:
