@@ -475,11 +475,13 @@ def imn_iterated_coefficient(n: int, p: BiorthoParams) -> complex:
 
 
 def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
+                            kappa: complex,
                             tol: float = QUADRATURE_TOL) -> list:
     """The recursion chain behind biorthogonality, from `table`, imn_table at
     p up to degree upper (a leading block of biortho_gram's G), and one at
     shift_1, where shift_n = (a, q^n alpha, b, q^n beta), the weight at
-    shift_n from shifted_weight_rows; in order:
+    shift_n from shifted_weight_rows, and kappa, the closed-form total mass
+    at p (biortho_gram's norms[0]); in order:
 
       biortho_weight_shift     shifted_weight_rows' row at shift_upper
                                against its weight_rows row, pointwise
@@ -513,7 +515,6 @@ def recursion_chain_reports(table, p: BiorthoParams, grid: CircleGrid,
                   * lowered[m - 1][n - 1]),
             tol, grid.n_nodes, {**params, "m": m, "n": n})
             for m in range(1, upper + 1) for n in range(1, upper + 1)]
-    kappa = kappa_closed(p)
     for n in range(upper + 1):
         mass = complex(np.mean(rows[n]))
         num = qmultipochhammer((p.a * p.alpha, p.b * p.alpha, p.a * p.beta,

@@ -28,9 +28,22 @@ UNDERFLOW_FLOOR = sys.float_info.min
 # Complex elements per block of qpochhammer_inf factors: 512 KiB, the
 # fastest of 4096..131072 elements at 256 and 2048 points on a Xeon core
 # with 2 MiB of L2; smaller blocks pay numpy's per-call overhead more often.
+# Euler's series for an array lane's tails runs in rows 1 and 2 of the same
+# block, so a call holds one block at a time, series or not.
 _BLOCK_ELEMS = 32768
 
+# Euler's series for the tail of a q-product (qpochhammer_inf): taken once
+# max|a q^K'| <= _TAIL_TAU (1 - q), summed to _TAIL_TERMS terms, which
+# leaves under 1e-19, and only where it replaces at least _TAIL_MIN_FACTORS
+# factors: at 256 points it is faster from about 60, ten 0-d arguments
+# break even near 150 and a 1-element array only past 330 (a Xeon core,
+# numpy 2.4), and 100 keeps q <= 0.70 on the plain product.
+_TAIL_TAU = 1.0
+_TAIL_TERMS = 20
+_TAIL_MIN_FACTORS = 100
+
 _THETA_TERMS = 100_000
+_LOG_THETA_TOL = math.log(1e-15)
 
 
 def qval(q) -> float:
@@ -75,28 +88,68 @@ def qpochhammer_inf(a, q):
     Tail bound: once |a| q^K < 1/2, the log of the dropped factors is at most
     2 |a| q^K / (1 - q) in absolute value, so the relative error of the
     truncated product stays below ~2e-15.
+
+    Near q = 1 that takes about 34.5 / (1 - q) factors.  Where at least
+    _TAIL_MIN_FACTORS of them would follow the first K' with max|a q^K'| <=
+    tau (1 - q), tau = _TAIL_TAU, the product stops at K' and is multiplied
+    by its tail (x; q)_infty, x = a q^K', summed by Euler's identity
+    (Gasper and Rahman, Basic Hypergeometric Series, 2nd ed., (1.3.16)):
+
+        (x; q)_infty = sum_{n>=0} (-1)^n q^{n(n-1)/2} x^n / (q; q)_n = sum t_n.
+
+    As 1 - q^k = (1 - q)(1 + q + ... + q^{k-1}) >= k q^{k-1} (1 - q), the
+    q-power of t_n cancels against (q; q)_n >= n! q^{n(n-1)/2} (1 - q)^n, so
+    |t_n| <= (|x| / (1 - q))^n / n! <= tau^n / n!.  Summed to n = J =
+    _TAIL_TERMS by Horner's rule, the dropped terms total under
+    tau^{J+1} / (J+1)! * e^tau < 1e-19 at tau = 1, while |(x; q)_infty| >=
+    about e^{-tau}.  The series replaces 34.5 / -log q factors less about
+    one, so it is never taken at q <= 0.70.  Where it is, each q^k of the
+    product and of x is Python's q**k, rounded once.
     """
     return qpochhammer_inf_each([a], q)[0]
 
 
+def _euler_coefficients(qv: float) -> list:
+    """d_0..d_J of Euler's (x; q)_inf = sum_n d_n x^n, J = _TAIL_TERMS:
+    d_n = -d_{n-1} q^{n-1} / (1 - q^n), each 1 - q^n as (1 - q) times
+    1 + q + ... + q^{n-1}, a sum of positive terms that does not cancel
+    near q = 1 as 1 - q^n would."""
+    coef, qn, bracket = [1.0], 1.0, 0.0
+    for _ in range(_TAIL_TERMS):
+        bracket += qn
+        coef.append(-coef[-1] * qn / ((1.0 - qv) * bracket))
+        qn *= qv
+    return coef
+
+
 def qpochhammer_inf_each(args, q) -> list:
     """[qpochhammer_inf(a, q) for a in args], each truncated at its own
-    max|a| and bitwise the sequential product prod_k (1 - a q^k).
+    max|a| and bitwise the sequential product prod_k (1 - a q^k), times
+    Euler's series at x = a q^K' where the argument takes it.
 
     The factors are built a block of k at a time as rows of a 2-D array of
     at most _BLOCK_ELEMS elements, one column per element of an argument,
     the running products in row 0; each block is reduced along axis 0, rows
-    in order, with q^k from np.cumprod.  Columns are sorted by step count,
+    in order, with q^k from np.cumprod, or, in a lane that takes the series,
+    as Python's q**k: near q = 1 a running product of q's drifts by up to
+    about k/2 ulps, which set the error of the product (1.5e-13 against
+    1.8e-14 at q = 0.995).  Columns are sorted by step count,
     a block spans only those still running, and a wide lane runs in groups
     of columns.  numpy reduces a contiguous column with its scalar loop,
     which may round differently from the elementwise loop of rows, so array
     elements lie along rows (a 1-element array as two equal columns) and
     0-d arguments down contiguous columns, each reduced as in its lone
-    call.  Past 1,000,000 factors for an argument, raises NonConvergent.
+    call.  Arguments that take the series run in lanes of their own.  An
+    array lane sums it at the end of each group, elementwise as array
+    arithmetic rounds, in rows 1 and 2 of the group's block; a 0-d
+    argument in Python complex arithmetic, which rounds as numpy's 0-d
+    arithmetic does.  Past 1,000,000 factors for an argument, raises
+    NonConvergent.
     """
     qv = qval(q)
     args = [_maybe_scalar(np.asarray(a, dtype=complex)) for a in args]
-    cutoff, log_q, steps = 1e-15 * (1.0 - qv), math.log(qv), []
+    cutoff, log_q, steps, tails = 1e-15 * (1.0 - qv), math.log(qv), [], []
+    reach = _TAIL_TAU * (1.0 - qv)
     for a in args:
         amax = (abs(a) if isinstance(a, complex)
                 else float(np.abs(a).max()) if a.size else 0.0)
@@ -107,14 +160,17 @@ def qpochhammer_inf_each(args, q) -> list:
             raise NonConvergent(f"(a; q)_inf at q={qv!r} and max|a|={amax:.6g}"
                                 f" needs {n:,} factors to meet tol=1e-15, "
                                 f"over the cap of 1,000,000")
-        steps.append(max(n, 1) if amax else 0)
+        k = math.ceil(math.log(reach / amax) / log_q) if amax > reach else 0
+        tails.append(n - k >= _TAIL_MIN_FACTORS)
+        steps.append(k if tails[-1] else max(n, 1) if amax else 0)
+    coef = _euler_coefficients(qv) if any(tails) else []
     out = [None] * len(args)  # (a; q)_inf = 1 where a is 0 or empty
-    for scalar in (False, True):
-        lane = sorted((i for i, a in enumerate(args)
-                       if steps[i] and isinstance(a, complex) == scalar),
-                      key=lambda i: -steps[i])
-        if not lane:
-            continue
+    lanes = {}
+    for i in sorted(range(len(args)), key=lambda i: -steps[i]):
+        if steps[i] or tails[i]:
+            lanes.setdefault((isinstance(args[i], complex), tails[i]),
+                             []).append(i)
+    for (scalar, tail), lane in lanes.items():
         if scalar:
             flat, edges = (np.array([args[i] for i in lane], dtype=complex),
                            range(1, len(lane) + 1))
@@ -125,7 +181,7 @@ def qpochhammer_inf_each(args, q) -> list:
                 flat[lo:hi] = args[i].reshape(-1)
         ends, width = [steps[i] for i in lane], edges[-1]
         group = min(width, _BLOCK_ELEMS // 8)  # >= 7 rows: fewer were slower
-        rows = min(ends[0], _BLOCK_ELEMS // group - 1)
+        rows = min(max(ends[0], 2), _BLOCK_ELEMS // group - 1)
         block = np.empty((rows + 1, group), dtype=complex,
                          order="F" if scalar else "C")
         # q^k as complex numbers with zero imaginary part, the form that
@@ -136,6 +192,7 @@ def qpochhammer_inf_each(args, q) -> list:
             hi = min(width, lo + group)
             hi -= hi + 1 in edges  # never an argument's last column alone
             top, running = bisect_right(edges, lo), bisect_left(edges, hi) + 1
+            last = running  # lane[top:last] has columns in [lo, hi)
             block[0, :hi - lo] = 1.0
             qk, start = 1.0, 0
             while start < ends[top]:
@@ -143,9 +200,13 @@ def qpochhammer_inf_each(args, q) -> list:
                     running -= 1  # lane[:running] still take factors
                 live = min(hi, edges[running - 1]) - lo
                 r = min(rows, ends[running - 1] - start)
-                powers[0] = qk
-                qk_block = np.multiply.accumulate(powers[:r])  # np.cumprod
-                qk = qk_block[-1, 0].real * qv
+                if tail:  # each q^k rounded once: a running product drifts
+                    qk_block = powers[:r]
+                    qk_block[:, 0] = [qv**k for k in range(start, start + r)]
+                else:
+                    powers[0] = qk
+                    qk_block = np.multiply.accumulate(powers[:r])  # np.cumprod
+                    qk = qk_block[-1, 0].real * qv
                 factors = block[1:r + 1, :live]
                 np.multiply(flat[lo:lo + live], qk_block, out=factors)
                 np.subtract(1.0, factors, out=factors)
@@ -154,12 +215,31 @@ def qpochhammer_inf_each(args, q) -> list:
                 np.multiply.reduce(block[:r + 1, :live], axis=0,
                                    out=block[0, :live], initial=None)
                 start += r
+            if tail and not scalar:  # times Euler's series, in rows 1, 2
+                s, x = block[1, :hi - lo], block[2, :hi - lo]
+                for j in range(top, last):  # q^K' down each column
+                    first = edges[j - 1] if j else 0
+                    x[max(first, lo) - lo:min(edges[j], hi) - lo] = \
+                        qv**ends[j]
+                np.multiply(flat[lo:hi], x, out=x)
+                s[:] = coef[-1]
+                for d in coef[-2::-1]:  # Horner: s = s * x + d
+                    np.multiply(s, x, out=s)
+                    np.add(s, d, out=s)
+                np.multiply(block[0, :hi - lo], s, out=block[0, :hi - lo])
             flat[lo:hi] = block[0, :hi - lo]
             lo = hi
-        got = flat.tolist() if scalar else flat
-        for i, j in zip(lane, [0, *edges]):
-            out[i] = got[j] if scalar else (
-                got[j:j + args[i].size].reshape(args[i].shape).copy())
+        if not scalar:
+            for i, j in zip(lane, [0, *edges]):
+                out[i] = flat[j:j + args[i].size].reshape(args[i].shape).copy()
+            continue
+        for i, value in zip(lane, flat.tolist()):
+            if tail:  # Euler's series in Python arithmetic, as 0-d numpy's
+                s, x = coef[-1], args[i] * qv**steps[i]
+                for d in coef[-2::-1]:
+                    s = s * x + d
+                value *= s
+            out[i] = value
     return [x if x is not None else 1.0 + 0.0j if isinstance(a, complex)
             else np.ones(a.shape, dtype=complex) for a, x in zip(args, out)]
 
@@ -204,28 +284,39 @@ def theta_sum(z, q):
 
     The terms with |n| >= K are bounded by a geometric tail once
     q^{2K+1} max(|z|, 1/|z|) < 1, so the truncation error is certifiable.
-    Past K = 100,000 (0.2 s a point, x86-64), raises NonConvergent.
+    K is the first with q^{K^2} m^K <= 1e-15, m = max(|z|, 1/|z|), tested
+    as K^2 log q + K log m <= log 1e-15, where no power of m can overflow.
+    Past K = 100,000 (0.2 s a point, x86-64), raises NonConvergent.  Each
+    term is q^{n^2} (z^n + z^{-n}), z^{+-n} by repeated multiplication,
+    while m^n < e^700; past that, where z^n alone would overflow although
+    the term need not, it is exp(n^2 log q +- n log z).
     """
     qv = qval(q)
     z = np.asarray(z, dtype=complex)
     if np.any(z == 0):
         raise ValueError("theta_sum undefined at z = 0")
     m = float(np.max(np.maximum(np.abs(z), 1.0 / np.abs(z))))
+    log_q, log_m = math.log(qv), math.log(m)
     K = 1
-    while qv**(K * K) * m**K > 1e-15:
+    while K * K * log_q + K * log_m > _LOG_THETA_TOL:
         K += 1
         if K > _THETA_TERMS:
             raise NonConvergent(f"theta sum at q={qv!r} and max(|z|, 1/|z|)="
                                 f"{m:.6g} needs K > {_THETA_TERMS:,} terms a "
                                 f"side to meet tol=1e-15")
     K += 2
+    direct = min(K, int(700.0 / log_m)) if log_m > 0.0 else K
     out = np.ones(z.shape, dtype=complex)
     zp = np.ones_like(out)
     zm = np.ones_like(out)
-    for n in range(1, K + 1):
+    for n in range(1, direct + 1):
         zp = zp * z
         zm = zm / z
         out = out + qv**(n * n) * (zp + zm)
+    log_z = np.log(z) if direct < K else None
+    for n in range(direct + 1, K + 1):
+        out = out + (np.exp(n * n * log_q + n * log_z)
+                     + np.exp(n * n * log_q - n * log_z))
     return _maybe_scalar(out)
 
 

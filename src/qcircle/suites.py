@@ -160,7 +160,8 @@ def biortho_suite(cfg: SuiteConfig) -> list[IdentityReport]:
         gram_rep,
     ]
     reports += biortho.ladder_reports(cfg.max_n, p, grid, tol)
-    reports += biortho.recursion_chain_reports(G[:4, :4], p, grid, tol)
+    reports += biortho.recursion_chain_reports(G[:4, :4], p, grid, norms[0],
+                                               tol)
     reports.append(pastro_degeneration_report(p, grid, min(cfg.max_n, 4), tol))
     return reports
 

@@ -131,7 +131,8 @@ def test_criterion_09_recursion_chain():
     grid = CircleGrid(256)
     w = weight_rows(grid, [BASE_PARAMS])[0]
     table = imn_table(5, BASE_PARAMS, grid, w)
-    chain = recursion_chain_reports(table, BASE_PARAMS, grid)
+    chain = recursion_chain_reports(table, BASE_PARAMS, grid,
+                                    kappa_closed(BASE_PARAMS))
     worst_step = max(r.residual for r in chain
                      if r.name == "imn_recursion_step")
     worst_closed = max(r.residual for r in chain

@@ -298,12 +298,13 @@ class TestWeightRows:
     def test_biortho_verdict_kernel_calls(self, monkeypatch, capsys):
         # 108 array and 160 scalar calls with one parameter set at a time,
         # 12 and 4 with q-product weight rows; the circle row's total mass
-        # 1/(q;q)_inf is the fifth scalar call.
+        # 1/(q;q)_inf made a fifth scalar call, until the recursion chain
+        # read biortho_gram's kappa instead of its own.
         arrays, scalars = kernel_calls(monkeypatch, capsys, [
             "verify", "biortho", "--max-n", "5", "--grid", "256",
             "--q", "0.5"])
-        assert arrays <= 8 and scalars <= 5
-        assert arrays + scalars <= 13
+        assert arrays <= 8 and scalars <= 4
+        assert arrays + scalars <= 12
 
     def test_weight_rows_call_no_q_product(self, monkeypatch):
         # The ten random sets of kappa_random_report at q = 0.89, once the
@@ -341,8 +342,9 @@ class TestWeightRows:
         main(["verify", "biortho", "--max-n", "5", "--grid", "256",
               "--q", "0.5"])
         capsys.readouterr()
-        # 130 and the circle row's (q;q)_inf.
-        assert len(scalars) == 131
+        # 131 while the chain took its own kappa at p; 120 and the circle
+        # row's (q;q)_inf.
+        assert len(scalars) == 121
 
     def test_near_one_szego_verdict_array_product_count(self, monkeypatch,
                                                         capsys):
@@ -509,7 +511,7 @@ class TestShiftedWeightRows:
         monkeypatch.setattr(qcircle.biortho, "_log_series_rows", counted)
         table = table_at(4, grid=grid)
         assert batches == [[P]]
-        reports = recursion_chain_reports(table, P, grid)
+        reports = recursion_chain_reports(table, P, grid, kappa_closed(P))
         assert batches[1:] == [[replace(P, alpha=Q**3 * P.alpha,
                                         beta=Q**3 * P.beta)]]
         (shift,) = [r for r in reports if r.name == "biortho_weight_shift"]
@@ -963,7 +965,7 @@ def chain_reports(upper=3):
     """{(name, m, n): report} of the chain up to degree upper at P."""
     return {(r.name, r.params.get("m"), r.params["n"]): r
             for r in recursion_chain_reports(table_at(upper + 1),
-                                             P, GRID)}
+                                             P, GRID, kappa_closed(P))}
 
 
 class TestRecursionChain:
@@ -1038,7 +1040,7 @@ class TestRecursionChainTable:
     def test_reports_at_small_upper(self, upper, want):
         grid = CircleGrid(64)
         reports = recursion_chain_reports(table_at(upper + 1, grid=grid), P,
-                                          grid)
+                                          grid, kappa_closed(P))
         assert [r.name for r in reports] == want
 
     def test_each_function_evaluated_once_per_table(self, monkeypatch):
@@ -1048,7 +1050,7 @@ class TestRecursionChainTable:
         # reads no r_n.
         table = table_at(4)
         tables, calls = counted_tables(monkeypatch)
-        reports = recursion_chain_reports(table, P, GRID)
+        reports = recursion_chain_reports(table, P, GRID, kappa_closed(P))
         assert len(reports) == 15
         assert [degrees for _, degrees in tables] == [range(3), range(3)]
         assert calls == []
@@ -1057,14 +1059,14 @@ class TestRecursionChainTable:
         # The table at P comes in; the chain sampled r_n and s_n at P too.
         table = table_at(4)
         tables, _ = counted_tables(monkeypatch)
-        recursion_chain_reports(table, P, GRID)
+        recursion_chain_reports(table, P, GRID, kappa_closed(P))
         shift = replace(P, alpha=Q * P.alpha, beta=Q * P.beta)
         assert {p for p, _ in tables} == {shift, shift.swapped()}
 
-    def test_verdict_evaluates_kappa_at_p_at_most_twice(self, monkeypatch,
-                                                        capsys):
+    def test_verdict_evaluates_kappa_at_p_once(self, monkeypatch, capsys):
         # kappa_check, biortho_gram and the chain at p and at shift_0 = p
-        # made four; biortho_gram's and the chain's kappa_closed make two.
+        # made four, then biortho_gram's and the chain's kappa_closed two;
+        # the chain reads biortho_gram's norms[0].
         import qcircle.biortho
         batches = []
         kappa = qcircle.biortho.kappa_each
@@ -1078,10 +1080,10 @@ class TestRecursionChainTable:
               "--q", "0.5", "--format", "json"])
         capsys.readouterr()
         calls = [p for sets in batches for p in sets]
-        assert calls.count(P) <= 2  # P is the default set
-        assert len(calls) <= 13
-        # p's Gram, the ten random sets, the chain's p, the Pastro set.
-        assert len(batches) <= 4
+        assert calls.count(P) == 1  # P is the default set
+        assert len(calls) <= 12
+        # p's Gram, the ten random sets, the Pastro set.
+        assert len(batches) <= 3
 
 
 class TestDegenerations:

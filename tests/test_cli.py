@@ -593,7 +593,8 @@ class TestNoFalsePass:
 
     @pytest.mark.parametrize("argv, invariant", [
         (["eval", "theta", "--z", "1e-300"],
-         "error: a value is not representable (OverflowError"),
+         "error: theta(+1.000000000000e-300+0.000000000000e+00i, q=0.5) is "
+         "not finite: +inf"),
         (["eval", "theta", "--z", "1", "--q", "0.9999999999"],
          "error: theta sum at q=0.9999999999 and max(|z|, 1/|z|)=1 needs "
          "K > 100,000 terms a side"),
@@ -634,7 +635,8 @@ class TestNoFalsePass:
             "series-past-the-term-cap", "gram-series-past-the-term-cap"])
     def test_unrepresentable_value_exits_2(self, argv, invariant, capsys):
         # Each ended in a traceback: OverflowError from the theta sum's
-        # truncation bound and from q**(-k/2), ZeroDivisionError from an
+        # truncation bound (the sum itself, of size e^172000 at z = 1e-300,
+        # is not finite) and from q**(-k/2), ZeroDivisionError from an
         # underflowed (q;q)_k.  The Pearson ratio rows, of size q^{-k^2/2},
         # exited 1 with numpy's overflow warnings on stderr.  The default
         # set's closed-form h_n is subnormal from n = 220: its lost digits

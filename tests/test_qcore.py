@@ -81,9 +81,38 @@ class TestQPochhammerInf:
                 assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def steps_for(a, q):
+    """(factors, tail): the factors of (a; q)_inf the kernel multiplies, and
+    whether Euler's series for the rest follows.  The product runs to
+    max|a| q^n < 1e-15 (1 - q), or, where that leaves at least 100 factors
+    after the first k with max|a| q^k <= 1 - q, stops at k."""
+    amax = float(np.max(np.abs(a)))
+    cutoff, reach = 1e-15 * (1.0 - q), 1.0 - q
+    n = (int(math.ceil(math.log(cutoff / amax) / math.log(q)))
+         if amax > cutoff else 1)
+    if n > 1_000_000:
+        raise NonConvergent(f"needs {n:,} factors")
+    k = int(math.ceil(math.log(reach / amax) / math.log(q))) if amax > reach \
+        else 0
+    return (k, True) if n - k >= 100 else (max(n, 1), False)
+
+
+def euler_coefficients(q):
+    """d_0..d_20 of (x; q)_inf = sum_n d_n x^n: d_n = -d_{n-1} q^{n-1} /
+    (1 - q^n), 1 - q^n as (1 - q)(1 + q + ... + q^{n-1})."""
+    coef, qn, bracket = [1.0], 1.0, 0.0
+    for _ in range(20):
+        bracket += qn
+        coef.append(-coef[-1] * qn / ((1.0 - q) * bracket))
+        qn *= q
+    return coef
+
+
 def sequential_pochhammer_inf(a, q):
-    """(a; q)_inf one factor per step: the product qpochhammer_inf must
-    reproduce bit for bit, with the same truncation rule."""
+    """(a; q)_inf one factor per step, then Euler's series by Horner's rule
+    where steps_for takes it: the value qpochhammer_inf must reproduce bit
+    for bit.  With the series, each q^k is Python's q**k; without it, a
+    running product of q's."""
     a = np.asarray(a, dtype=complex)
     amax = float(np.max(np.abs(a))) if a.size else 0.0
     out = np.ones(a.shape, dtype=complex)
@@ -91,33 +120,33 @@ def sequential_pochhammer_inf(a, q):
         if not np.isfinite(amax):
             raise ValueError("qpochhammer_inf requires finite arguments")
         return complex(out) if out.ndim == 0 else out
-    cutoff = 1e-15 * (1.0 - q)
-    nsteps = (int(math.ceil(math.log(cutoff / amax) / math.log(q)))
-              if amax > cutoff else 1)
-    if nsteps > 1_000_000:
-        raise NonConvergent(f"needs {nsteps:,} factors")
-    nsteps = max(nsteps, 1)
+    nsteps, tail = steps_for(a, q)
     qk = 1.0
-    for _ in range(nsteps):
-        out = out * (1.0 - a * qk)
+    for k in range(nsteps):
+        out = out * (1.0 - a * (q**k if tail else qk))
         qk *= q
+    if tail:
+        x, coef = a * q**nsteps, euler_coefficients(q)
+        s = coef[-1]
+        for d in coef[-2::-1]:
+            s = s * x + d
+        out = out * s
     return complex(out) if out.ndim == 0 else out
 
 
-def steps_for(a, q):
-    amax = float(np.max(np.abs(a)))
-    cutoff = 1e-15 * (1.0 - q)
-    if amax <= cutoff:
-        return 1
-    return int(math.ceil(math.log(cutoff / amax) / math.log(q)))
-
-
-def at_steps(a, steps):
-    """(a rescaled, q) at which the truncation rule takes exactly `steps`:
-    q^steps = 5e-16, and max|a| q^(steps - 1/2) = 1e-15 (1 - q), half a
-    step from either end of the rule, so |a| stays above 1e-8."""
-    q = 5e-16 ** (1.0 / steps)
-    return a * (1e-15 * (1.0 - q) * q**(0.5 - steps)
+def at_steps(a, steps, series):
+    """(a rescaled, q) at which the kernel takes exactly `steps` factors,
+    half a step from either end of its rule.  Without the series: q^steps
+    = 5e-16 and max|a| q^(steps - 1/2) = 1e-15 (1 - q), so |a| stays above
+    1e-8 (and q <= 0.7 for steps <= 98).  Before Euler's series: max|a|
+    q^(steps - 1/2) = 1 - q at q = max(0.9, 300^(-1/steps)); then the
+    series replaces over 300 factors, and max|a| / (1 - q) <= 300 bounds
+    the log of the product's size by 300."""
+    if series:
+        q, bound = max(0.9, 300.0**(-1.0 / steps)), 1.0
+    else:
+        q, bound = 5e-16**(1.0 / steps), 1e-15
+    return a * (bound * (1.0 - q) * q**(0.5 - steps)
                 / float(np.max(np.abs(a)))), q
 
 
@@ -160,10 +189,11 @@ class TestQPochhammerInfBlocked:
         block = _BLOCK_ELEMS // min(width, _BLOCK_ELEMS // 8) - 1
         for steps in sorted({1, 7, block - 1, block, block + 1,
                              3 * block + 5}):
-            b, q = at_steps(a, steps)
-            assert steps_for(b, q) == steps
-            assert_bitwise_equal(qpochhammer_inf(b, q),
-                                 sequential_pochhammer_inf(b, q))
+            for series in (False, True) if steps <= 98 else (True,):
+                b, q = at_steps(a, steps, series)
+                assert steps_for(b, q) == (steps, series)
+                assert_bitwise_equal(qpochhammer_inf(b, q),
+                                     sequential_pochhammer_inf(b, q))
 
     def test_python_scalars(self):
         for a in (0.3, -0.7 + 0.2j, 2, np.complex128(1.5 - 0.5j)):
@@ -173,12 +203,15 @@ class TestQPochhammerInfBlocked:
     def test_signed_zeros_and_exact_zero_factors(self):
         # a = 1 makes the first factor exactly 0, and later factors of either
         # sign set the signs of the zeros in the running product; those must
-        # follow the sequential product across many block boundaries.
+        # follow the sequential product across many block boundaries, and
+        # at q = 0.9 through Euler's series too.
         a = np.tile([1.0, -1.0, complex(0.0, -0.0), complex(-0.0, 0.5),
                      complex(1.0, -0.0), 3.0 + 0.0j, complex(3.0, -0.0),
                      -0.5], 32)
-        assert_bitwise_equal(qpochhammer_inf(a, 0.7),
-                             sequential_pochhammer_inf(a, 0.7))
+        for q in (0.7, 0.9):
+            assert steps_for(a, q)[1] == (q == 0.9)
+            assert_bitwise_equal(qpochhammer_inf(a, q),
+                                 sequential_pochhammer_inf(a, q))
 
     def test_underflowed_product_keeps_zero_signs(self):
         # At q=0.998 these products underflow to zeros whose signs depend on
@@ -200,18 +233,24 @@ class TestQPochhammerInfBlocked:
         with pytest.raises(ValueError, match="finite"):
             qpochhammer_inf(np.array([0.3, bad]), 0.5)
 
-    @pytest.mark.parametrize("q,points", [(0.5, 12), (0.99, 4)])
+    @pytest.mark.parametrize("q,points", [(0.5, 12), (0.89, 8), (0.97, 4),
+                                          (0.99, 4), (0.995, 2)])
     def test_mpmath_oracle(self, q, points):
+        # Each argument as an element of an array and as a 0-d argument,
+        # |a| = q^{1/2} and |a| > 1; from q = 0.89 through Euler's series.
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(17)
         args = np.concatenate([
             math.sqrt(q) * np.exp(2j * np.pi * np.arange(points) / points),
             draw_arguments(rng, (points,), "big")])
         got = qpochhammer_inf(args, q)
-        for a, value in zip(args, got):
+        lone = qpochhammer_inf_each(list(map(complex, args)), q)
+        assert steps_for(args, q)[1] == (q > 0.5)
+        for a, value, scalar in zip(args, got, lone):
             want = complex(mpmath.qp(mpmath.mpc(a), mpmath.mpf(q),
                                      maxterms=10**5))
             assert abs(value - want) <= 1e-13 * abs(want)
+            assert abs(scalar - want) <= 1e-13 * abs(want)
 
 
 class TestQPochhammerInfEach:
@@ -305,20 +344,24 @@ class TestKernelLanes:
             assert_bitwise_equal(value, sequential_pochhammer_inf(a, q))
 
     def test_wide_batch_stays_within_its_block(self):
-        # The shape of the ten random parameter sets' batch: 60 arrays of
-        # 256 points.  A (rows + 1) x 15,360 block of rows >= 1 took the
-        # call's peak to 1.46 MB; the arguments, the block of at most
-        # _BLOCK_ELEMS and the results take about 1.03 MB.
+        # 60 arrays of 256 points, the shape of the ten random parameter
+        # sets' batch before their rows became a series.  A (rows + 1) x
+        # 15,360 block of rows >= 1 took the call's peak to 1.46 MB; the
+        # arguments, the block of at most _BLOCK_ELEMS and the results take
+        # about 1.03 MB.  At q = 0.99 Euler's series runs in rows 1 and 2
+        # of the same block.
         import tracemalloc
         rng = np.random.default_rng(3)
         args = [draw_arguments(rng, (256,), "complex") for _ in range(60)]
-        tracemalloc.start()
-        try:
-            qpochhammer_inf_each(args, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1e6
+        for q in (0.5, 0.99):
+            assert steps_for(args[0], q)[1] == (q == 0.99)
+            tracemalloc.start()
+            try:
+                qpochhammer_inf_each(args, q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1e6
 
     @pytest.mark.parametrize("a, q, steps", [
         (1e-7, 0.999999, "32,236,176"), (1e-4, 0.99999, "3,684,118")])
@@ -330,6 +373,41 @@ class TestKernelLanes:
             qpochhammer_inf(a, q)
         with pytest.raises(NonConvergent, match=message):
             qpochhammer_inf_each([0.0, np.full(3, a)], q)
+
+
+class TestEulerTail:
+    """Where the kernel trades the product's last factors for Euler's
+    series, and what the series alone is worth."""
+
+    @pytest.mark.parametrize("q", [0.05, 0.3, 0.55, 0.7])
+    def test_no_series_up_to_q_0_70(self, q):
+        # The series replaces about 34.5 / -log q factors, under 100 here,
+        # so every argument keeps the plain product bit for bit.
+        a = np.concatenate([draw_arguments(np.random.default_rng(9), (64,),
+                                           "complex") * 10.0**k
+                            for k in range(-20, 6, 5)])
+        for b in np.split(a, 6):
+            assert not steps_for(b, q)[1]
+        assert_bitwise_equal(qpochhammer_inf(a, q),
+                             sequential_pochhammer_inf(a, q))
+
+    @pytest.mark.parametrize("q", [0.75, 0.9, 0.99, 0.9999])
+    def test_series_meets_its_bound(self, q):
+        # |x| just under 1 - q, the largest the series takes, so that no
+        # factor comes first and its 21 terms carry every digit; against
+        # log (x; q)_inf = -sum_m x^m / (m (1 - q^m)) at 30 digits, whose
+        # 60 terms reach 1e-36 for |x| <= 1/4.
+        mpmath = pytest.importorskip("mpmath")
+        x = 0.999 * (1.0 - q) * np.exp(2j * np.pi * np.arange(8) / 8)
+        assert steps_for(x, q) == (0, True)
+        got = qpochhammer_inf(x, q)
+        with mpmath.workdps(30):
+            qm = mpmath.mpf(q)
+            for a, value in zip(x, got):
+                y = mpmath.mpc(a)
+                want = complex(mpmath.exp(-mpmath.fsum(
+                    y**m / (m * (1 - qm**m)) for m in range(1, 61))))
+                assert abs(value - want) <= 1e-15 * abs(want)
 
 
 def numpy_0d_pochhammer(a, q, n):
@@ -539,6 +617,19 @@ class TestThetaSum:
             scale = float(mpmath.jtheta(3, 0, mpmath.mpf(q)))
         got = theta_sum(complex(math.cos(phi), math.sin(phi)), q)
         assert abs(got - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("z", [1.5, 2.0 / 3.0])
+    def test_off_circle_near_one(self, z):
+        # The truncation rule raised 1.5**K in floats, which overflowed near
+        # K = 1750, and z^n overflowed in the sum, while the value, about
+        # 5.45e180, is a float.  Its largest terms, n near 2,000, are past
+        # the last n = 1,726 at which 1.5^n stays below e^700.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = complex(mpmath.jtheta(3, -0.5j * mpmath.log(mpmath.mpf(z)),
+                                         mpmath.mpf(0.9999)))
+        got = theta_sum(z, 0.9999)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_past_the_term_cap_raises(self):
         with pytest.raises(NonConvergent, match=r"theta sum at "

@@ -540,6 +540,20 @@ class TestCircleWeight:
 class TestPearsonRows:
     """szego.weight_ratio_rows: ones, then one Pearson step per row."""
 
+    @staticmethod
+    def sequential_weight(t, q):
+        """(q^{1/2} t, q^{1/2}/t; q)_inf, each product one factor per step
+        to max|a| q^k < 1e-15 (1 - q): the direct rows the ratio rows
+        replaced."""
+        def product(a):
+            out, amax, qk = np.ones(a.shape, complex), np.abs(a).max(), 1.0
+            while amax * qk >= 1e-15 * (1.0 - q):
+                out = out * (1.0 - a * qk)
+                qk *= q
+            return out
+
+        return product(math.sqrt(q) * t) * product(math.sqrt(q) / t)
+
     @pytest.mark.parametrize("q,n_nodes", [(0.5, 16), (0.9, 16), (0.988, 8),
                                            (0.995, 8)])
     def test_mpmath_oracle(self, q, n_nodes):
@@ -548,14 +562,14 @@ class TestPearsonRows:
         rows = weight_ratio_rows(grid.nodes, q, 8)
         points = _shifted_points(grid.nodes, q, 8)
         assert np.all(rows[0] == 1)
-        w0 = np.asarray(szego_weight(grid.nodes, q))
+        w0 = self.sequential_weight(grid.nodes, q)
         worst_rows = worst_direct = 0.0
         with mpmath.workdps(40):
             base = np.array([mp_szego_weight(t, q, mpmath) for t in points[0]])
             for k in range(1, 9):
                 want = np.array([mp_szego_weight(t, q, mpmath)
                                  for t in points[k]]) / base
-                direct = np.asarray(szego_weight(points[k], q)) / w0
+                direct = self.sequential_weight(points[k], q) / w0
                 worst_rows = max(worst_rows, np.max(np.abs(rows[k] - want)
                                                     / np.abs(want)))
                 worst_direct = max(worst_direct, np.max(np.abs(direct - want)

@@ -6,6 +6,9 @@ import pathlib
 
 import pytest
 
+from qcircle.biortho import DEFAULT_PARAMS
+from qcircle.cli import main
+
 TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 _spec = importlib.util.spec_from_file_location(
     "verdict_diff", TOOLS / "verdict_diff.py")
@@ -132,3 +135,54 @@ def main(argv):
         sys.exit(2)
     return 0
 """
+
+
+def mp_weight(z, q, a, alpha, b, beta, mpmath):
+    """The four-parameter weight as its eight q-products at mpmath's
+    precision; at a = alpha = b = beta = 0, the Szego weight."""
+    rq, qp = mpmath.sqrt(q), lambda x: mpmath.qp(x, q, maxterms=10**6)
+    return (qp(rq * z) * qp(rq / z) * qp(a * b * rq * z)
+            * qp(alpha * beta * rq / z)
+            / (qp(a * z) * qp(alpha / z) * qp(b * z) * qp(beta / z)))
+
+
+def mp_kappa(q, a, alpha, b, beta, mpmath):
+    rq, qp = mpmath.sqrt(q), lambda x: mpmath.qp(x, q, maxterms=10**6)
+    return (qp(a * rq) * qp(alpha * rq) * qp(b * rq) * qp(beta * rq)
+            * qp(a * b * alpha * beta)
+            / (qp(q) * qp(a * alpha) * qp(b * alpha) * qp(a * beta)
+               * qp(b * beta)))
+
+
+class TestTailSweep:
+    """The sweep's values that the q-product kernel finishes with Euler's
+    series for each tail, or theta_sum past z^n's overflow, against mpmath
+    at 30 digits."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "weight", "--z", "0.6+0.8i", "--q", "0.995"],
+        ["eval", "bweight", "--z", "0.6+0.8i", "--q", "0.97"],
+        ["eval", "kappa", "--q", "0.99"],
+        ["eval", "theta", "--z", "1.5", "--q", "0.9999"]],
+        ids=lambda argv: argv[1])
+    def test_value_matches_mpmath(self, argv, capsys):
+        mpmath = pytest.importorskip("mpmath")
+        assert argv in verdict_diff.SWEEP
+        assert main([*argv, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        got = complex(*doc["kappa_closed" if argv[1] == "kappa" else "value"])
+        q, params = float(argv[-1]), [0.0] * 4
+        with mpmath.workdps(30):
+            qm = mpmath.mpf(q)
+            z = mpmath.mpc(0.6, 0.8)
+            if argv[1] == "theta":
+                want = mpmath.jtheta(3, -0.5j * mpmath.log(mpmath.mpf(1.5)),
+                                     qm)
+            elif argv[1] == "kappa":
+                want = mp_kappa(qm, *map(mpmath.mpf, DEFAULT_PARAMS), mpmath)
+            else:
+                if argv[1] == "bweight":
+                    params = map(mpmath.mpf, DEFAULT_PARAMS)
+                want = mp_weight(z, qm, *params, mpmath)
+            want = complex(want)
+        assert abs(got - want) <= 1e-12 * abs(want)

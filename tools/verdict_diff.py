@@ -152,7 +152,10 @@ SWEEP = (
     # and with 6 digits; H_16 near q = 1 at a point where Horner's rule over
     # the coefficients loses digits, and H_400 at q = 0.99; and r_560 at
     # z = 0.5, normal, two degrees below r_562, the first subnormal one;
-    # theta at q = 0.999999, which needs 5,879 terms a side.
+    # theta at q = 0.999999, which needs 5,879 terms a side; then values
+    # that qpochhammer_inf finishes with Euler's series for each product's
+    # tail (tests/test_verdict_diff.py holds them to mpmath), the last one
+    # also past the powers z^n that overflow (it exited 2 until then).
     + [["eval", "szego", "--n", "12", "--z", "0.3+0.2i", "--q", "0.5"],
        ["eval", "szego", "--n", "3000", "--q", "0.5"],
        ["eval", "weight", "--z", "0.6+0.8i", "--q", "0.9"],
@@ -170,7 +173,11 @@ SWEEP = (
         "--z=-0.981139731106635+0.19329983974126813i"],
        ["eval", "szego", "--n", "400", "--q", "0.99", "--z", "0.5"],
        ["eval", "rn", "--n", "560", "--z", "0.5"],
-       ["eval", "theta", "--z", "1", "--q", "0.999999"]]
+       ["eval", "theta", "--z", "1", "--q", "0.999999"],
+       ["eval", "weight", "--z", "0.6+0.8i", "--q", "0.995"],
+       ["eval", "bweight", "--z", "0.6+0.8i", "--q", "0.97"],
+       ["eval", "kappa", "--q", "0.99"],
+       ["eval", "theta", "--z", "1.5", "--q", "0.9999"]]
 )
 
 # Above qcircle's own exit codes (0 pass, 1 fail, 2 bad configuration).
