@@ -24,7 +24,7 @@ import numpy as np
 from . import biortho, suites, szego
 from .circle import CircleGrid
 from .errors import QCircleError
-from .qcore import QUADRATURE_TOL, theta_sum
+from .qcore import QUADRATURE_TOL, theta_rounding, theta_sum
 from .report import to_csv, to_json, worst
 from .suites import SuiteConfig
 
@@ -212,6 +212,7 @@ def cmd_eval(args) -> int:
         elif args.subject == "theta":
             value = theta_sum(z, args.q)
             label = f"theta({_fmt_complex(z)}, q={args.q})"
+            rounding = theta_rounding(z, args.q)
         elif args.subject == "rn":
             value = biortho.r_fn(args.n, z, biortho_params_from_args(args))
             label = f"r_{args.n}({_fmt_complex(z)})"
@@ -225,6 +226,12 @@ def cmd_eval(args) -> int:
     value = complex(value)
     if not cmath.isfinite(value):
         raise ValueError(f"{label} is not finite: {_fmt_complex(value)}")
+    # A theta value within the bound on its terms' rounding keeps none of
+    # its digits, as where they cancel off the circle near q = 1.
+    if args.subject == "theta" and not abs(value) > rounding:
+        raise ValueError(f"{label} is lost to rounding: its terms cancel to "
+                         f"{abs(value):.3e}, within their rounding bound "
+                         f"{rounding:.3e}")
     if args.output_format == "json":
         _emit(to_json({"label": label, "value": value}), args.out)
     else:

@@ -279,6 +279,20 @@ def phi(n: int, numerators, denominators, q) -> complex:
     return total
 
 
+def _theta_terms(qv: float, m: float) -> int:
+    """theta_sum's K: two past the first K with K^2 log q + K log m <=
+    log 1e-15, m = max(|z|, 1/|z|); past _THETA_TERMS, NonConvergent."""
+    log_q, log_m = math.log(qv), math.log(m)
+    K = 1
+    while K * K * log_q + K * log_m > _LOG_THETA_TOL:
+        K += 1
+        if K > _THETA_TERMS:
+            raise NonConvergent(f"theta sum at q={qv!r} and max(|z|, 1/|z|)="
+                                f"{m:.6g} needs K > {_THETA_TERMS:,} terms a "
+                                f"side to meet tol=1e-15")
+    return K + 2
+
+
 def theta_sum(z, q):
     """sum_{n=-inf}^{inf} q^{n^2} z^n by symmetric truncation.
 
@@ -297,14 +311,7 @@ def theta_sum(z, q):
         raise ValueError("theta_sum undefined at z = 0")
     m = float(np.max(np.maximum(np.abs(z), 1.0 / np.abs(z))))
     log_q, log_m = math.log(qv), math.log(m)
-    K = 1
-    while K * K * log_q + K * log_m > _LOG_THETA_TOL:
-        K += 1
-        if K > _THETA_TERMS:
-            raise NonConvergent(f"theta sum at q={qv!r} and max(|z|, 1/|z|)="
-                                f"{m:.6g} needs K > {_THETA_TERMS:,} terms a "
-                                f"side to meet tol=1e-15")
-    K += 2
+    K = _theta_terms(qv, m)
     direct = min(K, int(700.0 / log_m)) if log_m > 0.0 else K
     out = np.ones(z.shape, dtype=complex)
     zp = np.ones_like(out)
@@ -318,6 +325,27 @@ def theta_sum(z, q):
         out = out + (np.exp(n * n * log_q + n * log_z)
                      + np.exp(n * n * log_q - n * log_z))
     return _maybe_scalar(out)
+
+
+def theta_rounding(z, q) -> float:
+    """A bound on the rounding error of theta_sum at one point z:
+
+        2u (K + 1)(K |log q| + log m + pi + 3) sum_n |t_n|,
+
+    u = 2^-53, K and m = max(|z|, 1/|z|) as in theta_sum, and sum_n |t_n|
+    = theta_sum(|z|, q), whose terms are all positive.  A term by repeated
+    multiplication is within (4n + 4)u of its size, one by exp within
+    2u(n^2 |log q| + n(log m + pi)) + 3u, and the K additions add K u
+    of sum_n |t_n|.  Where the terms cancel, as off the circle near q = 1,
+    the value can fall within this bound, and then no digit of it is sure.
+    """
+    qv = qval(q)
+    size = theta_sum(abs(z), qv).real
+    m = max(abs(z), 1.0 / abs(z))
+    K = _theta_terms(qv, m)
+    # 2u is the machine epsilon.
+    return (sys.float_info.epsilon * (K + 1)
+            * (K * -math.log(qv) + math.log(m) + math.pi + 3.0) * size)
 
 
 def jacobi_triple_product(z, q):

@@ -509,6 +509,23 @@ class TestNoFalsePass:
             assert invariant in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("z, q, got, want", [
+        ("1.5i", "0.9999", "6.357e+165", "2.1e105"),
+        ("1.5i", "0.999", "1.258e+02", "8.2e-56"),
+        ("-1.5", "0.99", "2.758e-14", "9.7e-73"),
+        ("-1", "0.99", "1.954e-16", "9.9e-66")])
+    def test_theta_lost_to_rounding_exits_2(self, z, q, got, want, capsys):
+        # Off the circle near q = 1, and at z = -1, the terms of the theta
+        # sum cancel far below their rounding: each printed `got` and exited
+        # 0, while mpmath's jtheta gives `want`.
+        assert main(["eval", "theta", f"--z={z}", "--q", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: theta(")
+        assert f"is lost to rounding: its terms cancel to {got}, within " \
+            "their rounding bound" in line
+
     def test_underflowed_qq_inf_exits_2(self, capsys):
         # (q;q)_inf underflows to 0 at q=0.999; the total-mass closed form
         # would divide by it.

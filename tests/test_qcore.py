@@ -8,7 +8,7 @@ from qcircle.errors import NonConvergent, PoleInDenominator
 from qcircle.biortho import sears_transform
 from qcircle.qcore import (_BLOCK_ELEMS, jacobi_triple_product, phi,
                            qpochhammer, qpochhammer_inf, qpochhammer_inf_each,
-                           qmultipochhammer, qval, theta_sum)
+                           qmultipochhammer, qval, theta_rounding, theta_sum)
 from qcircle.suites import random_balanced_sears
 
 
@@ -137,15 +137,16 @@ def sequential_pochhammer_inf(a, q):
 def at_steps(a, steps, series):
     """(a rescaled, q) at which the kernel takes exactly `steps` factors,
     half a step from either end of its rule.  Without the series: q^steps
-    = 5e-16 and max|a| q^(steps - 1/2) = 1e-15 (1 - q), so |a| stays above
-    1e-8 (and q <= 0.7 for steps <= 98).  Before Euler's series: max|a|
+    = 5e-16, or q = 0.7 past 98 steps, and max|a| q^(steps - 1/2) =
+    1e-15 (1 - q), so |a| stays above 1e-8 and the series would replace
+    at most 97 factors.  Before Euler's series: max|a|
     q^(steps - 1/2) = 1 - q at q = max(0.9, 300^(-1/steps)); then the
     series replaces over 300 factors, and max|a| / (1 - q) <= 300 bounds
     the log of the product's size by 300."""
     if series:
         q, bound = max(0.9, 300.0**(-1.0 / steps)), 1.0
     else:
-        q, bound = 5e-16**(1.0 / steps), 1e-15
+        q, bound = min(0.7, 5e-16**(1.0 / steps)), 1e-15
     return a * (bound * (1.0 - q) * q**(0.5 - steps)
                 / float(np.max(np.abs(a)))), q
 
@@ -180,16 +181,20 @@ class TestQPochhammerInfBlocked:
                              sequential_pochhammer_inf(a, q))
 
     @pytest.mark.parametrize("shape", [(), (1,), (256,), (3, 5), (2048,),
-                                       (4097,)])
+                                       (4097,), (700,)])
     def test_step_counts_across_block_edges(self, shape):
         a = draw_arguments(np.random.default_rng(5), shape, "complex")
         # Factor rows per block as the kernel takes them: (rows + 1) x width
         # within _BLOCK_ELEMS, width at most _BLOCK_ELEMS // 8 columns.
         width = max(2, int(np.prod(shape))) if shape else 1
         block = _BLOCK_ELEMS // min(width, _BLOCK_ELEMS // 8) - 1
+        # The plain product runs past about 97 factors only at q <= 0.7,
+        # with max|a| > 1, and overflows past about 165 factors there (at
+        # 150, max|a| is 4e7 and the product 9e193).  So it crosses a block
+        # edge only at 256 columns and more, all four edges at 700 and up.
         for steps in sorted({1, 7, block - 1, block, block + 1,
                              3 * block + 5}):
-            for series in (False, True) if steps <= 98 else (True,):
+            for series in (False, True) if steps <= 150 else (True,):
                 b, q = at_steps(a, steps, series)
                 assert steps_for(b, q) == (steps, series)
                 assert_bitwise_equal(qpochhammer_inf(b, q),
@@ -630,6 +635,29 @@ class TestThetaSum:
                                          mpmath.mpf(0.9999)))
         got = theta_sum(z, 0.9999)
         assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999, 0.9999])
+    def test_rounding_bounds_the_error(self, q):
+        # theta_rounding bounds theta_sum's error against mpmath's jtheta at
+        # random points with |z| in [e^-0.7, e^0.7] (on 180 such points the
+        # error reached 1% of the bound); where the value exceeds it, the
+        # value keeps digits.  At z = 1.5i and q = 0.9999 the sum printed
+        # 6.4e165 for 2.1e105: its terms, up to 5.5e180, cancel.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(zlib.crc32(repr(q).encode()))
+        points = [1.5j, -1.5, -1.0, 1.5, *(
+            np.exp(rng.uniform(-0.7, 0.7) + 1j * rng.uniform(-np.pi, np.pi))
+            for _ in range(8))]
+        for z in points:
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, bound = theta_sum(z, q), theta_rounding(z, q)
+            if not (np.isfinite(got) and np.isfinite(bound)):
+                continue
+            with mpmath.workdps(60):
+                want = complex(mpmath.jtheta(
+                    3, -0.5j * mpmath.log(mpmath.mpc(z)), mpmath.mpf(q)))
+            assert abs(got - want) <= bound, z
+        assert abs(theta_sum(1.5, q)) > theta_rounding(1.5, q)
 
     def test_past_the_term_cap_raises(self):
         with pytest.raises(NonConvergent, match=r"theta sum at "
