@@ -11,9 +11,8 @@ from typing import Optional
 import numpy as np
 
 from . import biortho, qsl, szego
-from .circle import (CircleGrid, _shifted_points, dq_rows, laurent_values,
-                     tq_rows)
-from .qcore import ALGEBRAIC_TOL, QUADRATURE_TOL, phi, qval
+from .circle import CircleGrid, dq_rows, tq_rows
+from .qcore import ALGEBRAIC_TOL, QUADRATURE_TOL, phi, qval, representable
 from .report import IdentityReport, nan_max, to_csv, to_json, worst
 
 
@@ -59,12 +58,15 @@ def random_laurent_rows(rng: np.random.Generator, count: int, deg_range: int,
     """Rows 0..depth at the grid nodes, shape (depth+1, count, N), of
     `count` random Laurent polynomials of degrees -deg_range..deg_range,
     drawn as `count` successive polynomials (real parts, then imaginary):
-    one in-place Horner pass of `laurent_values` at the stacked shifted
-    nodes, so the table is allocated once."""
+    one matrix product of their coefficients with the table V[j, k, n] =
+    q^{jk} z_{kn mod N} = (q^j z_n)^k, each node power read from the grid's
+    nodes by index, so rounded once.  ValueError where a row overflows."""
     x = rng.standard_normal((count, 2, 2 * deg_range + 1))
-    coeffs = (x[:, 0] + 1j * x[:, 1]).T[:, :, None]
-    points = np.stack(_shifted_points(grid.nodes[None], qval(q), depth))
-    return laurent_values(coeffs, -deg_range, points)
+    k, n = np.arange(-deg_range, deg_range + 1), grid.n_nodes
+    with representable(f"the random Laurent rows overflow at q={q}"):
+        V = qval(q)**np.outer(np.arange(depth + 1), k)[:, :, None]
+        V = V * grid.nodes[np.outer(k, np.arange(n)) % n]
+        return (x[:, 0] + 1j * x[:, 1]) @ V
 
 
 def adjointness_report(q, grid: CircleGrid, seed: int,
@@ -75,8 +77,9 @@ def adjointness_report(q, grid: CircleGrid, seed: int,
     rows = random_laurent_rows(np.random.default_rng(seed), 2 * n_pairs, 5,
                                grid, qv, 1)
     F, G = rows[:, 0::2], rows[:, 1::2]
-    lhs = np.mean(dq_rows(F, z, qv)[0] * np.conj(G[0]), axis=-1)
-    rhs = np.mean(F[0] * np.conj(tq_rows(G, z, qv)[0]), axis=-1)
+    with representable(f"the random pairs' inner products overflow at q={qv}"):
+        lhs = np.mean(dq_rows(F, z, qv)[0] * np.conj(G[0]), axis=-1)
+        rhs = np.mean(F[0] * np.conj(tq_rows(G, z, qv)[0]), axis=-1)
     return IdentityReport("adjointness", worst((lhs - rhs).tolist()), 1e-11,
                           grid.n_nodes,
                           {"q": qv, "pairs": n_pairs, "seed": seed})
@@ -234,8 +237,9 @@ def qsl_suite(cfg: SuiteConfig) -> list[IdentityReport]:
     # 20 seeded pairs (f, g): f's symmetry against g and its own form.
     rows = random_laurent_rows(np.random.default_rng(cfg.seed), 40, 3, grid,
                                q, 2)
-    sym, _, form_res = qsl.symmetry_residuals(W, rows[:, 0::2], rows[:, 1::2],
-                                              q, grid)
+    with representable(f"the random pairs' forms overflow at q={q}"):
+        sym, _, form_res = qsl.symmetry_residuals(
+            W, rows[:, 0::2], rows[:, 1::2], q, grid)
     reports.append(IdentityReport(
         "qsl_symmetry_random", nan_max(0.0, *sym), cfg.tolerance,
         grid.n_nodes, {"q": q, "seed": cfg.seed}))

@@ -9,6 +9,7 @@ from qcircle.circle import (CircleGrid, LaurentPoly, contour_mean, dq_apply,
                             tq_power, tq_rows)
 from qcircle.biortho import DEFAULT_PARAMS, BiorthoParams, r_rows
 from qcircle.cli import main
+from qcircle.report import worst as report_worst
 from qcircle.suites import adjointness_report, random_laurent_rows
 from qcircle.szego import (circle_weight, poly_rows, product_rows,
                            szego_norms, szego_weight)
@@ -278,16 +279,28 @@ class TestAdjointness:
         assert adjointness_report(q, CircleGrid(64), 42).residual < 2e-11
 
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.8])
-    def test_batch_equals_the_adapters_bit_for_bit(self, q):
-        # The same seeded pairs, one at a time through the callables.
+    def test_batch_matches_the_adapters(self, q):
+        # The same seeded pairs, one at a time through the callables.  The
+        # batch rows are one matrix product, Horner's rule the callables'
+        # values, so each inner product agrees to rounding: within 1e-14 of
+        # the mean of its terms' moduli (up to 2.8e-16 of it measured).
         grid = CircleGrid(256)
+        z = grid.nodes
+        rows = random_laurent_rows(np.random.default_rng(0), 100, 5, grid, q,
+                                   1)
+        F, G = rows[:, 0::2], rows[:, 1::2]
+        lhs = np.mean(dq_rows(F, z, q)[0] * np.conj(G[0]), axis=-1)
+        rhs = np.mean(F[0] * np.conj(tq_rows(G, z, q)[0]), axis=-1)
         rng = np.random.default_rng(0)
-        worst = 0.0
-        for _ in range(50):
+        for i in range(50):
             f, g = random_laurent(rng, -5, 5), random_laurent(rng, -5, 5)
-            worst = max(worst, abs(inner_product_c(dq_apply(f, q), g, grid)
-                                   - inner_product_c(f, tq_apply(g, q), grid)))
-        assert adjointness_report(q, grid, 0, n_pairs=50).residual == worst
+            df, tg = dq_apply(f, q), tq_apply(g, q)
+            assert abs(lhs[i] - inner_product_c(df, g, grid)) <= 1e-14 * \
+                np.mean(np.abs(df(z) * g(z)))
+            assert abs(rhs[i] - inner_product_c(f, tg, grid)) <= 1e-14 * \
+                np.mean(np.abs(f(z) * tg(z)))
+        assert adjointness_report(q, grid, 0, n_pairs=50).residual == \
+            report_worst((lhs - rhs).tolist())
 
 
 class TestLaurentDq:
@@ -419,7 +432,9 @@ def expression_values(coefficients, min_degree, z):
 
 
 class TestLaurentRowsOracle:
-    """Random Laurent rows against the expression form, one row at a time."""
+    """Laurent rows against the expression form, one row at a time:
+    laurent_values' Horner pass bit for bit, random_laurent_rows' matrix
+    product to rounding."""
 
     @staticmethod
     def points(grid, q, depth):
@@ -428,10 +443,9 @@ class TestLaurentRowsOracle:
             t.append(q * t[-1])
         return t
 
-    @pytest.mark.parametrize("N", [64, 100, 256])
-    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99])
-    def test_rows_are_byte_identical(self, q, N):
-        grid = CircleGrid(N)
+    @staticmethod
+    def cases():
+        """(seed, count, deg_range, depth, coefficients of shape (K, P, 1))."""
         for count in (2, 40, 100, 200):
             for deg_range in (2, 3, 5):
                 for depth in (0, 1, 2):
@@ -439,20 +453,64 @@ class TestLaurentRowsOracle:
                     x = np.random.default_rng(seed).standard_normal(
                         (count, 2, 2 * deg_range + 1))
                     coeffs = (x[:, 0] + 1j * x[:, 1]).T[:, :, None]
-                    t = self.points(grid, q, depth)
-                    want = np.stack([expression_values(coeffs, -deg_range, tk)
-                                     for tk in t]).tobytes()
-                    got = laurent_values(coeffs, -deg_range, np.stack(t))
-                    assert got.tobytes() == want
-                    rows = random_laurent_rows(np.random.default_rng(seed),
-                                               count, deg_range, grid, q,
-                                               depth)
-                    assert rows.tobytes() == want
+                    yield seed, count, deg_range, depth, coeffs
+
+    @pytest.mark.parametrize("N", [64, 100, 256])
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99])
+    def test_rows_are_byte_identical(self, q, N):
+        grid = CircleGrid(N)
+        for _, _, deg_range, depth, coeffs in self.cases():
+            t = self.points(grid, q, depth)
+            want = np.stack([expression_values(coeffs, -deg_range, tk)
+                             for tk in t]).tobytes()
+            got = laurent_values(coeffs, -deg_range, np.stack(t))
+            assert got.tobytes() == want
+
+    @pytest.mark.parametrize("N", [64, 100, 256])
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 0.99])
+    def test_random_rows_match_the_expression_form(self, q, N):
+        # Pointwise within 1e-14 of each row's max |value| (5.4e-15 at most
+        # measured, at N = 100, where the grid's node powers and Horner's
+        # powers of the rounded nodes differ most).
+        grid = CircleGrid(N)
+        for seed, count, deg_range, depth, coeffs in self.cases():
+            want = np.stack([expression_values(coeffs, -deg_range, tk)
+                             for tk in self.points(grid, q, depth)])
+            rows = random_laurent_rows(np.random.default_rng(seed), count,
+                                       deg_range, grid, q, depth)
+            assert rows.shape == want.shape
+            scale = np.max(np.abs(want), axis=-1, keepdims=True)
+            assert np.max(np.abs(rows - want) / scale) <= 1e-14
+
+    @pytest.mark.parametrize("q, N, deg_range", [
+        (0.05, 100, 5), (0.5, 100, 5), (0.99, 64, 3), (0.9, 256, 5)])
+    def test_random_rows_at_the_roots_of_unity(self, q, N, deg_range):
+        # Each node power z_n^k is the grid's node z_{kn mod N}, one rounding
+        # of e^{2 pi i kn/N}: against mpmath at the exact roots of unity the
+        # rows read at most 7.4e-16 of each row's max |value| here, Horner's
+        # rule at the rounded nodes 4.9e-15.
+        mpmath = pytest.importorskip("mpmath")
+        grid, depth = CircleGrid(N), 2
+        x = np.random.default_rng(7).standard_normal((2, 2, 2 * deg_range + 1))
+        coeffs = x[:, 0] + 1j * x[:, 1]
+        rows = random_laurent_rows(np.random.default_rng(7), 2, deg_range,
+                                   grid, q, depth)
+        want = np.empty_like(rows)
+        with mpmath.workdps(30):
+            for j in range(depth + 1):
+                for n in range(N):
+                    t = mpmath.mpf(q)**j * mpmath.expjpi(mpmath.mpf(2 * n) / N)
+                    for p, c in enumerate(coeffs):
+                        want[j, p, n] = complex(mpmath.fsum(
+                            mpmath.mpc(ck) * t**(k - deg_range)
+                            for k, ck in enumerate(c)))
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.max(np.abs(rows - want) / scale) <= 2e-15
 
 
 def test_laurent_rows_memory():
-    # One accumulator filled in place: two new tables per Horner step made
-    # adjointness' batch peak at 2.21 times its rows.
+    # One matrix product writes the table once (1.16 times its rows); two
+    # new tables per step of the Horner pass it replaced peaked at 2.21.
     grid, rng = CircleGrid(256), np.random.default_rng(0)
     tracemalloc.start()
     try:

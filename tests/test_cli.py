@@ -33,13 +33,13 @@ KAPPA_UNDERFLOW = ("error: (q, a alpha, b alpha, a beta, b beta; q)_inf "
                    "underflowed below the smallest normal float")
 
 
-def run_cli(argv):
+def run_cli(argv, **env):
     """qcircle in a fresh interpreter, so that numpy's warnings reach its
-    stderr, as text."""
+    stderr, as text, with `env` added to its environment."""
     src = pathlib.Path(qcircle.suites.__file__).parents[1]
     return subprocess.run(
         [sys.executable, "-m", "qcircle.cli", *argv], capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        text=True, env={**os.environ, "PYTHONPATH": str(src), **env})
 
 
 def json_objects(text):
@@ -345,6 +345,16 @@ class TestVerify:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_seeded_bytes_do_not_depend_on_blas_threads(self):
+        # The random Laurent rows are one zgemm, which OpenBLAS may split
+        # over its threads: seeded output must not depend on how many.
+        argv = ["verify", "all", "--max-n", "5", "--grid", "256", "--q",
+                "0.5", "--seed", "7", "--format", "json"]
+        one, two = (run_cli(argv, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+        assert one.returncode == two.returncode == 0
+        assert one.stderr == two.stderr == ""
+        assert one.stdout == two.stdout
+
     def test_invalid_q_exits_2(self, capsys):
         assert main(["verify", "szego", "--q", "1.5"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -553,6 +563,26 @@ class TestNoFalsePass:
         assert done.stdout == ""
         (line,) = done.stderr.splitlines()
         assert line.startswith(invariant)
+
+    @pytest.mark.parametrize("argv, invariant", [
+        *[([suite, "--q", q], f"the random pairs' forms overflow at q={q}")
+          for suite in ("qsl", "all") for q in ("1e-45", "1e-50")],
+        (["szego", "--q", "4e-62", "--seed", "3"],
+         "the random pairs' inner products overflow at q=4e-62"),
+        (["szego", "--q", "1e-70"],
+         "the random Laurent rows overflow at q=1e-70"),
+    ], ids=["qsl-1e-45", "qsl-1e-50", "all-1e-45", "all-1e-50",
+            "szego-4e-62", "szego-1e-70"])
+    def test_tiny_q_is_one_error_line(self, argv, invariant):
+        # D_q of the random pairs' rows at q z, of size q^{-7}, overflowed:
+        # verify qsl and verify all exited 2 with six lines of numpy's
+        # warnings before an error line that named the eigenvalues as too
+        # close.  verify szego exited 1 after numpy's warnings where
+        # adjointness' rows or inner products overflowed.
+        done = run_cli(["verify", *argv, "--max-n", "2", "--grid", "64"])
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"error: {invariant}\n"
 
     def test_underflowed_weight_fails_without_warning(self, capsys):
         # At q=0.996 the Szego weight underflows to 0 at some nodes, so the

@@ -107,13 +107,17 @@ class TestSymmetry:
         assert all(f.real >= -1e-10 for f in form)
 
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.8])
-    def test_batch_equals_m_apply_bit_for_bit(self, q):
-        # The same seeded pairs, one at a time through the callables.
+    def test_batch_matches_m_apply(self, q):
+        # The same seeded pairs, one at a time through the callables.  The
+        # batch rows are one matrix product, Horner's rule the callables'
+        # values, so each residual and form agrees to rounding: within 1e-14
+        # of the mean of the moduli of the terms it is made of (up to 8.9e-16
+        # of it measured).
         weight = lambda t: szego_weight(t, q)
         z = GRID.nodes
         rng = np.random.default_rng(0)
         w = weight(z)
-        want = ([], [], [])
+        want, scales = ([], [], []), ([], [], [])
         for _ in range(20):
             f, g = random_laurent(rng, -3, 3), random_laurent(rng, -3, 3)
             mf, mg = m_apply(weight, f, q)(z), m_apply(weight, g, q)(z)
@@ -125,10 +129,18 @@ class TestSymmetry:
             want[1].append(form)
             want[2].append(nan_max(abs(form - form.conjugate()),
                                    abs(form - direct), -form.real))
+            form_terms = np.mean(np.abs(f(z) * mf) * w)
+            scales[0].append(np.mean(np.abs(f(z) * mg) * w)
+                             + np.mean(np.abs(g(z) * mf) * w))
+            scales[1].append(form_terms)
+            scales[2].append(form_terms + direct.real)
         rows = random_laurent_rows(np.random.default_rng(0), 40, 3, GRID, q, 2)
         got = symmetry_residuals(szego_rows(q), rows[:, 0::2], rows[:, 1::2],
                                  q, GRID)
-        assert got == want
+        for values, oracle, scale in zip(got, want, scales):
+            assert len(values) == 20
+            assert all(abs(v - o) <= 1e-14 * s
+                       for v, o, s in zip(values, oracle, scale))
 
 
 def eigen_rows(q, junk=False):

@@ -93,6 +93,16 @@ SWEEP = (
     # and where qsl_form_positivity rests on its last bits.
     + [["verify", "qsl", "--max-n", n, "--grid", "256", "--q", q]
        for n, q in (("5", "0.9"), ("8", "0.8"))]
+    # A regression probe: qsl_form_positivity is judged on size alone here
+    # (1.185e-10, a FAIL against an absolute 1e-10, from Horner's rows;
+    # 7.317e-11 from their matrix product; ROADMAP item 3), so a last-bit
+    # move of the random rows shows in the table.
+    + [["verify", "qsl", "--max-n", "5", "--grid", "256", "--q", "0.8",
+        "--seed", "3"]]
+    # D_q of the random pairs' rows at q z overflows at a tiny q (exit 2,
+    # one error line, where numpy's warnings came first).
+    + [["verify", suite, "--max-n", "2", "--grid", "64", "--q", q]
+       for suite in ("qsl", "all") for q in ("1e-45", "1e-50")]
     # Random Laurent pairs at a node count that is not a power of two, and
     # at other seeds.
     + [["verify", "qsl", "--max-n", "5", "--grid", "100", "--q", "0.5",
