@@ -83,8 +83,8 @@ def r_fn(n: int, z, p: BiorthoParams):
     if n < 0:
         raise ValueError("index must be nonnegative")
     z = np.asarray(z, dtype=complex)
-    # A lone point goes in twice: numpy rounds a one-element complex
-    # product unlike its array loops, and each value is its table row's.
+    # A lone point goes in twice, as an in-place one-element product rounds
+    # as Python does, not as the table rows' elementwise loop.
     row = r_rows(range(n, n + 1), p, np.resize(z, max(z.size, 2)), 0)[0, 0]
     return _maybe_scalar(row[:z.size].reshape(z.shape))
 

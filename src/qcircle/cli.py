@@ -199,8 +199,8 @@ def cmd_eval(args) -> int:
         return 0
     # The finiteness check below names a non-finite value; numpy's warnings
     # on the way there would only add file paths to stderr.  A point of H_n
-    # or a weight goes in twice, as in r_fn: numpy rounds one-element
-    # complex products unlike the array loops that built the verdicts' rows.
+    # or a weight goes in twice, as in r_fn: an in-place product into one
+    # element rounds as Python does, not as the verdicts' elementwise loops.
     with np.errstate(all="ignore"):
         if args.subject == "szego":
             value = szego.poly_rows(range(args.n, args.n + 1), args.q,

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -28,16 +26,15 @@ UNDERFLOW_FLOOR = sys.float_info.min
 # Complex elements per block of qpochhammer_inf factors: 512 KiB, the
 # fastest of 4096..131072 elements at 256 and 2048 points on a Xeon core
 # with 2 MiB of L2; smaller blocks pay numpy's per-call overhead more often.
-# Euler's series for an array lane's tails runs in rows 1 and 2 of the same
-# block, so a call holds one block at a time, series or not.
+# A block wider than _BLOCK_ELEMS // 8 columns has 8 rows.  One buffer
+# holds a call's blocks in turn, then the two rows of Euler's series.
 _BLOCK_ELEMS = 32768
 
 # Euler's series for the tail of a q-product (qpochhammer_inf): taken once
 # max|a q^K'| <= _TAIL_TAU (1 - q), summed to _TAIL_TERMS terms, which
 # leaves under 1e-19, and only where it replaces at least _TAIL_MIN_FACTORS
-# factors: at 256 points it is faster from about 60, ten 0-d arguments
-# break even near 150 and a 1-element array only past 330 (a Xeon core,
-# numpy 2.4), and 100 keeps q <= 0.70 on the plain product.
+# factors, which keeps q <= 0.70 on the plain product; a 256-point array
+# breaks even near 100 of them, narrower arguments later.
 _TAIL_TAU = 1.0
 _TAIL_TERMS = 20
 _TAIL_MIN_FACTORS = 100
@@ -122,29 +119,56 @@ def _euler_coefficients(qv: float) -> list:
     return coef
 
 
+def _reduce_block(block, values, ends, qv: float, exact: bool) -> None:
+    """Set row 0 of `block` to prod_{k < ends[j]} (1 - values[j] q^k) in
+    column j, ends sorted from the longest: rows 1.. take the factors of a
+    block of k at a time, q^k Python's q**k where `exact`, else from
+    np.cumprod, and are reduced into row 0 in order, axis 0."""
+    rows, live = block.shape[0] - 1, block.shape[1]
+    block[0] = 1.0
+    # q^k as complex numbers with zero imaginary part, the form that
+    # a * q^k converts them to anyway; one column, broadcast over a.
+    powers = np.full((rows, 1), qv, dtype=complex)
+    qk, start = 1.0, 0
+    while start < ends[0]:
+        while ends[live - 1] <= start:
+            live -= 1  # columns [0, live) still take factors
+        r = min(rows, ends[live - 1] - start)
+        if exact:  # each q^k rounded once: a running product drifts
+            qk_block = powers[:r]
+            qk_block[:, 0] = [qv**k for k in range(start, start + r)]
+        else:
+            powers[0] = qk
+            qk_block = np.multiply.accumulate(powers[:r])  # np.cumprod
+            qk = qk_block[-1, 0].real * qv
+        factors = block[1:r + 1, :live]
+        np.multiply(values[:live], qk_block, out=factors)
+        np.subtract(1.0, factors, out=factors)
+        # initial=None starts from row 0 rather than from 1 + 0j, whose
+        # product with a zero can flip the zero's sign.
+        np.multiply.reduce(block[:r + 1, :live], axis=0, out=block[0, :live],
+                           initial=None)
+        start += r
+
+
 def qpochhammer_inf_each(args, q) -> list:
     """[qpochhammer_inf(a, q) for a in args], each truncated at its own
     max|a| and bitwise the sequential product prod_k (1 - a q^k), times
     Euler's series at x = a q^K' where the argument takes it.
 
-    The factors are built a block of k at a time as rows of a 2-D array of
-    at most _BLOCK_ELEMS elements, one column per element of an argument,
-    the running products in row 0; each block is reduced along axis 0, rows
-    in order, with q^k from np.cumprod, or, in a lane that takes the series,
-    as Python's q**k: near q = 1 a running product of q's drifts by up to
-    about k/2 ulps, which set the error of the product (1.5e-13 against
-    1.8e-14 at q = 0.995).  Columns are sorted by step count,
-    a block spans only those still running, and a wide lane runs in groups
-    of columns.  numpy reduces a contiguous column with its scalar loop,
-    which may round differently from the elementwise loop of rows, so array
-    elements lie along rows (a 1-element array as two equal columns) and
-    0-d arguments down contiguous columns, each reduced as in its lone
-    call.  Arguments that take the series run in lanes of their own.  An
-    array lane sums it at the end of each group, elementwise as array
-    arithmetic rounds, in rows 1 and 2 of the group's block; a 0-d
-    argument in Python complex arithmetic, which rounds as numpy's 0-d
-    arithmetic does.  Past 1,000,000 factors for an argument, raises
-    NonConvergent.
+    Each block (_reduce_block) takes q^k from np.cumprod, or, where the
+    argument takes the series, as Python's q**k: near q = 1 a running
+    product of q's drifts by up to about k/2 ulps, which set the error of
+    the product (1.5e-13 against 1.8e-14 at q = 0.995).  An in-place
+    product whose output is one element rounds as Python does, not as
+    numpy's elementwise loop, so each array has a block of its own,
+    elements along rows, a 1-element array as two equal columns; the 0-d
+    arguments go down the contiguous columns of one Fortran-order block
+    per kind of q^k, sorted by step count, as in a lone call.  Euler's
+    series runs in one elementwise Horner pass over every array that takes
+    it, and for a 0-d argument in Python complex arithmetic, which rounds
+    as numpy's 0-d arithmetic does.  Past 1,000,000 factors for an
+    argument, raises NonConvergent.
     """
     qv = qval(q)
     args = [_maybe_scalar(np.asarray(a, dtype=complex)) for a in args]
@@ -164,84 +188,57 @@ def qpochhammer_inf_each(args, q) -> list:
         tails.append(n - k >= _TAIL_MIN_FACTORS)
         steps.append(k if tails[-1] else max(n, 1) if amax else 0)
     coef = _euler_coefficients(qv) if any(tails) else []
-    out = [None] * len(args)  # (a; q)_inf = 1 where a is 0 or empty
-    lanes = {}
+    out = [None] * len(args)  # stays None for an array of zeros or none
+    lanes, scalars = [], {}  # a lane: (indices, values, exact, order)
+    series, span = [], 0  # (index, values, first column of s and x)
     for i in sorted(range(len(args)), key=lambda i: -steps[i]):
-        if steps[i] or tails[i]:
-            lanes.setdefault((isinstance(args[i], complex), tails[i]),
-                             []).append(i)
-    for (scalar, tail), lane in lanes.items():
-        if scalar:
-            flat, edges = (np.array([args[i] for i in lane], dtype=complex),
-                           range(1, len(lane) + 1))
-        else:
-            edges = list(accumulate(max(2, args[i].size) for i in lane))
-            flat = np.empty(edges[-1], dtype=complex)
-            for i, lo, hi in zip(lane, [0] + edges, edges):
-                flat[lo:hi] = args[i].reshape(-1)
-        ends, width = [steps[i] for i in lane], edges[-1]
-        group = min(width, _BLOCK_ELEMS // 8)  # >= 7 rows: fewer were slower
-        rows = min(max(ends[0], 2), _BLOCK_ELEMS // group - 1)
-        block = np.empty((rows + 1, group), dtype=complex,
-                         order="F" if scalar else "C")
-        # q^k as complex numbers with zero imaginary part, the form that
-        # a * q^k converts them to anyway; one column, broadcast over a.
-        powers = np.full((rows, 1), qv, dtype=complex)
-        lo = 0
-        while lo < width:  # each group's products overwrite its flat columns
-            hi = min(width, lo + group)
-            hi -= hi + 1 in edges  # never an argument's last column alone
-            top, running = bisect_right(edges, lo), bisect_left(edges, hi) + 1
-            last = running  # lane[top:last] has columns in [lo, hi)
-            block[0, :hi - lo] = 1.0
-            qk, start = 1.0, 0
-            while start < ends[top]:
-                while ends[running - 1] <= start:
-                    running -= 1  # lane[:running] still take factors
-                live = min(hi, edges[running - 1]) - lo
-                r = min(rows, ends[running - 1] - start)
-                if tail:  # each q^k rounded once: a running product drifts
-                    qk_block = powers[:r]
-                    qk_block[:, 0] = [qv**k for k in range(start, start + r)]
-                else:
-                    powers[0] = qk
-                    qk_block = np.multiply.accumulate(powers[:r])  # np.cumprod
-                    qk = qk_block[-1, 0].real * qv
-                factors = block[1:r + 1, :live]
-                np.multiply(flat[lo:lo + live], qk_block, out=factors)
-                np.subtract(1.0, factors, out=factors)
-                # initial=None starts from row 0 rather than from 1 + 0j,
-                # whose product with a zero can flip the zero's sign.
-                np.multiply.reduce(block[:r + 1, :live], axis=0,
-                                   out=block[0, :live], initial=None)
-                start += r
-            if tail and not scalar:  # times Euler's series, in rows 1, 2
-                s, x = block[1, :hi - lo], block[2, :hi - lo]
-                for j in range(top, last):  # q^K' down each column
-                    first = edges[j - 1] if j else 0
-                    x[max(first, lo) - lo:min(edges[j], hi) - lo] = \
-                        qv**ends[j]
-                np.multiply(flat[lo:hi], x, out=x)
-                s[:] = coef[-1]
-                for d in coef[-2::-1]:  # Horner: s = s * x + d
-                    np.multiply(s, x, out=s)
-                    np.add(s, d, out=s)
-                np.multiply(block[0, :hi - lo], s, out=block[0, :hi - lo])
-            flat[lo:hi] = block[0, :hi - lo]
-            lo = hi
-        if not scalar:
-            for i, j in zip(lane, [0, *edges]):
-                out[i] = flat[j:j + args[i].size].reshape(args[i].shape).copy()
+        if isinstance(args[i], complex):
+            scalars.setdefault(tails[i], []).append(i)
+        elif steps[i] or tails[i]:
+            a = args[i].reshape(-1)
+            a = a if a.size > 1 else a.repeat(2)
+            lanes.append(([i], a, tails[i], "C"))
+            if tails[i]:
+                series.append((i, a, span))
+                span += a.size
+    lanes += [(lane, np.array([args[i] for i in lane], dtype=complex), tail,
+               "F") for tail, lane in scalars.items()]
+    # A block is (rows + 1) x width within _BLOCK_ELEMS, or 8 rows past
+    # _BLOCK_ELEMS // 8 columns (fewer were slower); one buffer holds each
+    # lane's block in turn, then the series' s and x.
+    shapes = [(min(steps[lane[0]] + 1, _BLOCK_ELEMS // min(
+        values.size, _BLOCK_ELEMS // 8)), values.size)
+        for lane, values, _, _ in lanes]
+    buf = np.empty(max([r * w for r, w in shapes] + [2 * span]), complex)
+    for (lane, values, tail, order), shape in zip(lanes, shapes):
+        block = buf[:shape[0] * shape[1]].reshape(shape, order=order)
+        _reduce_block(block, values, [steps[i] for i in lane] if order == "F"
+                      else [steps[lane[0]]] * values.size, qv, tail)
+        if order == "C":
+            out[lane[0]] = block[0].copy()
             continue
-        for i, value in zip(lane, flat.tolist()):
+        for i, value in zip(lane, block[0].tolist()):
             if tail:  # Euler's series in Python arithmetic, as 0-d numpy's
                 s, x = coef[-1], args[i] * qv**steps[i]
                 for d in coef[-2::-1]:
                     s = s * x + d
                 value *= s
             out[i] = value
-    return [x if x is not None else 1.0 + 0.0j if isinstance(a, complex)
-            else np.ones(a.shape, dtype=complex) for a, x in zip(args, out)]
+    if series:  # Euler's series of every such array in one Horner pass
+        s, x = buf[:span], buf[span:2 * span]
+        for i, values, lo in series:
+            part = x[lo:lo + values.size]
+            part[:] = qv**steps[i]  # q^K' down the array's columns
+            np.multiply(values, part, out=part)
+        s[:] = coef[-1]
+        for d in coef[-2::-1]:  # Horner: s = s * x + d
+            np.multiply(s, x, out=s)
+            np.add(s, d, out=s)
+        for i, values, lo in series:
+            np.multiply(out[i], s[lo:lo + values.size], out=out[i])
+    return [x if isinstance(a, complex) else np.ones(a.shape, dtype=complex)
+            if x is None else x[:a.size].reshape(a.shape)
+            for a, x in zip(args, out)]
 
 
 def qmultipochhammer(params: Sequence[complex], q, n: int) -> complex:

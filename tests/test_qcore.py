@@ -185,7 +185,8 @@ class TestQPochhammerInfBlocked:
     def test_step_counts_across_block_edges(self, shape):
         a = draw_arguments(np.random.default_rng(5), shape, "complex")
         # Factor rows per block as the kernel takes them: (rows + 1) x width
-        # within _BLOCK_ELEMS, width at most _BLOCK_ELEMS // 8 columns.
+        # within _BLOCK_ELEMS, or 7 rows past _BLOCK_ELEMS // 8 columns; a
+        # 1-element array is two columns wide, a 0-d argument one.
         width = max(2, int(np.prod(shape))) if shape else 1
         block = _BLOCK_ELEMS // min(width, _BLOCK_ELEMS // 8) - 1
         # The plain product runs past about 97 factors only at q <= 0.7,
@@ -260,7 +261,7 @@ class TestQPochhammerInfBlocked:
 
 class TestQPochhammerInfEach:
     """One batch call against lone calls and the sequential product, byte
-    for byte: each argument keeps its own truncation and its own lane."""
+    for byte: each argument keeps its own truncation and its own columns."""
 
     QS = [0.05, 0.5, 0.89, 0.97, 0.995]
 
@@ -296,13 +297,30 @@ class TestQPochhammerInfEach:
             assert_bitwise_equal(value, sequential_pochhammer_inf(a, q))
 
     def test_ends_inside_blocks(self):
-        # About 3,000 steps at 164 rows a block (198 columns): each argument
-        # ends inside a block, where the columns still running shrink.
+        # At q = 0.99 the three scales take 0, about 300 and about 400
+        # factors before Euler's series: each argument ends inside its
+        # first block, and the 0-d block's running columns shrink.
         q, rng = 0.99, np.random.default_rng(8)
         args = [draw_arguments(rng, shape, "complex") * scale
                 for shape in [(), (1,), (64,)] for scale in (1e-3, 0.3, 0.9)]
         for a, value in zip(args, qpochhammer_inf_each(args, q)):
             assert_bitwise_equal(value, sequential_pochhammer_inf(a, q))
+
+    @pytest.mark.parametrize("q", [0.75, 0.9, 0.99])
+    def test_one_element_and_0d_at_scale(self, q):
+        # 200 seeded 1-element arrays and 200 0-d arguments, in one batch
+        # and alone.  A product into one element in place rounds as Python
+        # does, not as numpy's elementwise loop, so a 1-element array that
+        # lost its second column anywhere, its series included, shows.
+        rng = np.random.default_rng(int(q * 1000) + 3)
+        kinds = ("real", "complex", "big")
+        args = [x for j in range(200) for x in (
+            draw_arguments(rng, (1,), kinds[j % 3]),
+            complex(draw_arguments(rng, (), kinds[j % 3])))]
+        for a, value in zip(args, qpochhammer_inf_each(args, q)):
+            want = sequential_pochhammer_inf(a, q)
+            assert_bitwise_equal(value, want)
+            assert_bitwise_equal(qpochhammer_inf(a, q), want)
 
     def test_empty_batch_and_empty_arrays(self):
         assert qpochhammer_inf_each([], 0.5) == []
@@ -316,13 +334,13 @@ class TestQPochhammerInfEach:
 
 
 class TestKernelLanes:
-    """The scalar lane's inputs, column groups of wide array lanes, and the
-    memory one batch takes."""
+    """The 0-d block's inputs, arrays wider than _BLOCK_ELEMS // 8 columns,
+    and the memory one batch takes."""
 
     @pytest.mark.parametrize("q", TestQPochhammerInfEach.QS)
     def test_scalar_lane_mixed_inputs(self, q):
-        # Python numbers, numpy scalars and 0-d arrays share one lane, each
-        # turned into a Python complex once.
+        # Python numbers, numpy scalars and 0-d arrays share one block,
+        # each turned into a Python complex once.
         rng = np.random.default_rng(int(q * 1000) + 2)
         draws = draw_arguments(rng, (12,), "complex")
         args = [2, -0.5, 0.3 - 0.2j, np.float64(0.7), np.asarray(-0.25),
@@ -338,10 +356,12 @@ class TestKernelLanes:
                                        (4097, 1, 3, 4094), (3, 4094, 1)])
     @pytest.mark.parametrize("q", [0.3, 0.9])
     def test_lanes_wider_than_a_block(self, sizes, q):
-        # Past _BLOCK_ELEMS // 8 columns a lane runs in groups of columns.
-        # A group left running an argument's last column alone reduces it
-        # with numpy's scalar loop, which rounds otherwise: a plain cut
-        # every 4,096 columns failed at 4,097 elements.
+        # Past _BLOCK_ELEMS // 8 columns an array takes 7 factor rows a
+        # block, a block of 8 times its width.  The sizes straddle 4,096
+        # columns, where the kernel once cut concatenated arrays into
+        # groups of columns: a group left with an argument's last column
+        # alone reduced it in place as one element, which rounds as Python
+        # does, and a plain cut every 4,096 columns failed at 4,097.
         rng = np.random.default_rng(sum(sizes))
         args = [draw_arguments(rng, (size,), "big") * 10.0**-k
                 for k, size in enumerate(sizes)]
@@ -350,11 +370,11 @@ class TestKernelLanes:
 
     def test_wide_batch_stays_within_its_block(self):
         # 60 arrays of 256 points, the shape of the ten random parameter
-        # sets' batch before their rows became a series.  A (rows + 1) x
-        # 15,360 block of rows >= 1 took the call's peak to 1.46 MB; the
-        # arguments, the block of at most _BLOCK_ELEMS and the results take
-        # about 1.03 MB.  At q = 0.99 Euler's series runs in rows 1 and 2
-        # of the same block.
+        # sets' batch before their rows became a series.  Each array's
+        # block of at most _BLOCK_ELEMS elements reuses one buffer, and at
+        # q = 0.99 Euler's series runs in the same buffer: with the results
+        # and numpy's ufunc buffers the call peaks at about 1.06 MB.  A
+        # (rows + 1) x 15,360 block of rows >= 1 took it to 1.46 MB.
         import tracemalloc
         rng = np.random.default_rng(3)
         args = [draw_arguments(rng, (256,), "complex") for _ in range(60)]
